@@ -7,10 +7,10 @@ from .finite import (BUILTINS, FiniteQuantale, LawViolation,
                      QuantaleStructureError, boolean, builtin, chain,
                      parse_quantale, validate)
 from .qrel import (DomainMismatch, QRel, RelationClassification, classify,
-                   delta1, delta2, is_quasi_reflexive, is_reflexive,
-                   is_strongly_transitive, is_transitive, obs_quasi_left,
-                   obs_quasi_right, qrel_leq, qrel_residual_left,
-                   qrel_residual_right, qrel_tensor, theta_left, theta_right)
+                   is_quasi_reflexive, is_reflexive, is_strongly_transitive,
+                   is_transitive, obs_quasi_left, obs_quasi_right, qrel_leq,
+                   qrel_residual_left, qrel_residual_right, qrel_tensor,
+                   theta_left, theta_right)
 from .props import (EnumerationTooLarge, PropFailure, Section3Report,
                     check_section3_props, is_q_closed, rel_from_ternary,
                     ternary_from_rel)
@@ -21,7 +21,7 @@ __all__ = [
     "BUILTINS", "FiniteQuantale", "LawViolation", "QuantaleStructureError",
     "boolean", "builtin", "chain", "parse_quantale", "validate",
     "DomainMismatch", "QRel", "RelationClassification", "classify",
-    "delta1", "delta2", "is_quasi_reflexive", "is_reflexive",
+    "is_quasi_reflexive", "is_reflexive",
     "is_strongly_transitive", "is_transitive", "obs_quasi_left",
     "obs_quasi_right", "qrel_leq", "qrel_residual_left",
     "qrel_residual_right", "qrel_tensor", "theta_left", "theta_right",

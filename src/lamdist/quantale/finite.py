@@ -10,6 +10,7 @@ violations with witnesses instead of raising.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -115,14 +116,15 @@ class FiniteQuantale:
                 f"no meet of {self.elements[a]}, {self.elements[b]}")
         return m
 
-    @property
+    # Cached once found; a carrier without one raises on every access.
+    @cached_property
     def bottom(self) -> int:
         for c in range(len(self.elements)):
             if all(self._leq[c][d] for d in range(len(self.elements))):
                 return c
         raise QuantaleStructureError("no bottom element")
 
-    @property
+    @cached_property
     def top(self) -> int:
         for c in range(len(self.elements)):
             if all(self._leq[d][c] for d in range(len(self.elements))):

@@ -112,30 +112,15 @@ def qrel_residual_right(s: QRel, w: QRel) -> QRel:
 def obs_quasi_left(s: QRel) -> QRel:
     """Left observational quasi-metric s ⟜ s.
 
-    The result is asserted to satisfy the quasi-metric laws (the
-    exhaustive model checker verifies the same claim wholesale)."""
-    out = qrel_residual_right(s, s)
-    assert is_reflexive(out) and is_transitive(out)
-    return out
+    That it is a quasi-metric is a theorem, not checked here; the
+    exhaustive model checker verifies it on finite models."""
+    return qrel_residual_right(s, s)
 
 
 def obs_quasi_right(s: QRel) -> QRel:
-    """Right observational quasi-metric s ⊸ s; quasi-metric, asserted."""
-    out = qrel_residual_left(s, s)
-    assert is_reflexive(out) and is_transitive(out)
-    return out
-
-
-def delta1(s: QRel) -> QRel:
-    """Δ₁s(x,y) = s(x,x)."""
-    n = s.n
-    return QRel(s.ops, n, [s.entries[x * n + x] for x in range(n) for _ in range(n)])
-
-
-def delta2(s: QRel) -> QRel:
-    """Δ₂s(x,y) = s(y,y)."""
-    n = s.n
-    return QRel(s.ops, n, [s.entries[y * n + y] for _ in range(n) for y in range(n)])
+    """Right observational quasi-metric s ⊸ s (a quasi-metric; see
+    :func:`obs_quasi_left`)."""
+    return qrel_residual_left(s, s)
 
 
 def theta_left(s: QRel) -> QRel:

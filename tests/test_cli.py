@@ -136,6 +136,7 @@ def test_laws_chain1_size3(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["passed"] is True and data["relations"] == 19683
+    assert data["dominance_pairs"] == 306290
 
 
 def test_laws_user_quantale(capsys):

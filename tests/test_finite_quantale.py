@@ -99,3 +99,14 @@ def test_parse_quantale_errors():
         parse_quantale("nonsense line\n")
     with pytest.raises(QuantaleStructureError):
         parse_quantale("elements a\n")  # no unit
+
+
+def test_missing_top_and_bottom_raise_on_every_access():
+    # two incomparable elements: neither a top nor a bottom
+    q = FiniteQuantale("antichain", ("a", "b"), [[True, False], [False, True]],
+                       [[0, 1], [1, 1]], unit=0)
+    for _ in range(2):
+        with pytest.raises(QuantaleStructureError, match="no top"):
+            q.top
+        with pytest.raises(QuantaleStructureError, match="no bottom"):
+            q.bottom
