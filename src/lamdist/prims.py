@@ -136,31 +136,49 @@ class Registry:
                          exact_fn=dexact, derived_from=name)
         return self.register(prim)
 
-    def call_float(self, name: str, args: Sequence[float]) -> float:
+    def checked(self, name: str, nargs: int,
+                exact: bool = False) -> Callable[..., float | Fraction]:
+        """``name``'s implementation for ``nargs`` arguments, looked up and
+        arity-checked once.  Every call still checks the declared domain
+        and, in float mode, that a declared-total primitive stayed finite.
+        Exact mode runs the exact implementation, or rationalizes the float
+        one."""
         p = self[name]
-        if len(args) != p.arity:
-            raise TypeError(f"{name} expects {p.arity} args, got {len(args)}")
-        if p.domain is not None and not p.domain(*args):
-            raise EvalDomainError(f"{name}{tuple(args)} outside declared domain")
-        out = p.fn(*args)
-        if isinstance(out, float) and not math.isfinite(out):
-            # primitives are total reals by declaration; only the derived
-            # modulus primitives map into [0, +inf]
-            if math.isnan(out) or p.derived_from is None:
-                raise EvalDomainError(
-                    f"{name}{tuple(args)} produced {out}; declared-total "
-                    "primitives must stay finite")
-        return out
+        if nargs != p.arity:
+            raise TypeError(f"{name} expects {p.arity} args, got {nargs}")
+        domain, fn = p.domain, p.fn
+        if exact:
+            exact_fn = p.exact_fn or (
+                lambda *args: Fraction(fn(*map(float, args))))
+
+            def call(*args):
+                if domain is not None and not domain(*args):
+                    raise EvalDomainError(f"{name}{args} outside declared "
+                                          "domain")
+                return exact_fn(*args)
+            return call
+        total = p.derived_from is None
+        isfinite, isnan = math.isfinite, math.isnan
+
+        def call(*args):
+            if domain is not None and not domain(*args):
+                raise EvalDomainError(f"{name}{args} outside declared domain")
+            out = fn(*args)
+            if isinstance(out, float) and not isfinite(out):
+                # primitives are total reals by declaration; only the derived
+                # modulus primitives map into [0, +inf]
+                if total or isnan(out):
+                    raise EvalDomainError(
+                        f"{name}{args} produced {out}; declared-total "
+                        "primitives must stay finite")
+            return out
+        return call
+
+    def call_float(self, name: str, args: Sequence[float]) -> float:
+        return self.checked(name, len(args))(*args)
 
     def call_exact(self, name: str, args: Sequence[Fraction]) -> Fraction:
-        p = self[name]
-        if len(args) != p.arity:
-            raise TypeError(f"{name} expects {p.arity} args, got {len(args)}")
-        if p.domain is not None and not p.domain(*args):
-            raise EvalDomainError(f"{name}{tuple(args)} outside declared domain")
-        if p.exact_fn is not None:
-            return p.exact_fn(*args)
-        return Fraction(p.fn(*(float(a) for a in args)))
+        return self.checked(name, len(args), exact=True)(*args)
 
 
 def prim_modulus(prim: Primitive, ys: Sequence[float],
@@ -174,12 +192,17 @@ def prim_modulus(prim: Primitive, ys: Sequence[float],
     """
     if len(ys) != prim.arity or len(bs) != prim.arity:
         raise TypeError(f"{prim.name} modulus expects {prim.arity}+{prim.arity} args")
+    zero = True
+    infinite = False
     for b in bs:
-        if b < 0 or math.isnan(b):
+        if not b >= 0:  # negative or NaN
             raise ValueError(f"error radius {b} is not in [0, +inf]")
-    if all(b == 0 for b in bs):
+        if b:
+            zero = False
+            infinite = infinite or b == math.inf
+    if zero:
         return 0.0
-    if any(math.isinf(b) for b in bs):
+    if infinite:
         return prim.oscillation
     if prim.modulus is not None:
         return prim.modulus(ys, bs)

@@ -1,8 +1,7 @@
 """Evaluation: values, difference functions, and difference triples."""
 
 from .eval import Value, evaluate
-from .diff import (Diff, bottom_diff, diff_evaluate, residual_diff,
-                   tensor_diff, top_diff)
+from .diff import Diff, diff_evaluate, residual_diff, tensor_diff, top_diff
 from .triples import (DiffTriple, apply_member_triple, compose_triples,
                       curry_triple, element_triple, eval_triple,
                       identity_triple, pair_triples, proj1_triple,
@@ -10,8 +9,7 @@ from .triples import (DiffTriple, apply_member_triple, compose_triples,
 
 __all__ = [
     "Value", "evaluate",
-    "Diff", "bottom_diff", "diff_evaluate", "residual_diff", "tensor_diff",
-    "top_diff",
+    "Diff", "diff_evaluate", "residual_diff", "tensor_diff", "top_diff",
     "DiffTriple", "apply_member_triple", "compose_triples", "curry_triple",
     "element_triple", "eval_triple", "identity_triple", "pair_triples",
     "proj1_triple", "proj2_triple",

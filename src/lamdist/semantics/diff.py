@@ -14,119 +14,160 @@ difference 0; a primitive call takes the deviation modulus of its
 evaluated arguments and their differences; an application feeds the
 argument's value and difference to the function's difference; a lambda
 extends both environments; pairs and projections are componentwise.
-Runs on floats; the exact-mode story lives in the evaluator.
+
+The term is compiled once into closures that compute (value, difference)
+pairs in one fused pass, the forward-mode "dual number" shape, so no
+subterm is evaluated twice and the cost is linear in the term's depth.
+Values are computed only where the clauses above use them, the
+arguments of primitives and applications; elsewhere the value half of
+the pair is ``None``.  A lambda's value is the closure the evaluator
+compiles, and its difference runs the fused pass of its body.  Runs on
+floats; the exact-mode story lives in the evaluator.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, Mapping, Union
 
 from ..prims import DEFAULT_REGISTRY, Registry, prim_modulus
 from ..syntax.terms import (App, First, FnType, Lam, Lit, Pair, PairType,
                             PrimOp, RealType, Second, Term, Type, Var)
-from .eval import Value, evaluate
+from .eval import Value, compile_value, slot
 
 Diff = Union[float, tuple, Callable]
+
+# a compiled term: (value environment, difference environment) to
+# (value or None, difference)
+DualCode = Callable[[tuple, tuple], tuple]
 
 
 def diff_evaluate(t: Term, env: Mapping[str, Value] | None = None,
                   denv: Mapping[str, Diff] | None = None, *,
                   registry: Registry = DEFAULT_REGISTRY) -> Diff:
-    return _diff(t, dict(env) if env else {}, dict(denv) if denv else {},
-                 registry)
+    code = _compile_dual(t, (), dict(env) if env else {},
+                         dict(denv) if denv else {}, registry, False)
+    return code((), ())[1]
 
 
-def _diff(t: Term, env: dict, denv: dict, registry: Registry) -> Diff:
+def _compile_dual(t: Term, scope: tuple[str, ...], free: Mapping[str, Value],
+                  dfree: Mapping[str, Diff], registry: Registry,
+                  want: bool) -> DualCode:
+    """Closures computing ``t``'s (value, difference) pair; the value is
+    computed only when ``want`` is set."""
     if isinstance(t, Var):
-        try:
-            return denv[t.name]
-        except KeyError:
-            raise NameError(f"no difference bound for variable {t.name!r}") \
-                from None
+        i = slot(scope, t.name)
+        if i is not None:
+            return lambda env, denv: (env[i], denv[i])
+        name = t.name
+        if want and name not in free:
+            def unbound(env, denv):
+                raise NameError(f"unbound variable {name!r} at evaluation")
+            return unbound
+        if name not in dfree:
+            def unbound(env, denv):
+                raise NameError(f"no difference bound for variable {name!r}")
+            return unbound
+        pair = (free.get(name), dfree[name])
+        return lambda env, denv: pair
     if isinstance(t, Lit):
-        return 0.0
+        pair = (float(t.value), 0.0)
+        return lambda env, denv: pair
     if isinstance(t, PrimOp):
-        ys = [evaluate(a, env, registry=registry) for a in t.args]
-        bs = [_diff(a, env, denv, registry) for a in t.args]
-        return prim_modulus(registry[t.name], ys, bs)
+        prim = registry[t.name]
+        call = registry.checked(t.name, len(t.args))
+        args = [_compile_dual(a, scope, free, dfree, registry, True)
+                for a in t.args]
+
+        def primop(env, denv):
+            ys, bs = [], []
+            for a in args:
+                y, b = a(env, denv)
+                ys.append(y)
+                bs.append(b)
+            return (call(*ys) if want else None), prim_modulus(prim, ys, bs)
+        return primop
     if isinstance(t, App):
-        dfn = _diff(t.fn, env, denv, registry)
-        if not callable(dfn):
-            raise TypeError("difference of an applied term is not a function; "
-                            "environment shape does not match the typing")
-        return dfn(evaluate(t.arg, env, registry=registry),
-                   _diff(t.arg, env, denv, registry))
+        fn = _compile_dual(t.fn, scope, free, dfree, registry, want)
+        arg = _compile_dual(t.arg, scope, free, dfree, registry, True)
+
+        def app(env, denv):
+            f, df = fn(env, denv)
+            if not callable(df):
+                raise TypeError("difference of an applied term is not a "
+                                "function; environment shape does not "
+                                "match the typing")
+            y, b = arg(env, denv)
+            return (f(y) if want else None), df(y, b)
+        return app
     if isinstance(t, Lam):
-        def dclosure(value: Value, bound: Diff,
-                     _env=dict(env), _denv=dict(denv), _t=t):
-            inner_env = dict(_env)
-            inner_env[_t.var] = value
-            inner_denv = dict(_denv)
-            inner_denv[_t.var] = bound
-            return _diff(_t.body, inner_env, inner_denv, registry)
-        return dclosure
+        value = compile_value(t, scope, free, registry, False) if want \
+            else None
+        body = _compile_dual(t.body, scope + (t.var,), free, dfree, registry,
+                             False)
+
+        def lam(env, denv):
+            def dclosure(y: Value, b: Diff) -> Diff:
+                return body(env + (y,), denv + (b,))[1]
+            return (value(env) if want else None), dclosure
+        return lam
     if isinstance(t, Pair):
-        return (_diff(t.left, env, denv, registry),
-                _diff(t.right, env, denv, registry))
-    if isinstance(t, First):
-        return _diff(t.pair, env, denv, registry)[0]
-    if isinstance(t, Second):
-        return _diff(t.pair, env, denv, registry)[1]
+        left = _compile_dual(t.left, scope, free, dfree, registry, want)
+        right = _compile_dual(t.right, scope, free, dfree, registry, want)
+
+        def pair(env, denv):
+            x, a = left(env, denv)
+            x2, a2 = right(env, denv)
+            return (x, x2), (a, a2)
+        return pair
+    if isinstance(t, (First, Second)):
+        pair = _compile_dual(t.pair, scope, free, dfree, registry, want)
+        k = 0 if isinstance(t, First) else 1
+
+        def project(env, denv):
+            x, a = pair(env, denv)
+            return (x[k] if want else None), a[k]
+        return project
     raise TypeError(f"not a term: {t!r}")
 
 
 # --- pointwise structure on differences -------------------------------------
 
+def _lift(ty: Type, op: Callable[..., float]) -> Callable[..., Diff]:
+    """``op`` on ``Real`` differences, lifted to ``ty``: componentwise at
+    products, pointwise in (value, bound) at arrows.  The type is walked
+    once, when the lift is built."""
+    if isinstance(ty, RealType):
+        return op
+    if isinstance(ty, PairType):
+        left, right = _lift(ty.left, op), _lift(ty.right, op)
+        return lambda *ds: (left(*[d[0] for d in ds]),
+                            right(*[d[1] for d in ds]))
+    if isinstance(ty, FnType):
+        res = _lift(ty.res, op)
+        return lambda *ds: lambda value, bound: res(
+            *[d(value, bound) for d in ds])
+    raise TypeError(f"not a type: {ty!r}")
+
+
+def _residual(a: float, b: float) -> float:
+    if math.isinf(a):
+        return 0.0
+    return max(b - a, 0.0)
+
+
 def top_diff(ty: Type) -> Diff:
     """The largest difference: zero bound everywhere (only constant
     functions are this close to themselves)."""
-    if isinstance(ty, RealType):
-        return 0.0
-    if isinstance(ty, PairType):
-        return (top_diff(ty.left), top_diff(ty.right))
-    if isinstance(ty, FnType):
-        res = ty.res
-        return lambda value, bound: top_diff(res)
-    raise TypeError(f"not a type: {ty!r}")
-
-
-def bottom_diff(ty: Type) -> Diff:
-    if isinstance(ty, RealType):
-        return math.inf
-    if isinstance(ty, PairType):
-        return (bottom_diff(ty.left), bottom_diff(ty.right))
-    if isinstance(ty, FnType):
-        res = ty.res
-        return lambda value, bound: bottom_diff(res)
-    raise TypeError(f"not a type: {ty!r}")
+    return _lift(ty, lambda: 0.0)()
 
 
 def tensor_diff(ty: Type, a: Diff, b: Diff) -> Diff:
     """Pointwise monoid operation (addition at the base)."""
-    if isinstance(ty, RealType):
-        return a + b
-    if isinstance(ty, PairType):
-        return (tensor_diff(ty.left, a[0], b[0]),
-                tensor_diff(ty.right, a[1], b[1]))
-    if isinstance(ty, FnType):
-        res = ty.res
-        return lambda value, bound: tensor_diff(res, a(value, bound),
-                                                b(value, bound))
-    raise TypeError(f"not a type: {ty!r}")
+    return _lift(ty, operator.add)(a, b)
 
 
 def residual_diff(ty: Type, a: Diff, b: Diff) -> Diff:
     """Pointwise residual (truncated subtraction at the base)."""
-    if isinstance(ty, RealType):
-        if math.isinf(a):
-            return 0.0
-        return max(b - a, 0.0)
-    if isinstance(ty, PairType):
-        return (residual_diff(ty.left, a[0], b[0]),
-                residual_diff(ty.right, a[1], b[1]))
-    if isinstance(ty, FnType):
-        res = ty.res
-        return lambda value, bound: residual_diff(res, a(value, bound),
-                                                  b(value, bound))
-    raise TypeError(f"not a type: {ty!r}")
+    return _lift(ty, _residual)(a, b)

@@ -2,7 +2,17 @@
 
 Values are plain Python data: floats (or ``Fraction`` in exact mode) at
 ``Real``, 2-tuples at products, and 1-argument callables at arrows.
-Evaluation is call-by-value; closures capture the environment dict.
+Evaluation is call-by-value.
+
+``evaluate`` compiles the term once into Python closures and runs them:
+bound variables become slots of a tuple environment (a closure extends
+it by one slot per application), free variables and literals become
+constants converted once, and each primitive is looked up in the
+registry, and its arity checked, at compile time.  Domain and
+finiteness checks still run on every primitive call, and an unbound
+variable raises ``NameError`` only when its node runs, so errors stay as
+lazy as evaluation itself.  The same compiler builds the value closures
+of the fused difference pass in ``diff``.
 
 Exact mode carries ``Fraction`` values: field primitives compute exactly,
 transcendentals rationalize their float result, which is deterministic.
@@ -21,40 +31,69 @@ from ..syntax.terms import (App, First, Lam, Lit, Pair, PrimOp, Second, Term,
 
 Value = Union[float, Fraction, tuple, Callable]
 
+# a compiled term: environment tuple (one slot per enclosing binder) to value
+Code = Callable[[tuple], Value]
+
 
 def evaluate(t: Term, env: Mapping[str, Value] | None = None, *,
              registry: Registry = DEFAULT_REGISTRY,
              exact: bool = False) -> Value:
-    return _eval(t, dict(env) if env else {}, registry, exact)
+    return compile_value(t, (), dict(env) if env else {}, registry, exact)(())
 
 
-def _eval(t: Term, env: dict, registry: Registry, exact: bool) -> Value:
+def slot(scope: tuple[str, ...], name: str) -> int | None:
+    """Environment index of the innermost binder of ``name``, if bound."""
+    for i in range(len(scope) - 1, -1, -1):
+        if scope[i] == name:
+            return i
+    return None
+
+
+def compile_value(t: Term, scope: tuple[str, ...], free: Mapping[str, Value],
+                  registry: Registry, exact: bool) -> Code:
+    """Closures computing ``t``'s value from an environment tuple laid out
+    as ``scope``; names outside ``scope`` are read from ``free`` now."""
     if isinstance(t, Var):
-        try:
-            return env[t.name]
-        except KeyError:
-            raise NameError(f"unbound variable {t.name!r} at evaluation") from None
+        i = slot(scope, t.name)
+        if i is not None:
+            return lambda env: env[i]
+        if t.name in free:
+            value = free[t.name]
+            return lambda env: value
+        name = t.name
+
+        def unbound(env):
+            raise NameError(f"unbound variable {name!r} at evaluation")
+        return unbound
     if isinstance(t, Lit):
-        return t.value if exact else float(t.value)
+        value = t.value if exact else float(t.value)
+        return lambda env: value
     if isinstance(t, PrimOp):
-        args = [_eval(a, env, registry, exact) for a in t.args]
-        if exact:
-            return registry.call_exact(t.name, args)
-        return registry.call_float(t.name, args)
+        call = registry.checked(t.name, len(t.args), exact)
+        args = [compile_value(a, scope, free, registry, exact)
+                for a in t.args]
+        if len(args) == 1:
+            a, = args
+            return lambda env: call(a(env))
+        if len(args) == 2:
+            a, b = args
+            return lambda env: call(a(env), b(env))
+        return lambda env: call(*[a(env) for a in args])
     if isinstance(t, App):
-        fn = _eval(t.fn, env, registry, exact)
-        return fn(_eval(t.arg, env, registry, exact))
+        fn = compile_value(t.fn, scope, free, registry, exact)
+        arg = compile_value(t.arg, scope, free, registry, exact)
+        return lambda env: fn(env)(arg(env))
     if isinstance(t, Lam):
-        def closure(v: Value, _env=dict(env), _t=t):
-            inner = dict(_env)
-            inner[_t.var] = v
-            return _eval(_t.body, inner, registry, exact)
-        return closure
+        body = compile_value(t.body, scope + (t.var,), free, registry, exact)
+        return lambda env: lambda v: body(env + (v,))
     if isinstance(t, Pair):
-        return (_eval(t.left, env, registry, exact),
-                _eval(t.right, env, registry, exact))
+        left = compile_value(t.left, scope, free, registry, exact)
+        right = compile_value(t.right, scope, free, registry, exact)
+        return lambda env: (left(env), right(env))
     if isinstance(t, First):
-        return _eval(t.pair, env, registry, exact)[0]
+        pair = compile_value(t.pair, scope, free, registry, exact)
+        return lambda env: pair(env)[0]
     if isinstance(t, Second):
-        return _eval(t.pair, env, registry, exact)[1]
+        pair = compile_value(t.pair, scope, free, registry, exact)
+        return lambda env: pair(env)[1]
     raise TypeError(f"not a term: {t!r}")
