@@ -85,9 +85,6 @@ class Interval:
             return -self
         return Interval(0.0, max(-self.lo, self.hi))
 
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 def sin(x) -> Interval:
     if not isinstance(x, Interval):
@@ -115,8 +112,10 @@ def _sin_range(lo: float, hi: float) -> tuple[float, float]:
     """Exact (up to rounding) range of sin over [lo, hi]."""
     if hi - lo >= 2 * math.pi:
         return (-1.0, 1.0)
-    top = 1.0 if _contains_critical(lo, hi, math.pi / 2) \
-        else max(math.sin(lo), math.sin(hi))
-    bot = -1.0 if _contains_critical(lo, hi, -math.pi / 2) \
-        else min(math.sin(lo), math.sin(hi))
-    return (bot, top)
+    has_max = _contains_critical(lo, hi, math.pi / 2)
+    has_min = _contains_critical(lo, hi, -math.pi / 2)
+    if has_max and has_min:
+        return (-1.0, 1.0)
+    s_lo, s_hi = math.sin(lo), math.sin(hi)
+    return (-1.0 if has_min else min(s_lo, s_hi),
+            1.0 if has_max else max(s_lo, s_hi))

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
+from .qrel import Tables
+
 
 class QuantaleStructureError(ValueError):
     """Malformed tables: wrong arity, out-of-carrier entries, duplicates."""
@@ -31,8 +33,9 @@ class LawViolation:
 class FiniteQuantale:
     """Tables over element indices; the public API speaks element names.
 
-    ``leq``/``tensor``/``residual``/``join``/``meet`` operate on indices so
-    exhaustive checkers can loop over ``range(len(q))`` cheaply.
+    ``leq``/``tensor``/``residual``/``join``/``meet`` operate on indices;
+    :attr:`tables` holds the same operations as the lookup tables that the
+    relation kernel reads.
     """
 
     def __init__(self, name: str, elements: Sequence[str],
@@ -60,9 +63,6 @@ class FiniteQuantale:
         self._leq = tuple(tuple(bool(v) for v in row) for row in leq_table)
         self._tensor = tuple(tuple(row) for row in tensor_table)
         self.unit = unit
-        self._joins: tuple[tuple[int | None, ...], ...] | None = None
-        self._meets: tuple[tuple[int | None, ...], ...] | None = None
-        self._residuals: tuple[tuple[int, ...], ...] | None = None
 
     def __len__(self):
         return len(self.elements)
@@ -93,28 +93,11 @@ class FiniteQuantale:
             least = [c for c in cands if all(rel[d][c] for d in cands)]
         return least[0] if len(least) == 1 else None
 
-    def _bound_tables(self):
-        if self._joins is None:
-            n = len(self.elements)
-            self._joins = tuple(tuple(self._bound(a, b, True) for b in range(n))
-                                for a in range(n))
-            self._meets = tuple(tuple(self._bound(a, b, False) for b in range(n))
-                                for a in range(n))
-        return self._joins, self._meets
-
-    def join2(self, a: int, b: int) -> int:
-        j = self._bound_tables()[0][a][b]
-        if j is None:
-            raise QuantaleStructureError(
-                f"no join of {self.elements[a]}, {self.elements[b]}")
-        return j
-
-    def meet2(self, a: int, b: int) -> int:
-        m = self._bound_tables()[1][a][b]
-        if m is None:
-            raise QuantaleStructureError(
-                f"no meet of {self.elements[a]}, {self.elements[b]}")
-        return m
+    @cached_property
+    def _bounds(self) -> tuple[tuple[tuple[int | None, ...], ...], ...]:
+        r = range(len(self.elements))
+        return tuple(tuple(tuple(self._bound(a, b, upper) for b in r) for a in r)
+                     for upper in (True, False))
 
     # Cached once found; a carrier without one raises on every access.
     @cached_property
@@ -131,28 +114,36 @@ class FiniteQuantale:
                 return c
         raise QuantaleStructureError("no top element")
 
+    @cached_property
+    def tables(self) -> Tables:
+        """leq, tensor, join, meet and residual as index tables, plus top:
+        what the relation kernel reads.  Raises when a join or meet is
+        missing."""
+        r = range(len(self.elements))
+        joins, meets = self._bounds
+        for kind, table in (("join", joins), ("meet", meets)):
+            for a in r:
+                for b in r:
+                    if table[a][b] is None:
+                        raise QuantaleStructureError(
+                            f"no {kind} of {self.elements[a]}, {self.elements[b]}")
+        tensor, rel, bottom = self._tensor, self._leq, self.bottom
+        # x -> y, the join of every z with z (x) x below y
+        residuals = tuple(
+            tuple(_fold(joins, bottom, (z for z in r if rel[tensor[z][x]][y]))
+                  for y in r)
+            for x in r)
+        return Tables(rel, tensor, joins, meets, residuals, self.top)
+
     def join(self, values: Iterable[int]) -> int:
-        out = self.bottom
-        for v in values:
-            out = self.join2(out, v)
-        return out
+        return _fold(self.tables.join, self.bottom, values)
 
     def meet(self, values: Iterable[int]) -> int:
-        out = self.top
-        for v in values:
-            out = self.meet2(out, v)
-        return out
+        return _fold(self.tables.meet, self.top, values)
 
     def residual(self, a: int, b: int) -> int:
         """a -> b, the join of every z with z (x) a below b."""
-        if self._residuals is None:
-            n = len(self.elements)
-            tensor, rel = self._tensor, self._leq
-            self._residuals = tuple(
-                tuple(self.join(z for z in range(n) if rel[tensor[z][x]][y])
-                      for y in range(n))
-                for x in range(n))
-        return self._residuals[a][b]
+        return self.tables.residual[a][b]
 
     def coerce(self, value) -> int:
         if isinstance(value, int):
@@ -161,6 +152,12 @@ class FiniteQuantale:
 
     def __repr__(self):
         return f"FiniteQuantale({self.name!r}, |Q|={len(self.elements)})"
+
+
+def _fold(table, acc: int, values: Iterable[int]) -> int:
+    for v in values:
+        acc = table[acc][v]
+    return acc
 
 
 def validate(q: FiniteQuantale) -> list[LawViolation]:
@@ -194,7 +191,7 @@ def validate(q: FiniteQuantale) -> list[LawViolation]:
     if out:
         return out  # order is broken; lattice/tensor diagnostics would be noise
 
-    joins, meets = q._bound_tables()
+    joins, meets = q._bounds
     for a in range(n):
         for b in range(n):
             if joins[a][b] is None:
@@ -234,8 +231,8 @@ def validate(q: FiniteQuantale) -> list[LawViolation]:
                                     "a ⊗ ⊥ is not ⊥ (empty join)"))
         for b in range(n):
             for c in range(n):
-                lhs = ten[a][q.join2(b, c)]
-                rhs = q.join2(ten[a][b], ten[a][c])
+                lhs = ten[a][joins[b][c]]
+                rhs = joins[ten[a][b]][ten[a][c]]
                 if lhs != rhs:
                     out.append(LawViolation(
                         "tensor.continuous", (names[a], names[b], names[c]),

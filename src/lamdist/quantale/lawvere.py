@@ -13,6 +13,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
+from .qrel import Tables
+
 RationalLike = Union[int, float, str, Fraction, "ExtReal"]
 
 
@@ -143,34 +145,33 @@ def meet(values: Iterable[ExtReal]) -> ExtReal:
     return out
 
 
+class _Table:
+    """A lazy table: ``table[a]`` is a row view and ``table[a][b]`` calls
+    ``fn(a, b)``, so the exact arithmetic is never tabulated."""
+
+    __slots__ = ("fn", "a")
+
+    def __init__(self, fn, a=None):
+        self.fn, self.a = fn, a
+
+    def __getitem__(self, key):
+        return _Table(self.fn, key) if self.a is None else self.fn(self.a, key)
+
+
 class LawvereOps:
-    """The [0, +inf] quantale packaged behind the element-ops interface
-    shared with finite quantales, so Q-relation code is generic."""
+    """The [0, +inf] quantale behind the interface it shares with finite
+    quantales: ``tables`` holds leq, tensor, join, meet and residual as
+    lazy ``table[a][b]`` views over this module's exact functions, plus
+    top; ``unit``, ``top``, ``bottom`` and ``coerce`` complete it."""
 
     name = "lawvere"
     unit = ZERO
     top = ZERO
     bottom = INFINITY
-
-    @staticmethod
-    def leq(a: ExtReal, b: ExtReal) -> bool:
-        return leq(a, b)
-
-    @staticmethod
-    def tensor(a: ExtReal, b: ExtReal) -> ExtReal:
-        return tensor(a, b)
-
-    @staticmethod
-    def residual(a: ExtReal, b: ExtReal) -> ExtReal:
-        return residual(a, b)
-
-    @staticmethod
-    def join(values: Iterable[ExtReal]) -> ExtReal:
-        return join(values)
-
-    @staticmethod
-    def meet(values: Iterable[ExtReal]) -> ExtReal:
-        return meet(values)
+    tables = Tables(_Table(leq), _Table(tensor),
+                    _Table(lambda a, b: join((a, b))),
+                    _Table(lambda a, b: meet((a, b))),
+                    _Table(residual), ZERO)
 
     @staticmethod
     def coerce(value: RationalLike) -> ExtReal:

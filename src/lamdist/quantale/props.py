@@ -27,8 +27,11 @@ intersecting per-entry bitmasks.  If any orbit fails, the checker sweeps
 every relation in turn, so failures are listed in enumeration order.
 
 Also provides the closure bijection between relations-as-matrices and
-downward/join-closed ternary relations, used by the relation-family
-checkers and tested exhaustively here.
+downward/join-closed ternary relations, which the test suite checks
+exhaustively; no other module uses it.
+
+The relation operations themselves (tensor, residuals, Θ, reflexivity
+and transitivity) come from :func:`lamdist.quantale.qrel.kernel`.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import operator
 from dataclasses import dataclass, field
 
 from .finite import FiniteQuantale
-from .qrel import QRel
+from .qrel import QRel, kernel
 
 ENUMERATION_BOUND = 10 ** 6
 
@@ -88,11 +91,8 @@ def check_section3_props(q: FiniteQuantale, size: int,
             f"|Q|^(n^2) = {total} exceeds the enumeration bound {bound}")
 
     n = size
-    leqt = q._leq
-    ten = q._tensor
-    res = tuple(tuple(q.residual(a, b) for b in range(m)) for a in range(m))
-    meet2 = tuple(tuple(q.meet2(a, b) for b in range(m)) for a in range(m))
-    top = q.top
+    k = kernel(q, n)
+    tables = q.tables
     names = q.elements
     report = Section3Report(q.name, size)
     rng = range(n)
@@ -107,138 +107,49 @@ def check_section3_props(q: FiniteQuantale, size: int,
             report.failures.append(PropFailure(prop, (), "... further failures elided"))
             raise _Abort()
 
-    def leq_rel(a, b):
-        return all(leqt[x][y] for x, y in zip(a, b))
-
-    def tensor_rel(a, b):
-        out = []
-        for x in rng:
-            row = a[x * n:(x + 1) * n]
-            for z in rng:
-                acc = ten[row[0]][b[z]]
-                for y in range(1, n):
-                    v = ten[row[y]][b[y * n + z]]
-                    # join = least upper bound; fold via meet2's dual
-                    acc = _join2[acc][v]
-                out.append(acc)
-        return tuple(out)
-
-    _join2 = tuple(tuple(q.join2(a, b) for b in range(m)) for a in range(m))
-
-    def obs_left(e):
-        # (s ⟜ s)(x,z) = meet over y of s(z,y) ⊸ s(x,y)
-        out = []
-        for x in rng:
-            for z in rng:
-                acc = top
-                for y in rng:
-                    acc = meet2[acc][res[e[z * n + y]][e[x * n + y]]]
-                out.append(acc)
-        return tuple(out)
-
-    def obs_right(e):
-        # (s ⊸ s)(z,y) = meet over x of s(x,z) ⊸ s(x,y)
-        out = []
-        for z in rng:
-            for y in rng:
-                acc = top
-                for x in rng:
-                    acc = meet2[acc][res[e[x * n + z]][e[x * n + y]]]
-                out.append(acc)
-        return tuple(out)
-
-    def reflexive(e):
-        return all(e[x * n + x] == top for x in rng)
-
-    def transitive(e):
-        for x in rng:
-            for z in rng:
-                exz = None
-                for y in rng:
-                    v = ten[e[x * n + y]][e[y * n + z]]
-                    exz = v if exz is None else _join2[exz][v]
-                if not leqt[exz][e[x * n + z]]:
-                    return False
-        return True
-
-    def quasi_reflexive_rows(e):
-        return all(leqt[e[x * n + y]][e[x * n + x]] for x in rng for y in rng)
-
-    def quasi_reflexive_cols(e):
-        return all(leqt[e[x * n + y]][e[y * n + y]] for x in rng for y in rng)
-
-    def strong_trans_right(e):
-        for x in rng:
-            for z in rng:
-                sxz = e[x * n + z]
-                dz = e[z * n + z]
-                for y in rng:
-                    if not leqt[ten[sxz][res[dz][e[z * n + y]]]][e[x * n + y]]:
-                        return False
-        return True
-
-    def strong_trans_left(e):
-        for x in rng:
-            for z in rng:
-                dz = e[z * n + z]
-                lft = res[dz][e[x * n + z]]
-                for y in rng:
-                    if not leqt[ten[lft][e[z * n + y]]][e[x * n + y]]:
-                        return False
-        return True
-
-    def theta_right(e):
-        return tuple(res[e[x * n + x]][e[x * n + y]] for x in rng for y in rng)
-
-    def theta_left(e):
-        return tuple(res[e[y * n + y]][e[x * n + y]] for x in rng for y in rng)
-
-    def is_quasi_metric(e):
-        return reflexive(e) and transitive(e)
-
     # Quasi-metrics have top on the diagonal: enumerate only the
     # off-diagonal entries, in the lexicographic order of the full tuples.
     quasi_metrics = []
     for off in itertools.product(range(m), repeat=n * n - n):
         e = list(off)
         for p in range(0, n * n, n + 1):
-            e.insert(p, top)
-        if transitive(e):
+            e.insert(p, tables.top)
+        if k.transitive(e):
             quasi_metrics.append(tuple(e))
     # qm_above[p][v]: bitmask of the quasi-metrics whose entry p is above v;
     # ANDing the masks of s's entries leaves exactly the candidates above s.
     qm_above = [[sum(1 << i for i, c in enumerate(quasi_metrics)
-                     if leqt[v][c[p]]) for v in range(m)]
+                     if tables.leq[v][c[p]]) for v in range(m)]
                 for p in range(n * n)]
     every_qm = (1 << len(quasi_metrics)) - 1
 
     def check(e, weight, fail):
         report.relations_checked += weight
-        trans = transitive(e)
-        refl = reflexive(e)
-        ql = obs_left(e)
-        qr = obs_right(e)
+        trans = k.transitive(e)
+        refl = k.reflexive(e)
+        ql = k.residual_right(e, e)  # q^l = s ⟜ s
+        qr = k.residual_left(e, e)  # q^r = s ⊸ s
 
         for tag, qc in (("l", ql), ("r", qr)):
-            if not is_quasi_metric(qc):
+            if not k.quasi_metric(qc):
                 fail(f"prop2.quasi-metric.{tag}", e,
                      f"q^{tag} = {rel_names(qc)} is not a quasi-metric")
-            if leq_rel(e, qc) != trans:
+            if k.leq(e, qc) != trans:
                 fail(f"prop2.i.{tag}", e, "q^c above s iff s transitive")
-            if leq_rel(qc, e) != refl:
+            if k.leq(qc, e) != refl:
                 fail(f"prop2.ii.{tag}", e, "q^c below s iff s reflexive")
             if (qc == e) != (refl and trans):
                 fail(f"prop2.iii.{tag}", e, "q^c = s iff s quasi-metric")
-        if not leq_rel(tensor_rel(ql, e), e):
+        if not k.leq(k.tensor(ql, e), e):
             fail("prop2.iv.l", e, "q^l ⊗ s ⊑ s fails")
-        if not leq_rel(tensor_rel(e, qr), e):
+        if not k.leq(k.tensor(e, qr), e):
             fail("prop2.iv.r", e, "s ⊗ q^r ⊑ s fails")
 
-        qrefl1 = quasi_reflexive_rows(e)
+        qrefl1 = k.quasi_reflexive_rows(e)
         if qrefl1:
             if trans:
-                ok_r = (leq_rel(e, qr) and leq_rel(tensor_rel(e, qr), e))
-                ok_l = (leq_rel(e, ql) and leq_rel(tensor_rel(ql, e), e))
+                ok_r = (k.leq(e, qr) and k.leq(k.tensor(e, qr), e))
+                ok_l = (k.leq(e, ql) and k.leq(k.tensor(ql, e), e))
                 if not (ok_r or ok_l):
                     fail("prop3.forward", e,
                          "neither q^r nor q^l witnesses the dominating quasi-metric")
@@ -251,30 +162,30 @@ def check_section3_props(q: FiniteQuantale, size: int,
                     low = above & -above
                     above ^= low
                     cand = quasi_metrics[low.bit_length() - 1]
-                    if (leq_rel(tensor_rel(e, cand), e)
-                            or leq_rel(tensor_rel(cand, e), e)):
+                    if (k.leq(k.tensor(e, cand), e)
+                            or k.leq(k.tensor(cand, e), e)):
                         fail("prop3.backward", e,
                              f"non-transitive s dominated by quasi-metric "
                              f"{rel_names(cand)}")
                         break
 
-        thr = theta_right(e)
-        thl = theta_left(e)
-        if not leq_rel(qr, thr):
+        thr = k.theta_right(e)
+        thl = k.theta_left(e)
+        if not k.leq(qr, thr):
             fail("prop4.q-below-theta.r", e, "q^r ⊑ Θ^r fails")
-        if not leq_rel(ql, thl):
+        if not k.leq(ql, thl):
             fail("prop4.q-below-theta.l", e, "q^l ⊑ Θ^l fails")
         if qrefl1:
-            a = leq_rel(thr, qr)
-            b = is_quasi_metric(thr)
-            c = strong_trans_right(e)
+            a = k.leq(thr, qr)
+            b = k.quasi_metric(thr)
+            c = k.strongly_transitive_right(e)
             if not (a == b == c):
                 fail("prop4.three-way.r", e,
                      f"Θ^r⊑q^r={a}, Θ^r qm={b}, strongly transitive={c}")
-        if quasi_reflexive_cols(e):
-            a = leq_rel(thl, ql)
-            b = is_quasi_metric(thl)
-            c = strong_trans_left(e)
+        if k.quasi_reflexive_cols(e):
+            a = k.leq(thl, ql)
+            b = k.quasi_metric(thl)
+            c = k.strongly_transitive_left(e)
             if not (a == b == c):
                 fail("prop4.three-way.l", e,
                      f"Θ^l⊑q^l={a}, Θ^l qm={b}, left strongly transitive={c}")
@@ -283,7 +194,7 @@ def check_section3_props(q: FiniteQuantale, size: int,
     # points when the folds over join and meet are order-free, as they are
     # on any lattice; then one relation per orbit, its lexicographic
     # minimum, stands for the whole orbit.
-    if _associative(_join2) and _associative(meet2):
+    if _associative(tables.join) and _associative(tables.meet):
         permuted = [operator.itemgetter(*(p[x] * n + p[y]
                                           for x in rng for y in rng))
                     for p in itertools.permutations(rng)][1:]

@@ -4,7 +4,9 @@ import random
 import pytest
 
 from lamdist.quantale import qrel as qr
-from lamdist.quantale.finite import boolean, chain
+from lamdist.quantale.finite import (FiniteQuantale, QuantaleStructureError,
+                                     boolean, chain)
+from lamdist.quantale.props import check_section3_props
 from lamdist.quantale.lawvere import LAWVERE, ExtReal, INFINITY, ZERO
 from lamdist.quantale.qrel import QRel
 
@@ -163,3 +165,19 @@ def test_strong_transitivity_matches_pointwise_formula():
             >= float(s(x, y)) - 1e-12
             for x, y, z in itertools.product(range(3), repeat=3))
         assert qr.is_strongly_transitive(s) == expect
+
+
+def test_operations_over_an_order_without_a_join_raise():
+    # bot below a and below b, nothing above both: a and b have no join
+    q = FiniteQuantale("vee", ("bot", "a", "b"),
+                       [[True, True, True], [False, True, False],
+                        [False, False, True]],
+                       [[0, 0, 0], [0, 1, 0], [0, 0, 2]], unit=1)
+    s = QRel(q, 2, (1, 0, 0, 1))  # entries that never need the missing join
+    for op in (lambda: qr.qrel_leq(s, s), lambda: qr.qrel_tensor(s, s),
+               lambda: qr.obs_quasi_left(s), lambda: qr.theta_right(s),
+               lambda: qr.is_reflexive(s), lambda: qr.classify(s)):
+        with pytest.raises(QuantaleStructureError, match="no join of a, b"):
+            op()
+    with pytest.raises(QuantaleStructureError, match="no join of a, b"):
+        check_section3_props(q, 2)
