@@ -12,8 +12,10 @@ Subcommands:
 * ``judge FILE.json`` — validate a serialized derivation.
 
 Exit codes: 0 success/consistent, 1 falsified/invalid, 2 usage or I/O
-errors.  With ``--format json`` and a fixed ``--seed``, output is
-byte-identical across runs.
+errors, including out-of-range flags and terms nested too deeply to
+process (``TermTooDeep``, or Python's recursion limit in a typechecker,
+normalizer or compiler walk).  With ``--format json`` and a fixed
+``--seed``, output is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ from .quantale.finite import (BUILTINS, QuantaleStructureError, builtin,
 from .quantale.props import EnumerationTooLarge, check_section3_props
 from .relations import ProbeConfig, ProbeSet
 from .semantics import diff_evaluate, evaluate
-from .syntax import (ParseError, TypecheckError, derivative_term, parse_file,
-                     partial_type, render_term, render_type, typecheck)
+from .syntax import (ParseError, TermTooDeep, TypecheckError, derivative_term,
+                     parse_file, partial_type, render_term, render_type,
+                     typecheck)
 
 USAGE_ERROR = 2
 DEFAULT_PROBES_ENV = "LAMDIST_PROBES"
@@ -101,7 +104,12 @@ def cmd_derive(args) -> int:
 def _probe_config(args) -> ProbeConfig:
     count = args.probes
     if count is None:
-        count = int(os.environ.get(DEFAULT_PROBES_ENV, "200"))
+        raw = os.environ.get(DEFAULT_PROBES_ENV, "200")
+        try:
+            count = _COUNT(raw)
+        except (ValueError, argparse.ArgumentTypeError) as e:
+            raise SystemExit(f"error: ${DEFAULT_PROBES_ENV}: expected a "
+                             f"non-negative integer, got {raw!r}") from e
     lo, hi = args.range
     return ProbeConfig(count=count, lo=lo, hi=hi, b_max=args.b_max,
                        seed=args.seed)
@@ -225,9 +233,31 @@ def cmd_judge(args) -> int:
     return 1
 
 
+def _checked(convert, ok, expected: str):
+    """An argparse type: ``convert(text)``, rejected unless ``ok``."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, "
+                                             f"got {text!r}")
+        return value
+    return parse
+
+
+_SIZE = _checked(int, lambda n: n >= 1, "a positive integer")
+_COUNT = _checked(int, lambda n: n >= 0, "a non-negative integer")
+_RADIUS = _checked(float, lambda b: 0 <= b < math.inf, "a finite number >= 0")
+_TOLERANCE = _checked(float, lambda e: 0 < e < math.inf,
+                      "a finite number > 0")
+
+
 def _range(text: str) -> tuple[float, float]:
     lo, _, hi = text.partition(":")
-    return (float(lo), float(hi))
+    lo, hi = float(lo), float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise argparse.ArgumentTypeError(
+            f"expected finite bounds LO:HI with LO <= HI, got {text!r}")
+    return lo, hi
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,13 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("name1")
     p.add_argument("name2")
-    p.add_argument("--probes", type=int, default=None,
+    p.add_argument("--probes", type=_COUNT, default=None,
                    help=f"probe count (default ${DEFAULT_PROBES_ENV} or 200)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--range", type=_range, default=(-10.0, 10.0),
                    metavar="LO:HI")
-    p.add_argument("--b-max", type=float, default=1.0)
-    p.add_argument("--eps", type=float, default=1e-9,
+    p.add_argument("--b-max", type=_RADIUS, default=1.0)
+    p.add_argument("--eps", type=_TOLERANCE, default=1e-9,
                    help="reporting tolerance for text output")
     p.set_defaults(fn=cmd_diff)
 
@@ -266,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--builtin", choices=sorted(BUILTINS))
     group.add_argument("--file")
-    p.add_argument("--size", type=int, default=2)
+    p.add_argument("--size", type=_SIZE, default=2)
     p.set_defaults(fn=cmd_laws)
 
     p = sub.add_parser("judge", help="validate a serialized derivation")
@@ -285,6 +315,12 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except SystemExit as e:
         print(e, file=sys.stderr)
+        return USAGE_ERROR
+    except TermTooDeep as e:
+        print(f"error: {e}", file=sys.stderr)
+        return USAGE_ERROR
+    except RecursionError:
+        print("error: input nested too deeply to process", file=sys.stderr)
         return USAGE_ERROR
 
 

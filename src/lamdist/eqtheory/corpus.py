@@ -28,8 +28,8 @@ from ..syntax.terms import (App, FnType, Lam, Lit, PrimOp, REAL, RealType,
                             Var, fresh_name)
 from .dlog import check_dlog_judgment
 from .judgments import Derivation, DistanceJudgment, check_derivation
-from .synthesis import (quasi_reflexive_derivation, self_distance_derivation,
-                        transitivity_derivation)
+from .synthesis import (SynthesisError, quasi_reflexive_derivation,
+                        self_distance_derivation, transitivity_derivation)
 
 
 def _rational(rng: random.Random, lo=-3.0, hi=3.0) -> Fraction:
@@ -231,7 +231,9 @@ def chain_partner(d: Derivation, rng: random.Random,
     j = d.conclusion
     if isinstance(j.ty, RealType):
         n = normalize((), j.right, REAL, registry)
-        assert isinstance(n, Lit)
+        if not isinstance(n, Lit):
+            raise SynthesisError("a closed Real subject did not normalize "
+                                 f"to a literal: {n!r}")
         step = Fraction(rng.randint(0, 6), 4)
         target = n.value + step
         lit_node = Derivation("Lit", DistanceJudgment(

@@ -46,6 +46,23 @@ def derivation_to_json(d: Derivation) -> str:
 
 def derivation_from_dict(data, registry: Registry = DEFAULT_REGISTRY,
                          path: str = "$") -> Derivation:
+    """The derivation ``data`` describes.  Each distinct term or type text
+    is parsed once per call; the memo lives only as long as the call, and
+    sharing the parsed values is safe because terms are immutable."""
+    return _from_dict(data, registry, path, {}, {})
+
+
+def _parsed(src, memo: dict, parse, registry: Registry):
+    if not isinstance(src, str):
+        raise TypeError(f"expected a string, got {type(src).__name__}")
+    value = memo.get(src)
+    if value is None:
+        value = memo[src] = parse(src, registry)
+    return value
+
+
+def _from_dict(data, registry: Registry, path: str, terms: dict,
+               types: dict) -> Derivation:
     if not isinstance(data, dict):
         raise DerivationFormatError(f"{path}: expected an object")
     for key in ("rule", "conclusion", "premises"):
@@ -58,21 +75,21 @@ def derivation_from_dict(data, registry: Registry = DEFAULT_REGISTRY,
     if not isinstance(c, dict):
         raise DerivationFormatError(f"{path}.conclusion: expected an object")
     try:
-        ctx = tuple((name, parse_type(ty_src, registry))
+        ctx = tuple((name, _parsed(ty_src, types, parse_type, registry))
                     for name, ty_src in c.get("ctx", []))
         judgment = DistanceJudgment(
             ctx,
-            parse_term(c["left"], registry),
-            parse_term(c["dist"], registry),
-            parse_term(c["right"], registry),
-            parse_type(c["type"], registry))
+            _parsed(c["left"], terms, parse_term, registry),
+            _parsed(c["dist"], terms, parse_term, registry),
+            _parsed(c["right"], terms, parse_term, registry),
+            _parsed(c["type"], types, parse_type, registry))
     except (KeyError, TypeError, ValueError, ParseError) as e:
         raise DerivationFormatError(f"{path}.conclusion: {e}") from e
     premises = data["premises"]
     if not isinstance(premises, list):
         raise DerivationFormatError(f"{path}.premises: expected a list")
     return Derivation(rule, judgment, tuple(
-        derivation_from_dict(p, registry, f"{path}.premises[{i}]")
+        _from_dict(p, registry, f"{path}.premises[{i}]", terms, types)
         for i, p in enumerate(premises)))
 
 

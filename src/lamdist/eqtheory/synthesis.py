@@ -164,7 +164,8 @@ def _synth(t: Term, ctx: Context, components: dict[str, Derivation],
         pf = _synth(t.fn, ctx, components, bound, registry)
         pa = _synth(t.arg, ctx, components, bound, registry)
         jf, ja = pf.conclusion, pa.conclusion
-        assert isinstance(jf.ty, FnType)
+        if not isinstance(jf.ty, FnType):
+            raise SynthesisError(f"applied term has type {jf.ty!r}")
         return Derivation("App", DistanceJudgment(
             ctx, App(jf.left, ja.left),
             App(App(jf.dist, ja.left), ja.dist),
@@ -191,7 +192,8 @@ def _synth(t: Term, ctx: Context, components: dict[str, Derivation],
     if isinstance(t, (First, Second)):
         p = _synth(t.pair, ctx, components, bound, registry)
         j = p.conclusion
-        assert isinstance(j.ty, PairType)
+        if not isinstance(j.ty, PairType):
+            raise SynthesisError(f"projected term has type {j.ty!r}")
         rule = "Fst" if isinstance(t, First) else "Snd"
         side = First if isinstance(t, First) else Second
         ty = j.ty.left if isinstance(t, First) else j.ty.right

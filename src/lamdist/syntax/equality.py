@@ -166,7 +166,8 @@ def _readback_neutral(ne: Neutral, fresh: _Fresh, registry: Registry) -> Term:
         return Var(ne.name)
     if isinstance(ne, NApp):
         fn_ty = ne.fn.ty
-        assert isinstance(fn_ty, FnType)
+        if not isinstance(fn_ty, FnType):
+            raise TypeError(f"applied neutral at {render_type(fn_ty)}")
         return App(_readback_neutral(ne.fn.ne, fresh, registry),
                    _readback(ne.arg, fn_ty.arg, fresh, registry))
     if isinstance(ne, NFst):

@@ -25,20 +25,25 @@ of difference variables.  ``#`` starts a comment.
 
 Term files hold one ``name = term`` definition per line; later
 definitions may mention earlier names, which are inlined textually.
-After parsing, binders that would shadow a name already in scope are
-renamed to fresh plain-family names.
+
+Binders that shadow an enclosing binder or a free name are renamed to
+fresh plain-family names by a walk that runs only when some binder does
+(the parser tracks both as it descends) and after inlining.  Every call
+parses afresh; ``derivation_from_json`` shares parses within one call.
+Only parentheses, argument lists and arrow types recurse; past the
+recursion limit they raise ``TermTooDeep``.
 """
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ..prims import DEFAULT_REGISTRY, Registry
 from .terms import (App, First, FnType, Lam, Lit, Pair, PairType, PrimOp,
-                    REAL, Second, Term, Var, all_var_names, free_vars,
-                    fresh_name, substitute)
+                    REAL, Second, Term, TermTooDeep, Var, all_var_names,
+                    free_vars, fresh_name, substitute)
 
 
 class ParseError(SyntaxError):
@@ -48,210 +53,196 @@ class ParseError(SyntaxError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # name, number, punct, end
-    text: str
-    line: int
-    col: int
-
-
-_TOKEN = re.compile(r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<newline>\n)
-  | (?P<number>\d+(?:\.\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*'*)
-  | (?P<punct>->|[\\.:(),*+\-/=])
-""", re.VERBOSE)
+_LEXEME = r"\d+(?:\.\d+)?|[A-Za-z_][A-Za-z0-9_]*'*|->|[\\.:(),*+\-/=]"
+# the longest prefix made of whitespace, comments and lexemes
+_SCAN = re.compile(rf"(?:[ \t\r\n]+|\#[^\n]*|{_LEXEME})*")
+# one lexeme after whitespace and comments; "" at the end of the text
+_TOKEN = re.compile(rf"(?:[ \t\r\n]+|\#[^\n]*)*({_LEXEME}|\Z)")
 
 _RESERVED = {"fst", "snd", "Real"}
+# the end and the punctuation other than "(": tokens that cannot start an atom
+_NO_ATOM = {"", "->", "\\", ".", ":", ")", ",", "*", "+", "-", "/", "="}
+_is_name = re.compile(r"[A-Za-z_]").match
+_SUMS = {"+": "add", "-": "sub"}
+_PRODUCTS = {"*": "mul", "/": "div"}
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        lexeme = m.group()
-        if kind == "newline":
-            toks.append(_Tok("newline", lexeme, line, col))
-            line += 1
-            col = 1
-        else:
-            if kind not in ("ws", "comment"):
-                toks.append(_Tok(kind, lexeme, line, col))
-            col += len(lexeme)
-        pos = m.end()
-    toks.append(_Tok("end", "", line, col))
-    return toks
+def _error_at(message: str, text: str, pos: int, line: int = 1) -> ParseError:
+    return ParseError(message, line + text.count("\n", 0, pos),
+                      pos - text.rfind("\n", 0, pos))
+
+
+def _tokenize(text: str, line: int = 1) -> list[str]:
+    """The lexemes of ``text``, then ``""`` (once or twice) for its end."""
+    end = _SCAN.match(text).end()
+    if end < len(text):
+        raise _error_at(f"unexpected character {text[end]!r}", text, end, line)
+    return _TOKEN.findall(text)
 
 
 class _Parser:
-    def __init__(self, toks: list[_Tok], registry: Registry):
-        self.toks = [t for t in toks if t.kind != "newline"]
-        self.pos = 0
-        self.registry = registry
+    """Recursive descent over the lexemes of one text, recording the free
+    names, the bound ones, and whether a binder repeats an enclosing one."""
 
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
+    def __init__(self, text: str, toks: list[str], registry: Registry,
+                 line: int | None = None):
+        self.text, self.toks, self.registry = text, toks, registry
+        self.line = line  # set for one line of a definition file
+        self.i = 0
+        self.bound: dict[str, int] = {}  # enclosing binders by name
+        self.binders: set[str] = set()
+        self.free: set[str] = set()
+        self.shadows = False
 
-    def next(self) -> _Tok:
-        t = self.toks[self.pos]
-        self.pos += 1
+    def renamed(self, t: Term) -> Term:
+        """``t`` with its shadowing binders renamed, walked only if any."""
+        if self.shadows or not self.binders.isdisjoint(self.free):
+            return _freshen_shadowed(t, self.free, self.binders | self.free)
         return t
 
+    def error(self, message: str, index: int) -> ParseError:
+        """A ``ParseError`` at token ``index``, located by re-scanning."""
+        if self.line is not None and self.toks[index] == "":
+            return ParseError(message, self.line, 0)  # end of a definition
+        pos = [m.start(1) for m in _TOKEN.finditer(self.text)][index]
+        return _error_at(message, self.text, pos, self.line or 1)
+
     def fail(self, message: str):
-        t = self.peek()
-        at = "end of input" if t.kind == "end" else repr(t.text)
-        raise ParseError(f"{message} (found {at})", t.line, t.col)
+        at = repr(self.toks[self.i]) if self.toks[self.i] else "end of input"
+        raise self.error(f"{message} (found {at})", self.i)
 
-    def expect(self, text: str) -> _Tok:
-        t = self.peek()
-        if t.kind == "punct" and t.text == text:
-            return self.next()
-        self.fail(f"expected {text!r}")
+    def expect(self, text: str):
+        if self.toks[self.i] != text:
+            self.fail(f"expected {text!r}")
+        self.i += 1
 
-    def at_punct(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind == "punct" and t.text == text
+    def whole(self, parse, what: str):
+        """``parse()``, which must consume every token."""
+        result = parse()
+        if self.toks[self.i] != "":
+            self.fail(f"trailing input after {what}")
+        return result
 
-    # -- types ------------------------------------------------------------
     def type_(self):
-        left = self.ptype()
-        if self.at_punct("->"):
-            self.next()
+        left = self.atype()
+        while self.toks[self.i] == "*":
+            self.i += 1
+            left = PairType(left, self.atype())
+        if self.toks[self.i] == "->":
+            self.i += 1
             return FnType(left, self.type_())
         return left
 
-    def ptype(self):
-        left = self.atype()
-        while self.at_punct("*"):
-            self.next()
-            left = PairType(left, self.atype())
-        return left
-
     def atype(self):
-        t = self.peek()
-        if t.kind == "name" and t.text == "Real":
-            self.next()
+        tok = self.toks[self.i]
+        if tok == "Real":
+            self.i += 1
             return REAL
-        if self.at_punct("("):
-            self.next()
+        if tok == "(":
+            self.i += 1
             ty = self.type_()
             self.expect(")")
             return ty
         self.fail("expected a type")
 
-    # -- terms ------------------------------------------------------------
     def term(self) -> Term:
-        if self.at_punct("\\"):
-            self.next()
-            name = self.name("expected a variable to bind")
+        """A binder chain over a sum of products of factors."""
+        toks, bound = self.toks, self.bound
+        chain = []
+        while toks[self.i] == "\\":
+            self.i += 1
+            name = toks[self.i]
+            if not _is_name(name) or name in _RESERVED:
+                self.fail("expected a variable to bind")
+            self.i += 1
             self.expect(":")
             ty = self.type_()
             self.expect(".")
-            return Lam(name, ty, self.term())
-        return self.arith()
-
-    def name(self, message: str) -> str:
-        t = self.peek()
-        if t.kind == "name" and t.text not in _RESERVED:
-            return self.next().text
-        self.fail(message)
-
-    def arith(self) -> Term:
-        left = self.summand()
-        while self.at_punct("+") or self.at_punct("-"):
-            op = self.next().text
-            right = self.summand()
-            left = PrimOp("add" if op == "+" else "sub", (left, right))
-        return left
-
-    def summand(self) -> Term:
-        left = self.factor()
-        while self.at_punct("*") or self.at_punct("/"):
-            op = self.next().text
-            right = self.factor()
-            left = PrimOp("mul" if op == "*" else "div", (left, right))
-        return left
+            self.shadows = self.shadows or bool(bound.get(name))
+            self.binders.add(name)
+            bound[name] = bound.get(name, 0) + 1
+            chain.append((name, ty))
+        body = None
+        while True:
+            t = self.factor()
+            while (op := _PRODUCTS.get(toks[self.i])) is not None:
+                self.i += 1
+                t = PrimOp(op, (t, self.factor()))
+            body = t if body is None else PrimOp(sum_op, (body, t))
+            if (sum_op := _SUMS.get(toks[self.i])) is None:
+                break
+            self.i += 1
+        for name, ty in reversed(chain):
+            bound[name] -= 1
+            body = Lam(name, ty, body)
+        return body
 
     def factor(self) -> Term:
-        if self.at_punct("-"):
-            self.next()
-            inner = self.factor()
-            if isinstance(inner, Lit):
-                return Lit(-inner.value)
-            return PrimOp("neg", (inner,))
-        return self.application()
-
-    def application(self) -> Term:
+        """``-`` prefixes over an application spine."""
+        toks = self.toks
+        start = self.i
+        while toks[self.i] == "-":
+            self.i += 1
+        negations = self.i - start
         t = self.atom()
-        while self.starts_atom():
+        while toks[self.i] not in _NO_ATOM:
             t = App(t, self.atom())
+        for _ in range(negations):
+            t = Lit(-t.value) if isinstance(t, Lit) else PrimOp("neg", (t,))
         return t
 
-    def starts_atom(self) -> bool:
-        t = self.peek()
-        return (t.kind in ("number", "name")
-                or (t.kind == "punct" and t.text == "("))
-
     def atom(self) -> Term:
-        t = self.peek()
-        if t.kind == "number":
-            self.next()
-            return Lit(Fraction(t.text))
-        if t.kind == "name":
-            self.next()
-            if t.text in ("fst", "snd"):
-                self.expect("(")
-                inner = self.term()
-                self.expect(")")
-                return First(inner) if t.text == "fst" else Second(inner)
-            if t.text == "Real":
-                raise ParseError("'Real' is a type, not a term", t.line, t.col)
-            if t.text in self.registry and self.at_punct("("):
-                return self.prim_call(t)
-            if t.text in self.registry:
-                raise ParseError(
-                    f"primitive {t.text!r} needs an argument list", t.line, t.col)
-            return Var(t.text)
-        if self.at_punct("("):
-            self.next()
+        i = self.i
+        tok = self.toks[i]
+        if tok == "(":
+            self.i += 1
             inner = self.term()
-            if self.at_punct(","):
-                self.next()
-                right = self.term()
-                self.expect(")")
-                return Pair(inner, right)
+            if self.toks[self.i] == ",":
+                self.i += 1
+                inner = Pair(inner, self.term())
             self.expect(")")
             return inner
-        self.fail("expected a term")
+        if tok in _NO_ATOM:
+            self.fail("expected a term")
+        self.i += 1
+        if tok[0].isdigit():
+            whole, _, frac = tok.partition(".")
+            return Lit(Fraction(int(whole + frac), 10 ** len(frac)))
+        if tok == "fst" or tok == "snd":
+            self.expect("(")
+            inner = self.term()
+            self.expect(")")
+            return First(inner) if tok == "fst" else Second(inner)
+        if tok == "Real":
+            raise self.error("'Real' is a type, not a term", i)
+        if tok in self.registry:
+            if self.toks[self.i] != "(":
+                raise self.error(f"primitive {tok!r} needs an argument list", i)
+            return self.prim_call(i)
+        if not self.bound.get(tok):
+            self.free.add(tok)
+        return Var(tok)
 
-    def prim_call(self, t: _Tok) -> Term:
+    def prim_call(self, at: int) -> Term:
+        name = self.toks[at]
         self.expect("(")
         args: list[Term] = []
-        if not self.at_punct(")"):
+        if self.toks[self.i] != ")":
             args.append(self.term())
-            while self.at_punct(","):
-                self.next()
+            while self.toks[self.i] == ",":
+                self.i += 1
                 args.append(self.term())
         self.expect(")")
-        want = self.registry.arity(t.text)
-        if len(args) != want:
-            raise ParseError(
-                f"primitive {t.text!r} takes {want} argument(s), got {len(args)}",
-                t.line, t.col)
-        return PrimOp(t.text, tuple(args))
+        if len(args) != (want := self.registry.arity(name)):
+            raise self.error(f"primitive {name!r} takes {want} argument(s), "
+                             f"got {len(args)}", at)
+        return PrimOp(name, tuple(args))
 
 
-def _freshen_shadowed(t: Term) -> Term:
-    """Rename binders that shadow a name already in scope, so typing
-    contexts never hold duplicate names."""
-    used = set(all_var_names(t))
+def _freshen_shadowed(t: Term, free: set[str], names: set[str]) -> Term:
+    """Rename binders that shadow a name in scope (``free`` ones of ``t``
+    included), avoiding ``names``, so typing contexts hold no duplicates."""
+    used = set(names)
 
     def go(t: Term, scope: frozenset[str]) -> Term:
         if isinstance(t, Lam):
@@ -273,49 +264,57 @@ def _freshen_shadowed(t: Term) -> Term:
             return Second(go(t.pair, scope))
         return t
 
-    return go(t, free_vars(t))
+    return go(t, frozenset(free))
 
 
+def _bounded(parse):
+    """``parse``, raising ``TermTooDeep`` instead of ``RecursionError``."""
+    @functools.wraps(parse)
+    def bounded(text: str, registry: Registry = DEFAULT_REGISTRY):
+        try:
+            return parse(text, registry)
+        except RecursionError:
+            raise TermTooDeep("input nested too deeply to parse") from None
+    return bounded
+
+
+@_bounded
 def parse_term(text: str, registry: Registry = DEFAULT_REGISTRY) -> Term:
-    p = _Parser(_tokenize(text), registry)
-    t = p.term()
-    if p.peek().kind != "end":
-        p.fail("trailing input after term")
-    return _freshen_shadowed(t)
+    p = _Parser(text, _tokenize(text), registry)
+    return p.renamed(p.whole(p.term, "term"))
 
 
+@_bounded
 def parse_type(text: str, registry: Registry = DEFAULT_REGISTRY):
-    p = _Parser(_tokenize(text), registry)
-    ty = p.type_()
-    if p.peek().kind != "end":
-        p.fail("trailing input after type")
-    return ty
+    p = _Parser(text, _tokenize(text), registry)
+    return p.whole(p.type_, "type")
 
 
+@_bounded
 def parse_file(text: str, registry: Registry = DEFAULT_REGISTRY) -> dict[str, Term]:
     """Parse ``name = term`` definitions, inlining earlier names into
     later bodies."""
     defs: dict[str, Term] = {}
-    toks = _tokenize(text)
-    lines: dict[int, list[_Tok]] = {}
-    for tok in toks:
-        if tok.kind in ("newline", "end"):
+    lines = [(no, line, _tokenize(line, no))
+             for no, line in enumerate(text.split("\n"), 1)]
+    for no, line, toks in lines:
+        if toks[0] == "":
             continue
-        lines.setdefault(tok.line, []).append(tok)
-    for line_no in sorted(lines):
-        line = lines[line_no]
-        if len(line) < 2 or line[0].kind != "name" or line[1].text != "=":
-            raise ParseError("expected 'name = term'", line[0].line, line[0].col)
-        name = line[0].text
+        p = _Parser(line, toks, registry, no)
+        name = toks[0]
+        if not _is_name(name) or toks[1] != "=":
+            raise p.error("expected 'name = term'", 0)
         if name in defs:
-            raise ParseError(f"{name!r} is defined twice", line[0].line, line[0].col)
+            raise p.error(f"{name!r} is defined twice", 0)
         if name in registry:
-            raise ParseError(f"{name!r} collides with a primitive",
-                             line[0].line, line[0].col)
-        p = _Parser(line[2:] + [_Tok("end", "", line_no, 0)], registry)
-        body = p.term()
-        if p.peek().kind != "end":
-            p.fail("trailing input after definition")
-        inline = {n: defs[n] for n in free_vars(body) if n in defs}
-        defs[name] = _freshen_shadowed(substitute(body, inline))
+            raise p.error(f"{name!r} collides with a primitive", 0)
+        p.i = 2
+        body = p.whole(p.term, "definition")
+        inline = {n: defs[n] for n in p.free if n in defs}
+        if inline:
+            body = substitute(body, inline)
+            defs[name] = _freshen_shadowed(body, free_vars(body),
+                                           all_var_names(body))
+        else:
+            defs[name] = p.renamed(body)
     return defs

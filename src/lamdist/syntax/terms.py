@@ -15,6 +15,11 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Union
 
 
+class TermTooDeep(ValueError):
+    """A term or type nested too deeply for a recursive walk: past the
+    interpreter's recursion limit."""
+
+
 # --- types ----------------------------------------------------------------
 
 class Type:

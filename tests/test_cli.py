@@ -201,3 +201,74 @@ def test_shipped_id_sin_distance_is_a_member(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["laws"]) == 2  # missing required group
     assert main(["nonsense"]) == 2
+
+
+DEEP_SUM = " + ".join(["x"] * 10_000)
+
+
+@pytest.mark.parametrize("command, names", [
+    ("typecheck", ()),
+    ("derive", ("f",)),
+    ("diff", ("f", "g", "--probes", "3")),
+])
+def test_a_deep_definition_is_a_usage_error(tmp_path, capsys, command, names):
+    deep = tmp_path / "deep.lam"
+    deep.write_text(f"f = \\x:Real. {DEEP_SUM}\ng = \\x:Real. {DEEP_SUM}\n")
+    code, out, err = run(capsys, command, deep, *names)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_deep_derivation_subject_is_a_usage_error(tmp_path, capsys):
+    subject = DEEP_SUM.replace("x", "1")
+    deep = tmp_path / "deep.json"
+    deep.write_text(json.dumps({
+        "rule": "Lit", "premises": [],
+        "conclusion": {"ctx": [], "left": subject, "dist": "0",
+                       "right": subject, "type": "Real"}}))
+    code, out, err = run(capsys, "judge", deep)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_deep_definition_prints_no_traceback(tmp_path):
+    import os
+    import subprocess
+    import sys
+    deep = tmp_path / "deep.lam"
+    deep.write_text(f"f = {DEEP_SUM.replace('x', '1')}\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "lamdist.cli", "typecheck",
+                           str(deep)], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: input nested too deeply to process\n"
+
+
+BASICS = ("diff", CORPUS / "basics.lam", "idf", "sinf")
+
+
+@pytest.mark.parametrize("argv", [
+    ("laws", "--builtin", "chain1", "--size", "0"),
+    ("laws", "--builtin", "chain1", "--size", "-2"),
+    BASICS + ("--b-max", "nan"),
+    BASICS + ("--b-max", "-1"),
+    BASICS + ("--probes", "-5"),
+    BASICS + ("--range", "5:1"),
+    BASICS + ("--range", "0:inf"),
+    BASICS + ("--range", "nan:1"),
+    BASICS + ("--eps", "0"),
+])
+def test_out_of_range_flags_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "usage:" in err and "expected" in err
+
+
+def test_bad_probe_budget_env_var_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("LAMDIST_PROBES", "-3")
+    code, out, err = run(capsys, *BASICS)
+    assert code == 2 and out == ""
+    assert "LAMDIST_PROBES" in err

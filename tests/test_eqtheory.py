@@ -15,7 +15,7 @@ from lamdist.eqtheory import (Derivation, DistanceJudgment, add_term,
 from lamdist.prims import default_registry
 from lamdist.relations import Consistent, Falsified
 from lamdist.syntax import (FnType, Lit, PrimOp, REAL, Var, alpha_equal,
-                            normalize, parse_term, typecheck)
+                            normalize, parse_term, render_term, typecheck)
 
 REG = default_registry()
 
@@ -287,6 +287,48 @@ def test_derivation_json_schema_errors():
                              REG)
     with pytest.raises(DerivationFormatError):
         derivation_from_json('{"rule": "Lit", "premises": []}', REG)
+
+
+def _subjects(d, out):
+    j = d.conclusion
+    out.extend((j.left, j.dist, j.right))
+    for p in d.premises:
+        _subjects(p, out)
+    return out
+
+
+def test_derivation_parses_are_shared_within_one_call_only():
+    d = self_distance_derivation(parse_term(r"\x:Real. sin(x) + x"), REG)
+    text = derivation_to_json(d)
+    first = derivation_from_json(text, REG)
+    second = derivation_from_json(text, REG)
+    by_text = {}
+    for t in _subjects(first, []):
+        by_text.setdefault(render_term(t), []).append(t)
+    assert any(len(ts) > 1 for ts in by_text.values())
+    for ts in by_text.values():
+        assert all(t is ts[0] for t in ts)  # one parse per distinct text
+    for a, b in zip(_subjects(first, []), _subjects(second, [])):
+        assert a == b and a is not b  # and none kept between calls
+
+
+def test_derivation_subject_must_be_a_string():
+    from lamdist.eqtheory import DerivationFormatError
+    data = ('{"rule": "Lit", "premises": [], "conclusion": {"ctx": [], '
+            '"left": ["1"], "dist": "0", "right": "1", "type": "Real"}}')
+    with pytest.raises(DerivationFormatError, match="expected a string"):
+        derivation_from_json(data, REG)
+
+
+def test_synthesis_rejects_ill_typed_premises_without_asserts():
+    from lamdist.eqtheory import SynthesisError
+    from lamdist.eqtheory.synthesis import _synth
+    from lamdist.syntax import App, First
+    real = {"f": lit_node(1, 0, 1)}
+    with pytest.raises(SynthesisError, match="applied term"):
+        _synth(App(Var("f"), Lit(1)), (), real, {}, REG)
+    with pytest.raises(SynthesisError, match="projected term"):
+        _synth(First(Var("f")), (), real, {}, REG)
 
 
 # --- the randomized suite ------------------------------------------------------------

@@ -1,10 +1,17 @@
+import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from lamdist.syntax import (App, FnType, Lam, Lit, Pair, PairType, PrimOp,
-                            REAL, Var, alpha_equal, parse_file, parse_term,
-                            render_term, render_type, ParseError)
+                            REAL, TermTooDeep, Var, all_var_names, alpha_equal,
+                            free_vars, parse_file, parse_term, render_term,
+                            render_type, ParseError)
+from lamdist.syntax.parser import _freshen_shadowed, parse_type
+
+GOLDEN = Path(__file__).parent / "golden" / "parse_identity.json"
 
 
 def test_identity():
@@ -106,3 +113,117 @@ def test_parse_file_errors():
         parse_file("sin = 3")
     with pytest.raises(ParseError):
         parse_file("3 + 4")
+
+
+def test_parse_identity_golden():
+    """Every derivation subject of the benchmark inputs, every corpus
+    definition and a set of shadowing sources print exactly as they did
+    when the golden was recorded (before the single-pass parser)."""
+    golden = json.loads(GOLDEN.read_text())
+    assert len(golden["subjects"]) == 361 and len(golden["shadowing"]) >= 20
+    for section in ("subjects", "shadowing"):
+        for src, want in golden[section].items():
+            assert render_term(parse_term(src)) == want, src
+    for src, want in golden["types"].items():
+        assert render_type(parse_type(src)) == want, src
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    files = dict(golden["files"])
+    files.update({(corpus / name).read_text(): want
+                  for name, want in golden["corpus"].items()})
+    for src, want in files.items():
+        got = {n: render_term(t) for n, t in parse_file(src).items()}
+        assert got == want, src
+
+
+@pytest.mark.parametrize("parse, src, message", [
+    (parse_term, "x + $", "1:5: unexpected character '$'"),
+    (parse_term, "x )", "1:3: trailing input after term (found ')')"),
+    (parse_term, "sin(1, 2)", "1:1: primitive 'sin' takes 1 argument(s), got 2"),
+    (parse_term, "\\x:Real.\n  x $", "2:5: unexpected character '$'"),
+    (parse_term, "(x +\n", "2:1: expected a term (found end of input)"),
+    (parse_type, "Real -> ", "1:9: expected a type (found end of input)"),
+    (parse_file, "a = 1\n\n# comment\nb = a +\nc = 2",
+     "4:0: expected a term (found end of input)"),
+    (parse_file, "a = 1\n  b = sin(a, 1)",
+     "2:7: primitive 'sin' takes 1 argument(s), got 2"),
+    (parse_file, "a = 1\nb = 2 3)\n",
+     "2:8: trailing input after definition (found ')')"),
+    (parse_file, "a = 1\nb = 2\n  c = ?", "3:7: unexpected character '?'"),
+])
+def test_parse_error_text_and_position(parse, src, message):
+    with pytest.raises(ParseError) as e:
+        parse(src)
+    assert str(e.value) == message
+    line, col = message.split(":")[:2]
+    assert (e.value.line, e.value.col) == (int(line), int(col))
+
+
+def _random_source(rng, depth):
+    names = ["x", "y", "x1", "x'", "y'", "f"]
+    r = rng.random()
+    if depth == 0 or r < 0.25:
+        return rng.choice(names + ["1", "0.5"])
+
+    def sub():
+        return _random_source(rng, depth - 1)
+
+    if r < 0.45:
+        return f"(\\{rng.choice(names)}:Real. {sub()})"
+    if r < 0.6:
+        return f"({sub()}) ({sub()})"
+    if r < 0.75:
+        return f"{sub()} + {sub()}"
+    if r < 0.85:
+        return f"sin({sub()})"
+    if r < 0.92:
+        return f"({sub()}, {sub()})"
+    return f"-{sub()}"
+
+
+def test_skipping_the_rename_walk_never_changes_a_term():
+    """The parser skips the rename walk when it would be the identity;
+    running it anyway on any parsed term changes nothing."""
+    rng = random.Random(5)
+    for _ in range(400):
+        t = parse_term(_random_source(rng, rng.randint(1, 6)))
+        assert _freshen_shadowed(t, free_vars(t), all_var_names(t)) == t
+
+
+def _left_spine(t, depth):
+    for _ in range(depth):
+        t = t.args[0]
+    return t
+
+
+SUM = " + ".join(["x"] * 10_000)
+
+
+def test_a_ten_thousand_term_sum_parses():
+    t = parse_term(SUM)
+    assert t.name == "add" and t.args[1] == Var("x")
+    assert _left_spine(t, 9_999) == Var("x")
+    body = parse_file(f"s = \\x:Real. {SUM}\n")["s"].body
+    assert _left_spine(body, 9_999) == Var("x")
+
+
+def test_long_prefix_and_binder_chains_parse():
+    t = parse_term("-" * 10_000 + "x")
+    assert _left_spine(t, 10_000) == Var("x")
+    assert parse_term("-" * 10_001 + "2") == Lit(-2)
+    t = parse_term("".join(f"\\x{i}:Real. " for i in range(10_000)) + "x0")
+    for i in range(10_000):
+        assert t.var == f"x{i}"
+        t = t.body
+    assert t == Var("x0")
+
+
+@pytest.mark.parametrize("parse, src", [
+    (parse_term, "(" * 10_000 + "x" + ")" * 10_000),
+    (parse_term, "sin(" * 10_000 + "x" + ")" * 10_000),
+    (parse_type, " -> ".join(["Real"] * 10_000)),
+    (parse_term, SUM + r" + (\x:Real. x) 1"),  # the rename walk recurses
+    (parse_file, f"a = 1\ns = {SUM} + a"),  # and so does inlining
+])
+def test_nesting_that_recurses_raises_term_too_deep(parse, src):
+    with pytest.raises(TermTooDeep):
+        parse(src)
