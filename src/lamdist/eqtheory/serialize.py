@@ -48,8 +48,14 @@ def derivation_from_dict(data, registry: Registry = DEFAULT_REGISTRY,
                          path: str = "$") -> Derivation:
     """The derivation ``data`` describes.  Each distinct term or type text
     is parsed once per call; the memo lives only as long as the call, and
-    sharing the parsed values is safe because terms are immutable."""
-    return _from_dict(data, registry, path, {}, {})
+    sharing the parsed values is safe because terms are immutable.
+    Premises nested past Python's recursion limit raise
+    :class:`DerivationFormatError`."""
+    try:
+        return _from_dict(data, registry, path, {}, {})
+    except RecursionError:
+        raise DerivationFormatError(
+            f"{path}: derivation nested too deeply to read") from None
 
 
 def _parsed(src, memo: dict, parse, registry: Registry):
@@ -99,4 +105,7 @@ def derivation_from_json(text: str,
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise DerivationFormatError(f"not valid JSON: {e}") from e
+    except RecursionError:
+        raise DerivationFormatError(
+            "JSON nested too deeply to decode") from None
     return derivation_from_dict(data, registry)

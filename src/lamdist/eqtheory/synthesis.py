@@ -34,16 +34,14 @@ class SynthesisError(ValueError):
 
 def _used_names(d: Derivation) -> set[str]:
     out: set[str] = set()
-
-    def walk(node: Derivation):
+    todo = [d]
+    while todo:
+        node = todo.pop()
         j = node.conclusion
         out.update(n for n, _ in j.ctx)
         for t in (j.left, j.dist, j.right):
             out.update(all_var_names(t))
-        for p in node.premises:
-            walk(p)
-
-    walk(d)
+        todo.extend(node.premises)
     return out
 
 
@@ -111,29 +109,26 @@ def synthesize_fundamental(ctx: Context, t: Term,
     return _synth(t, ambient, dict(components), ctx_types, registry)
 
 
-def _freshen_binders(t: Term, avoid: frozenset[str]) -> Term:
+def _freshen_binders(t: Term, taken: frozenset[str]) -> Term:
     """Rename binders clashing with ambient names (or their partners)."""
-
-    def go(t: Term, taken: frozenset[str]) -> Term:
-        if isinstance(t, Lam):
-            var, body = t.var, t.body
-            if var in taken or dotted(var) in taken or is_dotted(var):
-                var = fresh_name(t.var, taken | all_var_names(body))
-                body = substitute(body, {t.var: Var(var)})
-            return Lam(var, t.var_type, go(body, taken | {var}))
-        if isinstance(t, App):
-            return App(go(t.fn, taken), go(t.arg, taken))
-        if isinstance(t, PrimOp):
-            return PrimOp(t.name, tuple(go(a, taken) for a in t.args))
-        if isinstance(t, Pair):
-            return Pair(go(t.left, taken), go(t.right, taken))
-        if isinstance(t, First):
-            return First(go(t.pair, taken))
-        if isinstance(t, Second):
-            return Second(go(t.pair, taken))
-        return t
-
-    return go(t, avoid)
+    if isinstance(t, Lam):
+        var, body = t.var, t.body
+        if var in taken or dotted(var) in taken or is_dotted(var):
+            var = fresh_name(t.var, taken | all_var_names(body))
+            body = substitute(body, {t.var: Var(var)})
+        return Lam(var, t.var_type, _freshen_binders(body, taken | {var}))
+    if isinstance(t, App):
+        return App(_freshen_binders(t.fn, taken), _freshen_binders(t.arg, taken))
+    if isinstance(t, PrimOp):
+        return PrimOp(t.name, tuple(_freshen_binders(a, taken) for a in t.args))
+    if isinstance(t, Pair):
+        return Pair(_freshen_binders(t.left, taken),
+                    _freshen_binders(t.right, taken))
+    if isinstance(t, First):
+        return First(_freshen_binders(t.pair, taken))
+    if isinstance(t, Second):
+        return Second(_freshen_binders(t.pair, taken))
+    return t
 
 
 def _synth(t: Term, ctx: Context, components: dict[str, Derivation],

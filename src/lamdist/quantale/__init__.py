@@ -12,7 +12,8 @@ from .qrel import (DomainMismatch, QRel, RelationClassification, classify,
                    qrel_residual_left, qrel_residual_right, qrel_tensor,
                    theta_left, theta_right)
 from .props import (EnumerationTooLarge, PropFailure, Section3Report,
-                    check_section3_props, is_q_closed, rel_from_ternary,
+                    check_section3_props, is_q_closed,
+                    least_quasi_metric_above, rel_from_ternary,
                     ternary_from_rel)
 
 __all__ = [
@@ -26,6 +27,6 @@ __all__ = [
     "obs_quasi_right", "qrel_leq", "qrel_residual_left",
     "qrel_residual_right", "qrel_tensor", "theta_left", "theta_right",
     "EnumerationTooLarge", "PropFailure", "Section3Report",
-    "check_section3_props", "is_q_closed", "rel_from_ternary",
-    "ternary_from_rel",
+    "check_section3_props", "is_q_closed", "least_quasi_metric_above",
+    "rel_from_ternary", "ternary_from_rel",
 ]

@@ -9,7 +9,7 @@ quantale and checks, with zero tolerance:
   reflexivity and quasi-metricity of s, plus left/right transitivity;
 * for quasi-reflexive s: s is transitive iff some quasi-metric q above s
   satisfies s ⊗ q ⊑ s or q ⊗ s ⊑ s (witness q := q^r or q^l forward;
-  full enumeration of candidates for falsification);
+  the least quasi-metric above s for falsification);
 * q^c ⊑ Θ^c always, and the three-way equivalence between Θ^c ⊑ q^c,
   Θ^c being a quasi-metric, and strong transitivity.  The right-hand case
   uses row quasi-reflexivity (s ⊑ Δ₁s) as stated; the left-hand case is
@@ -17,14 +17,32 @@ quantale and checks, with zero tolerance:
   left-handed strong transitivity — the straight transcription with Δ₁ is
   falsified on finite models, so the checker pins the mirrored form.
 
-The enumeration visits one relation per orbit of the simultaneous
-permutations of the n points (every proposition is invariant under them)
-and weights its counts by the orbit size, so ``relations_checked`` is
-still |Q|^(n²).  ``prop3_pairs_checked`` counts the (s, q) pairs with s
-non-transitive and row quasi-reflexive and q a quasi-metric; the search
-itself only runs the tensor tests on the quasi-metrics above s, found by
-intersecting per-entry bitmasks.  If any orbit fails, the checker sweeps
-every relation in turn, so failures are listed in enumeration order.
+The enumeration visits one relation per orbit, the lexicographic minimum,
+and weights its counts by the orbit size, so ``relations_checked`` is still
+|Q|^(n²) while ``orbits_checked`` counts the relations actually checked.
+The group is that of the simultaneous permutations Sₙ of the n points,
+under which every proposition is invariant once the folds over join and
+meet are order-free (both tables associative).  When the tensor table is
+also commutative, the group is Sₙ × {id, transpose}: every check on sᵀ
+mirrors one on s with ``.l`` and ``.r`` swapped, since q^l(sᵀ) = q^r(s)ᵀ,
+Θ^r(sᵀ) = Θ^l(s)ᵀ and aᵀ ⊗ bᵀ = (b ⊗ a)ᵀ, while transitivity, reflexivity
+and quasi-metricity do not change.  Prop3 is the exception: its verdict on
+sᵀ is its verdict on s, but it applies to sᵀ when s is *column*
+quasi-reflexive.  So a representative whose transpose lies outside its
+Sₙ-orbit runs prop3 when it is row or column quasi-reflexive, and weights
+``prop3_pairs_checked`` by the orbit halves it stands for.
+
+``prop3_pairs_checked`` counts the (s, q) pairs with s non-transitive and
+row quasi-reflexive and q a quasi-metric, but prop3.backward tests one
+candidate, not every pair: q*, the least quasi-metric above s (s with top
+on the diagonal, closed under q ↦ q ∨ q ⊗ q).  When the order is a partial
+order, join its least upper bound and the tensor monotone, as in any
+quantale, some quasi-metric q above s has s ⊗ q ⊑ s or q ⊗ s ⊑ s exactly
+when q* does.  Only when q* is such a witness, or the tables fail that
+gate, are the quasi-metrics scanned in enumeration order, so a failure
+names the first witness; there is no index of them by entry.  If any orbit
+fails, the checker sweeps every relation in turn, so failures are listed in
+enumeration order.
 
 Also provides the closure bijection between relations-as-matrices and
 downward/join-closed ternary relations, which the test suite checks
@@ -67,6 +85,9 @@ class Section3Report:
     relations_checked: int = 0
     prop3_pairs_checked: int = 0
     failures: list[PropFailure] = field(default_factory=list)
+    # the relations the checks actually ran on, one per orbit (or every
+    # relation when the sweep ran); left out of summary() and the CLI
+    orbits_checked: int = 0
 
     @property
     def passed(self) -> bool:
@@ -82,8 +103,7 @@ def check_section3_props(q: FiniteQuantale, size: int,
                          bound: int = ENUMERATION_BOUND,
                          max_failures: int = 20) -> Section3Report:
     """Run the full proposition suite over all |Q|^(size^2) relations,
-    one representative per point-permutation orbit (see the module
-    docstring)."""
+    one representative per orbit (see the module docstring)."""
     m = len(q)
     total = m ** (size * size)
     if total > bound:
@@ -109,65 +129,76 @@ def check_section3_props(q: FiniteQuantale, size: int,
 
     # Quasi-metrics have top on the diagonal: enumerate only the
     # off-diagonal entries, in the lexicographic order of the full tuples.
+    diagonal = range(0, n * n, n + 1)
     quasi_metrics = []
     for off in itertools.product(range(m), repeat=n * n - n):
         e = list(off)
-        for p in range(0, n * n, n + 1):
+        for p in diagonal:
             e.insert(p, tables.top)
         if k.transitive(e):
             quasi_metrics.append(tuple(e))
-    # qm_above[p][v]: bitmask of the quasi-metrics whose entry p is above v;
-    # ANDing the masks of s's entries leaves exactly the candidates above s.
-    qm_above = [[sum(1 << i for i, c in enumerate(quasi_metrics)
-                     if tables.leq[v][c[p]]) for v in range(m)]
-                for p in range(n * n)]
-    every_qm = (1 << len(quasi_metrics)) - 1
+    closure_decides = _closure_decides(tables)
 
-    def check(e, weight, fail):
-        report.relations_checked += weight
+    def dominating(e):
+        """The first quasi-metric q above e with e ⊗ q ⊑ e or q ⊗ e ⊑ e."""
+        if closure_decides:
+            star = least_quasi_metric_above(QRel(q, n, e)).entries
+            if not (k.leq(k.tensor(e, star), e)
+                    or k.leq(k.tensor(star, e), e)):
+                return None
+        for cand in quasi_metrics:
+            if k.leq(e, cand) and (k.leq(k.tensor(e, cand), e)
+                                   or k.leq(k.tensor(cand, e), e)):
+                return cand
+        return None
+
+    def check(e, weight, mirror_weight, fail):
+        """Check e on behalf of ``weight`` relations and of ``mirror_weight``
+        transposes of them."""
+        report.orbits_checked += 1
+        report.relations_checked += weight + mirror_weight
         trans = k.transitive(e)
         refl = k.reflexive(e)
         ql = k.residual_right(e, e)  # q^l = s ⟜ s
         qr = k.residual_left(e, e)  # q^r = s ⊸ s
+        above_l = k.leq(e, ql)
+        above_r = k.leq(e, qr)
 
-        for tag, qc in (("l", ql), ("r", qr)):
+        for tag, qc, above in (("l", ql, above_l), ("r", qr, above_r)):
             if not k.quasi_metric(qc):
                 fail(f"prop2.quasi-metric.{tag}", e,
                      f"q^{tag} = {rel_names(qc)} is not a quasi-metric")
-            if k.leq(e, qc) != trans:
+            if above != trans:
                 fail(f"prop2.i.{tag}", e, "q^c above s iff s transitive")
             if k.leq(qc, e) != refl:
                 fail(f"prop2.ii.{tag}", e, "q^c below s iff s reflexive")
             if (qc == e) != (refl and trans):
                 fail(f"prop2.iii.{tag}", e, "q^c = s iff s quasi-metric")
-        if not k.leq(k.tensor(ql, e), e):
+        absorbs_l = k.leq(k.tensor(ql, e), e)
+        if not absorbs_l:
             fail("prop2.iv.l", e, "q^l ⊗ s ⊑ s fails")
-        if not k.leq(k.tensor(e, qr), e):
+        absorbs_r = k.leq(k.tensor(e, qr), e)
+        if not absorbs_r:
             fail("prop2.iv.r", e, "s ⊗ q^r ⊑ s fails")
 
-        qrefl1 = k.quasi_reflexive_rows(e)
-        if qrefl1:
+        qrefl_rows = k.quasi_reflexive_rows(e)
+        qrefl_cols = k.quasi_reflexive_cols(e)
+        # sᵀ is row quasi-reflexive when s is column quasi-reflexive, and
+        # its prop3 verdict is that of s
+        if qrefl_rows or (mirror_weight and qrefl_cols):
             if trans:
-                ok_r = (k.leq(e, qr) and k.leq(k.tensor(e, qr), e))
-                ok_l = (k.leq(e, ql) and k.leq(k.tensor(ql, e), e))
-                if not (ok_r or ok_l):
+                if not ((above_r and absorbs_r) or (above_l and absorbs_l)):
                     fail("prop3.forward", e,
                          "neither q^r nor q^l witnesses the dominating quasi-metric")
             else:
-                report.prop3_pairs_checked += weight * len(quasi_metrics)
-                above = every_qm
-                for p, v in enumerate(e):
-                    above &= qm_above[p][v]
-                while above:
-                    low = above & -above
-                    above ^= low
-                    cand = quasi_metrics[low.bit_length() - 1]
-                    if (k.leq(k.tensor(e, cand), e)
-                            or k.leq(k.tensor(cand, e), e)):
-                        fail("prop3.backward", e,
-                             f"non-transitive s dominated by quasi-metric "
-                             f"{rel_names(cand)}")
-                        break
+                report.prop3_pairs_checked += len(quasi_metrics) * (
+                    (weight if qrefl_rows else 0)
+                    + (mirror_weight if qrefl_cols else 0))
+                cand = dominating(e)
+                if cand is not None:
+                    fail("prop3.backward", e,
+                         f"non-transitive s dominated by quasi-metric "
+                         f"{rel_names(cand)}")
 
         thr = k.theta_right(e)
         thl = k.theta_left(e)
@@ -175,14 +206,14 @@ def check_section3_props(q: FiniteQuantale, size: int,
             fail("prop4.q-below-theta.r", e, "q^r ⊑ Θ^r fails")
         if not k.leq(ql, thl):
             fail("prop4.q-below-theta.l", e, "q^l ⊑ Θ^l fails")
-        if qrefl1:
+        if qrefl_rows:
             a = k.leq(thr, qr)
             b = k.quasi_metric(thr)
             c = k.strongly_transitive_right(e)
             if not (a == b == c):
                 fail("prop4.three-way.r", e,
                      f"Θ^r⊑q^r={a}, Θ^r qm={b}, strongly transitive={c}")
-        if k.quasi_reflexive_cols(e):
+        if qrefl_cols:
             a = k.leq(thl, ql)
             b = k.quasi_metric(thl)
             c = k.strongly_transitive_left(e)
@@ -190,25 +221,33 @@ def check_section3_props(q: FiniteQuantale, size: int,
                 fail("prop4.three-way.l", e,
                      f"Θ^l⊑q^l={a}, Θ^l qm={b}, left strongly transitive={c}")
 
-    # Every check is invariant under a simultaneous permutation of the
-    # points when the folds over join and meet are order-free, as they are
-    # on any lattice; then one relation per orbit, its lexicographic
-    # minimum, stands for the whole orbit.
+    # One relation per orbit, its lexicographic minimum, stands for the
+    # whole orbit (see the module docstring for the group and its gates).
     if _associative(tables.join) and _associative(tables.meet):
+        perms = list(itertools.permutations(rng))
         permuted = [operator.itemgetter(*(p[x] * n + p[y]
                                           for x in rng for y in rng))
-                    for p in itertools.permutations(rng)][1:]
+                    for p in perms[1:]]
+        transposed = []
+        if n > 1 and _commutative(tables.tensor):
+            transposed = [operator.itemgetter(*(p[y] * n + p[x]
+                                                for x in rng for y in rng))
+                          for p in perms]
+        images = permuted + transposed
         try:
             for e in itertools.product(range(m), repeat=n * n):
-                for image in permuted:
+                for image in images:
                     if image(e) < e:
                         break
                 else:
-                    check(e, len({e, *(image(e) for image in permuted)}),
+                    orbit = {e, *(image(e) for image in permuted)}
+                    mirrored = transposed and transposed[0](e) not in orbit
+                    check(e, len(orbit), len(orbit) if mirrored else 0,
                           _raise_abort)
             return report
         except _Abort:
             report.relations_checked = report.prop3_pairs_checked = 0
+            report.orbits_checked = 0
 
     # Some orbit failed (or a fold is order-dependent): sweep relation by
     # relation, so the failures come in enumeration order, every member of
@@ -216,7 +255,7 @@ def check_section3_props(q: FiniteQuantale, size: int,
     # is cut off.
     try:
         for e in itertools.product(range(m), repeat=n * n):
-            check(e, 1, record)
+            check(e, 1, 0, record)
     except _Abort:
         pass
     return report
@@ -234,6 +273,53 @@ def _associative(table) -> bool:
     r = range(len(table))
     return all(table[table[a][b]][c] == table[a][table[b][c]]
                for a in r for b in r for c in r)
+
+
+def least_quasi_metric_above(s: QRel) -> QRel:
+    """q*: s with top on the diagonal, closed under q ↦ q ∨ q ⊗ q.
+
+    A quasi-metric above s that lies below every other when the order is a
+    partial order, join is its least upper bound and the tensor is monotone
+    (true in any quantale): the reflexive-transitive closure of s."""
+    k, (_, _, join, _, _, top) = s.kernel, s.ops.tables
+    star = list(s.entries)
+    star[::s.n + 1] = [top] * s.n
+    star = tuple(star)
+    while True:
+        nxt = tuple(join[a][b] for a, b in zip(star, k.tensor(star, star)))
+        if nxt == star:
+            return QRel(s.ops, s.n, star)
+        star = nxt
+
+
+def _commutative(table) -> bool:
+    r = range(len(table))
+    return all(table[a][b] == table[b][a] for a in r for b in r)
+
+
+def _closure_decides(tables) -> bool:
+    """Whether the least quasi-metric above s decides prop3.backward: the
+    order is a partial order, join is its least upper bound, and the
+    tensor is monotone in each argument."""
+    leq, ten, join = tables.leq, tables.tensor, tables.join
+    r = range(len(leq))
+    for a in r:
+        if not leq[a][a]:
+            return False
+        for b in r:
+            j = join[a][b]
+            if not (leq[a][j] and leq[b][j]):
+                return False
+            if a != b and leq[a][b] and leq[b][a]:
+                return False
+            for c in r:
+                if leq[a][c] and leq[b][c] and not leq[j][c]:
+                    return False
+                if leq[a][b] and not (leq[ten[a][c]][ten[b][c]]
+                                      and leq[ten[c][a]][ten[c][b]]
+                                      and (leq[a][c] or not leq[b][c])):
+                    return False
+    return True
 
 
 # --- closure bijection between matrices and ternary relations ------------

@@ -242,29 +242,33 @@ class _Parser:
 def _freshen_shadowed(t: Term, free: set[str], names: set[str]) -> Term:
     """Rename binders that shadow a name in scope (``free`` ones of ``t``
     included), avoiding ``names``, so typing contexts hold no duplicates."""
-    used = set(names)
+    return _freshen_walk(t, frozenset(free), set(names))
 
-    def go(t: Term, scope: frozenset[str]) -> Term:
-        if isinstance(t, Lam):
-            var, body = t.var, t.body
-            if var in scope:
-                var = fresh_name(t.var, frozenset(used) | scope)
-                used.add(var)
-                body = substitute(body, {t.var: Var(var)})
-            return Lam(var, t.var_type, go(body, scope | {var}))
-        if isinstance(t, App):
-            return App(go(t.fn, scope), go(t.arg, scope))
-        if isinstance(t, PrimOp):
-            return PrimOp(t.name, tuple(go(a, scope) for a in t.args))
-        if isinstance(t, Pair):
-            return Pair(go(t.left, scope), go(t.right, scope))
-        if isinstance(t, First):
-            return First(go(t.pair, scope))
-        if isinstance(t, Second):
-            return Second(go(t.pair, scope))
-        return t
 
-    return go(t, frozenset(free))
+def _freshen_walk(t: Term, scope: frozenset[str], used: set[str]) -> Term:
+    """:func:`_freshen_shadowed` under the binders ``scope``; ``used``
+    collects every name chosen so far."""
+    if isinstance(t, Lam):
+        var, body = t.var, t.body
+        if var in scope:
+            var = fresh_name(t.var, frozenset(used) | scope)
+            used.add(var)
+            body = substitute(body, {t.var: Var(var)})
+        return Lam(var, t.var_type, _freshen_walk(body, scope | {var}, used))
+    if isinstance(t, App):
+        return App(_freshen_walk(t.fn, scope, used),
+                   _freshen_walk(t.arg, scope, used))
+    if isinstance(t, PrimOp):
+        return PrimOp(t.name, tuple(_freshen_walk(a, scope, used)
+                                    for a in t.args))
+    if isinstance(t, Pair):
+        return Pair(_freshen_walk(t.left, scope, used),
+                    _freshen_walk(t.right, scope, used))
+    if isinstance(t, First):
+        return First(_freshen_walk(t.pair, scope, used))
+    if isinstance(t, Second):
+        return Second(_freshen_walk(t.pair, scope, used))
+    return t
 
 
 def _bounded(parse):

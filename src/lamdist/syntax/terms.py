@@ -202,70 +202,74 @@ def substitute(t: Term, mapping: Mapping[str, Term]) -> Term:
         return t
     # names that must not be captured by any binder we pass under
     danger = frozenset().union(*(free_vars(v) for v in mapping.values()))
+    return _substitute(t, dict(mapping), danger)
 
-    def go(t: Term, mapping: Mapping[str, Term]) -> Term:
-        if isinstance(t, Var):
-            return mapping.get(t.name, t)
-        if isinstance(t, Lit):
+
+def _substitute(t: Term, mapping: Mapping[str, Term],
+                danger: frozenset[str]) -> Term:
+    if isinstance(t, Var):
+        return mapping.get(t.name, t)
+    if isinstance(t, Lit):
+        return t
+    if isinstance(t, PrimOp):
+        return PrimOp(t.name, tuple(_substitute(a, mapping, danger)
+                                    for a in t.args))
+    if isinstance(t, App):
+        return App(_substitute(t.fn, mapping, danger),
+                   _substitute(t.arg, mapping, danger))
+    if isinstance(t, Pair):
+        return Pair(_substitute(t.left, mapping, danger),
+                    _substitute(t.right, mapping, danger))
+    if isinstance(t, First):
+        return First(_substitute(t.pair, mapping, danger))
+    if isinstance(t, Second):
+        return Second(_substitute(t.pair, mapping, danger))
+    if isinstance(t, Lam):
+        inner = {k: v for k, v in mapping.items() if k != t.var}
+        if not inner:
             return t
-        if isinstance(t, PrimOp):
-            return PrimOp(t.name, tuple(go(a, mapping) for a in t.args))
-        if isinstance(t, App):
-            return App(go(t.fn, mapping), go(t.arg, mapping))
-        if isinstance(t, Pair):
-            return Pair(go(t.left, mapping), go(t.right, mapping))
-        if isinstance(t, First):
-            return First(go(t.pair, mapping))
-        if isinstance(t, Second):
-            return Second(go(t.pair, mapping))
-        if isinstance(t, Lam):
-            inner = {k: v for k, v in mapping.items() if k != t.var}
-            if not inner:
-                return t
-            var = t.var
-            body = t.body
-            if var in danger:
-                avoid = (danger | free_vars(body)
-                         | {n for n in inner} | all_var_names(body))
-                var = fresh_name(t.var, avoid)
-                body = go(body, {t.var: Var(var)})
-            return Lam(var, t.var_type, go(body, inner))
-        raise TypeError(f"not a term: {t!r}")
-
-    return go(t, dict(mapping))
+        var = t.var
+        body = t.body
+        if var in danger:
+            avoid = (danger | free_vars(body)
+                     | {n for n in inner} | all_var_names(body))
+            var = fresh_name(t.var, avoid)
+            body = _substitute(body, {t.var: Var(var)}, danger)
+        return Lam(var, t.var_type, _substitute(body, inner, danger))
+    raise TypeError(f"not a term: {t!r}")
 
 
 def alpha_equal(t: Term, s: Term) -> bool:
     """Structural equality up to renaming of bound variables."""
+    return _alpha_equal(t, s, {}, {}, 0)
 
-    def go(t, s, env_t, env_s, depth):
-        if type(t) is not type(s):
+
+def _alpha_equal(t, s, env_t, env_s, depth) -> bool:
+    if type(t) is not type(s):
+        return False
+    if isinstance(t, Var):
+        bt, bs = env_t.get(t.name), env_s.get(s.name)
+        if bt is None and bs is None:
+            return t.name == s.name
+        return bt == bs
+    if isinstance(t, Lit):
+        return t.value == s.value
+    if isinstance(t, PrimOp):
+        return (t.name == s.name and len(t.args) == len(s.args)
+                and all(_alpha_equal(a, b, env_t, env_s, depth)
+                        for a, b in zip(t.args, s.args)))
+    if isinstance(t, App):
+        return (_alpha_equal(t.fn, s.fn, env_t, env_s, depth)
+                and _alpha_equal(t.arg, s.arg, env_t, env_s, depth))
+    if isinstance(t, Lam):
+        if t.var_type != s.var_type:
             return False
-        if isinstance(t, Var):
-            bt, bs = env_t.get(t.name), env_s.get(s.name)
-            if bt is None and bs is None:
-                return t.name == s.name
-            return bt == bs
-        if isinstance(t, Lit):
-            return t.value == s.value
-        if isinstance(t, PrimOp):
-            return (t.name == s.name and len(t.args) == len(s.args)
-                    and all(go(a, b, env_t, env_s, depth)
-                            for a, b in zip(t.args, s.args)))
-        if isinstance(t, App):
-            return (go(t.fn, s.fn, env_t, env_s, depth)
-                    and go(t.arg, s.arg, env_t, env_s, depth))
-        if isinstance(t, Lam):
-            if t.var_type != s.var_type:
-                return False
-            return go(t.body, s.body,
-                      {**env_t, t.var: depth}, {**env_s, s.var: depth},
-                      depth + 1)
-        if isinstance(t, Pair):
-            return (go(t.left, s.left, env_t, env_s, depth)
-                    and go(t.right, s.right, env_t, env_s, depth))
-        if isinstance(t, (First, Second)):
-            return go(t.pair, s.pair, env_t, env_s, depth)
-        raise TypeError(f"not a term: {t!r}")
-
-    return go(t, s, {}, {}, 0)
+        return _alpha_equal(t.body, s.body,
+                            {**env_t, t.var: depth}, {**env_s, s.var: depth},
+                            depth + 1)
+    if isinstance(t, Pair):
+        return (_alpha_equal(t.left, s.left, env_t, env_s, depth)
+                and _alpha_equal(t.right, s.right, env_t, env_s, depth))
+    if isinstance(t, (First, Second)):
+        return _alpha_equal(t.pair, s.pair, env_t, env_s, depth)
+    raise TypeError(f"not a term: {t!r}")

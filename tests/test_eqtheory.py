@@ -320,6 +320,48 @@ def test_derivation_subject_must_be_a_string():
         derivation_from_json(data, REG)
 
 
+def test_a_deeply_nested_derivation_is_a_format_error():
+    from lamdist.eqtheory import DerivationFormatError, derivation_from_dict
+    conclusion = ('{"ctx": [], "left": "1", "dist": "0", "right": "1", '
+                  '"type": "Real"}')
+    text = f'{{"rule": "Lit", "premises": [], "conclusion": {conclusion}}}'
+    for _ in range(600):
+        text = (f'{{"rule": "Conv", "conclusion": {conclusion}, '
+                f'"premises": [{text}]}}')
+    with pytest.raises(DerivationFormatError, match="nested too deeply"):
+        derivation_from_json(text, REG)
+    data = leaf = {"rule": "Lit", "premises": [],
+                   "conclusion": {"ctx": [], "left": "1", "dist": "0",
+                                  "right": "1", "type": "Real"}}
+    for _ in range(2000):
+        data = {"rule": "Conv", "premises": [data],
+                "conclusion": leaf["conclusion"]}
+    with pytest.raises(DerivationFormatError, match="nested too deeply"):
+        derivation_from_dict(data, REG)
+
+
+def test_judging_a_derivation_leaves_no_cyclic_garbage():
+    import gc
+    from pathlib import Path
+    files = sorted((Path(__file__).parent.parent / "perfbench" / "inputs"
+                    / "derivations").glob("*.json"))
+    texts = [f.read_text("utf-8") for f in files]
+    assert len(texts) == 12
+    for text in texts:  # first calls may fill caches
+        check_derivation(derivation_from_json(text))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for f, text in zip(files, texts):
+            result = check_derivation(derivation_from_json(text))
+            del result
+            assert gc.collect() == 0, f.name
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_synthesis_rejects_ill_typed_premises_without_asserts():
     from lamdist.eqtheory import SynthesisError
     from lamdist.eqtheory.synthesis import _synth
