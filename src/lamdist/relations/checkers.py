@@ -14,11 +14,16 @@ componentwise) and differ at arrows:
 * the right-observational family: tensoring with any self-distance of
   the left function lands back in the decomposition family.
 
-Falsification is definitive (witnesses re-check arithmetically);
-success is always relative to the probes used.  Self-distance probes for
-the vertical/right families default to the coarse (slope-style)
-estimates; passing ``tight_self_probes=True`` adds derivative-grade
-self-distances, which genuinely falsify more triples.
+One type-directed walk (``_Walk.member``) serves all four and hands
+arrows to the family's clause, which may walk another family in the
+same state.
+
+Falsification is a failed float comparison at a probe, not yet replayed
+exactly: a member can be falsified by a one-ulp rounding miss (ROADMAP
+item 2).  Success is always relative to the probes used.  Self-distance
+probes for the vertical/right families default to the coarse
+(slope-style) estimates; passing ``tight_self_probes=True`` adds
+derivative-grade self-distances, which genuinely falsify more triples.
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ from ..semantics.eval import Value, evaluate
 from ..syntax.terms import (FnType, PairType, RealType, Term, Type,
                             arrow_depth)
 from ..syntax.typecheck import typecheck
-from .probes import (ProbeSet, empirical_self_diff, lipschitz_self_diff)
+from .probes import (ProbeSet, ProbeTriple, empirical_self_diff,
+                     lipschitz_self_diff)
 
 
 @dataclass(frozen=True)
@@ -64,59 +70,89 @@ class Consistent:
 Verdict = Union[Falsified, Consistent]
 
 
-class _Counter:
-    __slots__ = ("n",)
-
-    def __init__(self):
-        self.n = 0
-
-
-def _base(x: float, a: float, x2: float, path, counter) -> Optional[Falsified]:
-    counter.n += 1
-    lhs = abs(x - x2)
-    if lhs <= a:
-        return None
-    return Falsified("base", tuple(path), lhs, float(a))
-
-
 def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:.6g}"
     return str(v)
 
 
+# --- the walk ----------------------------------------------------------------
+#
+# A path is a chain of cells (parent, template, arg), rendered only for a
+# Falsified verdict: a probe ``arg`` fills ``{at}`` and ``{b}``, a
+# candidate name fills ``{}``.
+
+def _show(template: str, arg) -> str:
+    if isinstance(arg, ProbeTriple):
+        b = f" b={_fmt(arg.diff)}" if isinstance(arg.diff, float) else ""
+        return template.format(at=arg.label or _fmt(arg.left), b=b)
+    return template.format(arg)
+
+
+@dataclass(slots=True)
+class _Walk:
+    """One membership check and the comparisons it made.  A walk result
+    is None when every comparison holds, else the first ``Falsified`` or
+    a note that the decomposition search found no split."""
+    probes: ProbeSet
+    registry: Registry
+    tight: bool = False
+    compared: int = 0
+
+    def compare(self, clause: str, lhs, rhs, path) -> Optional[Falsified]:
+        self.compared += 1
+        if lhs <= rhs:
+            return None
+        steps = []
+        while path is not None:
+            path, template, arg = path
+            steps.append(_show(template, arg))
+        return Falsified(clause, tuple(reversed(steps)), lhs, float(rhs))
+
+    def member(self, arrow, ty, x, a, x2, path=None, given=(None, None)):
+        """Walk ``ty``, handing arrows to the family clause ``arrow``.
+        ``given`` is the caller's (decomposition, backing term) of ``x``;
+        at a product only the decomposition splits into components."""
+        if isinstance(ty, RealType):
+            return self.compare("base", abs(x - x2), a, path)
+        if isinstance(ty, PairType):
+            split = given[0]
+            return (self.member(arrow, ty.left, x[0], a[0], x2[0],
+                                (path, "fst", None),
+                                (_proj_split(split, 0), None))
+                    or self.member(arrow, ty.right, x[1], a[1], x2[1],
+                                   (path, "snd", None),
+                                   (_proj_split(split, 1), None)))
+        if isinstance(ty, FnType):
+            return arrow(self, ty, x, a, x2, path, given)
+        raise TypeError(f"not a type: {ty!r}")
+
+    def verdict(self, arrow, ty, x, a, x2, given=(None, None)) -> Verdict:
+        result = self.member(arrow, ty, x, a, x2, None, given)
+        if isinstance(result, Falsified):
+            return result
+        return Consistent(self.compared, arrow_depth(ty),
+                          established=result is None, note=result or "")
+
+
 # --- the main family ---------------------------------------------------------
 
 def check_rho(ty: Type, x: Value, a: Diff, x2: Value, probes: ProbeSet,
               registry: Registry = DEFAULT_REGISTRY) -> Verdict:
-    counter = _Counter()
-    bad = _rho(ty, x, a, x2, probes, [], counter)
-    if bad is not None:
-        return bad
-    return Consistent(counter.n, arrow_depth(ty))
+    return _Walk(probes, registry).verdict(_rho_arrow, ty, x, a, x2)
 
 
-def _rho(ty, x, a, x2, probes, path, counter) -> Optional[Falsified]:
-    if isinstance(ty, RealType):
-        return _base(x, a, x2, path, counter)
-    if isinstance(ty, PairType):
-        return (_rho(ty.left, x[0], a[0], x2[0], probes, path + ["fst"], counter)
-                or _rho(ty.right, x[1], a[1], x2[1], probes, path + ["snd"],
-                        counter))
-    if isinstance(ty, FnType):
-        for probe in probes.triples(ty.arg, "rho"):
-            y, b, y2 = probe.as_tuple()
-            out = a(y, b)
-            fy = x(y)
-            here = f"at {probe.label or _fmt(y)}" \
-                   + (f" b={_fmt(b)}" if isinstance(b, float) else "")
-            for side, target in (("cross", x2(y2)), ("self", x(y2))):
-                bad = _rho(ty.res, fy, out, target, probes,
-                           path + [f"{here} [{side}]"], counter)
-                if bad is not None:
-                    return bad
-        return None
-    raise TypeError(f"not a type: {ty!r}")
+def _rho_arrow(walk, ty, x, a, x2, path, given):
+    for probe in walk.probes.triples(ty.arg, "rho"):
+        y, b, y2 = probe.left, probe.diff, probe.right
+        out, fy, cross, drift = a(y, b), x(y), x2(y2), x(y2)
+        bad = (walk.member(_rho_arrow, ty.res, fy, out, cross,
+                           (path, "at {at}{b} [cross]", probe))
+               or walk.member(_rho_arrow, ty.res, fy, out, drift,
+                              (path, "at {at}{b} [self]", probe)))
+        if bad is not None:
+            return bad
+    return None
 
 
 # --- the vertical (left observational) family --------------------------------
@@ -125,46 +161,28 @@ def check_gamma(ty: Type, x: Value, a: Diff, x2: Value, probes: ProbeSet,
                 registry: Registry = DEFAULT_REGISTRY,
                 right_term: Term | None = None,
                 tight_self_probes: bool = False) -> Verdict:
-    counter = _Counter()
-    bad = _gamma(ty, x, a, x2, probes, registry, right_term,
-                 tight_self_probes, [], counter)
-    if bad is not None:
-        return bad
-    return Consistent(counter.n, arrow_depth(ty))
+    return _Walk(probes, registry, tight_self_probes).verdict(
+        _gamma_arrow, ty, x, a, x2, (None, right_term))
 
 
-def _gamma(ty, x, a, x2, probes, registry, right_term, tight, path, counter
-           ) -> Optional[Falsified]:
-    if isinstance(ty, RealType):
-        return _base(x, a, x2, path, counter)
-    if isinstance(ty, PairType):
-        return (_gamma(ty.left, x[0], a[0], x2[0], probes, registry, None,
-                       tight, path + ["fst"], counter)
-                or _gamma(ty.right, x[1], a[1], x2[1], probes, registry, None,
-                          tight, path + ["snd"], counter))
-    if isinstance(ty, FnType):
-        # vertical clause: both functions probed at the same input
-        for probe in probes.triples(ty.arg, "rho"):
-            y, b, _ = probe.as_tuple()
-            bad = _gamma(ty.res, x(y), a(y, b), x2(y), probes, registry, None,
-                         tight, path + [f"vertical at {probe.label or _fmt(y)}"],
-                         counter)
-            if bad is not None:
-                return bad
-        # dominance clause: tensoring with self-distances of the right
-        # function keeps the left function close to itself
-        est = estimate_self_distance(ty, x2, probes, registry,
-                                     term=right_term)
-        for provenance, selfd in est.candidates:
-            if not tight and provenance in ("derivative", "empirical"):
-                continue
-            bad = _rho(ty, x, tensor_diff(ty, a, selfd), x, probes,
-                       path + [f"dominance via {provenance} self-distance"],
-                       counter)
-            if bad is not None:
-                return bad
-        return None
-    raise TypeError(f"not a type: {ty!r}")
+def _gamma_arrow(walk, ty, x, a, x2, path, given):
+    # vertical clause: both functions probed at the same input
+    for probe in walk.probes.triples(ty.arg, "rho"):
+        y, b = probe.left, probe.diff
+        bad = walk.member(_gamma_arrow, ty.res, x(y), a(y, b), x2(y),
+                          (path, "vertical at {at}", probe))
+        if bad is not None:
+            return bad
+    # dominance clause: tensoring with self-distances of the right
+    # function keeps the left function close to itself
+    selfds, _ = _verified_self_diffs(ty, x2, walk.probes, walk.registry,
+                                     given[1], "rho", walk.tight)
+    for provenance, selfd in selfds:
+        bad = walk.member(_rho_arrow, ty, x, tensor_diff(ty, a, selfd), x,
+                          (path, "dominance via {} self-distance", provenance))
+        if bad is not None:
+            return bad
+    return None
 
 
 # --- the decomposition (partial-metric) family -------------------------------
@@ -173,65 +191,36 @@ def check_eta(ty: Type, x: Value, a: Diff, x2: Value, probes: ProbeSet,
               registry: Registry = DEFAULT_REGISTRY,
               decomposition: tuple[Diff, Diff] | None = None,
               left_term: Term | None = None) -> Verdict:
-    counter = _Counter()
-    result = _eta(ty, x, a, x2, probes, registry, decomposition, left_term,
-                  [], counter)
-    if result is None:
-        return Consistent(counter.n, arrow_depth(ty))
-    if isinstance(result, Falsified):
-        return result
-    return Consistent(counter.n, arrow_depth(ty), established=False,
-                      note=result)
+    return _Walk(probes, registry).verdict(_eta_arrow, ty, x, a, x2,
+                                           (decomposition, left_term))
 
 
-def _eta(ty, x, a, x2, probes, registry, decomposition, left_term, path,
-         counter) -> Optional[Union[Falsified, str]]:
-    """None = holds; Falsified = definitive; str = no decomposition found."""
-    if isinstance(ty, RealType):
-        return _base(x, a, x2, path, counter)
-    if isinstance(ty, PairType):
-        for idx, (sub, tag) in enumerate(((ty.left, "fst"), (ty.right, "snd"))):
-            sub_dec = None
-            if decomposition is not None:
-                sub_dec = (decomposition[0][idx], decomposition[1][idx])
-            r = _eta(sub, x[idx], a[idx], x2[idx], probes, registry, sub_dec,
-                     None, path + [tag], counter)
-            if r is not None:
-                return r
-        return None
-    if isinstance(ty, FnType):
-        candidates = []
-        if decomposition is not None:
-            candidates.append(("supplied", decomposition))
-        else:
-            top = top_diff(ty)
-            candidates.append(("left-total", (a, top)))
-            candidates.append(("right-total", (top, a)))
-            est = estimate_self_distance(ty, x, probes, registry,
-                                         term=left_term)
-            for provenance, selfd in est.candidates:
-                candidates.append((f"self+{provenance}",
-                                   (selfd, residual_diff(ty, selfd, a))))
-        notes = []
-        for name, (a1, a2) in candidates:
-            verdict = _try_eta_decomposition(ty, x, a, x2, a1, a2, probes,
-                                             registry, path, counter)
-            if verdict is None:
-                return None
-            if isinstance(verdict, Falsified) and decomposition is not None:
-                # a user-supplied decomposition that fails is a real verdict
-                return verdict
-            notes.append(name)
-        impossible = _eta_impossible(ty, x, a, x2, probes, path, counter)
-        if impossible is not None:
-            return impossible
-        return ("no decomposition found among candidates: "
-                + ", ".join(notes))
-    raise TypeError(f"not a type: {ty!r}")
+def _eta_arrow(walk, ty, x, a, x2, path, given):
+    supplied, term = given
+    if supplied is not None:
+        candidates = [("supplied", supplied)]
+    else:
+        top = top_diff(ty)
+        candidates = [("left-total", (a, top)), ("right-total", (top, a))]
+        est = estimate_self_distance(ty, x, walk.probes, walk.registry,
+                                     term=term)
+        for provenance, selfd in est.candidates:
+            candidates.append((f"self+{provenance}",
+                               (selfd, residual_diff(ty, selfd, a))))
+    tried = []
+    for name, (a1, a2) in candidates:
+        result = _eta_split(walk, ty, x, a, x2, a1, a2, path)
+        if result is None:
+            return None
+        if isinstance(result, Falsified) and supplied is not None:
+            # a user-supplied decomposition that fails is a real verdict
+            return result
+        tried.append(name)
+    return (_eta_impossible(walk, ty, x, a, x2, path)
+            or "no decomposition found among candidates: " + ", ".join(tried))
 
 
-def _eta_impossible(ty: FnType, x, a, x2, probes, path, counter
-                    ) -> Optional[Falsified]:
+def _eta_impossible(walk, ty: FnType, x, a, x2, path) -> Optional[Falsified]:
     """Sound refutation of the existential at Real-result arrows.
 
     Any split must cover, pointwise at a probe (y, b, y2), both the self
@@ -242,39 +231,33 @@ def _eta_impossible(ty: FnType, x, a, x2, probes, path, counter
     """
     if not isinstance(ty.res, RealType):
         return None
-    for probe in probes.triples(ty.arg, "eta"):
-        y, b, y2 = probe.as_tuple()
-        counter.n += 1
+    for probe in walk.probes.triples(ty.arg, "eta"):
+        y, b, y2 = probe.left, probe.diff, probe.right
         need = abs(x(y) - x(y2)) + abs(x(y2) - x2(y2))
-        have = a(y, b)
-        if need > have:
-            return Falsified(
-                "no-split", tuple(path) + (
-                    f"at {probe.label or _fmt(y)}: self drift plus crossing "
-                    f"gap exceed the claimed difference",),
-                need, float(have))
+        bad = walk.compare("no-split", need, a(y, b), (
+            path, "at {at}: self drift plus crossing gap exceed the claimed "
+            "difference", probe))
+        if bad is not None:
+            return bad
     return None
 
 
-def _try_eta_decomposition(ty: FnType, x, a, x2, a1, a2, probes, registry,
-                           path, counter) -> Optional[Union[Falsified, str]]:
+def _eta_split(walk, ty: FnType, x, a, x2, a1, a2, path):
+    triples = walk.probes.triples(ty.arg, "eta")
     # the split must undershoot the claimed difference at the probes
-    for probe in probes.triples(ty.arg, "eta"):
-        y, b, _ = probe.as_tuple()
+    for probe in triples:
+        y, b = probe.left, probe.diff
         if not _diff_leq_at(ty.res, tensor_diff(ty.res, a1(y, b), a2(y, b)),
-                            a(y, b), probes):
+                            a(y, b), walk.probes):
             return "split exceeds the difference"
-    for probe in probes.triples(ty.arg, "eta"):
-        y, b, y2 = probe.as_tuple()
-        here = f"at {probe.label or _fmt(y)}"
-        r = _eta(ty.res, x(y), a1(y, b), x(y2), probes, registry,
-                 None, None, path + [f"{here} [self part]"], counter)
-        if r is not None:
-            return r
-        r = _eta(ty.res, x(y2), a2(y, b), x2(y2), probes, registry,
-                 None, None, path + [f"{here} [crossing part]"], counter)
-        if r is not None:
-            return r
+    for probe in triples:
+        y, b, y2 = probe.left, probe.diff, probe.right
+        bad = (walk.member(_eta_arrow, ty.res, x(y), a1(y, b), x(y2),
+                           (path, "at {at} [self part]", probe))
+               or walk.member(_eta_arrow, ty.res, x(y2), a2(y, b), x2(y2),
+                              (path, "at {at} [crossing part]", probe)))
+        if bad is not None:
+            return bad
     return None
 
 
@@ -300,33 +283,25 @@ def check_delta(ty: Type, x: Value, a: Diff, x2: Value, probes: ProbeSet,
                 tight_self_probes: bool = False) -> Verdict:
     """Tensor with every self-distance probe of the left element and land
     in the decomposition family."""
-    if isinstance(ty, (RealType, PairType)):
-        return check_eta(ty, x, a, x2, probes, registry)
-    counter = 0
-    est = estimate_self_distance(ty, x, probes, registry, term=left_term,
-                                 family="eta")
-    if not est.candidates:
-        return Consistent(0, arrow_depth(ty), established=False,
-                          note="no verified self-distance probes for the "
-                               "left element")
+    return _Walk(probes, registry, tight_self_probes).verdict(
+        _delta_arrow, ty, x, a, x2, (None, left_term))
+
+
+def _delta_arrow(walk, ty, x, a, x2, path, given):
+    selfds, _ = _verified_self_diffs(ty, x, walk.probes, walk.registry,
+                                     given[1], "eta", walk.tight)
+    if not selfds:
+        return "no verified self-distance probes for the left element"
     undetermined = []
-    for provenance, selfd in est.candidates:
-        if not tight_self_probes and provenance in ("derivative", "empirical"):
-            continue
-        verdict = check_eta(ty, x, tensor_diff(ty, a, selfd), x2, probes,
-                            registry)
-        if isinstance(verdict, Falsified):
-            return Falsified(verdict.clause,
-                             (f"self-probe {provenance}",) + verdict.path,
-                             verdict.lhs, verdict.rhs)
-        counter += verdict.probes
-        if not verdict.established:
+    for provenance, selfd in selfds:
+        result = walk.member(_eta_arrow, ty, x, tensor_diff(ty, a, selfd), x2,
+                             (path, "self-probe {}", provenance))
+        if isinstance(result, Falsified):
+            return result
+        if result is not None:
             undetermined.append(provenance)
-    if undetermined:
-        return Consistent(counter, arrow_depth(ty), established=False,
-                          note="no decomposition found for self-probe(s): "
-                               + ", ".join(undetermined))
-    return Consistent(counter, arrow_depth(ty))
+    return ("no decomposition found for self-probe(s): "
+            + ", ".join(undetermined)) if undetermined else None
 
 
 # --- the soundness triple of a closed term -----------------------------------
@@ -383,7 +358,7 @@ def check_theorem_approx(f: Value, f2: Value, a: Diff, a2: Diff,
         rhs = a(y, b)
         if lhs > rhs:
             hyp_failures.append(Falsified(
-                "hypothesis", (f"at {probe.label or _fmt(y)}",), lhs, rhs))
+                "hypothesis", (_show("at {at}", probe),), lhs, rhs))
     self_left = check_rho(ty, f, a2, f, probes, registry)
     self_right = check_rho(ty, f2, a2, f2, probes, registry)
     conclusion = check_rho(ty, f, tensor_diff(ty, a, a2), f2, probes, registry)
@@ -453,9 +428,6 @@ class SelfDistanceEstimate:
     candidates: tuple[tuple[str, Diff], ...]  # (provenance, diff), verified
     probes: int
 
-    def members(self) -> list[Diff]:
-        return [d for _, d in self.candidates]
-
     def by_provenance(self, name: str) -> Optional[Diff]:
         for provenance, d in self.candidates:
             if provenance == name:
@@ -474,35 +446,49 @@ def estimate_self_distance(ty: Type, x: Value, probes: ProbeSet,
     candidates are: the difference evaluator run on a backing term
     (globally valid), a slope-style linear bound, a sampled empirical
     bound, and the top difference (valid only for constants); each is
-    kept only if it passes the main-family self check over the probes.
+    kept only if it passes the self check of ``family`` (``"rho"`` or
+    ``"eta"``) over the probes.
     """
     if isinstance(ty, RealType):
         return SelfDistanceEstimate(ty, (("exact", 0.0),), 0)
     if isinstance(ty, PairType):
-        left = estimate_self_distance(ty.left, x[0], probes, registry)
-        right = estimate_self_distance(ty.right, x[1], probes, registry)
+        left = estimate_self_distance(ty.left, x[0], probes, registry,
+                                      family=family)
+        right = estimate_self_distance(ty.right, x[1], probes, registry,
+                                       family=family)
         combined = tuple((f"({pl},{pr})", (dl, dr))
                          for (pl, dl) in left.candidates
                          for (pr, dr) in right.candidates)
         return SelfDistanceEstimate(ty, combined, left.probes + right.probes)
     if isinstance(ty, FnType):
-        raw: list[tuple[str, Diff]] = []
-        if term is not None:
-            raw.append(("derivative", diff_evaluate(term, registry=registry)))
-        if isinstance(ty.arg, RealType) and isinstance(ty.res, RealType):
-            raw.append(("lipschitz", lipschitz_self_diff(x, probes.config)))
-            raw.append(("empirical", empirical_self_diff(x, probes.config)))
-        raw.append(("top", top_diff(ty)))
-        verified = []
-        total = 0
-        for provenance, cand in raw:
-            if family == "eta":
-                verdict = check_eta(ty, x, cand, x, probes, registry,
-                                    decomposition=(cand, top_diff(ty)))
-            else:
-                verdict = check_rho(ty, x, cand, x, probes, registry)
-            if isinstance(verdict, Consistent) and verdict.established:
-                verified.append((provenance, cand))
-                total += verdict.probes
-        return SelfDistanceEstimate(ty, tuple(verified), total)
+        return SelfDistanceEstimate(
+            ty, *_verified_self_diffs(ty, x, probes, registry, term, family))
     raise TypeError(f"not a type: {ty!r}")
+
+
+def _verified_self_diffs(ty: FnType, x, probes, registry, term, family,
+                         tight=True):
+    """The raw self-distance candidates of ``x`` that pass the family's
+    self check, and the comparisons those checks made.  Without
+    ``tight`` the derivative-grade candidates are left out before any
+    is verified."""
+    raw: list[tuple[str, Diff]] = []
+    if term is not None and tight:
+        raw.append(("derivative", diff_evaluate(term, registry=registry)))
+    if isinstance(ty.arg, RealType) and isinstance(ty.res, RealType):
+        raw.append(("lipschitz", lipschitz_self_diff(x, probes.config)))
+        if tight:
+            raw.append(("empirical", empirical_self_diff(x, probes.config)))
+    raw.append(("top", top_diff(ty)))
+    verified = []
+    total = 0
+    for provenance, cand in raw:
+        if family == "eta":
+            verdict = check_eta(ty, x, cand, x, probes, registry,
+                                decomposition=(cand, top_diff(ty)))
+        else:
+            verdict = check_rho(ty, x, cand, x, probes, registry)
+        if isinstance(verdict, Consistent) and verdict.established:
+            verified.append((provenance, cand))
+            total += verdict.probes
+    return tuple(verified), total

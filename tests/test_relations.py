@@ -255,6 +255,46 @@ def test_delta_falsified_with_wrong_gap(probes):
     assert isinstance(verdict, Falsified)
 
 
+def zero(x, b):
+    return 0.0
+
+
+def test_delta_at_products_is_componentwise(probes):
+    # (sin, 0, sin) is a right-observational member: the zero difference
+    # tensored with a self-distance of sin is that self-distance.  It is
+    # no decomposition member, so pairs of it must not be judged by the
+    # decomposition family as a whole.
+    sin_t, sin_v, _ = named(r"\x:Real. sin(x)")
+    single = check_delta(FN, sin_v, zero, sin_v, probes, left_term=sin_t)
+    assert isinstance(single, Consistent) and single.established
+    for ty, x, a in ((PairType(FN, FN), (sin_v, sin_v), (zero, zero)),
+                     (PairType(REAL, FN), (0.0, sin_v), (0.0, zero))):
+        verdict = check_delta(ty, x, a, x, probes)
+        assert isinstance(verdict, Consistent) and verdict.established, ty
+    bad = check_delta(PairType(REAL, FN), (0.0, sin_v), (0.0, zero),
+                      (0.0, math.cos), probes)
+    assert isinstance(bad, Falsified) and bad.path[0] == "snd"
+
+
+def test_delta_with_no_coarse_self_distance_is_not_established(probes):
+    # a narrow spike has no verified slope-style self-distance, so the
+    # coarse right-observational check compares nothing
+    spike_t, spike_v, _ = named(r"\x:Real. 1 / (x * x + 0.0001)")
+
+    def five(x):
+        return 5.0
+
+    coarse = check_delta(FN, spike_v, zero, five, probes, left_term=spike_t)
+    assert isinstance(coarse, Consistent)
+    assert coarse.probes == 0 and not coarse.established
+    assert coarse.note == ("no verified self-distance probes for the left "
+                           "element")
+    tight = check_delta(FN, spike_v, zero, five, probes, left_term=spike_t,
+                        tight_self_probes=True)
+    assert isinstance(tight, Falsified) and tight.reverifies()
+    assert isinstance(check_eta(FN, spike_v, zero, five, probes), Falsified)
+
+
 # --- self-distance estimation ------------------------------------------------------
 
 def test_self_distance_real_is_zero(probes):
@@ -277,6 +317,25 @@ def test_self_distance_sin_candidates(probes):
     # slope-style bound at slope about 1.1
     assert lip(0.0, 1.0) == pytest.approx(1.1, rel=0.2)
     assert est.by_provenance("top") is None  # sin is not constant
+
+
+def test_self_distance_of_pairs_keeps_the_family(probes, monkeypatch):
+    import lamdist.relations.checkers as checkers
+    seen = []
+    for name in ("check_rho", "check_eta"):
+        real = getattr(checkers, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            seen.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(checkers, name, spy)
+    sin_v = evaluate(parse_term(r"\x:Real. sin(x)"))
+    pair = estimate_self_distance(PairType(REAL, FN), (0.0, sin_v), probes,
+                                  family="eta")
+    alone = estimate_self_distance(FN, sin_v, probes, family="eta")
+    assert set(seen) == {"check_eta"}
+    assert [p for p, _ in pair.candidates] == [
+        f"(exact,{p})" for p, _ in alone.candidates]
 
 
 def test_sin_identity_in_b_is_a_valid_self_distance(probes):
