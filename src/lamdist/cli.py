@@ -12,9 +12,13 @@ Subcommands:
 * ``judge FILE.json`` — validate a serialized derivation.
 
 Exit codes: 0 success/consistent, 1 falsified/invalid, 2 usage or I/O
-errors, including out-of-range flags and terms nested too deeply to
-process (``TermTooDeep``, or Python's recursion limit in a typechecker,
-normalizer or compiler walk).  With ``--format json`` and a fixed
+errors, including out-of-range flags, a standard output closed before
+the report is written, and input nested too deeply for a walk that still
+recurses: parentheses, argument lists and arrow types in the parser,
+compiling or running a term for ``diff``, reading back a normal form, and
+printing a type as deep as a long binder chain's (``TermTooDeep``, or
+Python's recursion limit).  Typing, derivatives, printing terms and
+judging take terms of any depth.  With ``--format json`` and a fixed
 ``--seed``, output is byte-identical across runs.
 """
 
@@ -94,10 +98,11 @@ def cmd_derive(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     rendered = render_term(deriv)
+    if args.format == "text":  # no type: a binder chain's is too deep
+        print(rendered)
+        return 0
     _emit({"name": args.name, "derivative": rendered,
-           "type": render_type(partial_type(ty))},
-          args.format,
-          [rendered])
+           "type": render_type(partial_type(ty))}, args.format, [])
     return 0
 
 
@@ -312,7 +317,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return USAGE_ERROR if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except SystemExit as e:
         print(e, file=sys.stderr)
         return USAGE_ERROR
@@ -321,6 +328,15 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
     except RecursionError:
         print("error: input nested too deeply to process", file=sys.stderr)
+        return USAGE_ERROR
+    except BrokenPipeError:
+        # the reader closed standard output; point it at devnull so the
+        # interpreter's final flush cannot fail again
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):
+            pass
+        print("error: standard output closed", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -79,17 +79,14 @@ def check_derivation(d: Derivation,
                      registry: Registry = DEFAULT_REGISTRY) -> CheckResult:
     """Validate every node; on failure reports the path (child indices
     from the root) of the first invalid node in preorder."""
-    return _check(d, (), registry)
-
-
-def _check(d: Derivation, path, registry) -> CheckResult:
-    msg = _check_node(d, registry)
-    if msg is not None:
-        return CheckResult(False, path, msg)
-    for i, p in enumerate(d.premises):
-        r = _check(p, path + (i,), registry)
-        if not r:
-            return r
+    todo = [(d, ())]
+    while todo:
+        node, path = todo.pop()
+        msg = _check_node(node, registry)
+        if msg is not None:
+            return CheckResult(False, path, msg)
+        todo.extend((p, path + (i,))
+                    for i, p in reversed(tuple(enumerate(node.premises))))
     return CheckResult(True)
 
 

@@ -23,7 +23,7 @@ from ..syntax.derivative import partial_type
 from ..syntax.terms import (App, Context, First, FnType, Lam, Lit, Pair,
                             PairType, PrimOp, REAL, RealType, Second, Term,
                             Type, Var, all_var_names, dotted, fresh_name,
-                            free_vars, is_dotted, substitute)
+                            free_vars, is_dotted, rename_binders)
 from ..syntax.typecheck import typecheck
 from .judgments import Derivation, DistanceJudgment
 
@@ -104,31 +104,15 @@ def synthesize_fundamental(ctx: Context, t: Term,
     for comp in components.values():
         avoid |= _used_names(comp)
     avoid |= {n for n, _ in ambient}
-    t = _freshen_binders(t, frozenset(avoid | {n for n, _ in ctx}))
 
+    def pick(var: str, body: Term, scope: set[str]) -> str:
+        # rename binders clashing with ambient names (or their partners)
+        if var in scope or dotted(var) in scope or is_dotted(var):
+            return fresh_name(var, scope | all_var_names(body))
+        return var
+
+    t = rename_binders(t, avoid | {n for n, _ in ctx}, pick)
     return _synth(t, ambient, dict(components), ctx_types, registry)
-
-
-def _freshen_binders(t: Term, taken: frozenset[str]) -> Term:
-    """Rename binders clashing with ambient names (or their partners)."""
-    if isinstance(t, Lam):
-        var, body = t.var, t.body
-        if var in taken or dotted(var) in taken or is_dotted(var):
-            var = fresh_name(t.var, taken | all_var_names(body))
-            body = substitute(body, {t.var: Var(var)})
-        return Lam(var, t.var_type, _freshen_binders(body, taken | {var}))
-    if isinstance(t, App):
-        return App(_freshen_binders(t.fn, taken), _freshen_binders(t.arg, taken))
-    if isinstance(t, PrimOp):
-        return PrimOp(t.name, tuple(_freshen_binders(a, taken) for a in t.args))
-    if isinstance(t, Pair):
-        return Pair(_freshen_binders(t.left, taken),
-                    _freshen_binders(t.right, taken))
-    if isinstance(t, First):
-        return First(_freshen_binders(t.pair, taken))
-    if isinstance(t, Second):
-        return Second(_freshen_binders(t.pair, taken))
-    return t
 
 
 def _synth(t: Term, ctx: Context, components: dict[str, Derivation],

@@ -33,7 +33,8 @@ from typing import Callable, Mapping, Union
 
 from ..prims import DEFAULT_REGISTRY, Registry, prim_modulus
 from ..syntax.terms import (App, First, FnType, Lam, Lit, Pair, PairType,
-                            PrimOp, RealType, Second, Term, Type, Var)
+                            PrimOp, RealType, Second, Term, TermTooDeep, Type,
+                            Var)
 from .eval import Value, compile_value, slot
 
 Diff = Union[float, tuple, Callable]
@@ -46,9 +47,12 @@ DualCode = Callable[[tuple, tuple], tuple]
 def diff_evaluate(t: Term, env: Mapping[str, Value] | None = None,
                   denv: Mapping[str, Diff] | None = None, *,
                   registry: Registry = DEFAULT_REGISTRY) -> Diff:
-    code = _compile_dual(t, (), dict(env) if env else {},
-                         dict(denv) if denv else {}, registry, False)
-    return code((), ())[1]
+    try:
+        code = _compile_dual(t, (), dict(env) if env else {},
+                             dict(denv) if denv else {}, registry, False)
+        return code((), ())[1]
+    except RecursionError:
+        raise TermTooDeep("term nested too deeply to evaluate") from None
 
 
 def _compile_dual(t: Term, scope: tuple[str, ...], free: Mapping[str, Value],

@@ -27,7 +27,7 @@ from typing import Callable, Mapping, Union
 
 from ..prims import DEFAULT_REGISTRY, Registry
 from ..syntax.terms import (App, First, Lam, Lit, Pair, PrimOp, Second, Term,
-                            Var)
+                            TermTooDeep, Var)
 
 Value = Union[float, Fraction, tuple, Callable]
 
@@ -38,7 +38,11 @@ Code = Callable[[tuple], Value]
 def evaluate(t: Term, env: Mapping[str, Value] | None = None, *,
              registry: Registry = DEFAULT_REGISTRY,
              exact: bool = False) -> Value:
-    return compile_value(t, (), dict(env) if env else {}, registry, exact)(())
+    try:
+        return compile_value(t, (), dict(env) if env else {}, registry,
+                             exact)(())
+    except RecursionError:
+        raise TermTooDeep("term nested too deeply to evaluate") from None
 
 
 def slot(scope: tuple[str, ...], name: str) -> int | None:

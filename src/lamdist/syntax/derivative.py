@@ -12,9 +12,9 @@ their derivatives.
 from __future__ import annotations
 
 from ..prims import DEFAULT_REGISTRY, Registry
-from .terms import (App, Context, First, FnType, Lam, Lit, Pair, PairType,
-                    PrimOp, REAL, RealType, Second, Term, Type, Var,
-                    all_var_names, dotted, is_dotted)
+from .terms import (App, Context, FnType, Lam, Lit, PairType, PrimOp, REAL,
+                    REBUILD, RealType, Term, Type, Var, all_var_names, dotted,
+                    fold, is_dotted, walker)
 from .typecheck import typecheck
 
 
@@ -52,28 +52,17 @@ def derivative_term(ctx: Context, t: Term,
     if primed:
         raise DottedVariableClash(
             f"cannot differentiate: primed variable(s) {primed} already occur")
-    return _d(t, registry)
+    return fold(t, _D, registry)
 
 
-def _d(t: Term, registry: Registry) -> Term:
-    if isinstance(t, Var):
-        return Var(dotted(t.name))
-    if isinstance(t, Lit):
-        return Lit(0)
-    if isinstance(t, PrimOp):
-        deriv = registry.derivative(t.name)
-        return PrimOp(deriv.name,
-                      t.args + tuple(_d(a, registry) for a in t.args))
-    if isinstance(t, App):
-        return App(App(_d(t.fn, registry), t.arg), _d(t.arg, registry))
-    if isinstance(t, Lam):
-        return Lam(t.var, t.var_type,
-                   Lam(dotted(t.var), partial_type(t.var_type),
-                       _d(t.body, registry)))
-    if isinstance(t, Pair):
-        return Pair(_d(t.left, registry), _d(t.right, registry))
-    if isinstance(t, First):
-        return First(_d(t.pair, registry))
-    if isinstance(t, Second):
-        return Second(_d(t.pair, registry))
-    raise TypeError(f"not a term: {t!r}")
+_D = walker({
+    **REBUILD,
+    Var: lambda registry, t, kids: Var(dotted(t.name)),
+    Lit: lambda registry, t, kids: Lit(0),
+    PrimOp: lambda registry, t, kids: PrimOp(
+        registry.derivative(t.name).name, t.args + tuple(kids)),
+    App: lambda registry, t, kids: App(App(kids[0], t.arg), kids[1]),
+    Lam: lambda registry, t, kids: Lam(
+        t.var, t.var_type,
+        Lam(dotted(t.var), partial_type(t.var_type), kids[0])),
+})

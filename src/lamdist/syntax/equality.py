@@ -14,33 +14,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Callable
 
 from ..prims import DEFAULT_REGISTRY, Registry
 from .printer import render_type
 from .terms import (App, Context, First, FnType, Lam, Lit, Pair, PairType,
-                    PrimOp, REAL, RealType, Second, Term, Type, Var,
-                    free_vars)
+                    PrimOp, REAL, RealType, Second, Skip, Term, TermTooDeep,
+                    Type, Var, fold, free_vars, walker)
 from .typecheck import TypecheckError, typecheck
 
 
 # --- semantic domain --------------------------------------------------------
-
-@dataclass(frozen=True)
-class VLit:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class VPair:
-    left: "V"
-    right: "V"
-
-
-@dataclass(frozen=True)
-class VFun:
-    fn: Callable[["V"], "V"]
-
+# Values are plain data, as in the evaluator: ``Fraction`` at Real, 2-tuples
+# at products and 1-argument callables at arrows; or neutral.
 
 @dataclass(frozen=True)
 class VNeutral:
@@ -60,13 +47,9 @@ class NApp:
 
 
 @dataclass(frozen=True)
-class NFst:
+class NProj:
     pair: VNeutral
-
-
-@dataclass(frozen=True)
-class NSnd:
-    pair: VNeutral
+    first: bool  # or second
 
 
 @dataclass(frozen=True)
@@ -75,73 +58,53 @@ class NPrim:
     args: tuple["V", ...]
 
 
-V = VLit | VPair | VFun | VNeutral
-Neutral = NVar | NApp | NFst | NSnd | NPrim
+V = Fraction | tuple | Callable[["V"], "V"] | VNeutral
+Neutral = NVar | NApp | NProj | NPrim
+_Fresh = Callable[[], str]  # the next canonical binder name
 
 
 def _apply(f: V, a: V) -> V:
-    if isinstance(f, VFun):
-        return f.fn(a)
     if isinstance(f, VNeutral) and isinstance(f.ty, FnType):
         return VNeutral(NApp(f, a), f.ty.res)
+    if callable(f):
+        return f(a)
     raise TypeError(f"cannot apply {f!r}")
 
 
-def _fst(p: V) -> V:
-    if isinstance(p, VPair):
-        return p.left
+def _project(p: V, first: bool) -> V:
+    if isinstance(p, tuple):
+        return p[0] if first else p[1]
     if isinstance(p, VNeutral) and isinstance(p.ty, PairType):
-        return VNeutral(NFst(p), p.ty.left)
-    raise TypeError(f"cannot project {p!r}")
-
-
-def _snd(p: V) -> V:
-    if isinstance(p, VPair):
-        return p.right
-    if isinstance(p, VNeutral) and isinstance(p.ty, PairType):
-        return VNeutral(NSnd(p), p.ty.right)
+        return VNeutral(NProj(p, first), p.ty.left if first else p.ty.right)
     raise TypeError(f"cannot project {p!r}")
 
 
 def _prim(name: str, args: tuple[V, ...], registry: Registry) -> V:
-    if all(isinstance(a, VLit) for a in args):
-        folded = registry.call_exact(name, [a.value for a in args])
-        return VLit(Fraction(folded))
+    if all(isinstance(a, Fraction) for a in args):
+        return Fraction(registry.call_exact(name, list(args)))
     return VNeutral(NPrim(name, args), REAL)
 
 
 def _eval(env: dict[str, V], t: Term, registry: Registry) -> V:
-    if isinstance(t, Var):
-        return env[t.name]
-    if isinstance(t, Lit):
-        return VLit(t.value)
-    if isinstance(t, Lam):
-        return VFun(lambda v, _env=env: _eval({**_env, t.var: v}, t.body, registry))
-    if isinstance(t, App):
-        return _apply(_eval(env, t.fn, registry), _eval(env, t.arg, registry))
-    if isinstance(t, PrimOp):
-        return _prim(t.name, tuple(_eval(env, a, registry) for a in t.args),
-                     registry)
-    if isinstance(t, Pair):
-        return VPair(_eval(env, t.left, registry), _eval(env, t.right, registry))
-    if isinstance(t, First):
-        return _fst(_eval(env, t.pair, registry))
-    if isinstance(t, Second):
-        return _snd(_eval(env, t.pair, registry))
-    raise TypeError(f"not a term: {t!r}")
+    return fold(t, _EVAL, (env, registry))
 
 
-class _Fresh:
-    def __init__(self, avoid: frozenset[str]):
-        self.avoid = avoid
-        self.counter = 0
+def _closure(state, t: Lam) -> Skip:
+    """A lambda's value: its body is evaluated when it is applied."""
+    env, registry = state
+    return Skip((lambda v: _eval({**env, t.var: v}, t.body, registry),))
 
-    def __call__(self) -> str:
-        while True:
-            name = f"v{self.counter}"
-            self.counter += 1
-            if name not in self.avoid and name + "'" not in self.avoid:
-                return name
+
+_EVAL = walker({
+    Var: lambda state, t, vs: state[0][t.name],
+    Lit: lambda state, t, vs: t.value,
+    App: lambda state, t, vs: _apply(*vs),
+    PrimOp: lambda state, t, vs: _prim(t.name, tuple(vs), state[1]),
+    Pair: lambda state, t, vs: tuple(vs),
+    First: lambda state, t, vs: _project(vs[0], True),
+    Second: lambda state, t, vs: _project(vs[0], False),
+    Lam: None,  # never reached: ``_closure`` skips the body
+}, {Lam: _closure})
 
 
 def _readback(v: V, ty: Type, fresh: _Fresh, registry: Registry) -> Term:
@@ -151,11 +114,11 @@ def _readback(v: V, ty: Type, fresh: _Fresh, registry: Registry) -> Term:
                          fresh, registry)
         return Lam(x, ty.arg, body)
     if isinstance(ty, PairType):
-        return Pair(_readback(_fst(v), ty.left, fresh, registry),
-                    _readback(_snd(v), ty.right, fresh, registry))
+        return Pair(_readback(_project(v, True), ty.left, fresh, registry),
+                    _readback(_project(v, False), ty.right, fresh, registry))
     if isinstance(ty, RealType):
-        if isinstance(v, VLit):
-            return Lit(v.value)
+        if isinstance(v, Fraction):
+            return Lit(v)
         if isinstance(v, VNeutral):
             return _readback_neutral(v.ne, fresh, registry)
     raise TypeError(f"cannot read back {v!r} at {render_type(ty)}")
@@ -170,10 +133,9 @@ def _readback_neutral(ne: Neutral, fresh: _Fresh, registry: Registry) -> Term:
             raise TypeError(f"applied neutral at {render_type(fn_ty)}")
         return App(_readback_neutral(ne.fn.ne, fresh, registry),
                    _readback(ne.arg, fn_ty.arg, fresh, registry))
-    if isinstance(ne, NFst):
-        return First(_readback_neutral(ne.pair.ne, fresh, registry))
-    if isinstance(ne, NSnd):
-        return Second(_readback_neutral(ne.pair.ne, fresh, registry))
+    if isinstance(ne, NProj):
+        side = First if ne.first else Second
+        return side(_readback_neutral(ne.pair.ne, fresh, registry))
     if isinstance(ne, NPrim):
         return PrimOp(ne.name,
                       tuple(_readback(a, REAL, fresh, registry) for a in ne.args))
@@ -187,7 +149,13 @@ def normalize(ctx: Context, t: Term, ty: Type | None = None,
         ty = typecheck(ctx, t, registry)
     env = {x: VNeutral(NVar(x), a) for x, a in ctx}
     avoid = frozenset(env) | free_vars(t)
-    return _readback(_eval(env, t, registry), ty, _Fresh(avoid), registry)
+    # binder names v0, v1, ... that clash with no name in sight
+    fresh = (n for i in count()
+             if (n := f"v{i}") not in avoid and n + "'" not in avoid).__next__
+    try:
+        return _readback(_eval(env, t, registry), ty, fresh, registry)
+    except RecursionError:
+        raise TermTooDeep("normal form too deep to read back") from None
 
 
 def term_equal(ctx: Context, t: Term, s: Term,

@@ -28,10 +28,11 @@ definitions may mention earlier names, which are inlined textually.
 
 Binders that shadow an enclosing binder or a free name are renamed to
 fresh plain-family names by a walk that runs only when some binder does
-(the parser tracks both as it descends) and after inlining.  Every call
-parses afresh; ``derivation_from_json`` shares parses within one call.
-Only parentheses, argument lists and arrow types recurse; past the
-recursion limit they raise ``TermTooDeep``.
+(the parser tracks both as it descends) and after inlining; both walks
+run on the stack-safe term fold.  Every call parses afresh;
+``derivation_from_json`` shares parses within one call.  Only
+parentheses, argument lists and arrow types recurse; past the recursion
+limit they raise ``TermTooDeep``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from fractions import Fraction
 from ..prims import DEFAULT_REGISTRY, Registry
 from .terms import (App, First, FnType, Lam, Lit, Pair, PairType, PrimOp,
                     REAL, Second, Term, TermTooDeep, Var, all_var_names,
-                    free_vars, fresh_name, substitute)
+                    free_vars, fresh_name, rename_binders, substitute)
 
 
 class ParseError(SyntaxError):
@@ -242,33 +243,15 @@ class _Parser:
 def _freshen_shadowed(t: Term, free: set[str], names: set[str]) -> Term:
     """Rename binders that shadow a name in scope (``free`` ones of ``t``
     included), avoiding ``names``, so typing contexts hold no duplicates."""
-    return _freshen_walk(t, frozenset(free), set(names))
+    used = set(names)
 
-
-def _freshen_walk(t: Term, scope: frozenset[str], used: set[str]) -> Term:
-    """:func:`_freshen_shadowed` under the binders ``scope``; ``used``
-    collects every name chosen so far."""
-    if isinstance(t, Lam):
-        var, body = t.var, t.body
-        if var in scope:
-            var = fresh_name(t.var, frozenset(used) | scope)
+    def pick(var: str, body: Term, scope: set[str]) -> str:
+        if var in scope:  # every name in scope is in ``used``
+            var = fresh_name(var, used)
             used.add(var)
-            body = substitute(body, {t.var: Var(var)})
-        return Lam(var, t.var_type, _freshen_walk(body, scope | {var}, used))
-    if isinstance(t, App):
-        return App(_freshen_walk(t.fn, scope, used),
-                   _freshen_walk(t.arg, scope, used))
-    if isinstance(t, PrimOp):
-        return PrimOp(t.name, tuple(_freshen_walk(a, scope, used)
-                                    for a in t.args))
-    if isinstance(t, Pair):
-        return Pair(_freshen_walk(t.left, scope, used),
-                    _freshen_walk(t.right, scope, used))
-    if isinstance(t, First):
-        return First(_freshen_walk(t.pair, scope, used))
-    if isinstance(t, Second):
-        return Second(_freshen_walk(t.pair, scope, used))
-    return t
+        return var
+
+    return rename_binders(t, free, pick)
 
 
 def _bounded(parse):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .terms import (App, First, FnType, Lam, Lit, Pair, PairType, PrimOp,
-                    RealType, Second, Term, Type, Var)
+                    RealType, Second, Term, Type, Var, fold, walker)
 
 _INFIX = {"add": ("+", 1), "sub": ("-", 1), "mul": ("*", 2), "div": ("/", 2)}
 
@@ -58,37 +58,36 @@ def render_fraction(q: Fraction) -> str:
 
 
 def render_term(t: Term) -> str:
-    return _render(t, _LAM)
+    return fold(t, _RENDER)[0]
 
 
-def _render(t: Term, prec: int) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Lit):
-        return render_fraction(t.value)
-    if isinstance(t, Lam):
-        body = f"\\{t.var}:{render_type(t.var_type)}. {_render(t.body, _LAM)}"
-        return f"({body})" if prec > _LAM else body
-    if isinstance(t, App):
-        body = f"{_render(t.fn, _APP)} {_render(t.arg, _ATOM)}"
-        return f"({body})" if prec > _APP else body
-    if isinstance(t, Pair):
-        return f"({_render(t.left, _LAM)}, {_render(t.right, _LAM)})"
-    if isinstance(t, First):
-        return f"fst({_render(t.pair, _LAM)})"
-    if isinstance(t, Second):
-        return f"snd({_render(t.pair, _LAM)})"
-    if isinstance(t, PrimOp):
-        if t.name in _INFIX and len(t.args) == 2:
-            sym, level = _INFIX[t.name]
-            # left operand at the operator level, right one step tighter:
-            # both chains are left associative
-            body = (f"{_render(t.args[0], level)} {sym} "
-                    f"{_render(t.args[1], level + 1)}")
-            return f"({body})" if prec > level else body
-        if t.name == "neg" and len(t.args) == 1:
-            body = f"-{_render(t.args[0], _APP)}"
-            return f"({body})" if prec > _PROD else body
-        args = ", ".join(_render(a, _LAM) for a in t.args)
-        return f"{t.name}({args})"
-    raise TypeError(f"not a term: {t!r}")
+# Each node renders to (text, level); a parent parenthesizes a child whose
+# level is below the one its position needs.
+def _at(rendered: tuple[str, int], level: int) -> str:
+    text, own = rendered
+    return f"({text})" if own < level else text
+
+
+def _prim(state, t: PrimOp, args) -> tuple[str, int]:
+    if t.name in _INFIX and len(args) == 2:
+        sym, level = _INFIX[t.name]
+        # left operand at the operator level, right one step tighter: both
+        # chains are left associative
+        return f"{_at(args[0], level)} {sym} {_at(args[1], level + 1)}", level
+    if t.name == "neg" and len(args) == 1:
+        return f"-{_at(args[0], _APP)}", _PROD
+    return f"{t.name}({', '.join(_at(a, _LAM) for a in args)})", _ATOM
+
+
+_RENDER = walker({
+    Var: lambda state, t, kids: (t.name, _ATOM),
+    Lit: lambda state, t, kids: (render_fraction(t.value), _ATOM),
+    Lam: lambda state, t, kids: (f"\\{t.var}:{render_type(t.var_type)}. "
+                                 f"{kids[0][0]}", _LAM),
+    App: lambda state, t, kids: (f"{_at(kids[0], _APP)} "
+                                 f"{_at(kids[1], _ATOM)}", _APP),
+    Pair: lambda state, t, kids: (f"({kids[0][0]}, {kids[1][0]})", _ATOM),
+    First: lambda state, t, kids: (f"fst({kids[0][0]})", _ATOM),
+    Second: lambda state, t, kids: (f"snd({kids[0][0]})", _ATOM),
+    PrimOp: _prim,
+})

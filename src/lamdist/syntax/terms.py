@@ -1,4 +1,4 @@
-"""Abstract syntax: types, terms, contexts, and capture-avoiding substitution.
+"""Abstract syntax: types, terms, the stack-safe term fold, substitution.
 
 Variables come in two disjoint families: plain names and their primed
 partners (``x`` / ``x'``).  The primed family is reserved for the
@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping, Union
 
 
 class TermTooDeep(ValueError):
@@ -135,54 +136,88 @@ def is_dotted(name: str) -> bool:
     return name.endswith("'")
 
 
+# --- the fold under every walker -------------------------------------------
+
+# The children of a node of each class, in the order every walker visits them
+_CHILDREN = {Var: None, Lit: None, PrimOp: attrgetter("args"),
+             App: attrgetter("fn", "arg"), Lam: lambda t: (t.body,),
+             Pair: attrgetter("left", "right"), First: lambda t: (t.pair,),
+             Second: lambda t: (t.pair,)}
+
+REBUILD = {  # hooks that rebuild each node around new children
+    **dict.fromkeys((Var, Lit), lambda state, t, kids: t),
+    **dict.fromkeys((App, Pair, First, Second),
+                    lambda state, t, kids: type(t)(*kids)),
+    PrimOp: lambda state, t, kids: PrimOp(t.name, tuple(kids)),
+    Lam: lambda state, t, kids: Lam(t.var, t.var_type, *kids)}
+
+
+class Skip(tuple):
+    """``Skip((result,))``, returned by a ``pre`` hook, skips the children."""
+
+
+def walker(alg: Mapping, pre: Mapping = {}) -> dict:
+    """The table :func:`fold` runs, from hooks keyed by term class:
+    ``pre[cls](state, node)`` may check a node or enter a binder into a
+    scope that ``alg[Lam]`` leaves; it returns the node, maybe rebuilt, to
+    descend into, or a ``Skip``.  ``alg[cls](state, node, results)``
+    combines the node with its children's results."""
+    return {cls: (pre.get(cls), kids, alg[cls])
+            for cls, kids in _CHILDREN.items()}
+
+
+def fold(t: Term, table: dict, state=None):
+    """Fold ``t`` bottom-up on an explicit stack, so no term is too deep.
+    A node is combined right after its last child, so the hooks run in
+    the order a recursive walk would run them."""
+    results = []
+    put = results.append
+    frames = []  # (node, its alg hook, where its results start, children)
+    s = t
+    while True:
+        try:
+            enter, kids, combine = table[type(s)]
+        except KeyError:
+            raise TypeError(f"not a term: {s!r}") from None
+        if enter is not None and type(s := enter(state, s)) is Skip:
+            put(s[0])
+        elif kids is not None and (kids := kids(s)):
+            frames.append((s, combine, len(results), iter(kids)))
+        else:
+            put(combine(state, s, ()))
+        while frames:  # the next child, after combining the finished nodes
+            if (s := next(frames[-1][3], None)) is not None:
+                break
+            node, combine, start, _ = frames.pop()
+            results[start:] = [combine(state, node, results[start:])]
+        else:
+            return results[0]
+
+
 # --- traversals -------------------------------------------------------------
 
 def subterms(t: Term) -> Iterator[Term]:
-    yield t
-    if isinstance(t, PrimOp):
-        for a in t.args:
-            yield from subterms(a)
-    elif isinstance(t, App):
-        yield from subterms(t.fn)
-        yield from subterms(t.arg)
-    elif isinstance(t, Lam):
-        yield from subterms(t.body)
-    elif isinstance(t, Pair):
-        yield from subterms(t.left)
-        yield from subterms(t.right)
-    elif isinstance(t, (First, Second)):
-        yield from subterms(t.pair)
+    todo = [t]
+    while todo:
+        yield (s := todo.pop())
+        if (kids := _CHILDREN.get(type(s))) is not None:
+            todo.extend(reversed(kids(s)))
+
+
+_FREE_VARS = walker({
+    **dict.fromkeys(_CHILDREN, lambda state, t, kids: frozenset().union(*kids)),
+    Var: lambda state, t, kids: frozenset((t.name,)),
+    Lam: lambda state, t, kids: kids[0] - {t.var},
+})
 
 
 def free_vars(t: Term) -> frozenset[str]:
-    if isinstance(t, Var):
-        return frozenset({t.name})
-    if isinstance(t, Lit):
-        return frozenset()
-    if isinstance(t, PrimOp):
-        out: frozenset[str] = frozenset()
-        for a in t.args:
-            out |= free_vars(a)
-        return out
-    if isinstance(t, App):
-        return free_vars(t.fn) | free_vars(t.arg)
-    if isinstance(t, Lam):
-        return free_vars(t.body) - {t.var}
-    if isinstance(t, Pair):
-        return free_vars(t.left) | free_vars(t.right)
-    if isinstance(t, (First, Second)):
-        return free_vars(t.pair)
-    raise TypeError(f"not a term: {t!r}")
+    return fold(t, _FREE_VARS)
 
 
 def all_var_names(t: Term) -> frozenset[str]:
-    out = set()
-    for s in subterms(t):
-        if isinstance(s, Var):
-            out.add(s.name)
-        elif isinstance(s, Lam):
-            out.add(s.var)
-    return frozenset(out)
+    return frozenset(s.name if type(s) is Var else s.var
+                     for s in subterms(t) if type(s) in (Var, Lam))
 
 
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
@@ -202,74 +237,94 @@ def substitute(t: Term, mapping: Mapping[str, Term]) -> Term:
         return t
     # names that must not be captured by any binder we pass under
     danger = frozenset().union(*(free_vars(v) for v in mapping.values()))
-    return _substitute(t, dict(mapping), danger)
+    try:  # with the binders entered, innermost last, and each one's count
+        return fold(t, _SUBSTITUTE, (dict(mapping), danger, [], {}))
+    except RecursionError:  # renamed binders nested in renamed binders
+        raise TermTooDeep("binders renamed too deeply to substitute") from None
 
 
-def _substitute(t: Term, mapping: Mapping[str, Term],
-                danger: frozenset[str]) -> Term:
-    if isinstance(t, Var):
-        return mapping.get(t.name, t)
-    if isinstance(t, Lit):
-        return t
-    if isinstance(t, PrimOp):
-        return PrimOp(t.name, tuple(_substitute(a, mapping, danger)
-                                    for a in t.args))
-    if isinstance(t, App):
-        return App(_substitute(t.fn, mapping, danger),
-                   _substitute(t.arg, mapping, danger))
-    if isinstance(t, Pair):
-        return Pair(_substitute(t.left, mapping, danger),
-                    _substitute(t.right, mapping, danger))
-    if isinstance(t, First):
-        return First(_substitute(t.pair, mapping, danger))
-    if isinstance(t, Second):
-        return Second(_substitute(t.pair, mapping, danger))
-    if isinstance(t, Lam):
-        inner = {k: v for k, v in mapping.items() if k != t.var}
-        if not inner:
-            return t
-        var = t.var
-        body = t.body
-        if var in danger:
-            avoid = (danger | free_vars(body)
-                     | {n for n in inner} | all_var_names(body))
-            var = fresh_name(t.var, avoid)
-            body = _substitute(body, {t.var: Var(var)}, danger)
-        return Lam(var, t.var_type, _substitute(body, inner, danger))
-    raise TypeError(f"not a term: {t!r}")
+def _enter_substitution(state, lam: Lam):
+    mapping, danger, entered, shadowed = state
+    inner = [k for k in mapping if k != lam.var and not shadowed.get(k)]
+    if not inner:
+        return Skip((lam,))
+    entered.append(lam.var)
+    shadowed[lam.var] = shadowed.get(lam.var, 0) + 1
+    if lam.var not in danger:
+        return lam
+    body = lam.body  # renamed first, by a nested walk
+    var = fresh_name(lam.var, danger | free_vars(body) | set(inner)
+                     | all_var_names(body))
+    return Lam(var, lam.var_type, fold(body, _SUBSTITUTE, (
+        {lam.var: Var(var)}, danger, [], {})))
+
+
+def _leave_substitution(state, lam: Lam, kids) -> Lam:
+    state[3][state[2].pop()] -= 1
+    return Lam(lam.var, lam.var_type, *kids)
+
+
+_SUBSTITUTE = walker({
+    **REBUILD, Lam: _leave_substitution,
+    Var: lambda state, v, kids: (v if state[3].get(v.name)
+                                 else state[0].get(v.name, v)),
+}, {Lam: _enter_substitution})
+
+
+def rename_binders(t: Term, scope: Iterable[str], pick) -> Term:
+    """``t`` with each binder renamed to ``pick(var, body, scope)``, where
+    ``scope`` holds the given names and the enclosing binders, as renamed.
+    ``pick`` returns ``var`` to keep it, and never a name in ``scope``."""
+    return fold(t, _RENAME, (set(scope), pick))
+
+
+def _enter_renaming(state, lam: Lam) -> Lam:
+    scope, pick = state
+    scope.add(var := pick(lam.var, lam.body, scope))
+    if var == lam.var:
+        return lam
+    return Lam(var, lam.var_type, substitute(lam.body, {lam.var: Var(var)}))
+
+
+def _leave_renaming(state, lam: Lam, kids) -> Lam:
+    state[0].discard(lam.var)
+    return Lam(lam.var, lam.var_type, *kids)
+
+
+_RENAME = walker({**REBUILD, Lam: _leave_renaming}, {Lam: _enter_renaming})
 
 
 def alpha_equal(t: Term, s: Term) -> bool:
     """Structural equality up to renaming of bound variables."""
-    return _alpha_equal(t, s, {}, {}, 0)
-
-
-def _alpha_equal(t, s, env_t, env_s, depth) -> bool:
-    if type(t) is not type(s):
-        return False
-    if isinstance(t, Var):
-        bt, bs = env_t.get(t.name), env_s.get(s.name)
-        if bt is None and bs is None:
-            return t.name == s.name
-        return bt == bs
-    if isinstance(t, Lit):
-        return t.value == s.value
-    if isinstance(t, PrimOp):
-        return (t.name == s.name and len(t.args) == len(s.args)
-                and all(_alpha_equal(a, b, env_t, env_s, depth)
-                        for a, b in zip(t.args, s.args)))
-    if isinstance(t, App):
-        return (_alpha_equal(t.fn, s.fn, env_t, env_s, depth)
-                and _alpha_equal(t.arg, s.arg, env_t, env_s, depth))
-    if isinstance(t, Lam):
-        if t.var_type != s.var_type:
+    # binder name -> a level no other binder in scope has; None when free
+    level_t: dict[str, int | None] = {}
+    level_s: dict[str, int | None] = {}
+    todo = [(t, s)]
+    while todo:
+        a, b = todo.pop()
+        if a is None:  # leave two binders, restoring the levels they hid
+            level_t[b[0]], level_s[b[1]] = b[2], b[3]
+        elif (cls := type(a)) is not type(b):
             return False
-        return _alpha_equal(t.body, s.body,
-                            {**env_t, t.var: depth}, {**env_s, s.var: depth},
-                            depth + 1)
-    if isinstance(t, Pair):
-        return (_alpha_equal(t.left, s.left, env_t, env_s, depth)
-                and _alpha_equal(t.right, s.right, env_t, env_s, depth))
-    if isinstance(t, (First, Second)):
-        return _alpha_equal(t.pair, s.pair, env_t, env_s, depth)
-    raise TypeError(f"not a term: {t!r}")
+        elif cls is Var:
+            bt, bs = level_t.get(a.name), level_s.get(b.name)
+            if bt != bs or bt is None and a.name != b.name:
+                return False
+        elif cls is Lit:
+            if a.value != b.value:
+                return False
+        elif cls is Lam:
+            if a.var_type != b.var_type:
+                return False
+            todo.append((None, (a.var, b.var, level_t.get(a.var),
+                                level_s.get(b.var))))
+            level_t[a.var] = level_s[b.var] = len(todo)  # the entry's place
+            todo.append((a.body, b.body))
+        elif (kids := _CHILDREN.get(cls)) is None:
+            raise TypeError(f"not a term: {a!r}")
+        elif cls is PrimOp and (a.name != b.name
+                                or len(a.args) != len(b.args)):
+            return False
+        else:
+            todo.extend(zip(reversed(kids(a)), reversed(kids(b))))
+    return True

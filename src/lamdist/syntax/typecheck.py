@@ -6,7 +6,7 @@ from __future__ import annotations
 from ..prims import DEFAULT_REGISTRY, Registry
 from .printer import render_term, render_type
 from .terms import (App, Context, First, FnType, Lam, Lit, Pair, PairType,
-                    PrimOp, REAL, Second, Term, Type, Var)
+                    PrimOp, REAL, Second, Skip, Term, Type, Var, fold, walker)
 
 
 class TypecheckError(TypeError):
@@ -21,56 +21,74 @@ def typecheck(ctx: Context, t: Term,
     names = [n for n, _ in ctx]
     if len(set(names)) != len(names):
         raise TypecheckError(f"duplicate names in context: {names}")
-    return _synth(dict(ctx), t, registry)
+    # the binders in scope, the registry, the arities of primitives met
+    ty = fold(t, _SYNTH, (dict(ctx), registry, {}))
+    if type(ty) is _Error:
+        raise TypecheckError(*ty)
+    return ty
 
 
-def _synth(env: dict[str, Type], t: Term, registry: Registry) -> Type:
-    if isinstance(t, Var):
-        try:
-            return env[t.name]
-        except KeyError:
-            raise TypecheckError(f"unbound variable {t.name!r}") from None
-    if isinstance(t, Lit):
-        return REAL
-    if isinstance(t, PrimOp):
+# A type error is a value, (message, term).  A node passes on the first
+# error of its children, in order, unless a check of its own comes first,
+# so the error raised is the first one a recursive walk meets.
+_Error = tuple
+
+
+def _fail(ty, t: Term, message: str, *types: Type):
+    """``ty`` if it is an error, else ``message`` about ``ty`` at ``t``."""
+    if type(ty) is _Error:
+        return ty
+    return message.format(*map(render_type, (ty, *types))), t
+
+
+def _prim(state, t: PrimOp, tys):
+    _, registry, arity = state
+    if (want := arity.get(t.name)) is None:  # checked before the arguments
         if t.name not in registry:
-            raise TypecheckError(f"unknown primitive {t.name!r}", t)
-        want = registry.arity(t.name)
-        if len(t.args) != want:
-            raise TypecheckError(
-                f"primitive {t.name!r} takes {want} argument(s), "
+            return f"unknown primitive {t.name!r}", t
+        want = arity[t.name] = registry.arity(t.name)
+    if len(t.args) != want:
+        return (f"primitive {t.name!r} takes {want} argument(s), "
                 f"got {len(t.args)}", t)
-        for a in t.args:
-            got = _synth(env, a, registry)
-            if got != REAL:
-                raise TypecheckError(
-                    f"primitive argument has type {render_type(got)}, "
-                    "expected Real", t)
-        return REAL
-    if isinstance(t, App):
-        fn_ty = _synth(env, t.fn, registry)
-        if not isinstance(fn_ty, FnType):
-            raise TypecheckError(
-                f"application of non-function of type {render_type(fn_ty)}", t)
-        arg_ty = _synth(env, t.arg, registry)
-        if arg_ty != fn_ty.arg:
-            raise TypecheckError(
-                f"argument has type {render_type(arg_ty)}, expected "
-                f"{render_type(fn_ty.arg)}", t)
-        return fn_ty.res
-    if isinstance(t, Lam):
-        if t.var in env:
-            raise TypecheckError(
-                f"binder {t.var!r} shadows a variable in scope", t)
-        return FnType(t.var_type,
-                      _synth({**env, t.var: t.var_type}, t.body, registry))
-    if isinstance(t, Pair):
-        return PairType(_synth(env, t.left, registry),
-                        _synth(env, t.right, registry))
-    if isinstance(t, (First, Second)):
-        ty = _synth(env, t.pair, registry)
-        if not isinstance(ty, PairType):
-            raise TypecheckError(
-                f"projection of non-product of type {render_type(ty)}", t)
-        return ty.left if isinstance(t, First) else ty.right
-    raise TypecheckError(f"not a term: {t!r}")
+    for ty in tys:
+        if ty is not REAL and ty != REAL:
+            return _fail(ty, t, "primitive argument has type {}, expected Real")
+    return REAL
+
+
+def _app(state, t: App, tys):
+    fn_ty, arg_ty = tys
+    if type(fn_ty) is not FnType:
+        return _fail(fn_ty, t, "application of non-function of type {}")
+    if arg_ty != fn_ty.arg:
+        return _fail(arg_ty, t, "argument has type {}, expected {}",
+                     fn_ty.arg)
+    return fn_ty.res
+
+
+def _enter(state, t: Lam):
+    if t.var in state[0]:  # checked before the body, which is not walked
+        return Skip(((f"binder {t.var!r} shadows a variable in scope", t),))
+    state[0][t.var] = t.var_type
+    return t
+
+
+def _lam(state, t: Lam, tys):
+    del state[0][t.var]
+    return tys[0] if type(tys[0]) is _Error else FnType(t.var_type, tys[0])
+
+
+def _project(state, t, tys):
+    if type(ty := tys[0]) is PairType:
+        return ty.left if type(t) is First else ty.right
+    return _fail(ty, t, "projection of non-product of type {}")
+
+
+_SYNTH = walker({
+    Var: lambda state, t, tys: (state[0].get(t.name)
+                                or (f"unbound variable {t.name!r}", None)),
+    Lit: lambda state, t, tys: REAL,
+    PrimOp: _prim, App: _app, Lam: _lam, First: _project, Second: _project,
+    Pair: lambda state, t, tys: next(
+        (ty for ty in tys if type(ty) is _Error), None) or PairType(*tys),
+}, {Lam: _enter})

@@ -204,22 +204,33 @@ def test_usage_error_exit_code(capsys):
 
 
 DEEP_SUM = " + ".join(["x"] * 10_000)
+BINDER_CHAIN = "".join(f"\\x{i}:Real. " for i in range(10_000)) + "x0"
 
 
-@pytest.mark.parametrize("command, names", [
-    ("typecheck", ()),
-    ("derive", ("f",)),
-    ("diff", ("f", "g", "--probes", "3")),
-])
-def test_a_deep_definition_is_a_usage_error(tmp_path, capsys, command, names):
+def test_a_deep_definition_is_a_usage_error(tmp_path, capsys):
+    """Compiling a term for ``diff`` still recurses on its depth."""
     deep = tmp_path / "deep.lam"
     deep.write_text(f"f = \\x:Real. {DEEP_SUM}\ng = \\x:Real. {DEEP_SUM}\n")
-    code, out, err = run(capsys, command, deep, *names)
+    code, out, err = run(capsys, "diff", deep, "f", "g", "--probes", "3")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_a_deep_derivation_subject_is_a_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("command, names, body, want", [
+    ("typecheck", (), f"\\x:Real. {DEEP_SUM}", "f : Real -> Real\n"),
+    # a sum's derivative repeats its left argument: its text is quadratic
+    ("derive", ("f",), BINDER_CHAIN, "\\x0:Real. \\x0':Real. \\x1:Real. "),
+], ids=["typecheck", "derive"])
+def test_a_deep_definition_is_processed(tmp_path, capsys, command, names,
+                                        body, want):
+    deep = tmp_path / "deep.lam"
+    deep.write_text(f"f = {body}\n")
+    code, out, err = run(capsys, command, deep, *names)
+    assert code == 0 and err == ""
+    assert out.startswith(want)
+
+
+def test_a_deep_derivation_subject_is_judged(tmp_path, capsys):
     subject = DEEP_SUM.replace("x", "1")
     deep = tmp_path / "deep.json"
     deep.write_text(json.dumps({
@@ -227,24 +238,57 @@ def test_a_deep_derivation_subject_is_a_usage_error(tmp_path, capsys):
         "conclusion": {"ctx": [], "left": subject, "dist": "0",
                        "right": subject, "type": "Real"}}))
     code, out, err = run(capsys, "judge", deep)
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert code == 1 and err == ""
+    assert out == "invalid at node root: Lit subjects must be literals\n"
+
+
+def test_a_conversion_to_a_deep_sum_is_valid(tmp_path, capsys):
+    subject = DEEP_SUM.replace("x", "1")
+    lit = {"ctx": [], "left": "10000", "dist": "0", "right": "10000",
+           "type": "Real"}
+    deep = tmp_path / "deep.json"
+    deep.write_text(json.dumps({
+        "rule": "Conv", "premises": [
+            {"rule": "Lit", "premises": [], "conclusion": lit}],
+        "conclusion": {**lit, "left": subject, "right": subject}}))
+    code, out, err = run(capsys, "judge", deep)
+    assert code == 0 and err == ""
+    assert out == f"valid:  |- ({subject}, 0, {subject}) : Real\n"
+
+
+def _subprocess_env():
+    import os
+    src = Path(__file__).resolve().parent.parent / "src"
+    return {**os.environ, "PYTHONPATH": str(src)}
 
 
 def test_a_deep_definition_prints_no_traceback(tmp_path):
-    import os
     import subprocess
     import sys
     deep = tmp_path / "deep.lam"
     deep.write_text(f"f = {DEEP_SUM.replace('x', '1')}\n")
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-m", "lamdist.cli", "typecheck",
                            str(deep)], capture_output=True, text=True,
-                          env=env, timeout=60)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr == "error: input nested too deeply to process\n"
+                          env=_subprocess_env(), timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout == "f : Real\n" and proc.stderr == ""
+
+
+def test_a_closed_stdout_exits_2_without_traceback(tmp_path):
+    """``lamdist derive FILE f | head -c 400``: the derivative of a
+    300-term sum is far longer than a pipe holds, so the write fails."""
+    import subprocess
+    import sys
+    sums = tmp_path / "sum.lam"
+    sums.write_text("f = \\x:Real. " + " + ".join(["x"] * 300) + "\n")
+    proc = subprocess.Popen([sys.executable, "-m", "lamdist.cli", "derive",
+                             str(sums), "f"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=_subprocess_env())
+    assert proc.stdout.read(400).startswith(b"\\x:Real. \\x':Real. add_d(")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2
+    assert err == "error: standard output closed\n"
 
 
 BASICS = ("diff", CORPUS / "basics.lam", "idf", "sinf")

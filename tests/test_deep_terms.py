@@ -1,0 +1,60 @@
+"""Terms ten thousand deep: every term walker runs on the explicit-stack
+fold, and what still recurses raises ``TermTooDeep`` from the library."""
+
+import time
+
+import pytest
+
+from lamdist.semantics import diff_evaluate, evaluate
+from lamdist.syntax import (Lam, Lit, REAL, TermTooDeep, Var, all_var_names,
+                            alpha_equal, derivative_term, free_vars,
+                            normalize, parse_file, parse_term, render_term,
+                            substitute, term_equal, typecheck)
+from lamdist.syntax.terms import rename_binders, subterms
+
+N = 10_000
+DEEP_SUM = Lam("x", REAL, parse_term(" + ".join(["x"] * N)))
+BINDER_CHAIN = parse_term("".join(f"\\x{i}:Real. " for i in range(N)) + "x0")
+
+
+@pytest.mark.parametrize("walk", [
+    lambda t: typecheck((), t),
+    lambda t: derivative_term((), t),  # shares each sum's left argument
+    render_term,
+    free_vars,
+    all_var_names,
+    lambda t: sum(1 for _ in subterms(t)),
+    lambda t: substitute(t, {"x": Var("y"), "y": Var("x")}),
+    lambda t: alpha_equal(t, substitute(t, {"z": Var("x")})),
+    lambda t: parse_file(f"s = {render_term(t)}\nt = s"),
+    lambda t: rename_binders(t, {"x"}, lambda var, body, scope: var + "1"),
+], ids=["typecheck", "derivative", "render", "free_vars", "all_var_names",
+        "subterms", "substitute", "alpha_equal", "inline", "rename"])
+def test_each_walker_takes_a_ten_thousand_term_sum(walk):
+    assert walk(DEEP_SUM) is not None
+
+
+@pytest.mark.parametrize("walk", [lambda t: typecheck((), t),
+                                  lambda t: derivative_term((), t)],
+                         ids=["typecheck", "derivative"])
+def test_a_ten_thousand_binder_chain_takes_under_a_second(walk):
+    start = time.perf_counter()
+    walk(BINDER_CHAIN)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("run", [
+    lambda t: evaluate(t)(1.0),  # compiling recurses on the depth
+    lambda t: diff_evaluate(t)(1.0, 0.5),
+    lambda t: normalize((), t),  # reading back the open sum recurses
+    lambda t: term_equal((), t, t),
+], ids=["evaluate", "diff_evaluate", "normalize", "term_equal"])
+def test_recursion_that_stays_raises_term_too_deep(run):
+    with pytest.raises(TermTooDeep):
+        run(DEEP_SUM)
+
+
+def test_a_ten_thousand_literal_sum_normalizes_to_a_literal():
+    ones = parse_term(" + ".join(["1"] * N))
+    assert normalize((), ones) == Lit(N)
+    assert term_equal((), ones, Lit(N))

@@ -340,6 +340,29 @@ def test_a_deeply_nested_derivation_is_a_format_error():
         derivation_from_dict(data, REG)
 
 
+def test_a_deep_conversion_chain_is_checked_in_preorder():
+    """3,000 ``Conv`` nodes built in Python: the checker walks the premises
+    on an explicit stack, so the first invalid node is found at its path."""
+    def chain(leaf):
+        d = leaf
+        for _ in range(3000):
+            d = Derivation("Conv", leaf.conclusion, (d,))
+        return d
+    assert check_derivation(chain(lit_node(3, 0.5, 3.2)), REG)
+    bad = check_derivation(chain(lit_node(3, 0.1, 3.2)), REG)
+    assert not bad and bad.path == (0,) * 3000 and "exceeds" in bad.message
+
+
+    def path(first, second):  # of the first invalid node of a TransReal
+        j1, j2 = first.conclusion, second.conclusion
+        return check_derivation(Derivation("TransReal", DistanceJudgment(
+            (), j1.left, PrimOp("add", (j1.dist, j2.dist)), j2.right, REAL),
+            (first, second)), REG).path
+    assert path(lit_node(3, 0.5, 3.2), lit_node(3.2, 0.01, 3.5)) == (1,)
+    assert path(lit_node(3, 0.1, 3.2), lit_node(3.2, 0.01, 3.5)) == (0,)
+    assert path(lit_node(3, 0.5, 3.7), lit_node(3.2, 0.01, 3.5)) == ()
+
+
 def test_judging_a_derivation_leaves_no_cyclic_garbage():
     import gc
     from pathlib import Path

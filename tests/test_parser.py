@@ -221,9 +221,18 @@ def test_long_prefix_and_binder_chains_parse():
     (parse_term, "(" * 10_000 + "x" + ")" * 10_000),
     (parse_term, "sin(" * 10_000 + "x" + ")" * 10_000),
     (parse_type, " -> ".join(["Real"] * 10_000)),
-    (parse_term, SUM + r" + (\x:Real. x) 1"),  # the rename walk recurses
-    (parse_file, f"a = 1\ns = {SUM} + a"),  # and so does inlining
 ])
 def test_nesting_that_recurses_raises_term_too_deep(parse, src):
     with pytest.raises(TermTooDeep):
         parse(src)
+
+
+def test_the_rename_walk_takes_a_deep_term():
+    t = parse_term(SUM + r" + (\x:Real. x) 1")
+    assert t.args[1] == App(Lam("x1", REAL, Var("x1")), Lit(1))
+    assert _left_spine(t, 10_000) == Var("x")
+
+
+def test_inlining_takes_a_deep_term():
+    t = parse_file(f"a = 1\ns = {SUM} + a")["s"]
+    assert t.args[1] == Lit(1) and _left_spine(t, 10_000) == Var("x")

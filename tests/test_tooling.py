@@ -15,3 +15,49 @@ def test_no_assert_statements_in_the_package():
         found += [f"{path.relative_to(SRC)}:{node.lineno}"
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in src/lamdist: {found}"
+
+
+SYNTAX = SRC / "syntax"
+# The functions under ``syntax/`` that still call themselves, and why.
+RECURSIVE = {
+    "parser.py:_Parser.type_": "arrow types nest as written; past the "
+                               "recursion limit the parser raises TermTooDeep",
+    "terms.py:arrow_depth": "a type walker: annotations nest as written",
+    "printer.py:render_type": "a type walker: annotations nest as written",
+    "derivative.py:partial_type": "a type walker: annotations nest as written",
+    "equality.py:_readback": "walks values; normalize raises TermTooDeep",
+    "equality.py:_readback_neutral": "walks values with _readback",
+}
+
+
+def _self_calls(tree: ast.AST, scope: str = ""):
+    """``file-relative qualname`` of each function that calls itself by
+    name, or as ``self.name`` in a method."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            yield from _self_calls(node, f"{scope}{node.name}.")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                fn = call.func
+                if (isinstance(fn, ast.Name) and fn.id == node.name
+                        or isinstance(fn, ast.Attribute)
+                        and fn.attr == node.name
+                        and isinstance(fn.value, ast.Name)
+                        and fn.value.id == "self"):
+                    yield scope + node.name
+                    break
+            yield from _self_calls(node, f"{scope}{node.name}.")
+
+
+def test_syntax_walkers_do_not_recurse():
+    """Term walkers run on the explicit-stack fold in ``terms.py``; only
+    the allowlisted functions recurse, each for the reason given."""
+    found = set()
+    for path in sorted(SYNTAX.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found |= {f"{path.name}:{name}" for name in _self_calls(tree)}
+    assert found == set(RECURSIVE), (
+        f"new recursion: {sorted(found - set(RECURSIVE))}; "
+        f"allowlisted but gone: {sorted(set(RECURSIVE) - found)}")
