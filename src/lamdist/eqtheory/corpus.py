@@ -24,10 +24,12 @@ from fractions import Fraction
 
 from ..prims import DEFAULT_REGISTRY, Registry
 from ..semantics.eval import evaluate
-from ..syntax.terms import (App, FnType, Lam, Lit, PrimOp, REAL, RealType,
-                            Var, fresh_name)
+from ..relations.checkers import Consistent
+from ..syntax.equality import normalize
+from ..syntax.terms import App, Lam, Lit, REAL, RealType, Var, fresh_name
 from .dlog import check_dlog_judgment
-from .judgments import Derivation, DistanceJudgment, check_derivation
+from .judgments import (Derivation, DistanceJudgment, check_derivation,
+                        derive)
 from .synthesis import (SynthesisError, quasi_reflexive_derivation,
                         self_distance_derivation, transitivity_derivation)
 
@@ -57,15 +59,9 @@ def random_real_derivation(rng: random.Random, ctx=(), depth: int = 3,
     if choice < 0.55:
         name = rng.choice(("add", "mul", "sin"))
         arity = 1 if name == "sin" else 2
-        premises = tuple(random_real_derivation(rng, ctx, depth - 1, registry)
-                         for _ in range(arity))
-        deriv = registry.derivative(name)
-        lefts = tuple(p.conclusion.left for p in premises)
-        dists = tuple(p.conclusion.dist for p in premises)
-        rights = tuple(p.conclusion.right for p in premises)
-        return Derivation("Prim", DistanceJudgment(
-            ctx, PrimOp(name, lefts), PrimOp(deriv.name, lefts + dists),
-            PrimOp(name, rights), REAL), premises)
+        return derive("Prim", *(
+            random_real_derivation(rng, ctx, depth - 1, registry)
+            for _ in range(arity)), prim=name)
     if choice < 0.7:
         # chain two literal nodes through the triangle rule
         first = random_literal_node(rng, ctx)
@@ -74,15 +70,10 @@ def random_real_derivation(rng: random.Random, ctx=(), depth: int = 3,
         slack = Fraction(rng.randint(0, 4), 4)
         second = Derivation("Lit", DistanceJudgment(
             ctx, middle, Lit(abs(middle.value - r) + slack), Lit(r), REAL))
-        return Derivation("TransReal", DistanceJudgment(
-            ctx, first.conclusion.left,
-            PrimOp("add", (first.conclusion.dist, second.conclusion.dist)),
-            second.conclusion.right, REAL), (first, second))
+        return derive("TransReal", first, second)
     if choice < 0.85:
-        p = random_real_derivation(rng, ctx, depth - 1, registry)
-        return Derivation("QuasiReflReal", DistanceJudgment(
-            ctx, p.conclusion.left, p.conclusion.dist, p.conclusion.left,
-            REAL), (p,))
+        return derive("QuasiReflReal",
+                      random_real_derivation(rng, ctx, depth - 1, registry))
     # a beta-redex introduced by conversion
     p = random_real_derivation(rng, ctx, depth - 1, registry)
     j = p.conclusion
@@ -97,36 +88,18 @@ def random_fn_derivation(rng: random.Random, depth: int = 3,
     """A valid closed derivation at Real -> Real via abstraction."""
     x = "x"
     ctx = ((x, REAL),)
-    body: Derivation
     if rng.random() < 0.5:
         # congruence over a primitive applied to the variable
         var_node = Derivation("Var", DistanceJudgment(
             ctx, Var(x), Var("x'"), Var(x), REAL))
-        name = rng.choice(("sin", "add"))
-        if name == "sin":
-            deriv = registry.derivative("sin")
-            body = Derivation("Prim", DistanceJudgment(
-                ctx, PrimOp("sin", (Var(x),)),
-                PrimOp(deriv.name, (Var(x), Var("x'"))),
-                PrimOp("sin", (Var(x),)), REAL), (var_node,))
+        if rng.choice(("sin", "add")) == "sin":
+            body = derive("Prim", var_node, prim="sin")
         else:
-            lit = random_literal_node(rng, ctx)
-            deriv = registry.derivative("add")
-            body = Derivation("Prim", DistanceJudgment(
-                ctx, PrimOp("add", (Var(x), lit.conclusion.left)),
-                PrimOp(deriv.name, (Var(x), lit.conclusion.left,
-                                    Var("x'"), lit.conclusion.dist)),
-                PrimOp("add", (Var(x), lit.conclusion.right)), REAL),
-                (var_node, lit))
+            body = derive("Prim", var_node, random_literal_node(rng, ctx),
+                          prim="add")
     else:
         body = random_real_derivation(rng, ctx, depth - 1, registry)
-    j = body.conclusion
-    from ..syntax.derivative import partial_type
-    from ..syntax.terms import dotted
-    return Derivation("Abs", DistanceJudgment(
-        (), Lam(x, REAL, j.left),
-        Lam(x, REAL, Lam(dotted(x), partial_type(REAL), j.dist)),
-        Lam(x, REAL, j.right), FnType(REAL, REAL)), (body,))
+    return derive("Abs", body)
 
 
 def random_derivation(rng: random.Random, depth: int = 3,
@@ -161,8 +134,6 @@ class SuiteReport:
 def check_suite(count: int = 100, seed: int = 0,
                 registry: Registry = DEFAULT_REGISTRY) -> SuiteReport:
     """Generate a corpus and run every cross-check on it."""
-    from ..relations.checkers import Consistent
-
     rng = random.Random(seed)
     report = SuiteReport(total=count)
     for i in range(count):
@@ -226,8 +197,6 @@ def chain_partner(d: Derivation, rng: random.Random,
     the original term.  At arrows the canonical self-distance derivation
     of the right subject already starts in the right place.
     """
-    from ..syntax.equality import normalize
-
     j = d.conclusion
     if isinstance(j.ty, RealType):
         n = normalize((), j.right, REAL, registry)

@@ -15,10 +15,11 @@ from fractions import Fraction
 
 from ..prims import DEFAULT_REGISTRY, Registry
 from ..relations.checkers import Consistent, Falsified, Verdict
+from ..relations.probes import library_terms
 from ..syntax.derivative import derivative_term
 from ..syntax.equality import normalize
 from ..syntax.printer import render_term
-from ..syntax.terms import (App, First, FnType, Lit, PairType, REAL,
+from ..syntax.terms import (App, First, FnType, Lit, Pair, PairType, REAL,
                             RealType, Second, Term, Type, arrow_depth)
 from ..syntax.typecheck import typecheck
 from .judgments import DistanceJudgment
@@ -49,12 +50,10 @@ def syntactic_probes(ty: Type, registry: Registry = DEFAULT_REGISTRY
     if isinstance(ty, PairType):
         lefts = syntactic_probes(ty.left, registry)
         rights = syntactic_probes(ty.right, registry)
-        from ..syntax.terms import Pair
         return [(Pair(l1, l2), Pair(s1, s2), Pair(r1, r2))
                 for (l1, s1, r1), (l2, s2, r2)
                 in zip(lefts, rights)]
     if isinstance(ty, FnType):
-        from ..relations.probes import library_terms
         out = []
         for u in library_terms(ty, registry):
             out.append((u, derivative_term((), u, registry), u))

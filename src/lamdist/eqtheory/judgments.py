@@ -1,24 +1,35 @@
-"""Distance judgments and the derivation checker.
+"""Distance judgments, the rules that derive them, and the checker.
 
 A judgment relates two terms of a type through a distance term typed at
 the difference type in the doubled context (the original variables plus
 their primed partners).  Derivations are explicit trees tagged with one
-of eleven rules; the checker validates every node locally:
+of eleven rules.
 
-* ``Lit``: literal subjects, with the side condition |r - r2| <= s
-  decided on exact rationals;
+``CONCLUSIONS`` states once what the congruence, triangle and
+self-distance rules conclude from their premises' conclusions, and
+:func:`derive` builds the node a rule forces.  The synthesizer, the
+lifts to other types and the random corpus build these nodes through
+it, and the checker compares each stated conclusion with it:
+
 * ``Prim``: congruence through a primitive, the distance being the
   modulus primitive applied to the left arguments and the argument
   distances;
-* ``Var``: a variable is at distance "its primed partner" from itself;
 * ``TransReal`` / ``QuasiReflReal``: triangle and self-distance steps,
   stated at ``Real`` only (the lifts to other types are derived
   transforms, see :mod:`lamdist.eqtheory.synthesis`);
 * ``Abs``/``App``/``Fst``/``Snd``/``Pair``: congruence rules; the
   abstraction rule binds the variable first and its primed partner
-  second, matching the difference-type layout;
+  second, matching the difference-type layout.
+
+The other three rules are checked by their side conditions alone:
+
+* ``Lit``: literal subjects, with the side condition |r - r2| <= s
+  decided on exact rationals;
+* ``Var``: a variable is at distance "its primed partner" from itself;
 * ``Conv``: replaces all three components by provably equal terms, the
   equalities being discharged by normalization.
+
+The checker validates every node locally.
 """
 
 from __future__ import annotations
@@ -64,6 +75,58 @@ class Derivation:
     conclusion: DistanceJudgment
     premises: tuple["Derivation", ...] = ()
 
+
+# --- the rules --------------------------------------------------------------
+
+def _prim(name: str, *ps: DistanceJudgment):
+    lefts = tuple([p.left for p in ps])
+    return (PrimOp(name, lefts),
+            PrimOp(derived_name(name), lefts + tuple([p.dist for p in ps])),
+            PrimOp(name, tuple([p.right for p in ps])), REAL)
+
+
+def _abs(p: DistanceJudgment):
+    x, ty = p.ctx[-1]
+    return (Lam(x, ty, p.left),
+            Lam(x, ty, Lam(dotted(x), partial_type(ty), p.dist)),
+            Lam(x, ty, p.right), FnType(ty, p.ty))
+
+
+# Each rule's conclusion (left, distance, right, type), from its premises'
+# conclusions; ``Prim`` takes the primitive's name first
+CONCLUSIONS = {
+    "Prim": _prim,
+    "TransReal": lambda p, q: (p.left, PrimOp("add", (p.dist, q.dist)),
+                               q.right, REAL),
+    "QuasiReflReal": lambda p: (p.left, p.dist, p.left, REAL),
+    "Abs": _abs,
+    "App": lambda f, a: (App(f.left, a.left), App(App(f.dist, a.left), a.dist),
+                         App(f.right, a.right), f.ty.res),
+    "Fst": lambda p: (First(p.left), First(p.dist), First(p.right),
+                      p.ty.left),
+    "Snd": lambda p: (Second(p.left), Second(p.dist), Second(p.right),
+                      p.ty.right),
+    "Pair": lambda p, q: (Pair(p.left, q.left), Pair(p.dist, q.dist),
+                          Pair(p.right, q.right), PairType(p.ty, q.ty)),
+}
+
+
+def derive(rule: str, *premises: Derivation, ctx: Context | None = None,
+           prim: str | None = None) -> Derivation:
+    """The ``rule`` node over ``premises``, concluding what the rule draws
+    from their conclusions.  ``Prim`` needs the primitive's name; the
+    context defaults to the premises' (for ``Abs``, without the bound
+    variable) and must be given to a ``Prim`` node without premises."""
+    js = [p.conclusion for p in premises]
+    if ctx is None:
+        ctx = js[0].ctx[:-1] if rule == "Abs" else js[0].ctx
+    if rule == "Prim":
+        js.insert(0, prim)
+    return Derivation(rule, DistanceJudgment(ctx, *CONCLUSIONS[rule](*js)),
+                      premises)
+
+
+# --- the checker ------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -112,30 +175,62 @@ def _judgment_shape(j: DistanceJudgment, registry) -> Optional[str]:
 
 
 def _check_node(d: Derivation, registry) -> Optional[str]:
-    if d.rule not in RULES:
-        return f"unknown rule {d.rule!r}"
-    j = d.conclusion
+    rule, j = d.rule, d.conclusion
+    if rule not in RULES:
+        return f"unknown rule {rule!r}"
     shape = _judgment_shape(j, registry)
     if shape is not None:
         return shape
     for p in d.premises:
-        if d.rule != "Abs" and p.conclusion.ctx != j.ctx:
+        if rule != "Abs" and p.conclusion.ctx != j.ctx:
             return "premise context differs from conclusion context"
+    ps = [p.conclusion for p in d.premises]
+    msg = _side_conditions(rule, j, ps, registry)
+    if msg is not None or rule not in CONCLUSIONS:
+        return msg
+    want = derive(rule, *d.premises, ctx=j.ctx,
+                  prim=j.left.name if rule == "Prim" else None).conclusion
+    if rule == "Prim":
+        n = len(ps)
+        for i, p in enumerate(ps):
+            if p.ty != REAL:
+                return f"premise {i} is not at Real"
+            if not all(alpha_equal(s.args[k], w.args[k]) for s, w, k in (
+                    (j.left, want.left, i), (j.right, want.right, i),
+                    (j.dist, want.dist, n + i), (j.dist, want.dist, i))):
+                return f"premise {i} does not match the conclusion arguments"
+        return None
+    for fields, message in _MISMATCH[rule]:
+        if not all(j.ty == want.ty if f == "ty"
+                   else alpha_equal(getattr(j, f), getattr(want, f))
+                   for f in fields):
+            return message
+    return None
 
-    if d.rule == "Lit":
-        if d.premises:
-            return "Lit takes no premises"
+
+_PREMISES = {"Lit": 0, "Var": 0, "Conv": 1, "TransReal": 2,
+             "QuasiReflReal": 1, "Abs": 1, "App": 2, "Fst": 1, "Snd": 1,
+             "Pair": 2}
+
+
+def _side_conditions(rule, j, ps, registry) -> Optional[str]:
+    """What ``rule`` asks of a node besides its derived conclusion."""
+    if rule in ("TransReal", "QuasiReflReal") and j.ty != REAL:
+        return f"{rule} is stated at Real only"
+    if rule == "Abs" and not isinstance(j.ty, FnType):
+        return "Abs concludes at a function type"
+    if rule != "Prim" and len(ps) != (n := _PREMISES[rule]):
+        return (f"{rule} takes "
+                f"{('no premises', 'one premise', 'two premises')[n]}")
+
+    if rule == "Lit":
         if not (isinstance(j.left, Lit) and isinstance(j.dist, Lit)
                 and isinstance(j.right, Lit)):
             return "Lit subjects must be literals"
         if abs(j.left.value - j.right.value) > j.dist.value:
             return (f"|{render_term(j.left)} - {render_term(j.right)}| "
                     f"exceeds {render_term(j.dist)}")
-        return None
-
-    if d.rule == "Var":
-        if d.premises:
-            return "Var takes no premises"
+    elif rule == "Var":
         if not (isinstance(j.left, Var) and isinstance(j.right, Var)
                 and isinstance(j.dist, Var)):
             return "Var subjects must be variables"
@@ -143,134 +238,8 @@ def _check_node(d: Derivation, registry) -> Optional[str]:
             return "Var relates a variable to itself"
         if j.dist.name != dotted(j.left.name):
             return "Var distance must be the primed partner"
-        return None
-
-    if d.rule == "Prim":
-        if not (isinstance(j.left, PrimOp) and isinstance(j.right, PrimOp)
-                and isinstance(j.dist, PrimOp)):
-            return "Prim subjects must be primitive applications"
-        name = j.left.name
-        if j.right.name != name:
-            return "Prim subjects use different primitives"
-        if j.dist.name != derived_name(name):
-            return f"Prim distance must use {derived_name(name)!r}"
-        n = registry.arity(name)
-        if len(d.premises) != n:
-            return f"Prim over {name!r} needs {n} premises"
-        for i, p in enumerate(d.premises):
-            pj = p.conclusion
-            if pj.ty != REAL:
-                return f"premise {i} is not at Real"
-            if not (alpha_equal(pj.left, j.left.args[i])
-                    and alpha_equal(pj.right, j.right.args[i])
-                    and alpha_equal(pj.dist, j.dist.args[n + i])
-                    and alpha_equal(pj.left, j.dist.args[i])):
-                return f"premise {i} does not match the conclusion arguments"
-        return None
-
-    if d.rule == "TransReal":
-        if j.ty != REAL:
-            return "TransReal is stated at Real only"
-        if len(d.premises) != 2:
-            return "TransReal takes two premises"
-        p1, p2 = (p.conclusion for p in d.premises)
-        if p1.ty != REAL or p2.ty != REAL:
-            return "TransReal premises must be at Real"
-        if not alpha_equal(p1.right, p2.left):
-            return "premises do not share the middle subject"
-        if not (alpha_equal(j.left, p1.left) and alpha_equal(j.right, p2.right)):
-            return "conclusion subjects do not match the premises"
-        want = PrimOp("add", (p1.dist, p2.dist))
-        if not alpha_equal(j.dist, want):
-            return "conclusion distance must be the sum of the premise distances"
-        return None
-
-    if d.rule == "QuasiReflReal":
-        if j.ty != REAL:
-            return "QuasiReflReal is stated at Real only"
-        if len(d.premises) != 1:
-            return "QuasiReflReal takes one premise"
-        p = d.premises[0].conclusion
-        if p.ty != REAL:
-            return "premise must be at Real"
-        if not (alpha_equal(j.left, p.left) and alpha_equal(j.right, p.left)
-                and alpha_equal(j.dist, p.dist)):
-            return "conclusion must relate the premise's left subject to itself"
-        return None
-
-    if d.rule == "Abs":
-        if not isinstance(j.ty, FnType):
-            return "Abs concludes at a function type"
-        if len(d.premises) != 1:
-            return "Abs takes one premise"
-        p = d.premises[0].conclusion
-        if len(p.ctx) != len(j.ctx) + 1 or p.ctx[:len(j.ctx)] != j.ctx:
-            return "premise context must extend the conclusion context"
-        x, x_ty = p.ctx[-1]
-        if x_ty != j.ty.arg:
-            return "bound variable type does not match the function type"
-        if p.ty != j.ty.res:
-            return "premise type does not match the function result"
-        want_left = Lam(x, x_ty, p.left)
-        want_right = Lam(x, x_ty, p.right)
-        want_dist = Lam(x, x_ty, Lam(dotted(x), partial_type(x_ty), p.dist))
-        if not (alpha_equal(j.left, want_left)
-                and alpha_equal(j.right, want_right)):
-            return "conclusion subjects must abstract the premise subjects"
-        if not alpha_equal(j.dist, want_dist):
-            return ("conclusion distance must abstract the variable and "
-                    "then its primed partner")
-        return None
-
-    if d.rule == "App":
-        if len(d.premises) != 2:
-            return "App takes two premises"
-        pf, pa = (p.conclusion for p in d.premises)
-        if not isinstance(pf.ty, FnType):
-            return "first premise must be at a function type"
-        if pa.ty != pf.ty.arg or j.ty != pf.ty.res:
-            return "premise types do not compose"
-        if not (alpha_equal(j.left, App(pf.left, pa.left))
-                and alpha_equal(j.right, App(pf.right, pa.right))):
-            return "conclusion subjects must be the applications"
-        want_dist = App(App(pf.dist, pa.left), pa.dist)
-        if not alpha_equal(j.dist, want_dist):
-            return ("conclusion distance must apply the function distance "
-                    "to the left argument and the argument distance")
-        return None
-
-    if d.rule in ("Fst", "Snd"):
-        if len(d.premises) != 1:
-            return f"{d.rule} takes one premise"
-        p = d.premises[0].conclusion
-        if not isinstance(p.ty, PairType):
-            return "premise must be at a product type"
-        side = First if d.rule == "Fst" else Second
-        want_ty = p.ty.left if d.rule == "Fst" else p.ty.right
-        if j.ty != want_ty:
-            return "conclusion type does not match the projected component"
-        if not (alpha_equal(j.left, side(p.left))
-                and alpha_equal(j.dist, side(p.dist))
-                and alpha_equal(j.right, side(p.right))):
-            return "conclusion must project all three premise components"
-        return None
-
-    if d.rule == "Pair":
-        if len(d.premises) != 2:
-            return "Pair takes two premises"
-        p1, p2 = (p.conclusion for p in d.premises)
-        if j.ty != PairType(p1.ty, p2.ty):
-            return "conclusion type must pair the premise types"
-        if not (alpha_equal(j.left, Pair(p1.left, p2.left))
-                and alpha_equal(j.dist, Pair(p1.dist, p2.dist))
-                and alpha_equal(j.right, Pair(p1.right, p2.right))):
-            return "conclusion must pair the premise components"
-        return None
-
-    if d.rule == "Conv":
-        if len(d.premises) != 1:
-            return "Conv takes one premise"
-        p = d.premises[0].conclusion
+    elif rule == "Conv":
+        p = ps[0]
         if p.ty != j.ty:
             return "Conv cannot change the type"
         try:
@@ -282,6 +251,71 @@ def _check_node(d: Derivation, registry) -> Optional[str]:
                 return "distances are not provably equal"
         except TypecheckError as e:
             return f"conversion certificate ill-typed: {e}"
-        return None
+    elif rule == "Prim":
+        if not (isinstance(j.left, PrimOp) and isinstance(j.right, PrimOp)
+                and isinstance(j.dist, PrimOp)):
+            return "Prim subjects must be primitive applications"
+        name = j.left.name
+        if j.right.name != name:
+            return "Prim subjects use different primitives"
+        if j.dist.name != derived_name(name):
+            return f"Prim distance must use {derived_name(name)!r}"
+        n = registry.arity(name)
+        if len(ps) != n:
+            return f"Prim over {name!r} needs {n} premises"
+    elif rule == "TransReal":
+        p1, p2 = ps
+        if p1.ty != REAL or p2.ty != REAL:
+            return "TransReal premises must be at Real"
+        if not alpha_equal(p1.right, p2.left):
+            return "premises do not share the middle subject"
+    elif rule == "QuasiReflReal":
+        if ps[0].ty != REAL:
+            return "premise must be at Real"
+    elif rule == "Abs":
+        p = ps[0]
+        if len(p.ctx) != len(j.ctx) + 1 or p.ctx[:len(j.ctx)] != j.ctx:
+            return "premise context must extend the conclusion context"
+        if p.ctx[-1][1] != j.ty.arg:
+            return "bound variable type does not match the function type"
+        if p.ty != j.ty.res:
+            return "premise type does not match the function result"
+    elif rule == "App":
+        pf, pa = ps
+        if not isinstance(pf.ty, FnType):
+            return "first premise must be at a function type"
+        if pa.ty != pf.ty.arg or j.ty != pf.ty.res:
+            return "premise types do not compose"
+    elif rule in ("Fst", "Snd"):
+        if not isinstance(ps[0].ty, PairType):
+            return "premise must be at a product type"
+    return None
 
-    raise AssertionError(f"unhandled rule {d.rule}")
+
+# The stated conclusion against the derived one, group by group in the
+# order they are compared, with the message for a mismatch in each
+_MISMATCH = {
+    "TransReal": (
+        (("left", "right"), "conclusion subjects do not match the premises"),
+        (("dist",), "conclusion distance must be the sum of the premise "
+                    "distances")),
+    "QuasiReflReal": ((("left", "right", "dist"), "conclusion must relate "
+                       "the premise's left subject to itself"),),
+    "Abs": (
+        (("left", "right"), "conclusion subjects must abstract the premise "
+                            "subjects"),
+        (("dist",), "conclusion distance must abstract the variable and "
+                    "then its primed partner")),
+    "App": (
+        (("left", "right"), "conclusion subjects must be the applications"),
+        (("dist",), "conclusion distance must apply the function distance "
+                    "to the left argument and the argument distance")),
+    **dict.fromkeys(("Fst", "Snd"), (
+        (("ty",), "conclusion type does not match the projected component"),
+        (("left", "dist", "right"), "conclusion must project all three "
+                                    "premise components"))),
+    "Pair": (
+        (("ty",), "conclusion type must pair the premise types"),
+        (("left", "dist", "right"), "conclusion must pair the premise "
+                                    "components")),
+}

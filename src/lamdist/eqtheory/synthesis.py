@@ -7,11 +7,18 @@ deductive counterpart of running the difference evaluator.  With no
 components (a closed term) the conclusion is the canonical self-distance
 triple (t, derivative of t, t).
 
+The synthesizer is a walker on the stack-safe term fold of
+:mod:`lamdist.syntax.terms`, so no term is too deep for it: a binder
+enters its variable into the context on the way down, and each construct
+becomes the node :func:`~lamdist.eqtheory.judgments.derive` builds from
+its children's derivations.
+
 ``quasi_reflexive_derivation`` and ``transitivity_derivation`` lift the
 two Real-only rules to every type: the lifts go through application to a
 fresh variable (or projections), the inductive step, re-abstraction, and
 a final conversion, with the pointwise-addition combinator mediating
-transitivity.
+transitivity.  They recurse on the judgment type, and build their nodes
+with ``derive`` too.
 """
 
 from __future__ import annotations
@@ -22,10 +29,12 @@ from ..prims import DEFAULT_REGISTRY, Registry
 from ..syntax.derivative import partial_type
 from ..syntax.terms import (App, Context, First, FnType, Lam, Lit, Pair,
                             PairType, PrimOp, REAL, RealType, Second, Term,
-                            Type, Var, all_var_names, dotted, fresh_name,
-                            free_vars, is_dotted, rename_binders)
+                            Type, Var, all_var_names, alpha_equal, dotted,
+                            fold, fresh_name, free_vars, is_dotted,
+                            rename_binders, walker)
 from ..syntax.typecheck import typecheck
-from .judgments import Derivation, DistanceJudgment
+from .addterm import add_term
+from .judgments import Derivation, DistanceJudgment, derive
 
 
 class SynthesisError(ValueError):
@@ -74,8 +83,8 @@ def synthesize_fundamental(ctx: Context, t: Term,
                            components: Mapping[str, Derivation],
                            registry: Registry = DEFAULT_REGISTRY
                            ) -> Derivation:
-    """Build the derivation of the substituted triple by structural
-    recursion, one congruence node per construct.
+    """Build the derivation of the substituted triple, one node per
+    construct, on the stack-safe term fold.
 
     ``ctx`` types the free variables of ``t``; ``components`` maps each
     of them to a derivation (all in one shared ambient context) whose
@@ -117,68 +126,54 @@ def synthesize_fundamental(ctx: Context, t: Term,
 
 def _synth(t: Term, ctx: Context, components: dict[str, Derivation],
            bound: dict[str, Type], registry: Registry) -> Derivation:
-    if isinstance(t, Var):
-        if t.name in components:
-            comp = components[t.name]
-            if comp.conclusion.ctx != ctx:
-                comp = weaken(comp, ctx)
-            return comp
-        return Derivation("Var", DistanceJudgment(
-            ctx, Var(t.name), Var(dotted(t.name)), Var(t.name),
-            bound[t.name]))
-    if isinstance(t, Lit):
-        return Derivation("Lit", DistanceJudgment(
-            ctx, t, Lit(0), t, REAL))
-    if isinstance(t, PrimOp):
-        premises = tuple(_synth(a, ctx, components, bound, registry)
-                         for a in t.args)
-        lefts = tuple(p.conclusion.left for p in premises)
-        dists = tuple(p.conclusion.dist for p in premises)
-        rights = tuple(p.conclusion.right for p in premises)
-        deriv = registry.derivative(t.name)
-        return Derivation("Prim", DistanceJudgment(
-            ctx, PrimOp(t.name, lefts), PrimOp(deriv.name, lefts + dists),
-            PrimOp(t.name, rights), REAL), premises)
-    if isinstance(t, App):
-        pf = _synth(t.fn, ctx, components, bound, registry)
-        pa = _synth(t.arg, ctx, components, bound, registry)
-        jf, ja = pf.conclusion, pa.conclusion
-        if not isinstance(jf.ty, FnType):
-            raise SynthesisError(f"applied term has type {jf.ty!r}")
-        return Derivation("App", DistanceJudgment(
-            ctx, App(jf.left, ja.left),
-            App(App(jf.dist, ja.left), ja.dist),
-            App(jf.right, ja.right), jf.ty.res), (pf, pa))
-    if isinstance(t, Lam):
-        inner_ctx = ctx + ((t.var, t.var_type),)
-        inner_bound = dict(bound)
-        inner_bound[t.var] = t.var_type
-        p = _synth(t.body, inner_ctx, components, inner_bound, registry)
-        j = p.conclusion
-        return Derivation("Abs", DistanceJudgment(
-            ctx, Lam(t.var, t.var_type, j.left),
-            Lam(t.var, t.var_type,
-                Lam(dotted(t.var), partial_type(t.var_type), j.dist)),
-            Lam(t.var, t.var_type, j.right),
-            FnType(t.var_type, j.ty)), (p,))
-    if isinstance(t, Pair):
-        p1 = _synth(t.left, ctx, components, bound, registry)
-        p2 = _synth(t.right, ctx, components, bound, registry)
-        j1, j2 = p1.conclusion, p2.conclusion
-        return Derivation("Pair", DistanceJudgment(
-            ctx, Pair(j1.left, j2.left), Pair(j1.dist, j2.dist),
-            Pair(j1.right, j2.right), PairType(j1.ty, j2.ty)), (p1, p2))
-    if isinstance(t, (First, Second)):
-        p = _synth(t.pair, ctx, components, bound, registry)
-        j = p.conclusion
-        if not isinstance(j.ty, PairType):
-            raise SynthesisError(f"projected term has type {j.ty!r}")
-        rule = "Fst" if isinstance(t, First) else "Snd"
-        side = First if isinstance(t, First) else Second
-        ty = j.ty.left if isinstance(t, First) else j.ty.right
-        return Derivation(rule, DistanceJudgment(
-            ctx, side(j.left), side(j.dist), side(j.right), ty), (p,))
-    raise TypeError(f"not a term: {t!r}")
+    return fold(t, _SYNTH, ([ctx], components, dict(bound)))
+
+
+def _enter_binder(state, t: Lam) -> Lam:
+    ctxs, _, bound = state
+    ctxs.append(ctxs[-1] + ((t.var, t.var_type),))
+    bound[t.var] = t.var_type
+    return t
+
+
+def _leave_binder(state, t: Lam, kids) -> Derivation:
+    state[0].pop()
+    return derive("Abs", *kids)
+
+
+def _synth_var(state, t: Var, kids) -> Derivation:
+    ctxs, components, bound = state
+    if t.name in components:
+        comp = components[t.name]
+        if comp.conclusion.ctx != ctxs[-1]:
+            comp = weaken(comp, ctxs[-1])
+        return comp
+    return Derivation("Var", DistanceJudgment(
+        ctxs[-1], t, Var(dotted(t.name)), t, bound[t.name]))
+
+
+def _expect(kind: type, what: str, p: Derivation) -> Derivation:
+    if not isinstance(p.conclusion.ty, kind):
+        raise SynthesisError(f"{what} term has type {p.conclusion.ty!r}")
+    return p
+
+
+# One node per construct, under binders entered into the context
+_SYNTH = walker({
+    Var: _synth_var,
+    Lit: lambda state, t, kids: Derivation("Lit", DistanceJudgment(
+        state[0][-1], t, Lit(0), t, REAL)),
+    PrimOp: lambda state, t, kids: derive("Prim", *kids, ctx=state[0][-1],
+                                          prim=t.name),
+    App: lambda state, t, kids: derive(
+        "App", _expect(FnType, "applied", kids[0]), kids[1]),
+    Lam: _leave_binder,
+    Pair: lambda state, t, kids: derive("Pair", *kids),
+    First: lambda state, t, kids: derive(
+        "Fst", _expect(PairType, "projected", kids[0])),
+    Second: lambda state, t, kids: derive(
+        "Snd", _expect(PairType, "projected", kids[0])),
+}, {Lam: _enter_binder})
 
 
 def self_distance_derivation(t: Term,
@@ -194,42 +189,27 @@ def quasi_reflexive_derivation(d: Derivation,
     """From a derivation of (t, a, t2), derive (t, a, t) at any type."""
     j = d.conclusion
     if isinstance(j.ty, RealType):
-        return Derivation("QuasiReflReal", DistanceJudgment(
-            j.ctx, j.left, j.dist, j.left, j.ty), (d,))
+        return derive("QuasiReflReal", d)
     if isinstance(j.ty, FnType):
         z = fresh_name("z", frozenset(_used_names(d)))
-        inner_ctx = j.ctx + ((z, j.ty.arg),)
-        applied = Derivation("App", DistanceJudgment(
-            inner_ctx, App(j.left, Var(z)),
-            App(App(j.dist, Var(z)), Var(dotted(z))),
-            App(j.right, Var(z)), j.ty.res),
-            (weaken(d, inner_ctx),
-             Derivation("Var", DistanceJudgment(
-                 inner_ctx, Var(z), Var(dotted(z)), Var(z), j.ty.arg))))
-        ih = quasi_reflexive_derivation(applied, registry)
-        hj = ih.conclusion
-        abstracted = Derivation("Abs", DistanceJudgment(
-            j.ctx, Lam(z, j.ty.arg, hj.left),
-            Lam(z, j.ty.arg, Lam(dotted(z), partial_type(j.ty.arg), hj.dist)),
-            Lam(z, j.ty.arg, hj.right), j.ty), (ih,))
-        return Derivation("Conv", DistanceJudgment(
-            j.ctx, j.left, j.dist, j.left, j.ty), (abstracted,))
-    if isinstance(j.ty, PairType):
-        fst = Derivation("Fst", DistanceJudgment(
-            j.ctx, First(j.left), First(j.dist), First(j.right),
-            j.ty.left), (d,))
-        snd = Derivation("Snd", DistanceJudgment(
-            j.ctx, Second(j.left), Second(j.dist), Second(j.right),
-            j.ty.right), (d,))
-        qf = quasi_reflexive_derivation(fst, registry)
-        qs = quasi_reflexive_derivation(snd, registry)
-        paired = Derivation("Pair", DistanceJudgment(
-            j.ctx, Pair(qf.conclusion.left, qs.conclusion.left),
-            Pair(qf.conclusion.dist, qs.conclusion.dist),
-            Pair(qf.conclusion.right, qs.conclusion.right), j.ty), (qf, qs))
-        return Derivation("Conv", DistanceJudgment(
-            j.ctx, j.left, j.dist, j.left, j.ty), (paired,))
-    raise TypeError(f"not a type: {j.ty!r}")
+        lifted = derive("Abs", quasi_reflexive_derivation(_applied(d, z),
+                                                          registry))
+    elif isinstance(j.ty, PairType):
+        lifted = derive("Pair", *(
+            quasi_reflexive_derivation(derive(rule, d), registry)
+            for rule in ("Fst", "Snd")))
+    else:
+        raise TypeError(f"not a type: {j.ty!r}")
+    return Derivation("Conv", DistanceJudgment(
+        j.ctx, j.left, j.dist, j.left, j.ty), (lifted,))
+
+
+def _applied(d: Derivation, z: str) -> Derivation:
+    """``d`` at a function type applied to the fresh variable ``z``."""
+    j = d.conclusion
+    ctx = j.ctx + ((z, j.ty.arg),)
+    return derive("App", weaken(d, ctx), Derivation("Var", DistanceJudgment(
+        ctx, Var(z), Var(dotted(z)), Var(z), j.ty.arg)))
 
 
 def transitivity_derivation(d1: Derivation, d2: Derivation,
@@ -237,14 +217,11 @@ def transitivity_derivation(d1: Derivation, d2: Derivation,
                             ) -> Derivation:
     """Chain (t, a, t2) and (t2, a2, t3) into (t, add a a2, t3), the
     addition being pointwise at the judgment type."""
-    from .addterm import add_term
-
     j1, j2 = d1.conclusion, d2.conclusion
     if j1.ctx != j2.ctx:
         raise SynthesisError("derivations live in different contexts")
     if j1.ty != j2.ty:
         raise SynthesisError("derivations conclude at different types")
-    from ..syntax.terms import alpha_equal
     if not alpha_equal(j1.right, j2.left):
         raise SynthesisError("derivations do not share the middle subject")
 
@@ -255,46 +232,16 @@ def transitivity_derivation(d1: Derivation, d2: Derivation,
 
 
 def _trans(d1: Derivation, d2: Derivation, registry) -> Derivation:
-    j1, j2 = d1.conclusion, d2.conclusion
-    if isinstance(j1.ty, RealType):
-        return Derivation("TransReal", DistanceJudgment(
-            j1.ctx, j1.left, PrimOp("add", (j1.dist, j2.dist)), j2.right,
-            REAL), (d1, d2))
-    if isinstance(j1.ty, FnType):
+    ty = d1.conclusion.ty
+    if isinstance(ty, RealType):
+        return derive("TransReal", d1, d2)
+    if isinstance(ty, FnType):
         z = fresh_name("z", frozenset(_used_names(d1) | _used_names(d2)))
-        inner_ctx = j1.ctx + ((z, j1.ty.arg),)
-        var_node = Derivation("Var", DistanceJudgment(
-            inner_ctx, Var(z), Var(dotted(z)), Var(z), j1.ty.arg))
-
-        def apply(d: Derivation) -> Derivation:
-            j = d.conclusion
-            return Derivation("App", DistanceJudgment(
-                inner_ctx, App(j.left, Var(z)),
-                App(App(j.dist, Var(z)), Var(dotted(z))),
-                App(j.right, Var(z)), j.ty.res),
-                (weaken(d, inner_ctx), var_node))
-
-        a1, a2 = apply(d1), apply(d2)
         # the middle subjects match syntactically after application
-        ih = _trans(a1, a2, registry)
-        hj = ih.conclusion
-        return Derivation("Abs", DistanceJudgment(
-            j1.ctx, Lam(z, j1.ty.arg, hj.left),
-            Lam(z, j1.ty.arg, Lam(dotted(z), partial_type(j1.ty.arg),
-                                  hj.dist)),
-            Lam(z, j1.ty.arg, hj.right), j1.ty), (ih,))
-    if isinstance(j1.ty, PairType):
-        def project(d: Derivation, rule, side, ty) -> Derivation:
-            j = d.conclusion
-            return Derivation(rule, DistanceJudgment(
-                j.ctx, side(j.left), side(j.dist), side(j.right), ty), (d,))
-
-        fst = _trans(project(d1, "Fst", First, j1.ty.left),
-                     project(d2, "Fst", First, j1.ty.left), registry)
-        snd = _trans(project(d1, "Snd", Second, j1.ty.right),
-                     project(d2, "Snd", Second, j1.ty.right), registry)
-        f, s = fst.conclusion, snd.conclusion
-        return Derivation("Pair", DistanceJudgment(
-            j1.ctx, Pair(f.left, s.left), Pair(f.dist, s.dist),
-            Pair(f.right, s.right), j1.ty), (fst, snd))
-    raise TypeError(f"not a type: {j1.ty!r}")
+        return derive("Abs", _trans(_applied(d1, z), _applied(d2, z),
+                                    registry))
+    if isinstance(ty, PairType):
+        return derive("Pair", *(
+            _trans(derive(rule, d1), derive(rule, d2), registry)
+            for rule in ("Fst", "Snd")))
+    raise TypeError(f"not a type: {ty!r}")

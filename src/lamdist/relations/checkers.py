@@ -28,7 +28,7 @@ derivative-grade self-distances, which genuinely falsify more triples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from ..prims import DEFAULT_REGISTRY, Registry
@@ -98,6 +98,8 @@ class _Walk:
     registry: Registry
     tight: bool = False
     compared: int = 0
+    # (type, id of the element, id of its term) -> (element, term, estimate)
+    estimates: dict = field(default_factory=dict)
 
     def compare(self, clause: str, lhs, rhs, path) -> Optional[Falsified]:
         self.compared += 1
@@ -126,6 +128,17 @@ class _Walk:
         if isinstance(ty, FnType):
             return arrow(self, ty, x, a, x2, path, given)
         raise TypeError(f"not a type: {ty!r}")
+
+    def self_distance(self, ty, x, term) -> SelfDistanceEstimate:
+        """``estimate_self_distance`` of ``x``, made once per walk: the
+        delta clause walks the eta clause from each of its self-probes.
+        The entry keeps ``x`` and ``term`` alive, so their ids stay
+        theirs."""
+        key = (ty, id(x), id(term))
+        if key not in self.estimates:
+            self.estimates[key] = (x, term, estimate_self_distance(
+                ty, x, self.probes, self.registry, term=term))
+        return self.estimates[key][2]
 
     def verdict(self, arrow, ty, x, a, x2, given=(None, None)) -> Verdict:
         result = self.member(arrow, ty, x, a, x2, None, given)
@@ -202,9 +215,7 @@ def _eta_arrow(walk, ty, x, a, x2, path, given):
     else:
         top = top_diff(ty)
         candidates = [("left-total", (a, top)), ("right-total", (top, a))]
-        est = estimate_self_distance(ty, x, walk.probes, walk.registry,
-                                     term=term)
-        for provenance, selfd in est.candidates:
+        for provenance, selfd in walk.self_distance(ty, x, term).candidates:
             candidates.append((f"self+{provenance}",
                                (selfd, residual_diff(ty, selfd, a))))
     tried = []

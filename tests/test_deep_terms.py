@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from lamdist.eqtheory import self_distance_derivation
 from lamdist.semantics import diff_evaluate, evaluate
 from lamdist.syntax import (Lam, Lit, REAL, TermTooDeep, Var, all_var_names,
                             alpha_equal, derivative_term, free_vars,
@@ -28,8 +29,10 @@ BINDER_CHAIN = parse_term("".join(f"\\x{i}:Real. " for i in range(N)) + "x0")
     lambda t: alpha_equal(t, substitute(t, {"z": Var("x")})),
     lambda t: parse_file(f"s = {render_term(t)}\nt = s"),
     lambda t: rename_binders(t, {"x"}, lambda var, body, scope: var + "1"),
+    self_distance_derivation,
 ], ids=["typecheck", "derivative", "render", "free_vars", "all_var_names",
-        "subterms", "substitute", "alpha_equal", "inline", "rename"])
+        "subterms", "substitute", "alpha_equal", "inline", "rename",
+        "synthesis"])
 def test_each_walker_takes_a_ten_thousand_term_sum(walk):
     assert walk(DEEP_SUM) is not None
 

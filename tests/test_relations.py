@@ -295,6 +295,24 @@ def test_delta_with_no_coarse_self_distance_is_not_established(probes):
     assert isinstance(check_eta(FN, spike_v, zero, five, probes), Falsified)
 
 
+def test_delta_estimates_the_left_self_distance_once(monkeypatch):
+    """Each verified self-probe walks the eta clause from the same left
+    element; the walk estimates its self-distance once, not per probe."""
+    from lamdist.relations import checkers
+    seen = []
+
+    def counted(ty, x, *args, **kwargs):
+        seen.append(x)
+        return estimate_self_distance(ty, x, *args, **kwargs)
+
+    monkeypatch.setattr(checkers, "estimate_self_distance", counted)
+    t, v, d = named(r"\x:Real. sin(x) + 0.5 * x")
+    verdict = check_delta(FN, v, d, v, ProbeSet(ProbeConfig(count=200)),
+                          left_term=t, tight_self_probes=True)
+    assert isinstance(verdict, Consistent) and verdict.established
+    assert seen == [v]
+
+
 # --- self-distance estimation ------------------------------------------------------
 
 def test_self_distance_real_is_zero(probes):
