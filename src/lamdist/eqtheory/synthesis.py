@@ -116,7 +116,7 @@ def synthesize_fundamental(ctx: Context, t: Term,
 
     def pick(var: str, body: Term, scope: set[str]) -> str:
         # rename binders clashing with ambient names (or their partners)
-        if var in scope or dotted(var) in scope or is_dotted(var):
+        if is_dotted(var) or var in scope or dotted(var) in scope:
             return fresh_name(var, scope | all_var_names(body))
         return var
 

@@ -18,6 +18,7 @@ whose value *is* the modulus; the derivative transform emits calls to it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -136,16 +137,22 @@ class Registry:
                          exact_fn=dexact, derived_from=name)
         return self.register(prim)
 
+    def resolve(self, name: str, nargs: int) -> Primitive:
+        """The primitive ``name``, checked to take ``nargs`` arguments."""
+        p = self[name]
+        if nargs != p.arity:
+            raise TypeError(f"{name} expects {p.arity} args, got {nargs}")
+        return p
+
     def checked(self, name: str, nargs: int,
                 exact: bool = False) -> Callable[..., float | Fraction]:
         """``name``'s implementation for ``nargs`` arguments, looked up and
         arity-checked once.  Every call still checks the declared domain
         and, in float mode, that a declared-total primitive stayed finite.
         Exact mode runs the exact implementation, or rationalizes the float
-        one."""
-        p = self[name]
-        if nargs != p.arity:
-            raise TypeError(f"{name} expects {p.arity} args, got {nargs}")
+        one.  The evaluators inline the same checks into their compiled
+        nodes and share the error helpers below."""
+        p = self.resolve(name, nargs)
         domain, fn = p.domain, p.fn
         if exact:
             exact_fn = p.exact_fn or (
@@ -153,24 +160,18 @@ class Registry:
 
             def call(*args):
                 if domain is not None and not domain(*args):
-                    raise EvalDomainError(f"{name}{args} outside declared "
-                                          "domain")
+                    raise outside_domain(name, args)
                 return exact_fn(*args)
             return call
         total = p.derived_from is None
-        isfinite, isnan = math.isfinite, math.isnan
+        isfinite = math.isfinite
 
         def call(*args):
             if domain is not None and not domain(*args):
-                raise EvalDomainError(f"{name}{args} outside declared domain")
+                raise outside_domain(name, args)
             out = fn(*args)
             if isinstance(out, float) and not isfinite(out):
-                # primitives are total reals by declaration; only the derived
-                # modulus primitives map into [0, +inf]
-                if total or isnan(out):
-                    raise EvalDomainError(
-                        f"{name}{args} produced {out}; declared-total "
-                        "primitives must stay finite")
+                out = nonfinite_result(name, args, out, total)
             return out
         return call
 
@@ -179,6 +180,28 @@ class Registry:
 
     def call_exact(self, name: str, args: Sequence[Fraction]) -> Fraction:
         return self.checked(name, len(args), exact=True)(*args)
+
+
+# --- the checks' errors, shared by ``Registry.checked`` and the compiled
+# nodes of the evaluators, which run the same tests inline -----------------
+
+def outside_domain(name: str, args: tuple) -> EvalDomainError:
+    return EvalDomainError(f"{name}{args} outside declared domain")
+
+
+def nonfinite_result(name: str, args: tuple, out: float, total: bool) -> float:
+    """``out``, a float result of ``name`` on ``args`` that is not finite,
+    if the primitive may return it: primitives are total reals by
+    declaration, and only the derived modulus primitives (``total``
+    unset) map into [0, +inf]."""
+    if total or math.isnan(out):
+        raise EvalDomainError(f"{name}{args} produced {out}; declared-total "
+                              "primitives must stay finite")
+    return out
+
+
+def bad_radius(b) -> ValueError:
+    return ValueError(f"error radius {b} is not in [0, +inf]")
 
 
 def prim_modulus(prim: Primitive, ys: Sequence[float],
@@ -196,7 +219,7 @@ def prim_modulus(prim: Primitive, ys: Sequence[float],
     infinite = False
     for b in bs:
         if not b >= 0:  # negative or NaN
-            raise ValueError(f"error radius {b} is not in [0, +inf]")
+            raise bad_radius(b)
         if b:
             zero = False
             infinite = infinite or b == math.inf
@@ -291,23 +314,23 @@ def default_registry() -> Registry:
     # the field-op modulus formulas are exact algebra, valid verbatim
     # over rationals; the trigonometric ones get endpoint-exact variants
     reg = Registry()
-    reg.register(Primitive("add", 2, lambda a, b: a + b,
+    reg.register(Primitive("add", 2, operator.add,
                            exact_fn=lambda a, b: a + b,
                            modulus=_sum_modulus, exact_modulus=_sum_modulus))
-    reg.register(Primitive("sub", 2, lambda a, b: a - b,
+    reg.register(Primitive("sub", 2, operator.sub,
                            exact_fn=lambda a, b: a - b,
                            modulus=_sum_modulus, exact_modulus=_sum_modulus))
-    reg.register(Primitive("mul", 2, lambda a, b: a * b,
+    reg.register(Primitive("mul", 2, operator.mul,
                            exact_fn=lambda a, b: a * b,
                            modulus=_mul_modulus, exact_modulus=_mul_modulus))
-    reg.register(Primitive("div", 2, lambda a, b: a / b,
+    reg.register(Primitive("div", 2, operator.truediv,
                            exact_fn=lambda a, b: a / b,
                            modulus=_div_modulus, exact_modulus=_div_modulus,
                            domain=lambda a, b: b != 0))
-    reg.register(Primitive("neg", 1, lambda a: -a,
+    reg.register(Primitive("neg", 1, operator.neg,
                            exact_fn=lambda a: -a,
                            modulus=_id_modulus, exact_modulus=_id_modulus))
-    reg.register(Primitive("abs", 1, lambda a: abs(a),
+    reg.register(Primitive("abs", 1, abs,
                            exact_fn=lambda a: abs(a),
                            modulus=_id_modulus, exact_modulus=_id_modulus))
     reg.register(Primitive("sin", 1, math.sin,

@@ -32,7 +32,8 @@ class ExtReal:
                 raise ValueError("NaN is not an element of [0, +inf]")
             if math.isinf(value):
                 if value < 0:
-                    raise ValueError("negative infinity is not in [0, +inf]")
+                    raise ValueError(
+                        "negative infinity is not an element of [0, +inf]")
                 self._num = None
                 return
             value = Fraction(value)

@@ -21,17 +21,26 @@ subterm is evaluated twice and the cost is linear in the term's depth.
 Values are computed only where the clauses above use them, the
 arguments of primitives and applications; elsewhere the value half of
 the pair is ``None``.  A lambda's value is the closure the evaluator
-compiles, and its difference runs the fused pass of its body.  Runs on
-floats; the exact-mode story lives in the evaluator.
+compiles, and its difference runs the fused pass of its body.
+
+A primitive of arity 1 or 2 with an analytic modulus is resolved into
+one node at compile time: its value half runs the implementation and
+its checks inline, as the evaluator's nodes do, and its difference half
+applies ``prim_modulus``'s radius rules inline before calling the
+modulus.  Other primitives take their value from ``Registry.checked``
+and their difference from ``prim_modulus``.  Runs on floats; the
+exact-mode story lives in the evaluator.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from math import inf, isfinite
 from typing import Callable, Mapping, Union
 
-from ..prims import DEFAULT_REGISTRY, Registry, prim_modulus
+from ..prims import (DEFAULT_REGISTRY, Primitive, Registry, bad_radius,
+                     nonfinite_result, outside_domain, prim_modulus)
 from ..syntax.terms import (App, First, FnType, Lam, Lit, Pair, PairType,
                             PrimOp, RealType, Second, Term, TermTooDeep, Type,
                             Var)
@@ -79,10 +88,12 @@ def _compile_dual(t: Term, scope: tuple[str, ...], free: Mapping[str, Value],
         pair = (float(t.value), 0.0)
         return lambda env, denv: pair
     if isinstance(t, PrimOp):
-        prim = registry[t.name]
-        call = registry.checked(t.name, len(t.args))
+        prim = registry.resolve(t.name, len(t.args))
         args = [_compile_dual(a, scope, free, dfree, registry, True)
                 for a in t.args]
+        if prim.modulus is not None and prim.arity in (1, 2):
+            return _prim_node(prim, args, want)
+        call = registry.checked(prim.name, prim.arity)
 
         def primop(env, denv):
             ys, bs = [], []
@@ -134,6 +145,59 @@ def _compile_dual(t: Term, scope: tuple[str, ...], free: Mapping[str, Value],
             return (x[k] if want else None), a[k]
         return project
     raise TypeError(f"not a term: {t!r}")
+
+
+def _prim_node(p: Primitive, args: list[DualCode], want: bool) -> DualCode:
+    """A dual node of arity 1 or 2 for a primitive with an analytic
+    modulus.  Its value half runs ``Registry.checked``'s tests inline, as
+    the evaluator's nodes do; its difference half applies
+    ``prim_modulus``'s radius rules (a negative or NaN radius is an
+    error, a zero box gives 0, an infinite radius the oscillation) before
+    calling the modulus itself."""
+    name, fn, domain, modulus = p.name, p.fn, p.domain, p.modulus
+    total, oscillation = p.derived_from is None, p.oscillation
+    if len(args) == 1:
+        a, = args
+
+        def unary(env, denv):
+            x, b = a(env, denv)
+            out = None
+            if want:
+                if domain is not None and not domain(x):
+                    raise outside_domain(name, (x,))
+                out = fn(x)
+                if isinstance(out, float) and not isfinite(out):
+                    out = nonfinite_result(name, (x,), out, total)
+            if not b >= 0:
+                raise bad_radius(b)
+            if not b:
+                return out, 0.0
+            if b == inf:
+                return out, oscillation
+            return out, modulus((x,), (b,))
+        return unary
+    a, c = args
+
+    def binary(env, denv):
+        x, b = a(env, denv)
+        y, d = c(env, denv)
+        out = None
+        if want:
+            if domain is not None and not domain(x, y):
+                raise outside_domain(name, (x, y))
+            out = fn(x, y)
+            if isinstance(out, float) and not isfinite(out):
+                out = nonfinite_result(name, (x, y), out, total)
+        if not b >= 0:
+            raise bad_radius(b)
+        if not d >= 0:
+            raise bad_radius(d)
+        if not (b or d):
+            return out, 0.0
+        if b == inf or d == inf:
+            return out, oscillation
+        return out, modulus((x, y), (b, d))
+    return binary
 
 
 # --- pointwise structure on differences -------------------------------------

@@ -8,11 +8,15 @@ Evaluation is call-by-value.
 bound variables become slots of a tuple environment (a closure extends
 it by one slot per application), free variables and literals become
 constants converted once, and each primitive is looked up in the
-registry, and its arity checked, at compile time.  Domain and
-finiteness checks still run on every primitive call, and an unbound
-variable raises ``NameError`` only when its node runs, so errors stay as
-lazy as evaluation itself.  The same compiler builds the value closures
-of the fused difference pass in ``diff``.
+registry, and its arity checked, at compile time.  In float mode a
+primitive of arity 1 or 2 is resolved into a fused node that calls its
+implementation directly and runs ``Registry.checked``'s domain and
+finiteness tests inline, so a primitive call is one frame; exact mode
+and other arities call through ``Registry.checked``.  The checks run
+on every call, and an unbound variable raises ``NameError`` only when
+its node runs, so errors stay as lazy as evaluation itself.  The same
+compiler builds the value closures of the fused difference pass in
+``diff``.
 
 Exact mode carries ``Fraction`` values: field primitives compute exactly,
 transcendentals rationalize their float result, which is deterministic.
@@ -23,9 +27,11 @@ rounding at all.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isfinite
 from typing import Callable, Mapping, Union
 
-from ..prims import DEFAULT_REGISTRY, Registry
+from ..prims import (DEFAULT_REGISTRY, Primitive, Registry, nonfinite_result,
+                     outside_domain)
 from ..syntax.terms import (App, First, Lam, Lit, Pair, PrimOp, Second, Term,
                             TermTooDeep, Var)
 
@@ -73,16 +79,13 @@ def compile_value(t: Term, scope: tuple[str, ...], free: Mapping[str, Value],
         value = t.value if exact else float(t.value)
         return lambda env: value
     if isinstance(t, PrimOp):
-        call = registry.checked(t.name, len(t.args), exact)
+        p = registry.resolve(t.name, len(t.args))
         args = [compile_value(a, scope, free, registry, exact)
                 for a in t.args]
-        if len(args) == 1:
-            a, = args
-            return lambda env: call(a(env))
-        if len(args) == 2:
-            a, b = args
-            return lambda env: call(a(env), b(env))
-        return lambda env: call(*[a(env) for a in args])
+        if exact or p.arity not in (1, 2):
+            call = registry.checked(p.name, p.arity, exact)
+            return lambda env: call(*[a(env) for a in args])
+        return _prim_node(p, args)
     if isinstance(t, App):
         fn = compile_value(t.fn, scope, free, registry, exact)
         arg = compile_value(t.arg, scope, free, registry, exact)
@@ -101,3 +104,35 @@ def compile_value(t: Term, scope: tuple[str, ...], free: Mapping[str, Value],
         pair = compile_value(t.pair, scope, free, registry, exact)
         return lambda env: pair(env)[1]
     raise TypeError(f"not a term: {t!r}")
+
+
+def _prim_node(p: Primitive, args: list[Code]) -> Code:
+    """A float-mode node of arity 1 or 2 that calls ``p``'s implementation
+    itself and runs ``Registry.checked``'s domain and finiteness tests
+    inline, so a primitive call is one frame."""
+    name, fn, domain = p.name, p.fn, p.domain
+    total = p.derived_from is None
+    if len(args) == 1:
+        a, = args
+
+        def unary(env):
+            x = a(env)
+            if domain is not None and not domain(x):
+                raise outside_domain(name, (x,))
+            out = fn(x)
+            if isinstance(out, float) and not isfinite(out):
+                out = nonfinite_result(name, (x,), out, total)
+            return out
+        return unary
+    a, b = args
+
+    def binary(env):
+        x = a(env)
+        y = b(env)
+        if domain is not None and not domain(x, y):
+            raise outside_domain(name, (x, y))
+        out = fn(x, y)
+        if isinstance(out, float) and not isfinite(out):
+            out = nonfinite_result(name, (x, y), out, total)
+        return out
+    return binary

@@ -14,7 +14,7 @@ from __future__ import annotations
 from ..prims import DEFAULT_REGISTRY, Registry
 from .terms import (App, Context, FnType, Lam, Lit, PairType, PrimOp, REAL,
                     REBUILD, RealType, Term, Type, Var, all_var_names, dotted,
-                    fold, is_dotted, walker)
+                    fold, is_dotted, type_walker, walker)
 from .typecheck import typecheck
 
 
@@ -23,13 +23,14 @@ class DottedVariableClash(ValueError):
 
 
 def partial_type(ty: Type) -> Type:
-    if isinstance(ty, RealType):
-        return REAL
-    if isinstance(ty, FnType):
-        return FnType(ty.arg, FnType(partial_type(ty.arg), partial_type(ty.res)))
-    if isinstance(ty, PairType):
-        return PairType(partial_type(ty.left), partial_type(ty.right))
-    raise TypeError(f"not a type: {ty!r}")
+    return fold(ty, _PARTIAL_TYPE)
+
+
+_PARTIAL_TYPE = type_walker({
+    RealType: lambda state, ty, kids: REAL,
+    FnType: lambda state, ty, kids: FnType(ty.arg, FnType(*kids)),
+    PairType: lambda state, ty, kids: PairType(*kids),
+})
 
 
 def partial_context(ctx: Context) -> Context:

@@ -11,7 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .terms import (App, First, FnType, Lam, Lit, Pair, PairType, PrimOp,
-                    RealType, Second, Term, Type, Var, fold, walker)
+                    RealType, Second, Term, Type, Var, fold, type_walker,
+                    walker)
 
 _INFIX = {"add": ("+", 1), "sub": ("-", 1), "mul": ("*", 2), "div": ("/", 2)}
 
@@ -19,21 +20,23 @@ _LAM, _SUM, _PROD, _APP, _ATOM = 0, 1, 2, 3, 4
 
 
 def render_type(ty: Type) -> str:
-    if isinstance(ty, RealType):
-        return "Real"
-    if isinstance(ty, FnType):
-        left = render_type(ty.arg)
-        if isinstance(ty.arg, FnType):
-            left = f"({left})"
-        return f"{left} -> {render_type(ty.res)}"
-    if isinstance(ty, PairType):
-        def side(s, right):
-            txt = render_type(s)
-            if isinstance(s, FnType) or (right and isinstance(s, PairType)):
-                return f"({txt})"
-            return txt
-        return f"{side(ty.left, False)} * {side(ty.right, True)}"
-    raise TypeError(f"not a type: {ty!r}")
+    return fold(ty, _RENDER_TYPE)
+
+
+def _wrap(text: str, wrap: bool) -> str:
+    return f"({text})" if wrap else text
+
+
+# arrows associate to the right and products to the left; an arrow inside
+# either is parenthesized, as is a product to the right of a product
+_RENDER_TYPE = type_walker({
+    RealType: lambda state, ty, kids: "Real",
+    FnType: lambda state, ty, kids: (
+        f"{_wrap(kids[0], isinstance(ty.arg, FnType))} -> {kids[1]}"),
+    PairType: lambda state, ty, kids: (
+        f"{_wrap(kids[0], isinstance(ty.left, FnType))} * "
+        f"{_wrap(kids[1], isinstance(ty.right, (FnType, PairType)))}"),
+})
 
 
 def render_fraction(q: Fraction) -> str:

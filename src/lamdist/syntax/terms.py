@@ -156,6 +156,11 @@ class Skip(tuple):
     """``Skip((result,))``, returned by a ``pre`` hook, skips the children."""
 
 
+# The children of a type of each class, for the folds of the type walkers
+_TYPE_CHILDREN = {RealType: None, FnType: attrgetter("arg", "res"),
+                  PairType: attrgetter("left", "right")}
+
+
 def walker(alg: Mapping, pre: Mapping = {}) -> dict:
     """The table :func:`fold` runs, from hooks keyed by term class:
     ``pre[cls](state, node)`` may check a node or enter a binder into a
@@ -166,10 +171,17 @@ def walker(alg: Mapping, pre: Mapping = {}) -> dict:
             for cls, kids in _CHILDREN.items()}
 
 
-def fold(t: Term, table: dict, state=None):
-    """Fold ``t`` bottom-up on an explicit stack, so no term is too deep.
-    A node is combined right after its last child, so the hooks run in
-    the order a recursive walk would run them."""
+def type_walker(alg: Mapping) -> dict:
+    """The :func:`fold` table of a type walker, from ``alg`` hooks keyed
+    by type class."""
+    return {cls: (None, kids, alg[cls])
+            for cls, kids in _TYPE_CHILDREN.items()}
+
+
+def fold(t: Term | Type, table: dict, state=None):
+    """Fold ``t``, a term or a type, bottom-up on an explicit stack, so
+    none is too deep.  A node is combined right after its last child, so
+    the hooks run in the order a recursive walk would run them."""
     results = []
     put = results.append
     frames = []  # (node, its alg hook, where its results start, children)
@@ -178,7 +190,8 @@ def fold(t: Term, table: dict, state=None):
         try:
             enter, kids, combine = table[type(s)]
         except KeyError:
-            raise TypeError(f"not a term: {s!r}") from None
+            what = "type" if isinstance(t, Type) else "term"
+            raise TypeError(f"not a {what}: {s!r}") from None
         if enter is not None and type(s := enter(state, s)) is Skip:
             put(s[0])
         elif kids is not None and (kids := kids(s)):

@@ -220,7 +220,9 @@ def test_a_deep_definition_is_a_usage_error(tmp_path, capsys):
     ("typecheck", (), f"\\x:Real. {DEEP_SUM}", "f : Real -> Real\n"),
     # a sum's derivative repeats its left argument: its text is quadratic
     ("derive", ("f",), BINDER_CHAIN, "\\x0:Real. \\x0':Real. \\x1:Real. "),
-], ids=["typecheck", "derive"])
+    # the types of a binder chain nest as deep as the chain
+    ("typecheck", (), BINDER_CHAIN, "f : " + "Real -> " * 10_000 + "Real\n"),
+], ids=["typecheck", "derive", "typecheck-chain"])
 def test_a_deep_definition_is_processed(tmp_path, capsys, command, names,
                                         body, want):
     deep = tmp_path / "deep.lam"
@@ -228,6 +230,14 @@ def test_a_deep_definition_is_processed(tmp_path, capsys, command, names,
     code, out, err = run(capsys, command, deep, *names)
     assert code == 0 and err == ""
     assert out.startswith(want)
+
+
+def test_the_derivative_type_of_a_binder_chain_is_reported(tmp_path, capsys):
+    deep = tmp_path / "deep.lam"
+    deep.write_text(f"f = {BINDER_CHAIN}\n")
+    code, out, err = run(capsys, "--format", "json", "derive", deep, "f")
+    assert code == 0 and err == ""
+    assert json.loads(out)["type"] == "Real -> Real -> " * 10_000 + "Real"
 
 
 def test_a_deep_derivation_subject_is_judged(tmp_path, capsys):

@@ -112,6 +112,16 @@ def test_synthesize_closed_term_gives_self_distance():
     assert alpha_equal(j.dist, derivative_term((), t, REG))
 
 
+def test_synthesis_renames_a_primed_binder():
+    """A binder named like a difference variable is renamed, whether or
+    not its plain partner is in scope."""
+    for text in (r"\x:Real. \x':Real. x' * x", r"\y':Real. y' + 1"):
+        t = parse_term(text)
+        d = self_distance_derivation(t, REG)
+        assert check_derivation(d, REG), text
+        assert alpha_equal(d.conclusion.left, t)
+
+
 def test_synthesize_prim_over_component():
     comp = lit_node(0, 0.1, 0.05)
     d = synthesize_fundamental((("x", REAL),), parse_term("sin(x)"),

@@ -25,8 +25,6 @@ RECURSIVE = {
     "parser.py:_Parser.type_": "arrow types nest as written; past the "
                                "recursion limit the parser raises TermTooDeep",
     "terms.py:arrow_depth": "a type walker: annotations nest as written",
-    "printer.py:render_type": "a type walker: annotations nest as written",
-    "derivative.py:partial_type": "a type walker: annotations nest as written",
     "equality.py:_readback": "walks values; normalize raises TermTooDeep",
     "equality.py:_readback_neutral": "walks values with _readback",
     "synthesis.py:quasi_reflexive_derivation": "a type walker: lifts the "
@@ -69,3 +67,24 @@ def test_syntax_walkers_do_not_recurse():
     assert found == set(RECURSIVE), (
         f"new recursion: {sorted(found - set(RECURSIVE))}; "
         f"allowlisted but gone: {sorted(set(RECURSIVE) - found)}")
+
+
+# Each error of the primitive checks, written once: the evaluators' compiled
+# nodes run the checks inline but build their errors with prims.py's helpers
+PRIMITIVE_ERRORS = ("outside declared domain",
+                    "declared-total primitives must stay finite",
+                    "is not in [0, +inf]")
+
+
+def test_each_primitive_error_is_written_once_in_prims():
+    """String constants are read from the syntax tree, so a message split
+    over adjacent literals or built in an f-string is still found."""
+    places = {message: [] for message in PRIMITIVE_ERRORS}
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                for message in PRIMITIVE_ERRORS:
+                    places[message] += [str(path.relative_to(SRC))] * \
+                        node.value.count(message)
+    assert places == {message: ["prims.py"] for message in PRIMITIVE_ERRORS}
