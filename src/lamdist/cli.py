@@ -11,15 +11,22 @@ Subcommands:
   and exhaustively check the observational-metric propositions;
 * ``judge FILE.json`` — validate a serialized derivation.
 
-Exit codes: 0 success/consistent, 1 falsified/invalid, 2 usage or I/O
-errors, including out-of-range flags, a standard output closed before
-the report is written, and input nested too deeply for a walk that still
-recurses: parentheses, argument lists and arrow types in the parser,
-compiling or running a term for ``diff``, reading back a normal form, and
-printing a type as deep as a long binder chain's (``TermTooDeep``, or
-Python's recursion limit).  Typing, derivatives, printing terms and
-judging take terms of any depth.  With ``--format json`` and a fixed
-``--seed``, output is byte-identical across runs.
+Exit codes: 0 success/consistent, 1 falsified/invalid or an input the
+calculus rejects (a syntax, type, evaluation or structural error), 2
+usage or I/O errors.  Exit 2 covers a file that cannot be read or is not
+UTF-8, a name the file does not define, out-of-range flags (among them a
+``--range`` whose bounds or width HI - LO are not finite), a standard
+output closed before the report is written, and input nested too deeply
+for a walk that still recurses: parentheses, argument lists and arrow
+types in the parser, compiling or running a term for ``diff``, reading
+back a normal form, and printing a type as deep as a long binder chain's
+(``TermTooDeep``, or Python's recursion limit).  Typing, derivatives,
+printing terms and judging take terms of any depth.  With ``--format
+json`` and a fixed ``--seed``, output is byte-identical across runs.
+
+The subcommands only compute and print, and raise on failure.  ``main``
+alone turns a failure into its exit code and one stderr line, through
+``FAILURES`` for the library's typed errors.
 """
 
 from __future__ import annotations
@@ -38,20 +45,54 @@ from .quantale.finite import (BUILTINS, QuantaleStructureError, builtin,
 from .quantale.props import EnumerationTooLarge, check_section3_props
 from .relations import ProbeConfig, ProbeSet
 from .semantics import diff_evaluate, evaluate
-from .syntax import (ParseError, TermTooDeep, TypecheckError, derivative_term,
-                     parse_file, partial_type, render_term, render_type,
-                     typecheck)
+from .syntax import (REAL, DottedVariableClash, FnType, ParseError,
+                     TermTooDeep, TypecheckError, derivative_term, parse_file,
+                     partial_type, render_term, render_type, typecheck)
 
 USAGE_ERROR = 2
 DEFAULT_PROBES_ENV = "LAMDIST_PROBES"
 
+# each typed library error: (exit code, prefix of its stderr line)
+FAILURES = {
+    ParseError: (1, "syntax error"),
+    TypecheckError: (1, "type error"),
+    DottedVariableClash: (1, "error"),
+    EvalDomainError: (1, "evaluation error"),
+    QuantaleStructureError: (1, "structural error"),
+    DerivationFormatError: (USAGE_ERROR, "schema error"),
+    EnumerationTooLarge: (USAGE_ERROR, "error"),
+    TermTooDeep: (USAGE_ERROR, "error"),
+}
 
-def _load_definitions(path: str):
+
+class CommandError(Exception):
+    """A failure of the command line's own: an unreadable file, a name the
+    file does not define, a ``diff`` of functions that are not first-order,
+    a bad ``$LAMDIST_PROBES``.  Its text is the whole stderr line."""
+
+    def __init__(self, line: str, code: int = USAGE_ERROR):
+        super().__init__(line)
+        self.code = code
+
+
+def _read(path: str) -> str:
+    """The text of the input file at ``path``: the one place the command
+    line opens input."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_file(fh.read(), DEFAULT_REGISTRY)
-    except OSError as e:
-        raise SystemExit(f"error: cannot read {path}: {e}") from e
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise CommandError(f"error: cannot read {path}: {e}") from e
+
+
+def _definitions(path: str, *names: str) -> dict:
+    """The definitions of the term file at ``path``, which must define
+    each of ``names``."""
+    defs = parse_file(_read(path), DEFAULT_REGISTRY)
+    for name in names:
+        if name not in defs:
+            raise CommandError(f"error: no definition named {name!r}")
+    return defs
 
 
 def _emit(payload: dict, fmt: str, text_lines):
@@ -63,18 +104,12 @@ def _emit(payload: dict, fmt: str, text_lines):
 
 
 def cmd_typecheck(args) -> int:
-    try:
-        defs = _load_definitions(args.file)
-    except ParseError as e:
-        print(f"syntax error: {e}", file=sys.stderr)
-        return 1
     rows = []
-    for name, term in defs.items():
+    for name, term in _definitions(args.file).items():
         try:
             ty = typecheck((), term, DEFAULT_REGISTRY)
         except TypecheckError as e:
-            print(f"{name}: type error: {e}", file=sys.stderr)
-            return 1
+            raise CommandError(f"{name}: type error: {e}", 1) from e
         rows.append((name, render_type(ty)))
     _emit({"definitions": [{"name": n, "type": t} for n, t in rows]},
           args.format, [f"{n} : {t}" for n, t in rows])
@@ -82,22 +117,9 @@ def cmd_typecheck(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    try:
-        defs = _load_definitions(args.file)
-    except ParseError as e:
-        print(f"syntax error: {e}", file=sys.stderr)
-        return 1
-    if args.name not in defs:
-        print(f"error: no definition named {args.name!r}", file=sys.stderr)
-        return USAGE_ERROR
-    term = defs[args.name]
-    try:
-        ty = typecheck((), term, DEFAULT_REGISTRY)
-        deriv = derivative_term((), term, DEFAULT_REGISTRY)
-    except (TypecheckError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    rendered = render_term(deriv)
+    term = _definitions(args.file, args.name)[args.name]
+    ty = typecheck((), term, DEFAULT_REGISTRY)
+    rendered = render_term(derivative_term((), term, DEFAULT_REGISTRY))
     if args.format == "text":  # no type: a binder chain's is too deep
         print(rendered)
         return 0
@@ -113,40 +135,24 @@ def _probe_config(args) -> ProbeConfig:
         try:
             count = _COUNT(raw)
         except (ValueError, argparse.ArgumentTypeError) as e:
-            raise SystemExit(f"error: ${DEFAULT_PROBES_ENV}: expected a "
-                             f"non-negative integer, got {raw!r}") from e
+            raise CommandError(f"error: ${DEFAULT_PROBES_ENV}: expected a "
+                               f"non-negative integer, got {raw!r}") from e
     lo, hi = args.range
     return ProbeConfig(count=count, lo=lo, hi=hi, b_max=args.b_max,
                        seed=args.seed)
 
 
 def cmd_diff(args) -> int:
-    try:
-        defs = _load_definitions(args.file)
-    except ParseError as e:
-        print(f"syntax error: {e}", file=sys.stderr)
-        return 1
-    for name in (args.name1, args.name2):
-        if name not in defs:
-            print(f"error: no definition named {name!r}", file=sys.stderr)
-            return USAGE_ERROR
+    defs = _definitions(args.file, args.name1, args.name2)
     t1, t2 = defs[args.name1], defs[args.name2]
-    try:
-        ty1 = typecheck((), t1, DEFAULT_REGISTRY)
-        ty2 = typecheck((), t2, DEFAULT_REGISTRY)
-    except TypecheckError as e:
-        print(f"type error: {e}", file=sys.stderr)
-        return 1
+    ty1 = typecheck((), t1, DEFAULT_REGISTRY)
+    ty2 = typecheck((), t2, DEFAULT_REGISTRY)
     if ty1 != ty2:
-        print(f"type error: {args.name1} : {render_type(ty1)} but "
-              f"{args.name2} : {render_type(ty2)}", file=sys.stderr)
-        return 1
-    from .syntax.terms import FnType, RealType
-    if not (isinstance(ty1, FnType) and isinstance(ty1.arg, RealType)
-            and isinstance(ty1.res, RealType)):
-        print("error: diff tabulates first-order functions "
-              f"(got {render_type(ty1)})", file=sys.stderr)
-        return USAGE_ERROR
+        raise TypecheckError(f"{args.name1} : {render_type(ty1)} but "
+                             f"{args.name2} : {render_type(ty2)}")
+    if ty1 != FnType(REAL, REAL):
+        raise CommandError("error: diff tabulates first-order functions "
+                           f"(got {render_type(ty1)})")
 
     cfg = _probe_config(args)
     probes = ProbeSet(cfg, DEFAULT_REGISTRY)
@@ -155,20 +161,12 @@ def cmd_diff(args) -> int:
     d1 = diff_evaluate(t1, registry=DEFAULT_REGISTRY)
     d2 = diff_evaluate(t2, registry=DEFAULT_REGISTRY)
 
-    def self_bound(x, b):
-        return max(d1(x, b), d2(x, b))
-
     rows = []
-    try:
-        for probe in probes.triples(ty1.arg):
-            x, b = probe.left, probe.diff
-            vertical = abs(f1(x) - f2(x))
-            bound = vertical + self_bound(x, b)
-            rows.append({"x": x, "b": b, "vertical": vertical,
-                         "bound": bound})
-    except EvalDomainError as e:
-        print(f"evaluation error: {e}", file=sys.stderr)
-        return 1
+    for probe in probes.triples(REAL):
+        x, b = probe.left, probe.diff
+        vertical = abs(f1(x) - f2(x))
+        bound = vertical + max(d1(x, b), d2(x, b))
+        rows.append({"x": x, "b": b, "vertical": vertical, "bound": bound})
     payload = {"left": args.name1, "right": args.name2, "seed": cfg.seed,
                "rows": rows}
     # text output rounds to the reporting tolerance; JSON stays exact
@@ -183,28 +181,13 @@ def cmd_diff(args) -> int:
 
 
 def cmd_laws(args) -> int:
-    try:
-        if args.file:
-            with open(args.file, "r", encoding="utf-8") as fh:
-                q = parse_quantale(fh.read())
-        else:
-            q = builtin(args.builtin)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
-    except QuantaleStructureError as e:
-        print(f"structural error: {e}", file=sys.stderr)
-        return 1
+    q = parse_quantale(_read(args.file)) if args.file else builtin(args.builtin)
     violations = validate(q)
     if violations:
         for v in violations[:10]:
             print(f"law violation: {v}", file=sys.stderr)
         return 1
-    try:
-        report = check_section3_props(q, args.size)
-    except EnumerationTooLarge as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
+    report = check_section3_props(q, args.size)
     lines = [report.summary()]
     lines += [f"  {f}" for f in report.failures[:10]]
     _emit({"quantale": q.name, "size": args.size,
@@ -217,15 +200,7 @@ def cmd_laws(args) -> int:
 
 
 def cmd_judge(args) -> int:
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            derivation = derivation_from_json(fh.read(), DEFAULT_REGISTRY)
-    except OSError as e:
-        print(f"error: cannot read {args.file}: {e}", file=sys.stderr)
-        return USAGE_ERROR
-    except DerivationFormatError as e:
-        print(f"schema error: {e}", file=sys.stderr)
-        return USAGE_ERROR
+    derivation = derivation_from_json(_read(args.file), DEFAULT_REGISTRY)
     result = check_derivation(derivation, DEFAULT_REGISTRY)
     if result:
         _emit({"valid": True,
@@ -262,6 +237,9 @@ def _range(text: str) -> tuple[float, float]:
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise argparse.ArgumentTypeError(
             f"expected finite bounds LO:HI with LO <= HI, got {text!r}")
+    if not math.isfinite(hi - lo):  # samples would overflow to inf
+        raise argparse.ArgumentTypeError(
+            f"expected a finite width HI - LO, got {text!r}")
     return lo, hi
 
 
@@ -314,21 +292,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as e:
+    except SystemExit as e:  # argparse has printed the usage message
         return USAGE_ERROR if e.code not in (0, None) else 0
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return code
-    except SystemExit as e:
-        print(e, file=sys.stderr)
-        return USAGE_ERROR
-    except TermTooDeep as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
+    except CommandError as e:
+        code, line = e.code, str(e)
+    except tuple(FAILURES) as e:
+        code, prefix = next(FAILURES[cls] for cls in type(e).__mro__
+                            if cls in FAILURES)
+        line = f"{prefix}: {e}"
     except RecursionError:
-        print("error: input nested too deeply to process", file=sys.stderr)
-        return USAGE_ERROR
+        code, line = USAGE_ERROR, "error: input nested too deeply to process"
     except BrokenPipeError:
         # the reader closed standard output; point it at devnull so the
         # interpreter's final flush cannot fail again
@@ -336,8 +313,9 @@ def main(argv: list[str] | None = None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         except (OSError, ValueError):
             pass
-        print("error: standard output closed", file=sys.stderr)
-        return USAGE_ERROR
+        code, line = USAGE_ERROR, "error: standard output closed"
+    print(line, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from fractions import Fraction
 from ..prims import DEFAULT_REGISTRY, Registry
 from ..relations.checkers import Consistent, Falsified, Verdict
 from ..relations.probes import library_terms
-from ..syntax.derivative import derivative_term
+from ..syntax.derivative import derivative_term, partial_type
 from ..syntax.equality import normalize
 from ..syntax.printer import render_term
 from ..syntax.terms import (App, First, FnType, Lit, Pair, PairType, REAL,
@@ -64,8 +64,11 @@ def syntactic_probes(ty: Type, registry: Registry = DEFAULT_REGISTRY
 def check_dlog(ty: Type, left: Term, dist: Term, right: Term,
                registry: Registry = DEFAULT_REGISTRY) -> Verdict:
     """Decide (exactly at Real, probe-based at arrows) whether the closed
-    triple belongs to the syntactic distance relation."""
-    for name, term, want in (("left", left, ty), ("right", right, ty)):
+    triple belongs to the syntactic distance relation.  The subjects must
+    be closed at ``ty`` and the distance at its difference type."""
+    for name, term, want in (("left", left, ty),
+                             ("distance", dist, partial_type(ty)),
+                             ("right", right, ty)):
         got = typecheck((), term, registry)
         if got != want:
             raise TypeError(f"{name} subject is not closed at the claimed type")

@@ -18,6 +18,7 @@ import json
 from ..prims import DEFAULT_REGISTRY, Registry
 from ..syntax.parser import ParseError, parse_term, parse_type
 from ..syntax.printer import render_term, render_type
+from ..syntax.terms import Var
 from .judgments import Derivation, DistanceJudgment, RULES
 
 
@@ -67,6 +68,17 @@ def _parsed(src, memo: dict, parse, registry: Registry):
     return value
 
 
+def _binding(entry, registry: Registry, terms: dict, types: dict):
+    """A context entry ``[name, type]`` whose name reads back as the
+    variable it names."""
+    if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+        raise TypeError("expected a context entry [name, type]")
+    name, ty_src = entry
+    if _parsed(name, terms, parse_term, registry) != Var(name):
+        raise ValueError(f"context name {name!r} is not a variable")
+    return name, _parsed(ty_src, types, parse_type, registry)
+
+
 def _from_dict(data, registry: Registry, path: str, terms: dict,
                types: dict) -> Derivation:
     if not isinstance(data, dict):
@@ -81,8 +93,8 @@ def _from_dict(data, registry: Registry, path: str, terms: dict,
     if not isinstance(c, dict):
         raise DerivationFormatError(f"{path}.conclusion: expected an object")
     try:
-        ctx = tuple((name, _parsed(ty_src, types, parse_type, registry))
-                    for name, ty_src in c.get("ctx", []))
+        ctx = tuple(_binding(entry, registry, terms, types)
+                    for entry in c.get("ctx", []))
         judgment = DistanceJudgment(
             ctx,
             _parsed(c["left"], terms, parse_term, registry),

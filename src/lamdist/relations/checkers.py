@@ -114,17 +114,24 @@ class _Walk:
     def member(self, arrow, ty, x, a, x2, path=None, given=(None, None)):
         """Walk ``ty``, handing arrows to the family clause ``arrow``.
         ``given`` is the caller's (decomposition, backing term) of ``x``;
-        at a product only the decomposition splits into components."""
+        at a product only the decomposition splits into components.  A
+        product walks every component: the first ``Falsified`` wins, else
+        the first note."""
         if isinstance(ty, RealType):
             return self.compare("base", abs(x - x2), a, path)
         if isinstance(ty, PairType):
             split = given[0]
-            return (self.member(arrow, ty.left, x[0], a[0], x2[0],
+            first = self.member(arrow, ty.left, x[0], a[0], x2[0],
                                 (path, "fst", None),
                                 (_proj_split(split, 0), None))
-                    or self.member(arrow, ty.right, x[1], a[1], x2[1],
-                                   (path, "snd", None),
-                                   (_proj_split(split, 1), None)))
+            if isinstance(first, Falsified):
+                return first
+            second = self.member(arrow, ty.right, x[1], a[1], x2[1],
+                                 (path, "snd", None),
+                                 (_proj_split(split, 1), None))
+            if isinstance(second, Falsified):
+                return second
+            return first or second
         if isinstance(ty, FnType):
             return arrow(self, ty, x, a, x2, path, given)
         raise TypeError(f"not a type: {ty!r}")
@@ -489,7 +496,7 @@ def _verified_self_diffs(ty: FnType, x, probes, registry, term, family,
     if isinstance(ty.arg, RealType) and isinstance(ty.res, RealType):
         raw.append(("lipschitz", lipschitz_self_diff(x, probes.config)))
         if tight:
-            raw.append(("empirical", empirical_self_diff(x, probes.config)))
+            raw.append(("empirical", empirical_self_diff(x)))
     raw.append(("top", top_diff(ty)))
     verified = []
     total = 0

@@ -27,6 +27,8 @@ from ..syntax.terms import (FnType, Lam, Lit, Pair, PairType, REAL, RealType,
                             Term, Type, Var, arrow_depth, fresh_name)
 
 MAX_PROBE_DEPTH = 2
+FN_PROBES = 10      # function probes per arrow type
+Z_SAMPLES = 33      # grid points per box in empirical sups
 
 
 class UnsupportedProbeDepth(ValueError):
@@ -37,12 +39,10 @@ class UnsupportedProbeDepth(ValueError):
 @dataclass(frozen=True)
 class ProbeConfig:
     count: int = 1000           # Real-type probes
-    fn_count: int = 10          # function probes per arrow type
     lo: float = -10.0
     hi: float = 10.0
     b_max: float = 1.0
     seed: int = 0
-    z_samples: int = 33         # grid points per box in empirical sups
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ class ProbeSet:
             pairs = [(i, j) for i in range(len(entries))
                      for j in range(len(entries)) if i != j]
             rng.shuffle(pairs)
-            for i, j in pairs[:max(0, cfg.fn_count - len(out))]:
+            for i, j in pairs[:max(0, FN_PROBES - len(out))]:
                 ft, f, df = entries[i]
                 gt, g, dg = entries[j]
                 label = f"{render_term(ft)} vs {render_term(gt)}"
@@ -177,7 +177,7 @@ class ProbeSet:
                     out.append(ProbeTriple(
                         f, _cross_diff(f, g, df, dg), g, label=label,
                         left_term=ft, right_term=gt))
-        return out[:max(cfg.fn_count, 1)]
+        return out[:FN_PROBES]
 
 
 def _cross_diff(f, g, df, dg) -> Diff:
@@ -262,18 +262,16 @@ def library_terms(ty: FnType, registry: Registry = DEFAULT_REGISTRY) -> list[Ter
 
 # --- raw self-difference candidates -----------------------------------------
 
-def empirical_self_diff(f, config: ProbeConfig) -> Diff:
+def empirical_self_diff(f) -> Diff:
     """Sampled supremum of |f(x) - f(z)| over the box; valid at the
     probes it is checked against, an under-claim elsewhere."""
-    samples = max(config.z_samples, 3)
-
     def bound(x: float, b: float) -> float:
         if b == 0.0:
             return 0.0
         fx = f(x)
         worst = 0.0
-        for i in range(samples):
-            u = -1.0 + 2.0 * i / (samples - 1)
+        for i in range(Z_SAMPLES):
+            u = -1.0 + 2.0 * i / (Z_SAMPLES - 1)
             worst = max(worst, abs(fx - f(x + u * b)))
         return worst
     return bound

@@ -326,3 +326,70 @@ def test_bad_probe_budget_env_var_is_a_usage_error(capsys, monkeypatch):
     code, out, err = run(capsys, *BASICS)
     assert code == 2 and out == ""
     assert "LAMDIST_PROBES" in err
+
+
+def test_an_overflowing_range_width_is_a_usage_error(capsys):
+    """Both bounds are finite, but HI - LO is not: samples would be inf."""
+    code, out, err = run(capsys, *BASICS, "--range=-1e308:1e308")
+    assert code == 2 and out == ""
+    assert "usage:" in err and "expected a finite width HI - LO" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("typecheck", "{}"), ("derive", "{}", "f"), ("diff", "{}", "f", "f"),
+    ("laws", "--file", "{}"), ("judge", "{}"),
+], ids=["typecheck", "derive", "diff", "laws", "judge"])
+def test_a_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, argv):
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes(b"f = \\x:Real. x\n# caf\xe9\n")
+    code, out, err = run(capsys, *(a.format(latin) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {latin}: 'utf-8' codec")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("typecheck", "{}"), ("laws", "--file", "{}"), ("judge", "{}"),
+], ids=["typecheck", "laws", "judge"])
+def test_a_missing_file_is_a_usage_error(tmp_path, capsys, argv):
+    missing = tmp_path / "missing"
+    code, out, err = run(capsys, *(a.format(missing) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {missing}: [Errno 2]")
+
+
+def test_a_context_name_that_is_no_variable_is_a_schema_error(tmp_path,
+                                                               capsys):
+    bad = tmp_path / "ctx.json"
+    bad.write_text(json.dumps({
+        "rule": "Lit", "premises": [],
+        "conclusion": {"ctx": [[1, "Real"]], "left": "1", "dist": "0",
+                       "right": "1", "type": "Real"}}))
+    code, out, err = run(capsys, "judge", bad)
+    assert code == 2 and out == ""
+    assert err == "schema error: $.conclusion: expected a string, got int\n"
+
+
+@pytest.mark.parametrize("command, body, want", [
+    ("typecheck", "g = fst(3)", (1, "g: type error: projection of "
+                                    "non-product of type Real in fst(3)\n")),
+    ("derive", "f = fst(3)", (1, "type error: projection of non-product "
+                                 "of type Real in fst(3)\n")),
+    ("derive", "f = \\x:Real. \\x':Real. x", (
+        1, "error: cannot differentiate: primed variable(s) [\"x'\"] "
+           "already occur\n")),
+    ("derive", "g = 1", (2, "error: no definition named 'f'\n")),
+    ("diff", "f = \\f:Real->Real. f", (
+        2, "error: diff tabulates first-order functions "
+           "(got (Real -> Real) -> Real -> Real)\n")),
+    ("diff", "f = \\x:Real. 1 / x", (
+        1, "evaluation error: div(1.0, 0.0) outside declared domain\n")),
+], ids=["typecheck-name", "derive-type", "derive-primed", "unknown-name",
+        "higher-order-diff", "diff-domain"])
+def test_each_failure_has_its_code_and_one_line(tmp_path, capsys, command,
+                                                body, want):
+    src = tmp_path / "defs.lam"
+    src.write_text(body + "\n")
+    names = {"typecheck": (), "derive": ("f",), "diff": ("f", "f")}[command]
+    code, out, err = run(capsys, command, src, *names)
+    assert (code, err) == want and out == ""

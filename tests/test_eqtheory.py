@@ -276,6 +276,14 @@ def test_dlog_at_arrow_probe_based():
     assert isinstance(verdict, Falsified)
 
 
+@pytest.mark.parametrize("dist", ["z", r"\x:Real. x", "(1, 2)"])
+def test_dlog_typechecks_the_distance(dist):
+    """The distance is closed at the difference type, like the subjects
+    at the claimed type, before anything is normalized."""
+    with pytest.raises(TypeError, match="unbound|distance subject"):
+        check_dlog(REAL, Lit(1), parse_term(dist), Lit(1), REG)
+
+
 # --- serialization -------------------------------------------------------------------
 
 def test_derivation_json_round_trip():
@@ -328,6 +336,34 @@ def test_derivation_subject_must_be_a_string():
             '"left": ["1"], "dist": "0", "right": "1", "type": "Real"}}')
     with pytest.raises(DerivationFormatError, match="expected a string"):
         derivation_from_json(data, REG)
+
+
+def _lit_in_context(ctx):
+    import json
+    return json.dumps({"rule": "Lit", "premises": [], "conclusion": {
+        "ctx": ctx, "left": "1", "dist": "0", "right": "1", "type": "Real"}})
+
+
+@pytest.mark.parametrize("ctx, message", [
+    ([[1, "Real"]], "expected a string, got int"),
+    ([["x y", "Real"]], "context name 'x y' is not a variable"),
+    ([["1", "Real"]], "context name '1' is not a variable"),
+    ([["x"]], r"expected a context entry \[name, type\]"),
+    (["xR"], r"expected a context entry \[name, type\]"),
+])
+def test_a_context_name_must_read_back_as_its_variable(ctx, message):
+    from lamdist.eqtheory import DerivationFormatError
+    with pytest.raises(DerivationFormatError,
+                       match=r"^\$\.conclusion: " + message):
+        derivation_from_json(_lit_in_context(ctx), REG)
+
+
+def test_a_primed_context_name_reaches_the_checker():
+    d = derivation_from_json(_lit_in_context([["x'", "Real"]]), REG)
+    assert d.conclusion.ctx == (("x'", REAL),)
+    result = check_derivation(d, REG)
+    assert not result
+    assert result.message == "context binds primed variable \"x'\""
 
 
 def test_a_deeply_nested_derivation_is_a_format_error():

@@ -207,6 +207,23 @@ def test_eta_unfound_decomposition_is_not_falsified(probes):
     assert "no decomposition" in verdict.note
 
 
+def test_a_product_walks_past_an_undetermined_component(probes):
+    # the first component finds no split; the second is a plain miss
+    fn_fn = FnType(FN, FN)
+    _, quot_v, _ = named(r"\f:Real->Real. \x:Real. (f (x + 0.1) - f x) / 0.1")
+    _, ident_v, _ = named(r"\f:Real->Real. \x:Real. f x")
+    ty = PairType(fn_fn, REAL)
+    verdict = check_eta(ty, (quot_v, 0.0), (top_diff(fn_fn), 0.1),
+                        (ident_v, 0.5), probes)
+    assert verdict == Falsified("base", ("snd",), 0.5, 0.1)
+    # with both components undetermined the first note stands
+    verdict = check_eta(PairType(fn_fn, fn_fn), (quot_v, quot_v),
+                        (top_diff(fn_fn), top_diff(fn_fn)),
+                        (ident_v, ident_v), probes)
+    assert isinstance(verdict, Consistent) and not verdict.established
+    assert verdict.note.startswith("no decomposition found")
+
+
 def test_eta_accepted_triples_are_quasi_reflexive(probes):
     # an accepted two-sided triple yields an accepted self triple with
     # the same split (the crossing clause degenerates to zero gaps)

@@ -88,3 +88,50 @@ def test_each_primitive_error_is_written_once_in_prims():
                     places[message] += [str(path.relative_to(SRC))] * \
                         node.value.count(message)
     assert places == {message: ["prims.py"] for message in PRIMITIVE_ERRORS}
+
+
+def _calls(tree: ast.AST, scope: str = ""):
+    """``(qualname of the enclosing function, call)`` for every call."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            inner = f"{scope}{node.name}."
+        if isinstance(node, ast.Call):
+            yield scope.rstrip("."), node
+        yield from _calls(node, inner)
+
+
+def test_the_cli_opens_input_in_one_place():
+    """Every input file is read by ``cli._read``, which turns an unreadable
+    or undecodable file into exit 2.  ``os.open`` is left out: ``main``
+    uses it to point a closed standard output at devnull."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    readers = sorted(
+        scope for scope, call in _calls(tree)
+        if isinstance(call.func, ast.Name) and call.func.id == "open"
+        or isinstance(call.func, ast.Attribute)
+        and call.func.attr in ("read_text", "read_bytes", "open")
+        and not (isinstance(call.func.value, ast.Name)
+                 and call.func.value.id == "os"))
+    assert readers == ["_read"]
+
+
+def test_no_code_in_the_package_raises_system_exit():
+    """Failures are typed errors; ``cli.main`` alone maps them to exit
+    codes, and only the ``__main__`` guard exits."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        guards = [node for node in tree.body if isinstance(node, ast.If)
+                  and "__main__" in ast.unparse(node.test)]
+        guarded = {id(n) for g in guards for n in ast.walk(g)}
+        for node in ast.walk(tree):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if (isinstance(exc, ast.Name) and exc.id == "SystemExit"
+                    or isinstance(node, ast.Call) and id(node) not in guarded
+                    and ast.unparse(node.func) in ("sys.exit", "exit")):
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not found, f"SystemExit raised in src/lamdist: {found}"
