@@ -39,7 +39,7 @@ import sys
 
 from .eqtheory import (DerivationFormatError, check_derivation,
                        derivation_from_json)
-from .prims import DEFAULT_REGISTRY, EvalDomainError
+from .prims import DEFAULT_REGISTRY, EvalDomainError, ModulusError
 from .quantale.finite import (BUILTINS, QuantaleStructureError, builtin,
                               parse_quantale, validate)
 from .quantale.props import EnumerationTooLarge, check_section3_props
@@ -58,6 +58,7 @@ FAILURES = {
     TypecheckError: (1, "type error"),
     DottedVariableClash: (1, "error"),
     EvalDomainError: (1, "evaluation error"),
+    ModulusError: (1, "evaluation error"),
     QuantaleStructureError: (1, "structural error"),
     DerivationFormatError: (USAGE_ERROR, "schema error"),
     EnumerationTooLarge: (USAGE_ERROR, "error"),

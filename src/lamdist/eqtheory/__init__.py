@@ -7,8 +7,7 @@ from .addterm import add_term
 from .synthesis import (SynthesisError, quasi_reflexive_derivation,
                         self_distance_derivation, synthesize_fundamental,
                         transitivity_derivation, weaken)
-from .dlog import (NormalizationBlocked, check_dlog, check_dlog_judgment,
-                   syntactic_probes)
+from .dlog import check_dlog, check_dlog_judgment, syntactic_probes
 from .serialize import (DerivationFormatError, derivation_from_dict,
                         derivation_from_json, derivation_to_dict,
                         derivation_to_json)
@@ -23,8 +22,7 @@ __all__ = [
     "SynthesisError", "quasi_reflexive_derivation",
     "self_distance_derivation", "synthesize_fundamental",
     "transitivity_derivation", "weaken",
-    "NormalizationBlocked", "check_dlog", "check_dlog_judgment",
-    "syntactic_probes",
+    "check_dlog", "check_dlog_judgment", "syntactic_probes",
     "DerivationFormatError", "derivation_from_dict", "derivation_from_json",
     "derivation_to_dict", "derivation_to_json",
     "SuiteReport", "chain_partner", "check_suite", "random_derivation",

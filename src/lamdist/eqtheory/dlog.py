@@ -1,8 +1,9 @@
 """Membership in the syntactic distance relation.
 
-At ``Real`` the relation is decidable outright: normalize the three
-closed terms to literals and compare exact rationals.  Products recurse
-through projections.  Arrows are probe-based: the triple is applied to a
+At ``Real`` the relation is decidable outright: evaluate the three
+closed terms exactly (exact-mode ``evaluate``, the evaluator ``normalize``
+reads back from) and compare the rationals.  Products recurse through
+projections.  Arrows are probe-based: the triple is applied to a
 family of syntactic probe triples — literal triples at the base, and
 canonical self-distance triples (u, derivative of u, u) at higher types,
 which the synthesized fundamental derivations certify — and both the
@@ -16,17 +17,13 @@ from fractions import Fraction
 from ..prims import DEFAULT_REGISTRY, Registry
 from ..relations.checkers import Consistent, Falsified, Verdict
 from ..relations.probes import library_terms
+from ..semantics.eval import evaluate
 from ..syntax.derivative import derivative_term, partial_type
-from ..syntax.equality import normalize
 from ..syntax.printer import render_term
-from ..syntax.terms import (App, First, FnType, Lit, Pair, PairType, REAL,
+from ..syntax.terms import (App, First, FnType, Lit, Pair, PairType,
                             RealType, Second, Term, Type, arrow_depth)
 from ..syntax.typecheck import typecheck
 from .judgments import DistanceJudgment
-
-
-class NormalizationBlocked(ValueError):
-    """A closed Real-typed subject did not normalize to a literal."""
 
 
 _LITERAL_TRIPLES = (
@@ -82,15 +79,8 @@ def check_dlog(ty: Type, left: Term, dist: Term, right: Term,
 def _go(ty, left, dist, right, path, counter, registry):
     if isinstance(ty, RealType):
         counter[0] += 1
-        values = []
-        for tag, term in (("left", left), ("distance", dist), ("right", right)):
-            n = normalize((), term, REAL, registry)
-            if not isinstance(n, Lit):
-                raise NormalizationBlocked(
-                    f"{tag} subject {render_term(term)} does not normalize "
-                    "to a literal")
-            values.append(n.value)
-        l, s, r = values
+        l, s, r = (evaluate(term, registry=registry, exact=True)
+                   for term in (left, dist, right))
         if abs(l - r) <= s:
             return None
         return Falsified("base", tuple(path) + (

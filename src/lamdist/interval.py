@@ -86,20 +86,6 @@ class Interval:
         return Interval(0.0, max(-self.lo, self.hi))
 
 
-def sin(x) -> Interval:
-    if not isinstance(x, Interval):
-        x = Interval.point(float(x))
-    lo, hi = _sin_range(x.lo, x.hi)
-    return Interval(_down(lo), _up(hi))
-
-
-def cos(x) -> Interval:
-    if not isinstance(x, Interval):
-        x = Interval.point(float(x))
-    lo, hi = _sin_range(x.lo + math.pi / 2, x.hi + math.pi / 2)
-    return Interval(_down(lo), _up(hi))
-
-
 def _contains_critical(lo: float, hi: float, offset: float) -> bool:
     """Is there a point offset + 2*pi*k inside [lo, hi]?"""
     if math.isinf(lo) or math.isinf(hi):

@@ -98,9 +98,6 @@ class Registry:
                 raise KeyError(f"unknown primitive {name!r}")
         return self._prims[name]
 
-    def names(self) -> list[str]:
-        return sorted(self._prims)
-
     def arity(self, name: str) -> int:
         return self[name].arity
 
@@ -117,8 +114,6 @@ class Registry:
 
         def dexact(*args: Fraction) -> Fraction:
             ys, bs = args[:base.arity], args[base.arity:]
-            if any(b < 0 for b in bs):
-                raise ValueError(f"{dname}: negative error radius")
             if all(b == 0 for b in bs):
                 return Fraction(0)
             if base.exact_modulus is not None:
@@ -133,8 +128,11 @@ class Registry:
                 val = Fraction(val)
             return val
 
+        def radii(*args) -> bool:  # false on a negative or NaN radius
+            return all(b >= 0 for b in args[base.arity:])
+
         prim = Primitive(name=dname, arity=2 * base.arity, fn=dfn,
-                         exact_fn=dexact, derived_from=name)
+                         exact_fn=dexact, domain=radii, derived_from=name)
         return self.register(prim)
 
     def resolve(self, name: str, nargs: int) -> Primitive:
@@ -144,25 +142,14 @@ class Registry:
             raise TypeError(f"{name} expects {p.arity} args, got {nargs}")
         return p
 
-    def checked(self, name: str, nargs: int,
-                exact: bool = False) -> Callable[..., float | Fraction]:
-        """``name``'s implementation for ``nargs`` arguments, looked up and
-        arity-checked once.  Every call still checks the declared domain
-        and, in float mode, that a declared-total primitive stayed finite.
-        Exact mode runs the exact implementation, or rationalizes the float
-        one.  The evaluators inline the same checks into their compiled
-        nodes and share the error helpers below."""
+    def checked(self, name: str, nargs: int) -> Callable[..., float]:
+        """``name``'s float implementation for ``nargs`` arguments, looked
+        up and arity-checked once.  Every call still checks the declared
+        domain and that a declared-total primitive stayed finite.  The
+        compiled nodes of the evaluators inline the same checks and share
+        the error helpers below."""
         p = self.resolve(name, nargs)
         domain, fn = p.domain, p.fn
-        if exact:
-            exact_fn = p.exact_fn or (
-                lambda *args: Fraction(fn(*map(float, args))))
-
-            def call(*args):
-                if domain is not None and not domain(*args):
-                    raise outside_domain(name, args)
-                return exact_fn(*args)
-            return call
         total = p.derived_from is None
         isfinite = math.isfinite
 
@@ -179,11 +166,18 @@ class Registry:
         return self.checked(name, len(args))(*args)
 
     def call_exact(self, name: str, args: Sequence[Fraction]) -> Fraction:
-        return self.checked(name, len(args), exact=True)(*args)
+        """``name`` on rationals, after the domain check: the exact
+        implementation, or the float one rationalized."""
+        p = self.resolve(name, len(args))
+        if p.domain is not None and not p.domain(*args):
+            raise outside_domain(name, tuple(args))
+        if p.exact_fn is not None:
+            return p.exact_fn(*args)
+        return Fraction(p.fn(*map(float, args)))
 
 
-# --- the checks' errors, shared by ``Registry.checked`` and the compiled
-# nodes of the evaluators, which run the same tests inline -----------------
+# --- the checks' errors, shared by ``Registry.checked``, ``call_exact`` and
+# the compiled nodes of the evaluators, which run the same tests inline ----
 
 def outside_domain(name: str, args: tuple) -> EvalDomainError:
     return EvalDomainError(f"{name}{args} outside declared domain")
@@ -335,11 +329,13 @@ def default_registry() -> Registry:
                            modulus=_id_modulus, exact_modulus=_id_modulus))
     reg.register(Primitive("sin", 1, math.sin,
                            exact_fn=lambda a: Fraction(math.sin(float(a))),
+                           domain=math.isfinite,  # math.sin(inf) raises
                            modulus=_sin_modulus,
                            exact_modulus=_wave_modulus_exact(math.sin, 0.0),
                            oscillation=2.0))
     reg.register(Primitive("cos", 1, math.cos,
                            exact_fn=lambda a: Fraction(math.cos(float(a))),
+                           domain=math.isfinite,  # math.cos(inf) raises
                            modulus=_cos_modulus,
                            exact_modulus=_wave_modulus_exact(
                                math.cos, math.pi / 2),

@@ -326,6 +326,8 @@ def parse_quantale(text: str) -> FiniteQuantale:
                 name = parts[1]
             elif parts[0] == "elements":
                 elements.extend(parts[1:])
+                if len(set(elements)) != len(elements):
+                    raise QuantaleStructureError("duplicate element names")
             elif parts[0] == "order" and len(parts) == 4 and parts[2] == "<=":
                 order_pairs.append((parts[1], parts[3]))
             elif parts[0] == "unit" and len(parts) == 2:

@@ -28,8 +28,10 @@ one node at compile time: its value half runs the implementation and
 its checks inline, as the evaluator's nodes do, and its difference half
 applies ``prim_modulus``'s radius rules inline before calling the
 modulus.  Other primitives take their value from ``Registry.checked``
-and their difference from ``prim_modulus``.  Runs on floats; the
-exact-mode story lives in the evaluator.
+and their difference from ``prim_modulus``.  Runs on floats.  Exact
+differences need no mode here: the exact-mode ``evaluate`` of
+``derivative_term(t)`` computes them, because the ``_d`` primitives'
+exact implementations use ``Primitive.exact_modulus``.
 """
 
 from __future__ import annotations
@@ -117,8 +119,7 @@ def _compile_dual(t: Term, scope: tuple[str, ...], free: Mapping[str, Value],
             return (f(y) if want else None), df(y, b)
         return app
     if isinstance(t, Lam):
-        value = compile_value(t, scope, free, registry, False) if want \
-            else None
+        value = compile_value(t, scope, free, registry) if want else None
         body = _compile_dual(t.body, scope + (t.var,), free, dfree, registry,
                              False)
 

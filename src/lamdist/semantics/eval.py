@@ -4,24 +4,25 @@ Values are plain Python data: floats (or ``Fraction`` in exact mode) at
 ``Real``, 2-tuples at products, and 1-argument callables at arrows.
 Evaluation is call-by-value.
 
-``evaluate`` compiles the term once into Python closures and runs them:
-bound variables become slots of a tuple environment (a closure extends
-it by one slot per application), free variables and literals become
-constants converted once, and each primitive is looked up in the
-registry, and its arity checked, at compile time.  In float mode a
+In float mode ``evaluate`` compiles the term once into Python closures
+and runs them: bound variables become slots of a tuple environment (a
+closure extends it by one slot per application), free variables and
+literals become constants converted once, and each primitive is looked
+up in the registry, and its arity checked, at compile time.  A
 primitive of arity 1 or 2 is resolved into a fused node that calls its
 implementation directly and runs ``Registry.checked``'s domain and
-finiteness tests inline, so a primitive call is one frame; exact mode
-and other arities call through ``Registry.checked``.  The checks run
-on every call, and an unbound variable raises ``NameError`` only when
-its node runs, so errors stay as lazy as evaluation itself.  The same
-compiler builds the value closures of the fused difference pass in
-``diff``.
+finiteness tests inline, so a primitive call is one frame; other
+arities call through ``Registry.checked``.  The checks run on every
+call, and an unbound variable raises ``NameError`` only when its node
+runs, so errors stay as lazy as evaluation itself.  The same compiler
+builds the value closures of the fused difference pass in ``diff``.
 
 Exact mode carries ``Fraction`` values: field primitives compute exactly,
 transcendentals rationalize their float result, which is deterministic.
 It exists so inequalities between evaluated reals can be decided with no
-rounding at all.
+rounding at all.  It runs normalization's evaluator,
+``syntax.equality.exact_value``, which is stack-safe on deep terms and
+raises the same errors lazily.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from typing import Callable, Mapping, Union
 
 from ..prims import (DEFAULT_REGISTRY, Primitive, Registry, nonfinite_result,
                      outside_domain)
+from ..syntax.equality import exact_value
 from ..syntax.terms import (App, First, Lam, Lit, Pair, PrimOp, Second, Term,
                             TermTooDeep, Var)
 
@@ -44,9 +46,11 @@ Code = Callable[[tuple], Value]
 def evaluate(t: Term, env: Mapping[str, Value] | None = None, *,
              registry: Registry = DEFAULT_REGISTRY,
              exact: bool = False) -> Value:
+    env = dict(env) if env else {}
     try:
-        return compile_value(t, (), dict(env) if env else {}, registry,
-                             exact)(())
+        if exact:
+            return exact_value(env, t, registry)
+        return compile_value(t, (), env, registry)(())
     except RecursionError:
         raise TermTooDeep("term nested too deeply to evaluate") from None
 
@@ -60,7 +64,7 @@ def slot(scope: tuple[str, ...], name: str) -> int | None:
 
 
 def compile_value(t: Term, scope: tuple[str, ...], free: Mapping[str, Value],
-                  registry: Registry, exact: bool) -> Code:
+                  registry: Registry) -> Code:
     """Closures computing ``t``'s value from an environment tuple laid out
     as ``scope``; names outside ``scope`` are read from ``free`` now."""
     if isinstance(t, Var):
@@ -76,38 +80,37 @@ def compile_value(t: Term, scope: tuple[str, ...], free: Mapping[str, Value],
             raise NameError(f"unbound variable {name!r} at evaluation")
         return unbound
     if isinstance(t, Lit):
-        value = t.value if exact else float(t.value)
+        value = float(t.value)
         return lambda env: value
     if isinstance(t, PrimOp):
         p = registry.resolve(t.name, len(t.args))
-        args = [compile_value(a, scope, free, registry, exact)
-                for a in t.args]
-        if exact or p.arity not in (1, 2):
-            call = registry.checked(p.name, p.arity, exact)
+        args = [compile_value(a, scope, free, registry) for a in t.args]
+        if p.arity not in (1, 2):
+            call = registry.checked(p.name, p.arity)
             return lambda env: call(*[a(env) for a in args])
         return _prim_node(p, args)
     if isinstance(t, App):
-        fn = compile_value(t.fn, scope, free, registry, exact)
-        arg = compile_value(t.arg, scope, free, registry, exact)
+        fn = compile_value(t.fn, scope, free, registry)
+        arg = compile_value(t.arg, scope, free, registry)
         return lambda env: fn(env)(arg(env))
     if isinstance(t, Lam):
-        body = compile_value(t.body, scope + (t.var,), free, registry, exact)
+        body = compile_value(t.body, scope + (t.var,), free, registry)
         return lambda env: lambda v: body(env + (v,))
     if isinstance(t, Pair):
-        left = compile_value(t.left, scope, free, registry, exact)
-        right = compile_value(t.right, scope, free, registry, exact)
+        left = compile_value(t.left, scope, free, registry)
+        right = compile_value(t.right, scope, free, registry)
         return lambda env: (left(env), right(env))
     if isinstance(t, First):
-        pair = compile_value(t.pair, scope, free, registry, exact)
+        pair = compile_value(t.pair, scope, free, registry)
         return lambda env: pair(env)[0]
     if isinstance(t, Second):
-        pair = compile_value(t.pair, scope, free, registry, exact)
+        pair = compile_value(t.pair, scope, free, registry)
         return lambda env: pair(env)[1]
     raise TypeError(f"not a term: {t!r}")
 
 
 def _prim_node(p: Primitive, args: list[Code]) -> Code:
-    """A float-mode node of arity 1 or 2 that calls ``p``'s implementation
+    """A node of arity 1 or 2 that calls ``p``'s implementation
     itself and runs ``Registry.checked``'s domain and finiteness tests
     inline, so a primitive call is one frame."""
     name, fn, domain = p.name, p.fn, p.domain

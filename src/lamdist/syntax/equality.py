@@ -8,6 +8,10 @@ for partially-literal calls.  Readback names binders canonically, so two
 terms are equal in the theory iff their normal forms are structurally
 identical.  On terms whose primitive calls stay open the comparison
 degrades to syntactic equality of normal forms, which is sound.
+
+The evaluator, ``exact_value``, is lamdist's one evaluator in rational
+arithmetic: exact-mode ``evaluate`` runs it on closed values, and only it
+calls ``Registry.call_exact``.  It runs on ``terms.fold``: stack-safe.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from typing import Callable
+from typing import Callable, Mapping
 
 from ..prims import DEFAULT_REGISTRY, Registry
 from .printer import render_type
@@ -80,23 +84,33 @@ def _project(p: V, first: bool) -> V:
 
 
 def _prim(name: str, args: tuple[V, ...], registry: Registry) -> V:
-    if all(isinstance(a, Fraction) for a in args):
-        return Fraction(registry.call_exact(name, list(args)))
-    return VNeutral(NPrim(name, args), REAL)
+    if any(isinstance(a, VNeutral) for a in args):
+        return VNeutral(NPrim(name, args), REAL)
+    return Fraction(registry.call_exact(name, args))
 
 
-def _eval(env: dict[str, V], t: Term, registry: Registry) -> V:
+def exact_value(env: Mapping[str, V], t: Term, registry: Registry) -> V:
+    """``t``'s value, with its free names read from ``env`` (where
+    ``normalize`` puts neutral values)."""
     return fold(t, _EVAL, (env, registry))
+
+
+def _lookup(state, t: Var, vs) -> V:
+    try:
+        return state[0][t.name]
+    except KeyError:
+        raise NameError(
+            f"unbound variable {t.name!r} at evaluation") from None
 
 
 def _closure(state, t: Lam) -> Skip:
     """A lambda's value: its body is evaluated when it is applied."""
     env, registry = state
-    return Skip((lambda v: _eval({**env, t.var: v}, t.body, registry),))
+    return Skip((lambda v: exact_value({**env, t.var: v}, t.body, registry),))
 
 
 _EVAL = walker({
-    Var: lambda state, t, vs: state[0][t.name],
+    Var: _lookup,
     Lit: lambda state, t, vs: t.value,
     App: lambda state, t, vs: _apply(*vs),
     PrimOp: lambda state, t, vs: _prim(t.name, tuple(vs), state[1]),
@@ -153,7 +167,7 @@ def normalize(ctx: Context, t: Term, ty: Type | None = None,
     fresh = (n for i in count()
              if (n := f"v{i}") not in avoid and n + "'" not in avoid).__next__
     try:
-        return _readback(_eval(env, t, registry), ty, fresh, registry)
+        return _readback(exact_value(env, t, registry), ty, fresh, registry)
     except RecursionError:
         raise TermTooDeep("normal form too deep to read back") from None
 

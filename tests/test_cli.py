@@ -384,8 +384,14 @@ def test_a_context_name_that_is_no_variable_is_a_schema_error(tmp_path,
            "(got (Real -> Real) -> Real -> Real)\n")),
     ("diff", "f = \\x:Real. 1 / x", (
         1, "evaluation error: div(1.0, 0.0) outside declared domain\n")),
+    ("diff", "f = \\x:Real. sin_d(x, -1)", (
+        1, "evaluation error: sin_d(0.0, -1.0) outside declared domain\n")),
+    ("diff", "f = \\x:Real. sin_d(x, 0 - x * x)", (
+        1, "evaluation error: sin_d has no analytic modulus and its "
+           "implementation does not accept intervals\n")),
 ], ids=["typecheck-name", "derive-type", "derive-primed", "unknown-name",
-        "higher-order-diff", "diff-domain"])
+        "higher-order-diff", "diff-domain", "diff-negative-radius",
+        "diff-variable-radius"])
 def test_each_failure_has_its_code_and_one_line(tmp_path, capsys, command,
                                                 body, want):
     src = tmp_path / "defs.lam"
@@ -393,3 +399,19 @@ def test_each_failure_has_its_code_and_one_line(tmp_path, capsys, command,
     names = {"typecheck": (), "derive": ("f",), "diff": ("f", "f")}[command]
     code, out, err = run(capsys, command, src, *names)
     assert (code, err) == want and out == ""
+
+
+def test_a_negative_radius_in_a_conversion_is_an_evaluation_error(tmp_path,
+                                                                  capsys):
+    """Normalizing the distance runs ``sin_d`` exactly on a radius below 0,
+    outside the domain every derived primitive declares."""
+    lit = {"rule": "Lit", "premises": [], "conclusion": {
+        "ctx": [], "left": "0", "dist": "0", "right": "0", "type": "Real"}}
+    conv = tmp_path / "conv.json"
+    conv.write_text(json.dumps({"rule": "Conv", "premises": [lit],
+                                "conclusion": {**lit["conclusion"],
+                                               "dist": "sin_d(0, -1)"}}))
+    code, out, err = run(capsys, "judge", conv)
+    assert (code, out) == (1, "")
+    assert err == ("evaluation error: sin_d(Fraction(0, 1), Fraction(-1, 1)) "
+                   "outside declared domain\n")

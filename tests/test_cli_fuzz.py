@@ -2,9 +2,11 @@
 
 ``cli.main`` runs in-process on seeded mutations of the corpus term and
 quantale files and of the perfbench derivation files: tokens inserted and
-deleted, invalid UTF-8 bytes, and (for JSON) a field replaced by another
-JSON value.  Every run must exit 0, 1 or 2 with no traceback on stderr.
-The examples are derandomized, so each run tries the same inputs.
+deleted, invalid UTF-8 bytes, a variable or number of a term replaced by
+a derived ``_d`` primitive on a bad radius, and (for JSON) a field
+replaced by another JSON value.  Every run must exit 0, 1 or 2 with no
+traceback on stderr.  The examples are derandomized, so each run tries
+the same inputs.
 """
 
 import contextlib
@@ -34,7 +36,13 @@ TOKENS = [b"(", b")", b"\\", b":", b".", b",", b"=", b"+", b"-", b"*", b"/",
           b"order", b"<=", b"unit", b"tensor", b"top", b"bot", b"[", b"]",
           b"{", b"}", b'"', b"null", b"Infinity"]
 INVALID_UTF8 = [b"\xff", b"\xc3", b"\xe9t\xe9", b"\xed\xa0\x80", b"\x80\x80"]
+# derived primitives on negative, variable and nested radii, put in the
+# place of a variable or a number of a term
+RADII = [b"sin_d(x, -1)", b"sin_d(x, 0 - x * x)", b"cos_d(x, sin_d(x, x))",
+         b"sin_d(sin_d(x, -0.5), 1)", b"mul_d(x, 1, x, -1)",
+         b"div_d(1, x, 0.5, x * x)", b"abs_d(x, sin_d(x, 0 - x))"]
 _TOKEN = re.compile(rb"\s+|[\w.]+'*|.", re.S)
+_OPERAND = re.compile(rb"x|\d[\d.]*")
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
@@ -74,9 +82,15 @@ def mutated(draw, kind):
     for _ in range(draw(st.integers(0 if kind == "json" else 1, 3))):
         tokens = _TOKEN.findall(data)
         at = draw(st.integers(0, len(tokens)))
-        action = draw(st.sampled_from(["insert", "delete", "bytes"]))
+        action = draw(st.sampled_from(
+            ["insert", "delete", "bytes"] + ["radius"] * (kind != "qnt")))
         if action == "delete":
             del tokens[at:at + 1]
+        elif action == "radius":
+            operands = [i for i, token in enumerate(tokens)
+                        if _OPERAND.fullmatch(token)] or [at]
+            at = draw(st.sampled_from(operands))
+            tokens[at:at + 1] = [draw(st.sampled_from(RADII))]
         else:
             tokens.insert(at, draw(st.sampled_from(
                 TOKENS if action == "insert" else INVALID_UTF8)))

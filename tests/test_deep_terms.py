@@ -2,6 +2,7 @@
 fold, and what still recurses raises ``TermTooDeep`` from the library."""
 
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -61,3 +62,14 @@ def test_a_ten_thousand_literal_sum_normalizes_to_a_literal():
     ones = parse_term(" + ".join(["1"] * N))
     assert normalize((), ones) == Lit(N)
     assert term_equal((), ones, Lit(N))
+
+
+def test_exact_evaluation_of_a_ten_thousand_literal_sum():
+    """Exact mode runs normalization's evaluator, a fold on an explicit
+    stack."""
+    ones = parse_term(" + ".join(["1"] * N))
+    assert evaluate(ones, exact=True) == Fraction(N)
+
+
+def test_exact_evaluation_applies_a_ten_thousand_term_sum():
+    assert evaluate(DEEP_SUM, exact=True)(Fraction(1)) == N

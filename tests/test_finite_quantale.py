@@ -99,6 +99,10 @@ def test_parse_quantale_errors():
         parse_quantale("nonsense line\n")
     with pytest.raises(QuantaleStructureError):
         parse_quantale("elements a\n")  # no unit
+    for declared in ("elements a a", "elements a b\nelements b"):
+        with pytest.raises(QuantaleStructureError,
+                           match="^duplicate element names$"):
+            parse_quantale(declared + "\nunit a\ntensor a a = a\n")
 
 
 def test_missing_top_and_bottom_raise_on_every_access():

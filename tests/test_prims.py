@@ -161,3 +161,18 @@ def test_interval_arithmetic_outward():
     assert j.hi >= (1.5 * 1.5 - 0.5) / 2
     with pytest.raises(ValueError):
         Interval(2.0, 1.0)
+
+
+@pytest.mark.parametrize("name, args", [
+    ("sin_d", (0.0, -1.0)), ("sin_d", (0.0, math.nan)),
+    ("div_d", (1.0, 2.0, 0.5, -0.25)), ("sin", (math.inf,)),
+    ("cos", (-math.inf,)), ("sin", (math.nan,)),
+])
+def test_bad_arguments_are_outside_the_declared_domain(reg, name, args):
+    """A radius below 0 or NaN, and an argument of ``sin``/``cos`` that is
+    not finite, fail the domain check in both arithmetics."""
+    with pytest.raises(EvalDomainError, match="outside declared domain"):
+        reg.call_float(name, args)
+    if all(math.isfinite(a) for a in args):
+        with pytest.raises(EvalDomainError, match="outside declared domain"):
+            reg.call_exact(name, [Fraction(a) for a in args])

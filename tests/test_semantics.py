@@ -152,6 +152,10 @@ def test_unbound_variable_waits_for_the_call():
     with pytest.raises(NameError, match="unbound variable 'y'"):
         f(1.0)
     assert evaluate(Lam("x", REAL, Var("y")), {"y": 3.0})(1.0) == 3.0
+    exact = evaluate(Lam("x", REAL, PrimOp("add", (Var("x"), Var("y")))),
+                     exact=True)
+    with pytest.raises(NameError, match="^unbound variable 'y' at evaluation"):
+        exact(Fraction(1))
 
 
 def test_diff_needs_values_of_primitive_arguments():

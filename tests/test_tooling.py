@@ -135,3 +135,16 @@ def test_no_code_in_the_package_raises_system_exit():
                     and ast.unparse(node.func) in ("sys.exit", "exit")):
                 found.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert not found, f"SystemExit raised in src/lamdist: {found}"
+
+
+def test_one_module_calls_primitives_in_rational_arithmetic():
+    """Exact evaluation has one evaluator, ``syntax.equality.exact_value``,
+    which ``normalize`` and exact-mode ``evaluate`` both run: only its
+    module reads ``Registry.call_exact``."""
+    readers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if any(isinstance(node, ast.Attribute) and node.attr == "call_exact"
+               for node in ast.walk(tree)):
+            readers.add(path.relative_to(SRC).as_posix())
+    assert readers == {"syntax/equality.py"}
