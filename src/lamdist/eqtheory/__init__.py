@@ -7,7 +7,7 @@ from .addterm import add_term
 from .synthesis import (SynthesisError, quasi_reflexive_derivation,
                         self_distance_derivation, synthesize_fundamental,
                         transitivity_derivation, weaken)
-from .dlog import check_dlog, check_dlog_judgment, syntactic_probes
+from .dlog import SyntacticProbes, check_dlog, check_dlog_judgment
 from .serialize import (DerivationFormatError, derivation_from_dict,
                         derivation_from_json, derivation_to_dict,
                         derivation_to_json)
@@ -22,7 +22,7 @@ __all__ = [
     "SynthesisError", "quasi_reflexive_derivation",
     "self_distance_derivation", "synthesize_fundamental",
     "transitivity_derivation", "weaken",
-    "check_dlog", "check_dlog_judgment", "syntactic_probes",
+    "SyntacticProbes", "check_dlog", "check_dlog_judgment",
     "DerivationFormatError", "derivation_from_dict", "derivation_from_json",
     "derivation_to_dict", "derivation_to_json",
     "SuiteReport", "chain_partner", "check_suite", "random_derivation",

@@ -1,13 +1,14 @@
 """Membership in the syntactic distance relation.
 
-At ``Real`` the relation is decidable outright: evaluate the three
-closed terms exactly (exact-mode ``evaluate``, the evaluator ``normalize``
-reads back from) and compare the rationals.  Products recurse through
-projections.  Arrows are probe-based: the triple is applied to a
-family of syntactic probe triples — literal triples at the base, and
+The syntactic relation has the semantic one's membership clauses, so
+``check_dlog`` is ``check_rho`` on the exact denotations of its three
+closed terms (exact-mode ``evaluate``, the evaluator ``normalize`` reads
+back from): at ``Real`` it compares rationals, which decides membership
+outright; products go componentwise; at arrows both the two-sided and
+the self application triples must stay members for every probe.  The
+probes are ``SyntacticProbes``: literal triples at the base, and
 canonical self-distance triples (u, derivative of u, u) at higher types,
-which the synthesized fundamental derivations certify — and both the
-two-sided and self application triples must stay members.
+which the synthesized fundamental derivations certify.
 """
 
 from __future__ import annotations
@@ -15,13 +16,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..prims import DEFAULT_REGISTRY, Registry
-from ..relations.checkers import Consistent, Falsified, Verdict
-from ..relations.probes import library_terms
+from ..relations.checkers import Verdict, check_rho
+from ..relations.probes import ProbeSet, ProbeTriple, library_terms
 from ..semantics.eval import evaluate
 from ..syntax.derivative import derivative_term, partial_type
 from ..syntax.printer import render_term
-from ..syntax.terms import (App, First, FnType, Lit, Pair, PairType,
-                            RealType, Second, Term, Type, arrow_depth)
+from ..syntax.terms import FnType, PairType, Term, TermTooDeep, Type
 from ..syntax.typecheck import typecheck
 from .judgments import DistanceJudgment
 
@@ -36,26 +36,27 @@ _LITERAL_TRIPLES = (
 )
 
 
-def syntactic_probes(ty: Type, registry: Registry = DEFAULT_REGISTRY
-                     ) -> list[tuple[Term, Term, Term]]:
-    """Closed probe triples known to be members at ``ty``."""
-    if isinstance(ty, RealType):
+class SyntacticProbes(ProbeSet):
+    """Exact denotations of closed probe triples known to be members: the
+    literal triples at ``Real`` and (u, derivative of u, u) for each
+    library term u at an arrow, at any arrow depth.  A difference stays
+    curried, as the derivative evaluates."""
+
+    def __init__(self, registry: Registry = DEFAULT_REGISTRY):
+        super().__init__(registry=registry)
+
+    def _real_triples(self) -> list[ProbeTriple]:
+        return [ProbeTriple(Fraction(l), Fraction(s), Fraction(r), label=l)
+                for l, s, r in _LITERAL_TRIPLES]
+
+    def _fn_triples(self, ty: FnType, family: str) -> list[ProbeTriple]:
+        reg = self.registry
         out = []
-        for l, s, r in _LITERAL_TRIPLES:
-            out.append((Lit(Fraction(l)), Lit(Fraction(s)), Lit(Fraction(r))))
+        for u in library_terms(ty, reg):
+            x = evaluate(u, registry=reg, exact=True)
+            d = evaluate(derivative_term((), u, reg), registry=reg, exact=True)
+            out.append(ProbeTriple(x, d, x, label=render_term(u)))
         return out
-    if isinstance(ty, PairType):
-        lefts = syntactic_probes(ty.left, registry)
-        rights = syntactic_probes(ty.right, registry)
-        return [(Pair(l1, l2), Pair(s1, s2), Pair(r1, r2))
-                for (l1, s1, r1), (l2, s2, r2)
-                in zip(lefts, rights)]
-    if isinstance(ty, FnType):
-        out = []
-        for u in library_terms(ty, registry):
-            out.append((u, derivative_term((), u, registry), u))
-        return out
-    raise TypeError(f"not a type: {ty!r}")
 
 
 def check_dlog(ty: Type, left: Term, dist: Term, right: Term,
@@ -69,38 +70,22 @@ def check_dlog(ty: Type, left: Term, dist: Term, right: Term,
         got = typecheck((), term, registry)
         if got != want:
             raise TypeError(f"{name} subject is not closed at the claimed type")
-    counter = [0]
-    bad = _go(ty, left, dist, right, [], counter, registry)
-    if bad is not None:
-        return bad
-    return Consistent(counter[0], arrow_depth(ty))
+    x, a, x2 = (evaluate(term, registry=registry, exact=True)
+                for term in (left, dist, right))
+    try:
+        return check_rho(ty, x, _uncurried(ty, a), x2,
+                         SyntacticProbes(registry))
+    except RecursionError:
+        raise TermTooDeep("term nested too deeply to evaluate") from None
 
 
-def _go(ty, left, dist, right, path, counter, registry):
-    if isinstance(ty, RealType):
-        counter[0] += 1
-        l, s, r = (evaluate(term, registry=registry, exact=True)
-                   for term in (left, dist, right))
-        if abs(l - r) <= s:
-            return None
-        return Falsified("base", tuple(path) + (
-            f"|{l} - {r}| > {s}",), float(abs(l - r)), float(s))
-    if isinstance(ty, PairType):
-        return (_go(ty.left, First(left), First(dist), First(right),
-                    path + ["fst"], counter, registry)
-                or _go(ty.right, Second(left), Second(dist), Second(right),
-                       path + ["snd"], counter, registry))
+def _uncurried(ty: Type, a):
+    """A distance value in the checkers' shape: ``a(y, b)`` is ``a y b``."""
     if isinstance(ty, FnType):
-        for (s, b, s2) in syntactic_probes(ty.arg, registry):
-            here = f"applied to {render_term(s)}"
-            out_dist = App(App(dist, s), b)
-            for side, fn_term in (("cross", right), ("self", left)):
-                bad = _go(ty.res, App(left, s), out_dist, App(fn_term, s2),
-                          path + [f"{here} [{side}]"], counter, registry)
-                if bad is not None:
-                    return bad
-        return None
-    raise TypeError(f"not a type: {ty!r}")
+        return lambda y, b: _uncurried(ty.res, a(y)(b))
+    if isinstance(ty, PairType):
+        return (_uncurried(ty.left, a[0]), _uncurried(ty.right, a[1]))
+    return a
 
 
 def check_dlog_judgment(j: DistanceJudgment,

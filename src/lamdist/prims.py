@@ -128,11 +128,14 @@ class Registry:
                 val = Fraction(val)
             return val
 
-        def radii(*args) -> bool:  # false on a negative or NaN radius
-            return all(b >= 0 for b in args[base.arity:])
+        def domain(*args) -> bool:
+            # the centre in the base domain, each radius in [0, +inf]
+            ys, bs = args[:base.arity], args[base.arity:]
+            return ((base.domain is None or base.domain(*ys))
+                    and all(b >= 0 for b in bs))
 
         prim = Primitive(name=dname, arity=2 * base.arity, fn=dfn,
-                         exact_fn=dexact, domain=radii, derived_from=name)
+                         exact_fn=dexact, domain=domain, derived_from=name)
         return self.register(prim)
 
     def resolve(self, name: str, nargs: int) -> Primitive:
@@ -167,9 +170,14 @@ class Registry:
 
     def call_exact(self, name: str, args: Sequence[Fraction]) -> Fraction:
         """``name`` on rationals, after the domain check: the exact
-        implementation, or the float one rationalized."""
+        implementation, or the float one rationalized.  A rational that
+        a float domain test cannot convert lies outside that domain."""
         p = self.resolve(name, len(args))
-        if p.domain is not None and not p.domain(*args):
+        try:
+            inside = p.domain is None or p.domain(*args)
+        except OverflowError:  # past the float range
+            inside = False
+        if not inside:
             raise outside_domain(name, tuple(args))
         if p.exact_fn is not None:
             return p.exact_fn(*args)
@@ -203,12 +211,14 @@ def prim_modulus(prim: Primitive, ys: Sequence[float],
     """Largest output deviation of ``prim`` over the error box around ``ys``.
 
     Exact when the primitive registers an analytic modulus; otherwise a
-    sound over-approximation via interval evaluation.  A zero box always
-    gives 0, and any infinite error radius gives the declared global
-    oscillation.
+    sound over-approximation via interval evaluation.  The centre ``ys``
+    must lie in the primitive's domain.  A zero box then always gives 0,
+    and any infinite error radius gives the declared global oscillation.
     """
     if len(ys) != prim.arity or len(bs) != prim.arity:
         raise TypeError(f"{prim.name} modulus expects {prim.arity}+{prim.arity} args")
+    if prim.domain is not None and not prim.domain(*ys):
+        raise outside_domain(prim.name, tuple(ys))
     zero = True
     infinite = False
     for b in bs:
@@ -291,6 +301,9 @@ def _wave_modulus_exact(fn: Callable[[float], float], offset: float):
     points."""
     def modulus(ys: Sequence[Fraction], bs: Sequence[Fraction]) -> Fraction:
         y, b = ys[0], bs[0]
+        centre = Fraction(fn(float(y)))
+        if b >= math.pi:  # a box a period wide, as in ``interval._sin_range``
+            return max(1 - centre, centre + 1)
         lo, hi = y - b, y + b
         v_lo = Fraction(fn(float(lo)))
         v_hi = Fraction(fn(float(hi)))
@@ -299,7 +312,6 @@ def _wave_modulus_exact(fn: Callable[[float], float], offset: float):
             else max(v_lo, v_hi)
         bot = Fraction(-1) if interval._contains_critical(flo, fhi, -math.pi / 2) \
             else min(v_lo, v_hi)
-        centre = Fraction(fn(float(y)))
         return max(top - centre, centre - bot)
     return modulus
 

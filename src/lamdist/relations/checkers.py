@@ -16,11 +16,15 @@ componentwise) and differ at arrows:
 
 One type-directed walk (``_Walk.member``) serves all four and hands
 arrows to the family's clause, which may walk another family in the
-same state.
+same state.  A checker runs under its probe set's registry.  The walk
+only subtracts, compares and applies, so the main family's check runs
+unchanged on ``Fraction`` values: ``eqtheory.check_dlog`` is
+``check_rho`` on exact denotations and exact probes.
 
-Falsification is a failed float comparison at a probe, not yet replayed
-exactly: a member can be falsified by a one-ulp rounding miss (ROADMAP
-item 2).  Success is always relative to the probes used.  Self-distance
+On floats, falsification is a failed float comparison at a probe, not
+yet replayed exactly: a member can be falsified by a one-ulp rounding
+miss (ROADMAP item 2).  Success is always relative to the probes used.
+Self-distance
 probes for the vertical/right families default to the coarse
 (slope-style) estimates; passing ``tight_self_probes=True`` adds
 derivative-grade self-distances, which genuinely falsify more triples.
@@ -29,9 +33,9 @@ derivative-grade self-distances, which genuinely falsify more triples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional, Union
 
-from ..prims import DEFAULT_REGISTRY, Registry
 from ..semantics.diff import (Diff, diff_evaluate, residual_diff, tensor_diff,
                               top_diff)
 from ..semantics.eval import Value, evaluate
@@ -95,7 +99,6 @@ class _Walk:
     is None when every comparison holds, else the first ``Falsified`` or
     a note that the decomposition search found no split."""
     probes: ProbeSet
-    registry: Registry
     tight: bool = False
     compared: int = 0
     # (type, id of the element, id of its term) -> (element, term, estimate)
@@ -105,11 +108,14 @@ class _Walk:
         self.compared += 1
         if lhs <= rhs:
             return None
-        steps = []
+        # an exact comparison keeps its values, which floats may round
+        # into a tie
+        steps = [f"{lhs} > {rhs}"] if isinstance(lhs, Fraction) else []
         while path is not None:
             path, template, arg = path
             steps.append(_show(template, arg))
-        return Falsified(clause, tuple(reversed(steps)), lhs, float(rhs))
+        return Falsified(clause, tuple(reversed(steps)), float(lhs),
+                         float(rhs))
 
     def member(self, arrow, ty, x, a, x2, path=None, given=(None, None)):
         """Walk ``ty``, handing arrows to the family clause ``arrow``.
@@ -144,7 +150,7 @@ class _Walk:
         key = (ty, id(x), id(term))
         if key not in self.estimates:
             self.estimates[key] = (x, term, estimate_self_distance(
-                ty, x, self.probes, self.registry, term=term))
+                ty, x, self.probes, term=term))
         return self.estimates[key][2]
 
     def verdict(self, arrow, ty, x, a, x2, given=(None, None)) -> Verdict:
@@ -157,9 +163,9 @@ class _Walk:
 
 # --- the main family ---------------------------------------------------------
 
-def check_rho(ty: Type, x: Value, a: Diff, x2: Value, probes: ProbeSet,
-              registry: Registry = DEFAULT_REGISTRY) -> Verdict:
-    return _Walk(probes, registry).verdict(_rho_arrow, ty, x, a, x2)
+def check_rho(ty: Type, x: Value, a: Diff, x2: Value,
+              probes: ProbeSet) -> Verdict:
+    return _Walk(probes).verdict(_rho_arrow, ty, x, a, x2)
 
 
 def _rho_arrow(walk, ty, x, a, x2, path, given):
@@ -177,11 +183,10 @@ def _rho_arrow(walk, ty, x, a, x2, path, given):
 
 # --- the vertical (left observational) family --------------------------------
 
-def check_gamma(ty: Type, x: Value, a: Diff, x2: Value, probes: ProbeSet,
-                registry: Registry = DEFAULT_REGISTRY,
+def check_gamma(ty: Type, x: Value, a: Diff, x2: Value, probes: ProbeSet, *,
                 right_term: Term | None = None,
                 tight_self_probes: bool = False) -> Verdict:
-    return _Walk(probes, registry, tight_self_probes).verdict(
+    return _Walk(probes, tight_self_probes).verdict(
         _gamma_arrow, ty, x, a, x2, (None, right_term))
 
 
@@ -195,8 +200,8 @@ def _gamma_arrow(walk, ty, x, a, x2, path, given):
             return bad
     # dominance clause: tensoring with self-distances of the right
     # function keeps the left function close to itself
-    selfds, _ = _verified_self_diffs(ty, x2, walk.probes, walk.registry,
-                                     given[1], "rho", walk.tight)
+    selfds, _ = _verified_self_diffs(ty, x2, walk.probes, given[1], "rho",
+                                     walk.tight)
     for provenance, selfd in selfds:
         bad = walk.member(_rho_arrow, ty, x, tensor_diff(ty, a, selfd), x,
                           (path, "dominance via {} self-distance", provenance))
@@ -207,12 +212,11 @@ def _gamma_arrow(walk, ty, x, a, x2, path, given):
 
 # --- the decomposition (partial-metric) family -------------------------------
 
-def check_eta(ty: Type, x: Value, a: Diff, x2: Value, probes: ProbeSet,
-              registry: Registry = DEFAULT_REGISTRY,
+def check_eta(ty: Type, x: Value, a: Diff, x2: Value, probes: ProbeSet, *,
               decomposition: tuple[Diff, Diff] | None = None,
               left_term: Term | None = None) -> Verdict:
-    return _Walk(probes, registry).verdict(_eta_arrow, ty, x, a, x2,
-                                           (decomposition, left_term))
+    return _Walk(probes).verdict(_eta_arrow, ty, x, a, x2,
+                                 (decomposition, left_term))
 
 
 def _eta_arrow(walk, ty, x, a, x2, path, given):
@@ -295,19 +299,18 @@ def _diff_leq_at(ty: Type, d1: Diff, d2: Diff, probes: ProbeSet) -> bool:
 
 # --- the right observational family ------------------------------------------
 
-def check_delta(ty: Type, x: Value, a: Diff, x2: Value, probes: ProbeSet,
-                registry: Registry = DEFAULT_REGISTRY,
+def check_delta(ty: Type, x: Value, a: Diff, x2: Value, probes: ProbeSet, *,
                 left_term: Term | None = None,
                 tight_self_probes: bool = False) -> Verdict:
     """Tensor with every self-distance probe of the left element and land
     in the decomposition family."""
-    return _Walk(probes, registry, tight_self_probes).verdict(
+    return _Walk(probes, tight_self_probes).verdict(
         _delta_arrow, ty, x, a, x2, (None, left_term))
 
 
 def _delta_arrow(walk, ty, x, a, x2, path, given):
-    selfds, _ = _verified_self_diffs(ty, x, walk.probes, walk.registry,
-                                     given[1], "eta", walk.tight)
+    selfds, _ = _verified_self_diffs(ty, x, walk.probes, given[1], "eta",
+                                     walk.tight)
     if not selfds:
         return "no verified self-distance probes for the left element"
     undetermined = []
@@ -324,14 +327,14 @@ def _delta_arrow(walk, ty, x, a, x2, path, given):
 
 # --- the soundness triple of a closed term -----------------------------------
 
-def check_fundamental(t: Term, probes: ProbeSet,
-                      registry: Registry = DEFAULT_REGISTRY) -> Verdict:
+def check_fundamental(t: Term, probes: ProbeSet) -> Verdict:
     """The (value, difference, value) triple of a closed term belongs to
     the main family; exact at first order."""
+    registry = probes.registry
     ty = typecheck((), t, registry)
     x = evaluate(t, registry=registry)
     d = diff_evaluate(t, registry=registry)
-    return check_rho(ty, x, d, x, probes, registry)
+    return check_rho(ty, x, d, x, probes)
 
 
 # --- over-approximation combination -------------------------------------------
@@ -356,8 +359,7 @@ class ApproxReport:
 
 
 def check_theorem_approx(f: Value, f2: Value, a: Diff, a2: Diff,
-                         domain: Type, probes: ProbeSet,
-                         registry: Registry = DEFAULT_REGISTRY) -> ApproxReport:
+                         domain: Type, probes: ProbeSet) -> ApproxReport:
     """Vertical gap plus shared self-distance bounds the two-sided
     distance between functions into the reals.
 
@@ -377,9 +379,9 @@ def check_theorem_approx(f: Value, f2: Value, a: Diff, a2: Diff,
         if lhs > rhs:
             hyp_failures.append(Falsified(
                 "hypothesis", (_show("at {at}", probe),), lhs, rhs))
-    self_left = check_rho(ty, f, a2, f, probes, registry)
-    self_right = check_rho(ty, f2, a2, f2, probes, registry)
-    conclusion = check_rho(ty, f, tensor_diff(ty, a, a2), f2, probes, registry)
+    self_left = check_rho(ty, f, a2, f, probes)
+    self_right = check_rho(ty, f2, a2, f2, probes)
+    conclusion = check_rho(ty, f, tensor_diff(ty, a, a2), f2, probes)
     return ApproxReport(tuple(hyp_failures), self_left, self_right,
                         conclusion, counter)
 
@@ -453,8 +455,7 @@ class SelfDistanceEstimate:
         return None
 
 
-def estimate_self_distance(ty: Type, x: Value, probes: ProbeSet,
-                           registry: Registry = DEFAULT_REGISTRY,
+def estimate_self_distance(ty: Type, x: Value, probes: ProbeSet, *,
                            term: Term | None = None,
                            family: str = "rho") -> SelfDistanceEstimate:
     """Verified self-distance candidates for ``x``, tightest not
@@ -470,29 +471,27 @@ def estimate_self_distance(ty: Type, x: Value, probes: ProbeSet,
     if isinstance(ty, RealType):
         return SelfDistanceEstimate(ty, (("exact", 0.0),), 0)
     if isinstance(ty, PairType):
-        left = estimate_self_distance(ty.left, x[0], probes, registry,
-                                      family=family)
-        right = estimate_self_distance(ty.right, x[1], probes, registry,
-                                       family=family)
+        left = estimate_self_distance(ty.left, x[0], probes, family=family)
+        right = estimate_self_distance(ty.right, x[1], probes, family=family)
         combined = tuple((f"({pl},{pr})", (dl, dr))
                          for (pl, dl) in left.candidates
                          for (pr, dr) in right.candidates)
         return SelfDistanceEstimate(ty, combined, left.probes + right.probes)
     if isinstance(ty, FnType):
         return SelfDistanceEstimate(
-            ty, *_verified_self_diffs(ty, x, probes, registry, term, family))
+            ty, *_verified_self_diffs(ty, x, probes, term, family))
     raise TypeError(f"not a type: {ty!r}")
 
 
-def _verified_self_diffs(ty: FnType, x, probes, registry, term, family,
-                         tight=True):
+def _verified_self_diffs(ty: FnType, x, probes, term, family, tight=True):
     """The raw self-distance candidates of ``x`` that pass the family's
     self check, and the comparisons those checks made.  Without
     ``tight`` the derivative-grade candidates are left out before any
     is verified."""
     raw: list[tuple[str, Diff]] = []
     if term is not None and tight:
-        raw.append(("derivative", diff_evaluate(term, registry=registry)))
+        raw.append(("derivative",
+                    diff_evaluate(term, registry=probes.registry)))
     if isinstance(ty.arg, RealType) and isinstance(ty.res, RealType):
         raw.append(("lipschitz", lipschitz_self_diff(x, probes.config)))
         if tight:
@@ -502,10 +501,10 @@ def _verified_self_diffs(ty: FnType, x, probes, registry, term, family,
     total = 0
     for provenance, cand in raw:
         if family == "eta":
-            verdict = check_eta(ty, x, cand, x, probes, registry,
+            verdict = check_eta(ty, x, cand, x, probes,
                                 decomposition=(cand, top_diff(ty)))
         else:
-            verdict = check_rho(ty, x, cand, x, probes, registry)
+            verdict = check_rho(ty, x, cand, x, probes)
         if isinstance(verdict, Consistent) and verdict.established:
             verified.append((provenance, cand))
             total += verdict.probes

@@ -67,6 +67,8 @@ class ProbeSet:
 
     ``family`` is ``"rho"`` (also used by the gamma checker) or ``"eta"``
     (triples carry decompositions).  At ``Real`` the two coincide.
+    ``registry`` parses and evaluates the term library, and the checkers
+    run under it too.
 
     The per-type cache fills lazily; prime it (``generate_probes``) before
     sharing an instance across threads, after which reads are pure.
@@ -83,9 +85,6 @@ class ProbeSet:
             raise ValueError(f"unknown probe family {family!r}")
         key = (ty, family)
         if key not in self._cache:
-            if arrow_depth(ty) > MAX_PROBE_DEPTH:
-                raise UnsupportedProbeDepth(
-                    f"no probe library for {render_type(ty)}; supply probes")
             self._cache[key] = self._build(ty, family)
         return self._cache[key]
 
@@ -141,6 +140,9 @@ class ProbeSet:
         return triples
 
     def _fn_triples(self, ty: FnType, family: str) -> list[ProbeTriple]:
+        if arrow_depth(ty) > MAX_PROBE_DEPTH:
+            raise UnsupportedProbeDepth(
+                f"no probe library for {render_type(ty)}; supply probes")
         cfg = self.config
         rng = random.Random(cfg.seed + 1)
         terms = library_terms(ty, self.registry)

@@ -46,7 +46,7 @@ from ..prims import (DEFAULT_REGISTRY, Primitive, Registry, bad_radius,
 from ..syntax.terms import (App, First, FnType, Lam, Lit, Pair, PairType,
                             PrimOp, RealType, Second, Term, TermTooDeep, Type,
                             Var)
-from .eval import Value, compile_value, slot
+from .eval import Value, compile_value, float_literal, slot
 
 Diff = Union[float, tuple, Callable]
 
@@ -87,7 +87,7 @@ def _compile_dual(t: Term, scope: tuple[str, ...], free: Mapping[str, Value],
         pair = (free.get(name), dfree[name])
         return lambda env, denv: pair
     if isinstance(t, Lit):
-        pair = (float(t.value), 0.0)
+        pair = (float_literal(t.value), 0.0)
         return lambda env, denv: pair
     if isinstance(t, PrimOp):
         prim = registry.resolve(t.name, len(t.args))
@@ -150,11 +150,12 @@ def _compile_dual(t: Term, scope: tuple[str, ...], free: Mapping[str, Value],
 
 def _prim_node(p: Primitive, args: list[DualCode], want: bool) -> DualCode:
     """A dual node of arity 1 or 2 for a primitive with an analytic
-    modulus.  Its value half runs ``Registry.checked``'s tests inline, as
-    the evaluator's nodes do; its difference half applies
-    ``prim_modulus``'s radius rules (a negative or NaN radius is an
-    error, a zero box gives 0, an infinite radius the oscillation) before
-    calling the modulus itself."""
+    modulus.  It tests the domain whether or not the value is wanted, as
+    ``prim_modulus`` does; its value half runs ``Registry.checked``'s
+    other test inline, as the evaluator's nodes do; its difference half
+    applies ``prim_modulus``'s radius rules (a negative or NaN radius is
+    an error, a zero box gives 0, an infinite radius the oscillation)
+    before calling the modulus itself."""
     name, fn, domain, modulus = p.name, p.fn, p.domain, p.modulus
     total, oscillation = p.derived_from is None, p.oscillation
     if len(args) == 1:
@@ -162,10 +163,10 @@ def _prim_node(p: Primitive, args: list[DualCode], want: bool) -> DualCode:
 
         def unary(env, denv):
             x, b = a(env, denv)
+            if domain is not None and not domain(x):
+                raise outside_domain(name, (x,))
             out = None
             if want:
-                if domain is not None and not domain(x):
-                    raise outside_domain(name, (x,))
                 out = fn(x)
                 if isinstance(out, float) and not isfinite(out):
                     out = nonfinite_result(name, (x,), out, total)
@@ -182,10 +183,10 @@ def _prim_node(p: Primitive, args: list[DualCode], want: bool) -> DualCode:
     def binary(env, denv):
         x, b = a(env, denv)
         y, d = c(env, denv)
+        if domain is not None and not domain(x, y):
+            raise outside_domain(name, (x, y))
         out = None
         if want:
-            if domain is not None and not domain(x, y):
-                raise outside_domain(name, (x, y))
             out = fn(x, y)
             if isinstance(out, float) and not isfinite(out):
                 out = nonfinite_result(name, (x, y), out, total)

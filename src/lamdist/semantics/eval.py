@@ -31,8 +31,8 @@ from fractions import Fraction
 from math import isfinite
 from typing import Callable, Mapping, Union
 
-from ..prims import (DEFAULT_REGISTRY, Primitive, Registry, nonfinite_result,
-                     outside_domain)
+from ..prims import (DEFAULT_REGISTRY, EvalDomainError, Primitive, Registry,
+                     nonfinite_result, outside_domain)
 from ..syntax.equality import exact_value
 from ..syntax.terms import (App, First, Lam, Lit, Pair, PrimOp, Second, Term,
                             TermTooDeep, Var)
@@ -63,6 +63,16 @@ def slot(scope: tuple[str, ...], name: str) -> int | None:
     return None
 
 
+def float_literal(value: Fraction) -> float:
+    """A literal's float.  One beyond the float range is an evaluation
+    error, as an infinite result is."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise EvalDomainError(
+            f"literal {value} is beyond the float range") from None
+
+
 def compile_value(t: Term, scope: tuple[str, ...], free: Mapping[str, Value],
                   registry: Registry) -> Code:
     """Closures computing ``t``'s value from an environment tuple laid out
@@ -80,7 +90,7 @@ def compile_value(t: Term, scope: tuple[str, ...], free: Mapping[str, Value],
             raise NameError(f"unbound variable {name!r} at evaluation")
         return unbound
     if isinstance(t, Lit):
-        value = float(t.value)
+        value = float_literal(t.value)
         return lambda env: value
     if isinstance(t, PrimOp):
         p = registry.resolve(t.name, len(t.args))

@@ -415,3 +415,32 @@ def test_a_negative_radius_in_a_conversion_is_an_evaluation_error(tmp_path,
     assert (code, out) == (1, "")
     assert err == ("evaluation error: sin_d(Fraction(0, 1), Fraction(-1, 1)) "
                    "outside declared domain\n")
+
+
+BIG = "1" + "0" * 400  # a literal beyond the float range
+
+
+def test_a_literal_beyond_the_float_range_is_an_evaluation_error(tmp_path,
+                                                                 capsys):
+    src = tmp_path / "big.lam"
+    src.write_text(f"f = \\x:Real. x + {BIG}\n")
+    code, out, err = run(capsys, "diff", src, "f", "f")
+    assert (code, out) == (1, "")
+    assert err == (f"evaluation error: literal {BIG} is beyond the float "
+                   "range\n")
+
+
+def test_a_sine_beyond_the_float_range_in_a_conversion(tmp_path, capsys):
+    """Normalizing the distance runs ``sin`` exactly on a rational that no
+    float holds, outside its domain of finite floats."""
+    lit = {"rule": "Lit", "premises": [], "conclusion": {
+        "ctx": [], "left": "0", "dist": "2", "right": "0", "type": "Real"}}
+    conv = tmp_path / "conv.json"
+    conv.write_text(json.dumps({"rule": "Conv", "premises": [lit],
+                                "conclusion": {
+                                    **lit["conclusion"],
+                                    "dist": f"sin({BIG}) - sin({BIG}) + 2"}}))
+    code, out, err = run(capsys, "judge", conv)
+    assert (code, out) == (1, "")
+    assert err == (f"evaluation error: sin(Fraction({BIG}, 1),) "
+                   "outside declared domain\n")

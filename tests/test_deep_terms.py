@@ -6,12 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from lamdist.eqtheory import self_distance_derivation
+from lamdist.eqtheory import check_dlog, self_distance_derivation
 from lamdist.semantics import diff_evaluate, evaluate
-from lamdist.syntax import (Lam, Lit, REAL, TermTooDeep, Var, all_var_names,
-                            alpha_equal, derivative_term, free_vars,
-                            normalize, parse_file, parse_term, render_term,
-                            substitute, term_equal, typecheck)
+from lamdist.syntax import (App, FnType, Lam, Lit, REAL, TermTooDeep, Var,
+                            all_var_names, alpha_equal, derivative_term,
+                            free_vars, normalize, parse_file, parse_term,
+                            render_term, substitute, term_equal, typecheck)
 from lamdist.syntax.terms import rename_binders, subterms
 
 N = 10_000
@@ -73,3 +73,15 @@ def test_exact_evaluation_of_a_ten_thousand_literal_sum():
 
 def test_exact_evaluation_applies_a_ten_thousand_term_sum():
     assert evaluate(DEEP_SUM, exact=True)(Fraction(1)) == N
+
+
+def test_check_dlog_on_ten_thousand_nested_redexes_raises_term_too_deep():
+    """Each redex applies a closure in the one before it, so applying the
+    function at a probe recurses on the nesting."""
+    body = Var("x")
+    for i in range(N):
+        body = App(Lam(f"a{i}", REAL, body), Var("x"))
+    f = Lam("x", REAL, body)
+    dist = parse_term(r"\x:Real. \x':Real. x'")
+    with pytest.raises(TermTooDeep):
+        check_dlog(FnType(REAL, REAL), f, dist, f)

@@ -258,6 +258,16 @@ def test_dlog_at_real():
                                  Lit(Fraction("3.2")), REG), Falsified)
 
 
+def test_an_exact_falsification_keeps_its_rationals():
+    """Exact membership decides ties that floats round away; the path
+    then says why the comparison failed."""
+    tiny = Fraction(1, 10 ** 30)
+    verdict = check_dlog(REAL, Lit(0), Lit(Fraction("0.1")),
+                         Lit(Fraction("0.1") + tiny), REG)
+    assert isinstance(verdict, Falsified) and verdict.lhs == verdict.rhs
+    assert verdict.path == (f"{Fraction('0.1') + tiny} > 1/10",)
+
+
 def test_dlog_closed_under_conversion():
     left = parse_term(r"(\x:Real. x) 3")
     dist = parse_term("0 + 0.5")

@@ -10,10 +10,10 @@ from fractions import Fraction
 
 import pytest
 
-from lamdist.prims import (Primitive, default_registry, prim_modulus,
-                           register_constant)
+from lamdist.prims import (EvalDomainError, Primitive, default_registry,
+                           prim_modulus, register_constant)
 from lamdist.semantics import diff_evaluate, evaluate
-from lamdist.syntax import App, Lam, PrimOp, REAL, Var
+from lamdist.syntax import App, Lam, PrimOp, REAL, Var, parse_term
 
 
 def _root_modulus(ys, bs):
@@ -139,3 +139,48 @@ def test_wrong_arity_is_rejected_at_compile_time_with_one_message():
                                      exact=True)) == want
     assert _outcome(lambda: diff_evaluate(term, {"x": 1.0}, {"x": 0.0},
                                           registry=REG)) == want
+
+
+SIN = r"\x:Real. sin(x)"
+HUGE = Fraction(10) ** 400  # beyond the float range
+
+
+@pytest.mark.parametrize("call, where", [
+    (lambda: diff_evaluate(parse_term(SIN), registry=REG)(math.inf, 0.5),
+     "sin(inf,)"),
+    (lambda: diff_evaluate(parse_term(SIN), registry=REG)(math.nan, 0.0),
+     "sin(nan,)"),
+    (lambda: evaluate(parse_term(r"\x:Real. sin_d(x, 0.5)"),
+                      registry=REG)(math.nan), "sin_d(nan, 0.5)"),
+    (lambda: prim_modulus(REG["sin"], [math.inf], [0.5]), "sin(inf,)"),
+    (lambda: REG.call_exact("sin", (HUGE,)), f"sin({HUGE!r},)"),
+    (lambda: REG.call_exact("sin_d", (HUGE, Fraction(1))),
+     f"sin_d({HUGE!r}, Fraction(1, 1))"),
+], ids=["dual-inf", "dual-nan-zero-box", "sin_d-nan", "prim_modulus-inf",
+        "exact-huge", "exact-sin_d-huge"])
+def test_the_domain_is_tested_before_the_modulus(call, where):
+    """The centre of the box must lie in the domain, whether or not the
+    value at it is wanted; a rational no float holds lies outside a
+    domain of finite floats."""
+    with pytest.raises(EvalDomainError) as caught:
+        call()
+    assert str(caught.value) == f"{where} outside declared domain"
+
+
+@pytest.mark.parametrize("args", [(1, 0, 0, 0), (1, 0, 1, 0), (1, 2, -1, 0)])
+def test_derived_domains_agree_in_both_arithmetics(args):
+    """A ``_d`` primitive's domain holds the base domain at the centre and
+    the radii in [0, +inf]; float and exact calls test the same one, even
+    on a zero box."""
+    with pytest.raises(EvalDomainError, match=r"^div_d\("):
+        REG.call_float("div_d", tuple(map(float, args)))
+    with pytest.raises(EvalDomainError, match=r"^div_d\("):
+        REG.call_exact("div_d", tuple(map(Fraction, args)))
+
+
+def test_a_box_a_period_wide_reaches_both_extremes_exactly():
+    """No endpoint of the box needs a float: a radius past the float
+    range still gives the wave's full swing around the centre."""
+    assert REG.call_exact("sin_d", (Fraction(0), HUGE)) == 1
+    assert REG.call_exact("sin_d", (Fraction(0), Fraction(4))) == \
+        Fraction(prim_modulus(REG["sin"], [0.0], [4.0]))

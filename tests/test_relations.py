@@ -107,6 +107,18 @@ def test_fundamental_second_order(probes):
     assert isinstance(check_fundamental(deps, probes), Consistent)
 
 
+def test_the_checkers_run_under_the_probe_sets_registry():
+    """A primitive registered only in the probe set's registry types,
+    evaluates and differentiates."""
+    from lamdist.prims import Primitive, default_registry
+    reg = default_registry()
+    reg.register(Primitive("half", 1, lambda a: 0.5 * a,
+                           modulus=lambda ys, bs: 0.5 * bs[0]))
+    term = parse_term(r"\x:Real. half(sin(x))", reg)
+    verdict = check_fundamental(term, ProbeSet(ProbeConfig(count=50), reg))
+    assert isinstance(verdict, Consistent)
+
+
 # --- the vertical family --------------------------------------------------------
 
 def test_gamma_base_coincides_with_rho(probes):

@@ -148,3 +148,16 @@ def test_one_module_calls_primitives_in_rational_arithmetic():
                for node in ast.walk(tree)):
             readers.add(path.relative_to(SRC).as_posix())
     assert readers == {"syntax/equality.py"}
+
+
+def test_the_checkers_take_their_registry_from_the_probe_set():
+    """A checker runs under ``probes.registry``, the registry its probe
+    library was parsed and evaluated under, so none takes its own."""
+    tree = ast.parse((SRC / "relations" / "checkers.py").read_text(
+        encoding="utf-8"))
+    taking = sorted(
+        node.name for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and "registry" in {a.arg for a in ast.walk(node.args)
+                           if isinstance(a, ast.arg)})
+    assert taking == []
