@@ -15,14 +15,15 @@ Exit codes: 0 success/consistent, 1 falsified/invalid or an input the
 calculus rejects (a syntax, type, evaluation or structural error), 2
 usage or I/O errors.  Exit 2 covers a file that cannot be read or is not
 UTF-8, a name the file does not define, out-of-range flags (among them a
-``--range`` whose bounds or width HI - LO are not finite), a standard
-output closed before the report is written, and input nested too deeply
-for a walk that still recurses: parentheses, argument lists and arrow
-types in the parser, compiling or running a term for ``diff``, reading
-back a normal form, and printing a type as deep as a long binder chain's
+``--range`` whose bounds or width HI - LO are not finite, and a probe
+count above ``MAX_PROBES``), a standard output closed before the report
+is written, and input nested too deeply for a walk that still recurses:
+parentheses, argument lists and arrow types in the parser, compiling or
+running a term for ``diff``, and reading back a normal form
 (``TermTooDeep``, or Python's recursion limit).  Typing, derivatives,
-printing terms and judging take terms of any depth.  With ``--format
-json`` and a fixed ``--seed``, output is byte-identical across runs.
+printing terms and types, and judging take terms of any depth.  With
+``--format json`` and a fixed ``--seed``, output is byte-identical across
+runs.
 
 The subcommands only compute and print, and raise on failure.  ``main``
 alone turns a failure into its exit code and one stderr line, through
@@ -51,6 +52,9 @@ from .syntax import (REAL, DottedVariableClash, FnType, ParseError,
 
 USAGE_ERROR = 2
 DEFAULT_PROBES_ENV = "LAMDIST_PROBES"
+# every probe is built before the first row prints, so the count has a
+# bound, as the relation enumeration of ``laws`` has
+MAX_PROBES = 10 ** 6
 
 # each typed library error: (exit code, prefix of its stderr line)
 FAILURES = {
@@ -121,7 +125,7 @@ def cmd_derive(args) -> int:
     term = _definitions(args.file, args.name)[args.name]
     ty = typecheck((), term, DEFAULT_REGISTRY)
     rendered = render_term(derivative_term((), term, DEFAULT_REGISTRY))
-    if args.format == "text":  # no type: a binder chain's is too deep
+    if args.format == "text":  # the derivative alone, so it re-parses
         print(rendered)
         return 0
     _emit({"name": args.name, "derivative": rendered,
@@ -136,8 +140,8 @@ def _probe_config(args) -> ProbeConfig:
         try:
             count = _COUNT(raw)
         except (ValueError, argparse.ArgumentTypeError) as e:
-            raise CommandError(f"error: ${DEFAULT_PROBES_ENV}: expected a "
-                               f"non-negative integer, got {raw!r}") from e
+            raise CommandError(f"error: ${DEFAULT_PROBES_ENV}: expected "
+                               f"{_COUNT_RANGE}, got {raw!r}") from e
     lo, hi = args.range
     return ProbeConfig(count=count, lo=lo, hi=hi, b_max=args.b_max,
                        seed=args.seed)
@@ -226,7 +230,8 @@ def _checked(convert, ok, expected: str):
 
 
 _SIZE = _checked(int, lambda n: n >= 1, "a positive integer")
-_COUNT = _checked(int, lambda n: n >= 0, "a non-negative integer")
+_COUNT_RANGE = f"an integer from 0 to {MAX_PROBES}"
+_COUNT = _checked(int, lambda n: 0 <= n <= MAX_PROBES, _COUNT_RANGE)
 _RADIUS = _checked(float, lambda b: 0 <= b < math.inf, "a finite number >= 0")
 _TOLERANCE = _checked(float, lambda e: 0 < e < math.inf,
                       "a finite number > 0")

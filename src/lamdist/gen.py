@@ -1,8 +1,8 @@
 """Seeded random generators for well-typed first-order terms.
 
-Used by the property suites and the derivation-corpus builder.  Terms are
-drawn over addition, multiplication, sine and constants, with literal
-values kept small so towers of products stay inside double range.
+Used by the property suites (``eqtheory.corpus`` draws its own terms).
+Terms are drawn over addition, multiplication, sine and constants, with
+literal values kept small so towers of products stay inside double range.
 """
 
 from __future__ import annotations

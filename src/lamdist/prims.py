@@ -281,17 +281,15 @@ def _id_modulus(ys, bs):
     return bs[0]
 
 
-def _sin_modulus(ys, bs):
-    lo, hi = interval._sin_range(ys[0] - bs[0], ys[0] + bs[0])
-    s = math.sin(ys[0])
-    return max(hi - s, s - lo)
-
-
-def _cos_modulus(ys, bs):
-    lo, hi = interval._sin_range(ys[0] + math.pi / 2 - bs[0],
-                                 ys[0] + math.pi / 2 + bs[0])
-    c = math.cos(ys[0])
-    return max(hi - c, c - lo)
+def _wave_modulus(fn: Callable[[float], float], offset: float):
+    """Float modulus for sine-shaped primitives, fn(y) = sin(y + offset):
+    the sine's range over the shifted box against the centre value."""
+    def modulus(ys, bs):
+        y, b = ys[0] + offset, bs[0]
+        lo, hi = interval._sin_range(y - b, y + b)
+        centre = fn(ys[0])
+        return max(hi - centre, centre - lo)
+    return modulus
 
 
 def _wave_modulus_exact(fn: Callable[[float], float], offset: float):
@@ -342,13 +340,13 @@ def default_registry() -> Registry:
     reg.register(Primitive("sin", 1, math.sin,
                            exact_fn=lambda a: Fraction(math.sin(float(a))),
                            domain=math.isfinite,  # math.sin(inf) raises
-                           modulus=_sin_modulus,
+                           modulus=_wave_modulus(math.sin, 0.0),
                            exact_modulus=_wave_modulus_exact(math.sin, 0.0),
                            oscillation=2.0))
     reg.register(Primitive("cos", 1, math.cos,
                            exact_fn=lambda a: Fraction(math.cos(float(a))),
                            domain=math.isfinite,  # math.cos(inf) raises
-                           modulus=_cos_modulus,
+                           modulus=_wave_modulus(math.cos, math.pi / 2),
                            exact_modulus=_wave_modulus_exact(
                                math.cos, math.pi / 2),
                            oscillation=2.0))

@@ -22,8 +22,10 @@ and weights its counts by the orbit size, so ``relations_checked`` is still
 |Q|^(n²) while ``orbits_checked`` counts the relations actually checked.
 The group is that of the simultaneous permutations Sₙ of the n points,
 under which every proposition is invariant once the folds over join and
-meet are order-free (both tables associative).  When the tensor table is
-also commutative, the group is Sₙ × {id, transpose}: every check on sᵀ
+meet are order-free.  They are when :func:`validate` reports no
+``order.*`` or ``lattice.*`` law broken: join and meet of a partial order
+with all binary bounds are associative.  When ``tensor.commutative``
+holds as well, the group is Sₙ × {id, transpose}: every check on sᵀ
 mirrors one on s with ``.l`` and ``.r`` swapped, since q^l(sᵀ) = q^r(s)ᵀ,
 Θ^r(sᵀ) = Θ^l(s)ᵀ and aᵀ ⊗ bᵀ = (b ⊗ a)ᵀ, while transitivity, reflexivity
 and quasi-metricity do not change.  Prop3 is the exception: its verdict on
@@ -36,13 +38,20 @@ Sₙ-orbit runs prop3 when it is row or column quasi-reflexive, and weights
 row quasi-reflexive and q a quasi-metric, but prop3.backward tests one
 candidate, not every pair: q*, the least quasi-metric above s (s with top
 on the diagonal, closed under q ↦ q ∨ q ⊗ q).  When the order is a partial
-order, join its least upper bound and the tensor monotone, as in any
-quantale, some quasi-metric q above s has s ⊗ q ⊑ s or q ⊗ s ⊑ s exactly
-when q* does.  Only when q* is such a witness, or the tables fail that
-gate, are the quasi-metrics scanned in enumeration order, so a failure
-names the first witness; there is no index of them by entry.  If any orbit
-fails, the checker sweeps every relation in turn, so failures are listed in
-enumeration order.
+order, join its least upper bound and the tensor monotone in each
+argument, as in any quantale, some quasi-metric q above s has s ⊗ q ⊑ s
+or q ⊗ s ⊑ s exactly when q* does.  The transposition gate gives the
+order, and ``tensor.continuous`` with ``tensor.commutative`` gives the
+monotone tensor: a ⊗ (b ∨ c) = (a ⊗ b) ∨ (a ⊗ c) makes a ⊗ - monotone,
+and commutativity carries that to - ⊗ a.  Only when q* is such a witness,
+or the table fails that gate, are the quasi-metrics scanned in
+enumeration order, so a failure names the first witness; there is no
+index of them by entry.  If any orbit fails, the checker sweeps every
+relation in turn, so failures are listed in enumeration order.
+
+The three gates come from one :func:`validate` call, which stops at a
+broken order, so each gate needs the order laws first.  A table that
+fails a gate gets the sweep or the scan instead, with the same report.
 
 Also provides the closure bijection between relations-as-matrices and
 downward/join-closed ternary relations, which the test suite checks
@@ -58,7 +67,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 
-from .finite import FiniteQuantale
+from .finite import FiniteQuantale, validate
 from .qrel import QRel, kernel
 
 ENUMERATION_BOUND = 10 ** 6
@@ -100,18 +109,21 @@ class Section3Report:
 
 
 def check_section3_props(q: FiniteQuantale, size: int,
-                         bound: int = ENUMERATION_BOUND,
                          max_failures: int = 20) -> Section3Report:
     """Run the full proposition suite over all |Q|^(size^2) relations,
     one representative per orbit (see the module docstring)."""
     m = len(q)
     total = m ** (size * size)
-    if total > bound:
-        raise EnumerationTooLarge(
-            f"|Q|^(n^2) = {total} exceeds the enumeration bound {bound}")
+    if total > ENUMERATION_BOUND:
+        raise EnumerationTooLarge(f"|Q|^(n^2) = {total} exceeds the "
+                                  f"enumeration bound {ENUMERATION_BOUND}")
 
     n = size
     k = kernel(q, n)
+    broken = {v.law for v in validate(q)}
+    lattice = not any(law.startswith(("order.", "lattice.")) for law in broken)
+    transposes = lattice and "tensor.commutative" not in broken
+    closure_decides = transposes and "tensor.continuous" not in broken
     tables = q.tables
     names = q.elements
     report = Section3Report(q.name, size)
@@ -137,7 +149,6 @@ def check_section3_props(q: FiniteQuantale, size: int,
             e.insert(p, tables.top)
         if k.transitive(e):
             quasi_metrics.append(tuple(e))
-    closure_decides = _closure_decides(tables)
 
     def dominating(e):
         """The first quasi-metric q above e with e ⊗ q ⊑ e or q ⊗ e ⊑ e."""
@@ -223,13 +234,13 @@ def check_section3_props(q: FiniteQuantale, size: int,
 
     # One relation per orbit, its lexicographic minimum, stands for the
     # whole orbit (see the module docstring for the group and its gates).
-    if _associative(tables.join) and _associative(tables.meet):
+    if lattice:
         perms = list(itertools.permutations(rng))
         permuted = [operator.itemgetter(*(p[x] * n + p[y]
                                           for x in rng for y in rng))
                     for p in perms[1:]]
         transposed = []
-        if n > 1 and _commutative(tables.tensor):
+        if n > 1 and transposes:
             transposed = [operator.itemgetter(*(p[y] * n + p[x]
                                                 for x in rng for y in rng))
                           for p in perms]
@@ -249,7 +260,7 @@ def check_section3_props(q: FiniteQuantale, size: int,
             report.relations_checked = report.prop3_pairs_checked = 0
             report.orbits_checked = 0
 
-    # Some orbit failed (or a fold is order-dependent): sweep relation by
+    # Some orbit failed (or the order is no lattice): sweep relation by
     # relation, so the failures come in enumeration order, every member of
     # a failing orbit is named, and the count stops where the failure list
     # is cut off.
@@ -269,12 +280,6 @@ def _raise_abort(prop, e, detail):
     raise _Abort()
 
 
-def _associative(table) -> bool:
-    r = range(len(table))
-    return all(table[table[a][b]][c] == table[a][table[b][c]]
-               for a in r for b in r for c in r)
-
-
 def least_quasi_metric_above(s: QRel) -> QRel:
     """q*: s with top on the diagonal, closed under q ↦ q ∨ q ⊗ q.
 
@@ -290,36 +295,6 @@ def least_quasi_metric_above(s: QRel) -> QRel:
         if nxt == star:
             return QRel(s.ops, s.n, star)
         star = nxt
-
-
-def _commutative(table) -> bool:
-    r = range(len(table))
-    return all(table[a][b] == table[b][a] for a in r for b in r)
-
-
-def _closure_decides(tables) -> bool:
-    """Whether the least quasi-metric above s decides prop3.backward: the
-    order is a partial order, join is its least upper bound, and the
-    tensor is monotone in each argument."""
-    leq, ten, join = tables.leq, tables.tensor, tables.join
-    r = range(len(leq))
-    for a in r:
-        if not leq[a][a]:
-            return False
-        for b in r:
-            j = join[a][b]
-            if not (leq[a][j] and leq[b][j]):
-                return False
-            if a != b and leq[a][b] and leq[b][a]:
-                return False
-            for c in r:
-                if leq[a][c] and leq[b][c] and not leq[j][c]:
-                    return False
-                if leq[a][b] and not (leq[ten[a][c]][ten[b][c]]
-                                      and leq[ten[c][a]][ten[c][b]]
-                                      and (leq[a][c] or not leq[b][c])):
-                    return False
-    return True
 
 
 # --- closure bijection between matrices and ternary relations ------------

@@ -119,7 +119,7 @@ class ProbeSet:
         def add(x: float, b: float, x2: float):
             gap = abs(x - x2)
             bound = b if gap <= b else gap  # keep |x - x2| <= b exact
-            triples.append(ProbeTriple(x, bound, x2, label="real"))
+            triples.append(ProbeTriple(x, bound, x2, label=f"{x:.6g}"))
 
         # displacements just inside the box boundary exercise near-extreme
         # behaviour while staying off exact-equality corners, where float

@@ -310,6 +310,7 @@ BASICS = ("diff", CORPUS / "basics.lam", "idf", "sinf")
     BASICS + ("--b-max", "nan"),
     BASICS + ("--b-max", "-1"),
     BASICS + ("--probes", "-5"),
+    BASICS + ("--probes", "1000001"),
     BASICS + ("--range", "5:1"),
     BASICS + ("--range", "0:inf"),
     BASICS + ("--range", "nan:1"),
@@ -322,10 +323,12 @@ def test_out_of_range_flags_are_usage_errors(capsys, argv):
 
 
 def test_bad_probe_budget_env_var_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("LAMDIST_PROBES", "-3")
-    code, out, err = run(capsys, *BASICS)
-    assert code == 2 and out == ""
-    assert "LAMDIST_PROBES" in err
+    for value in ("-3", "1000001"):
+        monkeypatch.setenv("LAMDIST_PROBES", value)
+        code, out, err = run(capsys, *BASICS)
+        assert code == 2 and out == ""
+        assert err == ("error: $LAMDIST_PROBES: expected an integer from 0 "
+                       f"to 1000000, got '{value}'\n")
 
 
 def test_an_overflowing_range_width_is_a_usage_error(capsys):

@@ -1,16 +1,19 @@
 """The benchmark's output checks, run as part of the test suite.
 
 ``perfbench/controls.py`` feeds each output check a right and a wrong
-answer; ``perfbench/run.py`` checks every verdict of the ``probes``
-workload against computations made apart from lamdist.  Both run as
-subprocesses, as the benchmark does, so a wrong verdict of the relation
-checkers fails the tests and not only the benchmark.
+answer; ``perfbench/run.py`` checks every verdict of each workload
+against computations made apart from lamdist.  Both run as subprocesses,
+as the benchmark does, so a wrong verdict of the quantale checker, the
+relation checkers or the derivation checker fails the tests and not only
+the benchmark.
 """
 
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -27,8 +30,9 @@ def test_negative_controls_pass():
     assert proc.stdout.strip().splitlines()[-1] == "0 control(s) failed"
 
 
-def test_probes_workload_is_correct():
-    proc = run(PERFBENCH / "run.py", "--workload", "probes", "--seconds", 1)
+@pytest.mark.parametrize("workload", ["laws", "probes", "derivations"])
+def test_workload_is_correct(workload):
+    proc = run(PERFBENCH / "run.py", "--workload", workload, "--seconds", 1)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stderr

@@ -1,15 +1,15 @@
 import itertools
 import json
+import random
 from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
-from lamdist.quantale.finite import FiniteQuantale, boolean, chain
-from lamdist.quantale.props import (EnumerationTooLarge, _closure_decides,
-                                    check_section3_props, is_q_closed,
-                                    least_quasi_metric_above, rel_from_ternary,
-                                    ternary_from_rel)
+from lamdist.quantale.finite import FiniteQuantale, boolean, chain, validate
+from lamdist.quantale.props import (EnumerationTooLarge, check_section3_props,
+                                    is_q_closed, least_quasi_metric_above,
+                                    rel_from_ternary, ternary_from_rel)
 from lamdist.quantale.qrel import (QRel, is_quasi_reflexive, is_reflexive,
                                    is_transitive, kernel, qrel_leq,
                                    qrel_tensor)
@@ -76,14 +76,15 @@ def test_failing_propositions_invariant_under_point_permutations():
             assert failing[image] == failing[entries], (entries, p)
 
 
-def test_dominating_witnesses_match_a_scan_of_every_relation():
-    # bot ⊗ bot = mid, mid ⊗ mid = top, top ⊗ top = mid: on this table
-    # non-transitive relations are dominated by quasi-metrics, with nine
-    # different first witnesses
-    q = FiniteQuantale("scrambled", ("bot", "mid", "top"),
-                       [[a <= b for b in range(3)] for a in range(3)],
-                       [[1, 0, 0], [0, 2, 0], [0, 0, 1]], unit=2)
-    rels = [QRel(q, 2, e) for e in itertools.product(range(3), repeat=4)]
+def broken_laws(q):
+    return {v.law for v in validate(q)}
+
+
+def first_witnesses(q):
+    """Each non-transitive quasi-reflexive relation at n = 2 with the
+    first quasi-metric that dominates it, by a plain scan; and the pairs
+    the checker reports."""
+    rels = [QRel(q, 2, e) for e in itertools.product(range(len(q)), repeat=4)]
     quasi_metrics = [c for c in rels if is_reflexive(c) and is_transitive(c)]
     want = []
     for s in rels:
@@ -96,9 +97,33 @@ def test_dominating_witnesses_match_a_scan_of_every_relation():
     report = check_section3_props(q, 2, max_failures=10 ** 6)
     got = [(tuple(map(q.index, f.relation)), f.detail)
            for f in report.failures if f.prop == "prop3.backward"]
+    return got, [(e, "non-transitive s dominated by quasi-metric "
+                     f"{tuple(q.elements[v] for v in c)}") for e, c in want]
+
+
+def test_dominating_witnesses_match_a_scan_of_every_relation():
+    # bot ⊗ bot = mid, mid ⊗ mid = top, top ⊗ top = mid: on this table
+    # non-transitive relations are dominated by quasi-metrics, with nine
+    # different first witnesses
+    q = FiniteQuantale("scrambled", ("bot", "mid", "top"),
+                       [[a <= b for b in range(3)] for a in range(3)],
+                       [[1, 0, 0], [0, 2, 0], [0, 0, 1]], unit=2)
+    got, want = first_witnesses(q)
     assert len(want) == 27
-    assert got == [(e, "non-transitive s dominated by quasi-metric "
-                       f"{tuple(q.elements[v] for v in c)}") for e, c in want]
+    assert got == want
+
+
+def test_a_tensor_monotone_on_one_side_keeps_its_scan():
+    # a ⊗ - distributes over joins, so validate finds the tensor
+    # continuous, but bot ⊗ top = top while mid ⊗ top = bot: without
+    # commutativity the least quasi-metric decides nothing
+    q = FiniteQuantale("leftcont", ("bot", "mid", "top"),
+                       [[a <= b for b in range(3)] for a in range(3)],
+                       [[0, 0, 2], [0, 0, 0], [0, 1, 2]], unit=2)
+    laws = broken_laws(q)
+    assert "tensor.commutative" in laws and "tensor.continuous" not in laws
+    got, want = first_witnesses(q)
+    assert want and got == want
 
 
 def frame3() -> FiniteQuantale:
@@ -112,7 +137,7 @@ def frame3() -> FiniteQuantale:
 @pytest.mark.parametrize("q, relations", [
     (boolean(), 47), (chain(1), 1090), (frame3(), 1622)])
 def test_least_quasi_metric_decides_prop3_like_a_full_scan(q, relations):
-    assert _closure_decides(q.tables)
+    assert not validate(q)
     k = kernel(q, 3)
     top = q.tables.top
     every = list(itertools.product(range(len(q)), repeat=9))
@@ -194,13 +219,77 @@ def test_the_sweep_checks_every_relation():
 
 
 def test_closure_gate_needs_a_monotone_tensor():
-    assert _closure_decides(unit_mid().tables)
+    # the closure decides prop3.backward when validate finds the tensor
+    # commutative and continuous, as it does unit_mid's
+    assert not broken_laws(unit_mid()) & {"tensor.commutative",
+                                          "tensor.continuous"}
     # bot ⊗ bot = mid but mid ⊗ bot = bot: the scrambled table of the
     # witness test keeps its scan
     scrambled = FiniteQuantale("scrambled", ("bot", "mid", "top"),
                                [[a <= b for b in range(3)] for a in range(3)],
                                [[1, 0, 0], [0, 2, 0], [0, 0, 1]], unit=2)
-    assert not _closure_decides(scrambled.tables)
+    assert "tensor.continuous" in broken_laws(scrambled)
+
+
+CHAIN3 = ("bot", "mid", "top"), [[a <= b for b in range(3)] for a in range(3)]
+# bot below l and r, both below top; l and r incomparable
+DIAMOND = (("bot", "l", "r", "top"),
+           [[a == b or a == 0 or b == 3 for b in range(4)] for a in range(4)])
+
+
+def random_table(carrier, seed: int) -> FiniteQuantale:
+    """A seeded tensor on ``carrier`` with a random unit.  Odd seeds mirror
+    the tensor; seeds 2 and 3 mod 4 make bottom absorbing and then take,
+    at (a, b), the join of every entry at or below it, so the tensor is
+    monotone."""
+    elements, leq = carrier
+    m = len(elements)
+    rng = random.Random(seed)
+    ten = [[rng.randrange(m) for _ in range(m)] for _ in range(m)]
+    if seed % 2:
+        ten = [[ten[min(a, b)][max(a, b)] for b in range(m)] for a in range(m)]
+    if seed // 2 % 2:
+        order = FiniteQuantale("order", elements, leq, ten, 0)
+        ten = [[order.join(ten[c][d] for c in range(m) for d in range(m)
+                           if leq[c][a] and leq[d][b] and 0 not in (c, d))
+                for b in range(m)] for a in range(m)]
+    return FiniteQuantale(f"random{seed}", elements, leq, ten,
+                          unit=rng.randrange(m))
+
+
+def section3_random() -> dict:
+    """Reports on 24 random tables over the 3-chain (n = 2 and 3) and 16
+    over the diamond (n = 2).  Regenerate the golden with ``python -c
+    "import json, sys; sys.path[:0] = ['src', 'tests'];
+    import test_section3_props as t;
+    print(json.dumps(t.section3_random(), indent=1, ensure_ascii=False))"``
+    run from the repository root."""
+    out = {}
+    for seed in range(40):
+        carrier, sizes = (CHAIN3, (2, 3)) if seed < 24 else (DIAMOND, (2,))
+        q = random_table(carrier, seed)
+        entry = {"tensor": [" ".join(q.elements[q.tensor(a, b)]
+                                     for b in range(len(q)))
+                            for a in range(len(q))],
+                 "unit": q.elements[q.unit]}
+        for size in sizes:
+            report = check_section3_props(q, size)
+            entry[str(size)] = {
+                "passed": report.passed,
+                "relations_checked": report.relations_checked,
+                "prop3_pairs_checked": report.prop3_pairs_checked,
+                "failures": [str(f) for f in report.failures]}
+        out[q.name] = entry
+    return out
+
+
+def test_random_tables_match_their_golden():
+    # recorded while the shortcut gates were the checker's own predicates
+    golden = json.loads((GOLDEN / "section3_random.json").read_text("utf-8"))
+    live = section3_random()
+    assert live.keys() == golden.keys()
+    for name in golden:
+        assert live[name] == golden[name], name
 
 
 def test_infeasible_size_rejected():
