@@ -249,6 +249,21 @@ def _range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _glue_range(argv: list[str]) -> list[str]:
+    """``--range -1:1`` as ``--range=-1:1``, and so for the flag's
+    abbreviations: argparse reads a lone value that starts with ``-`` and
+    is not a plain number as an option."""
+    argv = list(argv)
+    i = 0
+    while i < len(argv) - 1 and argv[i] != "--":
+        flag, value = argv[i], argv[i + 1]
+        if (len(flag) > 2 and "--range".startswith(flag)
+                and value[:1] == "-" and value[:2] != "--"):
+            argv[i:i + 2] = [f"{flag}={value}"]
+        i += 1
+    return argv
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lamdist",
@@ -297,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _glue_range(sys.argv[1:] if argv is None else argv))
     except SystemExit as e:  # argparse has printed the usage message
         return USAGE_ERROR if e.code not in (0, None) else 0
     try:

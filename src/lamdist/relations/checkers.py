@@ -21,6 +21,16 @@ only subtracts, compares and applies, so the main family's check runs
 unchanged on ``Fraction`` values: ``eqtheory.check_dlog`` is
 ``check_rho`` on exact denotations and exact probes.
 
+The checkers take the values and differences handed to them to be pure,
+and apply each one once per probe where an application recurs within a
+check.  The main family's cross and self walks share one application
+of the value and of the difference per probe, and the functions these
+return are memoized, keyed on the identity of their arguments (never on
+float values).  A derivative-grade or sampled self-distance candidate
+keeps its value at each probe for its verification and every later use.
+The memos live as long as the check, so a primitive with side effects
+sees fewer calls than the comparisons it takes part in.
+
 On floats, falsification is a failed float comparison at a probe, not
 yet replayed exactly: a member can be falsified by a one-ulp rounding
 miss (ROADMAP item 2).  Success is always relative to the probes used.
@@ -78,6 +88,23 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:.6g}"
     return str(v)
+
+
+def _memo(fn):
+    """``fn`` evaluated at most once per arguments, which it must not
+    mutate.  Entries are keyed on the identity of the arguments and keep
+    them alive, so their ids stay theirs and a hit returns exactly what
+    ``fn`` returned: no float is compared, so ``-0.0``, NaN, pairs and
+    functions are safe arguments."""
+    seen = {}
+
+    def call(*args):
+        key = tuple(map(id, args))
+        entry = seen.get(key)
+        if entry is None:
+            entry = seen[key] = (args, fn(*args))
+        return entry[1]
+    return call
 
 
 # --- the walk ----------------------------------------------------------------
@@ -169,9 +196,14 @@ def check_rho(ty: Type, x: Value, a: Diff, x2: Value,
 
 
 def _rho_arrow(walk, ty, x, a, x2, path, given):
+    # each application is made once per probe: the cross and self walks
+    # apply function-valued results at the same probes
+    keep = _memo if isinstance(ty.res, FnType) else (lambda v: v)
     for probe in walk.probes.triples(ty.arg, "rho"):
         y, b, y2 = probe.left, probe.diff, probe.right
-        out, fy, cross, drift = a(y, b), x(y), x2(y2), x(y2)
+        out, fy = keep(a(y, b)), keep(x(y))
+        cross = fy if x2 is x and y2 is y else keep(x2(y2))
+        drift = cross if x2 is x else keep(x(y2))
         bad = (walk.member(_rho_arrow, ty.res, fy, out, cross,
                            (path, "at {at}{b} [cross]", probe))
                or walk.member(_rho_arrow, ty.res, fy, out, drift,
@@ -466,7 +498,8 @@ def estimate_self_distance(ty: Type, x: Value, probes: ProbeSet, *,
     (globally valid), a slope-style linear bound, a sampled empirical
     bound, and the top difference (valid only for constants); each is
     kept only if it passes the self check of ``family`` (``"rho"`` or
-    ``"eta"``) over the probes.
+    ``"eta"``) over the probes.  The derivative and sampled candidates
+    remember their value at each argument while the estimate lives.
     """
     if isinstance(ty, RealType):
         return SelfDistanceEstimate(ty, (("exact", 0.0),), 0)
@@ -491,11 +524,11 @@ def _verified_self_diffs(ty: FnType, x, probes, term, family, tight=True):
     raw: list[tuple[str, Diff]] = []
     if term is not None and tight:
         raw.append(("derivative",
-                    diff_evaluate(term, registry=probes.registry)))
+                    _memo(diff_evaluate(term, registry=probes.registry))))
     if isinstance(ty.arg, RealType) and isinstance(ty.res, RealType):
         raw.append(("lipschitz", lipschitz_self_diff(x, probes.config)))
         if tight:
-            raw.append(("empirical", empirical_self_diff(x)))
+            raw.append(("empirical", _memo(empirical_self_diff(x))))
     raw.append(("top", top_diff(ty)))
     verified = []
     total = 0

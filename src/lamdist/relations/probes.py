@@ -66,7 +66,8 @@ class ProbeSet:
     """Cached, seed-deterministic probe triples per type and family.
 
     ``family`` is ``"rho"`` (also used by the gamma checker) or ``"eta"``
-    (triples carry decompositions).  At ``Real`` the two coincide.
+    (triples carry decompositions).  At ``Real`` the two coincide and
+    share one list.
     ``registry`` parses and evaluates the term library, and the checkers
     run under it too.
 
@@ -83,7 +84,9 @@ class ProbeSet:
     def triples(self, ty: Type, family: str = "rho") -> list[ProbeTriple]:
         if family not in ("rho", "eta"):
             raise ValueError(f"unknown probe family {family!r}")
-        key = (ty, family)
+        # one list for both families at Real, so the checkers' memos
+        # recognise its probes across families
+        key = (ty, "rho" if isinstance(ty, RealType) else family)
         if key not in self._cache:
             self._cache[key] = self._build(ty, family)
         return self._cache[key]
@@ -289,8 +292,6 @@ def lipschitz_self_diff(f, config: ProbeConfig) -> Diff:
     for i in range(steps + 1):
         x = config.lo + (config.hi - config.lo) * i / steps
         for h in (1e-3, 1e-2, 0.1, config.b_max or 0.1):
-            if h == 0.0:
-                continue
             slope = max(slope, abs(f(x + h) - f(x)) / h)
     slope *= 1.1
     return lambda x, b: slope * b

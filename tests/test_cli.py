@@ -338,6 +338,27 @@ def test_an_overflowing_range_width_is_a_usage_error(capsys):
     assert "usage:" in err and "expected a finite width HI - LO" in err
 
 
+def test_a_negative_range_may_follow_its_flag(capsys):
+    """``--range LO:HI`` with a negative LO reads as written, the same as
+    ``--range=LO:HI``; restating the default changes nothing."""
+    deps = ("--format", "json", "diff", CORPUS / "deps.lam", "idf", "sinf")
+    outputs = {}
+    for flags in ((), ("--range", "-10:10"), ("--range", "-1:1"),
+                  ("--range=-1:1",), ("--ran", "-1:1"),
+                  ("--range", "-2:2", "--range", "-1:1")):
+        code, out, err = run(capsys, *deps, *flags)
+        assert code == 0 and err == ""
+        outputs[flags] = out
+    assert outputs[("--range", "-10:10")] == outputs[()]
+    assert (outputs[("--range", "-1:1")] == outputs[("--range=-1:1",)]
+            == outputs[("--ran", "-1:1")]
+            == outputs[("--range", "-2:2", "--range", "-1:1")]
+            != outputs[()])
+    code, out, err = run(capsys, *BASICS, "--range", "-1e308:1e308")
+    assert code == 2 and out == ""
+    assert "expected a finite width HI - LO, got '-1e308:1e308'" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("typecheck", "{}"), ("derive", "{}", "f"), ("diff", "{}", "f", "f"),
     ("laws", "--file", "{}"), ("judge", "{}"),
