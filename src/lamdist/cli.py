@@ -102,7 +102,8 @@ def _definitions(path: str, *names: str) -> dict:
 
 def _emit(payload: dict, fmt: str, text_lines):
     if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        print(json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                         allow_nan=False))
     else:
         for line in text_lines:
             print(line)
@@ -172,8 +173,11 @@ def cmd_diff(args) -> int:
         vertical = abs(f1(x) - f2(x))
         bound = vertical + max(d1(x, b), d2(x, b))
         rows.append({"x": x, "b": b, "vertical": vertical, "bound": bound})
+    # JSON has no infinities or NaN: those print as the text table shows
+    # them, as strings
     payload = {"left": args.name1, "right": args.name2, "seed": cfg.seed,
-               "rows": rows}
+               "rows": [{k: v if math.isfinite(v) else str(v)
+                         for k, v in r.items()} for r in rows]}
     # text output rounds to the reporting tolerance; JSON stays exact
     digits = max(1, min(17, -math.floor(math.log10(args.eps))))
     _emit(payload, args.format,

@@ -26,17 +26,17 @@ and apply each one once per probe where an application recurs within a
 check.  The main family's cross and self walks share one application
 of the value and of the difference per probe, and the functions these
 return are memoized, keyed on the identity of their arguments (never on
-float values).  A derivative-grade or sampled self-distance candidate
-keeps its value at each probe for its verification and every later use.
+float values).  Within one check the walk makes each self-distance
+candidate once and shares it with every family that verifies it, and a
+derivative-grade or sampled candidate keeps its value at each probe.
 The memos live as long as the check, so a primitive with side effects
 sees fewer calls than the comparisons it takes part in.
 
 On floats, falsification is a failed float comparison at a probe, not
 yet replayed exactly: a member can be falsified by a one-ulp rounding
 miss (ROADMAP item 2).  Success is always relative to the probes used.
-Self-distance
-probes for the vertical/right families default to the coarse
-(slope-style) estimates; passing ``tight_self_probes=True`` adds
+Self-distance probes for the vertical/right families default to the
+coarse (slope-style) estimates; passing ``tight_self_probes=True`` adds
 derivative-grade self-distances, which genuinely falsify more triples.
 """
 
@@ -128,8 +128,7 @@ class _Walk:
     probes: ProbeSet
     tight: bool = False
     compared: int = 0
-    # (type, id of the element, id of its term) -> (element, term, estimate)
-    estimates: dict = field(default_factory=dict)
+    made: dict = field(default_factory=dict)
 
     def compare(self, clause: str, lhs, rhs, path) -> Optional[Falsified]:
         self.compared += 1
@@ -169,16 +168,13 @@ class _Walk:
             return arrow(self, ty, x, a, x2, path, given)
         raise TypeError(f"not a type: {ty!r}")
 
-    def self_distance(self, ty, x, term) -> SelfDistanceEstimate:
-        """``estimate_self_distance`` of ``x``, made once per walk: the
-        delta clause walks the eta clause from each of its self-probes.
-        The entry keeps ``x`` and ``term`` alive, so their ids stay
-        theirs."""
-        key = (ty, id(x), id(term))
-        if key not in self.estimates:
-            self.estimates[key] = (x, term, estimate_self_distance(
-                ty, x, self.probes, term=term))
-        return self.estimates[key][2]
+    def once(self, make, *args):
+        """``make(self, *args)``, made once per walk: ``made`` keys it on
+        ``make`` and the ids of the arguments, which it keeps alive."""
+        key = (make, *map(id, args))
+        if key not in self.made:
+            self.made[key] = (args, make(self, *args))
+        return self.made[key][1]
 
     def verdict(self, arrow, ty, x, a, x2, given=(None, None)) -> Verdict:
         result = self.member(arrow, ty, x, a, x2, None, given)
@@ -232,8 +228,7 @@ def _gamma_arrow(walk, ty, x, a, x2, path, given):
             return bad
     # dominance clause: tensoring with self-distances of the right
     # function keeps the left function close to itself
-    selfds, _ = _verified_self_diffs(ty, x2, walk.probes, given[1], "rho",
-                                     walk.tight)
+    selfds, _ = walk.once(_self_diffs, ty, x2, given[1], "rho", walk.tight)
     for provenance, selfd in selfds:
         bad = walk.member(_rho_arrow, ty, x, tensor_diff(ty, a, selfd), x,
                           (path, "dominance via {} self-distance", provenance))
@@ -258,7 +253,8 @@ def _eta_arrow(walk, ty, x, a, x2, path, given):
     else:
         top = top_diff(ty)
         candidates = [("left-total", (a, top)), ("right-total", (top, a))]
-        for provenance, selfd in walk.self_distance(ty, x, term).candidates:
+        selfds, _ = walk.once(_self_diffs, ty, x, term, "rho", True)
+        for provenance, selfd in selfds:
             candidates.append((f"self+{provenance}",
                                (selfd, residual_diff(ty, selfd, a))))
     tried = []
@@ -341,8 +337,7 @@ def check_delta(ty: Type, x: Value, a: Diff, x2: Value, probes: ProbeSet, *,
 
 
 def _delta_arrow(walk, ty, x, a, x2, path, given):
-    selfds, _ = _verified_self_diffs(ty, x, walk.probes, given[1], "eta",
-                                     walk.tight)
+    selfds, _ = walk.once(_self_diffs, ty, x, given[1], "eta", walk.tight)
     if not selfds:
         return "no verified self-distance probes for the left element"
     undetermined = []
@@ -401,21 +396,19 @@ def check_theorem_approx(f: Value, f2: Value, a: Diff, a2: Diff,
     reported apart from conclusion violations.
     """
     ty = FnType(domain, RealType())
+    walk = _Walk(probes)
     hyp_failures = []
-    counter = 0
     for probe in probes.triples(domain, "rho"):
-        y, b, _ = probe.as_tuple()
-        counter += 1
-        lhs = abs(f(y) - f2(y))
-        rhs = a(y, b)
-        if lhs > rhs:
-            hyp_failures.append(Falsified(
-                "hypothesis", (_show("at {at}", probe),), lhs, rhs))
+        y = probe.left
+        bad = walk.compare("hypothesis", abs(f(y) - f2(y)), a(y, probe.diff),
+                           (None, "at {at}", probe))
+        if bad is not None:
+            hyp_failures.append(bad)
     self_left = check_rho(ty, f, a2, f, probes)
     self_right = check_rho(ty, f2, a2, f2, probes)
     conclusion = check_rho(ty, f, tensor_diff(ty, a, a2), f2, probes)
     return ApproxReport(tuple(hyp_failures), self_left, self_right,
-                        conclusion, counter)
+                        conclusion, walk.compared)
 
 
 # --- constructive transitivity split for the decomposition family ------------
@@ -501,6 +494,8 @@ def estimate_self_distance(ty: Type, x: Value, probes: ProbeSet, *,
     ``"eta"``) over the probes.  The derivative and sampled candidates
     remember their value at each argument while the estimate lives.
     """
+    if family not in ("rho", "eta"):
+        raise ValueError(f"unknown probe family {family!r}")
     if isinstance(ty, RealType):
         return SelfDistanceEstimate(ty, (("exact", 0.0),), 0)
     if isinstance(ty, PairType):
@@ -512,33 +507,41 @@ def estimate_self_distance(ty: Type, x: Value, probes: ProbeSet, *,
         return SelfDistanceEstimate(ty, combined, left.probes + right.probes)
     if isinstance(ty, FnType):
         return SelfDistanceEstimate(
-            ty, *_verified_self_diffs(ty, x, probes, term, family))
+            ty, *_Walk(probes).once(_self_diffs, ty, x, term, family, True))
     raise TypeError(f"not a type: {ty!r}")
 
 
-def _verified_self_diffs(ty: FnType, x, probes, term, family, tight=True):
+def _self_diffs(walk, ty: FnType, x, term, family, tight):
     """The raw self-distance candidates of ``x`` that pass the family's
     self check, and the comparisons those checks made.  Without
     ``tight`` the derivative-grade candidates are left out before any
-    is verified."""
-    raw: list[tuple[str, Diff]] = []
-    if term is not None and tight:
-        raw.append(("derivative",
-                    _memo(diff_evaluate(term, registry=probes.registry))))
+    is made or verified; every family shares the walk's candidates."""
+    sources = [("derivative", term)] if term is not None and tight else []
     if isinstance(ty.arg, RealType) and isinstance(ty.res, RealType):
-        raw.append(("lipschitz", lipschitz_self_diff(x, probes.config)))
+        sources.append(("lipschitz", x))
         if tight:
-            raw.append(("empirical", _memo(empirical_self_diff(x))))
-    raw.append(("top", top_diff(ty)))
+            sources.append(("empirical", x))
+    sources.append(("top", ty))
     verified = []
     total = 0
-    for provenance, cand in raw:
-        if family == "eta":
-            verdict = check_eta(ty, x, cand, x, probes,
-                                decomposition=(cand, top_diff(ty)))
-        else:
-            verdict = check_rho(ty, x, cand, x, probes)
+    for provenance, source in sources:
+        cand = walk.once(_self_diff_candidate, provenance, source)
+        verdict = (check_rho(ty, x, cand, x, walk.probes) if family == "rho"
+                   else check_eta(ty, x, cand, x, walk.probes,
+                                  decomposition=(cand, top_diff(ty))))
         if isinstance(verdict, Consistent) and verdict.established:
             verified.append((provenance, cand))
             total += verdict.probes
     return tuple(verified), total
+
+
+def _self_diff_candidate(walk, provenance, source):
+    """A raw candidate from its backing term, element or type; the
+    derivative and sampled ones keep their value at each argument."""
+    if provenance == "derivative":
+        return _memo(diff_evaluate(source, registry=walk.probes.registry))
+    if provenance == "lipschitz":
+        return lipschitz_self_diff(source, walk.probes.config)
+    if provenance == "empirical":
+        return _memo(empirical_self_diff(source))
+    return top_diff(source)

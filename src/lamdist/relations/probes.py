@@ -55,9 +55,6 @@ class ProbeTriple:
     right_term: Optional[Term] = None
     decomposition: Optional[tuple[Diff, Diff]] = None
 
-    def as_tuple(self):
-        return (self.left, self.diff, self.right)
-
 
 _REAL_ANCHORS = (0.0, 1.0, -1.0, math.pi / 2, -math.pi / 2, math.pi, 2.5)
 

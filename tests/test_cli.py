@@ -124,6 +124,24 @@ def test_diff_json_deterministic(capsys):
     assert out1 == out2
 
 
+def test_diff_json_prints_an_infinite_bound_as_a_string(tmp_path, capsys):
+    """RFC 8259 JSON has no ``Infinity``: a non-finite value prints as the
+    text table shows it."""
+    f = tmp_path / "spike.lam"
+    f.write_text("spike = \\x:Real. 1 / (x * x + 0.01)\nid = \\x:Real. x\n")
+    code, out, _ = run(capsys, "--format", "json", "diff", f, "spike", "id",
+                       "--probes", "5")
+    assert code == 0
+
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    rows = json.loads(out, parse_constant=reject)["rows"]
+    bounds = [r["bound"] for r in rows]
+    assert bounds.count("inf") == 16
+    assert all(isinstance(b, float) for b in bounds if b != "inf")
+
+
 def test_laws_builtin_pass(capsys):
     code, out, _ = run(capsys, "laws", "--builtin", "bool", "--size", "2")
     assert code == 0

@@ -8,6 +8,7 @@ relation checkers or the derivation checker fails the tests and not only
 the benchmark.
 """
 
+import importlib
 import json
 import subprocess
 import sys
@@ -38,3 +39,30 @@ def test_workload_is_correct(workload):
     assert result["correct"] is True, proc.stderr
     assert result["failed"] == 0
     assert result["attempted"] > 0
+
+
+def test_the_tracer_installs_and_uninstalls():
+    """``perfbench/tracing.py`` patches library functions by name: each
+    target must exist, be wrapped wherever a module binds it while the
+    tracer is installed, and be the original function again after."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import tracing
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    originals = [getattr(importlib.import_module(module), attr)
+                 for _, module, attr in tracing.TARGETS]
+    bindings = {(name, key): value
+                for name, mod in list(sys.modules.items())
+                if name == "lamdist" or name.startswith("lamdist.")
+                for key, value in vars(mod).items()
+                if any(value is fn for fn in originals)}
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for (name, key), fn in bindings.items():
+            assert getattr(sys.modules[name], key) is not fn, (name, key)
+    finally:
+        tracer.uninstall()
+    for (name, key), fn in bindings.items():
+        assert getattr(sys.modules[name], key) is fn, (name, key)

@@ -34,8 +34,8 @@ def test_real_probes_satisfy_invariant_exactly(probes):
 
 def test_probe_generation_is_deterministic():
     cfg = ProbeConfig(count=100, seed=42)
-    a = [p.as_tuple() for p in ProbeSet(cfg).triples(REAL)]
-    b = [p.as_tuple() for p in ProbeSet(cfg).triples(REAL)]
+    a = [(p.left, p.diff, p.right) for p in ProbeSet(cfg).triples(REAL)]
+    b = [(p.left, p.diff, p.right) for p in ProbeSet(cfg).triples(REAL)]
     assert a == b
     assert dumps(probes_to_json(ProbeSet(cfg), REAL)) \
         == dumps(probes_to_json(ProbeSet(cfg), REAL))
@@ -49,7 +49,7 @@ def test_function_probe_library_contents(probes):
 
 def test_pair_probes_are_componentwise(probes):
     for p in probes.triples(PairType(REAL, REAL)):
-        (x1, x2), (b1, b2), (y1, y2) = p.as_tuple()
+        (x1, x2), (b1, b2), (y1, y2) = p.left, p.diff, p.right
         assert abs(x1 - y1) <= b1 and abs(x2 - y2) <= b2
 
 
@@ -326,20 +326,59 @@ def test_delta_with_no_coarse_self_distance_is_not_established(probes):
 
 def test_delta_estimates_the_left_self_distance_once(monkeypatch):
     """Each verified self-probe walks the eta clause from the same left
-    element; the walk estimates its self-distance once, not per probe."""
+    element; the walk verifies its self-distances once per family, not
+    per probe."""
     from lamdist.relations import checkers
     seen = []
+    real = checkers._self_diffs
 
-    def counted(ty, x, *args, **kwargs):
-        seen.append(x)
-        return estimate_self_distance(ty, x, *args, **kwargs)
+    def counted(walk, ty, x, term, family, tight):
+        seen.append((x, family))
+        return real(walk, ty, x, term, family, tight)
 
-    monkeypatch.setattr(checkers, "estimate_self_distance", counted)
+    monkeypatch.setattr(checkers, "_self_diffs", counted)
     t, v, d = named(r"\x:Real. sin(x) + 0.5 * x")
     verdict = check_delta(FN, v, d, v, ProbeSet(ProbeConfig(count=200)),
                           left_term=t, tight_self_probes=True)
     assert isinstance(verdict, Consistent) and verdict.established
-    assert seen == [v]
+    assert seen == [(v, "eta"), (v, "rho")]
+
+
+def spy_calls(monkeypatch, *names):
+    """Count the calls of the named functions as the checkers see them."""
+    from lamdist.relations import checkers
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def spy(*args, _real=getattr(checkers, name), _name=name, **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(checkers, name, spy)
+    return calls
+
+
+def test_delta_makes_each_self_distance_candidate_once(monkeypatch):
+    """The delta clause's eta-family candidates and the eta clause's
+    rho-family candidates of the left element are the same objects."""
+    calls = spy_calls(monkeypatch, "lipschitz_self_diff",
+                      "empirical_self_diff")
+    t, v, d = named(r"\x:Real. sin(x) + 0.5 * x")
+    verdict = check_delta(FN, v, d, v, ProbeSet(ProbeConfig(count=200)),
+                          left_term=t, tight_self_probes=True)
+    assert calls == {"lipschitz_self_diff": 1, "empirical_self_diff": 1}
+    assert repr(verdict) == ("Consistent(probes=1200, depth=1, "
+                             "established=True, note='')")
+
+
+def test_coarse_self_probes_make_no_derivative_grade_candidate(monkeypatch):
+    """Coarse gamma makes neither the derivative nor the sampled bound;
+    coarse delta makes no derivative (its eta clause still samples)."""
+    t, v, d = named(r"\x:Real. sin(x) + 0.5 * x")
+    probes = ProbeSet(ProbeConfig(count=60))
+    calls = spy_calls(monkeypatch, "diff_evaluate", "empirical_self_diff")
+    check_gamma(FN, v, d, v, probes, right_term=t)
+    assert calls == {"diff_evaluate": 0, "empirical_self_diff": 0}
+    check_delta(FN, v, d, v, probes, left_term=t)
+    assert calls["diff_evaluate"] == 0
 
 
 # --- self-distance estimation ------------------------------------------------------
@@ -385,6 +424,13 @@ def test_self_distance_of_pairs_keeps_the_family(probes, monkeypatch):
         f"(exact,{p})" for p, _ in alone.candidates]
 
 
+def test_self_distance_rejects_an_unknown_family(probes):
+    term, v, _ = named(r"\x:Real. sin(x)")
+    for ty, x in ((FN, v), (REAL, 1.0)):
+        with pytest.raises(ValueError, match="unknown probe family 'ETA'"):
+            estimate_self_distance(ty, x, probes, term=term, family="ETA")
+
+
 def test_sin_identity_in_b_is_a_valid_self_distance(probes):
     # the worked example's self-distance: the identity in the error
     verdict = check_rho(FN, math.sin, lambda x, b: b, math.sin, probes)
@@ -411,6 +457,17 @@ def test_theorem_approx_reports_hypothesis_violations_separately(probes):
                                   lambda x, b: b, REAL, probes)
     assert report.hypothesis_failures
     assert all(f.clause == "hypothesis" for f in report.hypothesis_failures)
+
+
+def test_theorem_approx_fails_a_nan_hypothesis_bound():
+    probes = ProbeSet(ProbeConfig(count=20, seed=1))
+    report = check_theorem_approx(math.sin, math.sin, lambda x, b: math.nan,
+                                  lambda x, b: b, REAL, probes)
+    assert len(report.hypothesis_failures) == report.probes == 35
+    assert not report.hypotheses_hold and not report.passed
+    first = report.hypothesis_failures[0]
+    assert (first.clause, first.path) == ("hypothesis", ("at 0",))
+    assert math.isnan(first.rhs)
 
 
 def test_theorem_approx_self_distance_degenerate(probes):
