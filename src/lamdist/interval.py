@@ -85,23 +85,3 @@ class Interval:
             return -self
         return Interval(0.0, max(-self.lo, self.hi))
 
-
-def _contains_critical(lo: float, hi: float, offset: float) -> bool:
-    """Is there a point offset + 2*pi*k inside [lo, hi]?"""
-    if math.isinf(lo) or math.isinf(hi):
-        return True
-    k = math.ceil((lo - offset) / (2 * math.pi))
-    return offset + 2 * math.pi * k <= hi
-
-
-def _sin_range(lo: float, hi: float) -> tuple[float, float]:
-    """Exact (up to rounding) range of sin over [lo, hi]."""
-    if hi - lo >= 2 * math.pi:
-        return (-1.0, 1.0)
-    has_max = _contains_critical(lo, hi, math.pi / 2)
-    has_min = _contains_critical(lo, hi, -math.pi / 2)
-    if has_max and has_min:
-        return (-1.0, 1.0)
-    s_lo, s_hi = math.sin(lo), math.sin(hi)
-    return (-1.0 if has_min else min(s_lo, s_hi),
-            1.0 if has_max else max(s_lo, s_hi))

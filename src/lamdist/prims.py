@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from . import interval
 from .interval import Interval
 
 DERIVED_SUFFIX = "_d"
@@ -281,14 +280,44 @@ def _id_modulus(ys, bs):
     return bs[0]
 
 
+TWO_PI = 2 * math.pi
+HALF_PI = math.pi / 2
+
+
+def _critical_points(lo: float, hi: float) -> tuple[bool, bool]:
+    """Does [lo, hi] hold a maximum pi/2 + 2*pi*k of sin, and a minimum
+    -pi/2 + 2*pi*k?  Both tests inline: the first k with the point at or
+    above ``lo``, then whether that point is at most ``hi``."""
+    if math.isinf(lo) or math.isinf(hi):
+        return True, True
+    return (HALF_PI + TWO_PI * math.ceil((lo - HALF_PI) / TWO_PI) <= hi,
+            -HALF_PI + TWO_PI * math.ceil((lo - -HALF_PI) / TWO_PI) <= hi)
+
+
 def _wave_modulus(fn: Callable[[float], float], offset: float):
     """Float modulus for sine-shaped primitives, fn(y) = sin(y + offset):
-    the sine's range over the shifted box against the centre value."""
+    the sine's range over the shifted box against the centre value.  It
+    makes one call, to the critical-point test it shares with the exact
+    modulus.  A box a period wide, or one holding both critical points,
+    spans [-1, 1]; otherwise an end of the range is 1 or -1 where the
+    box holds that critical point, else the sine at an endpoint."""
+    sin = math.sin
+
     def modulus(ys, bs):
         y, b = ys[0] + offset, bs[0]
-        lo, hi = interval._sin_range(y - b, y + b)
+        lo, hi = y - b, y + b
+        if hi - lo >= TWO_PI:
+            has_max = has_min = True
+        else:
+            has_max, has_min = _critical_points(lo, hi)
+        if has_max and has_min:
+            bottom, top = -1.0, 1.0
+        else:
+            s_lo, s_hi = sin(lo), sin(hi)
+            bottom = -1.0 if has_min else min(s_lo, s_hi)
+            top = 1.0 if has_max else max(s_lo, s_hi)
         centre = fn(ys[0])
-        return max(hi - centre, centre - lo)
+        return max(top - centre, centre - bottom)
     return modulus
 
 
@@ -300,16 +329,15 @@ def _wave_modulus_exact(fn: Callable[[float], float], offset: float):
     def modulus(ys: Sequence[Fraction], bs: Sequence[Fraction]) -> Fraction:
         y, b = ys[0], bs[0]
         centre = Fraction(fn(float(y)))
-        if b >= math.pi:  # a box a period wide, as in ``interval._sin_range``
+        if b >= math.pi:  # a box a period wide, as in the float modulus
             return max(1 - centre, centre + 1)
         lo, hi = y - b, y + b
         v_lo = Fraction(fn(float(lo)))
         v_hi = Fraction(fn(float(hi)))
-        flo, fhi = float(lo) + offset, float(hi) + offset
-        top = Fraction(1) if interval._contains_critical(flo, fhi, math.pi / 2) \
-            else max(v_lo, v_hi)
-        bot = Fraction(-1) if interval._contains_critical(flo, fhi, -math.pi / 2) \
-            else min(v_lo, v_hi)
+        has_max, has_min = _critical_points(float(lo) + offset,
+                                            float(hi) + offset)
+        top = Fraction(1) if has_max else max(v_lo, v_hi)
+        bot = Fraction(-1) if has_min else min(v_lo, v_hi)
         return max(top - centre, centre - bot)
     return modulus
 

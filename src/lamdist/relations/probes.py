@@ -29,6 +29,8 @@ from ..syntax.terms import (FnType, Lam, Lit, Pair, PairType, REAL, RealType,
 MAX_PROBE_DEPTH = 2
 FN_PROBES = 10      # function probes per arrow type
 Z_SAMPLES = 33      # grid points per box in empirical sups
+# the grid's offsets in units of the radius, from -1 to 1
+_Z_GRID = tuple(-1.0 + 2.0 * i / (Z_SAMPLES - 1) for i in range(Z_SAMPLES))
 
 
 class UnsupportedProbeDepth(ValueError):
@@ -43,6 +45,20 @@ class ProbeConfig:
     hi: float = 10.0
     b_max: float = 1.0
     seed: int = 0
+
+    def __post_init__(self):
+        # the settings the command line refuses: a negative radius puts
+        # every probe on the |x - x2| = b boundary, and a non-finite one
+        # or range reaches the primitives as an infinity or a NaN
+        if self.count < 0:
+            raise ValueError(f"probe count {self.count} is negative")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)
+                and self.lo <= self.hi and math.isfinite(self.hi - self.lo)):
+            raise ValueError(f"probe range [{self.lo}, {self.hi}] is not "
+                             "finite bounds LO <= HI with a finite width")
+        if not 0 <= self.b_max < math.inf:
+            raise ValueError(f"probe radius bound {self.b_max} is not a "
+                             "finite number >= 0")
 
 
 @dataclass(frozen=True)
@@ -272,8 +288,7 @@ def empirical_self_diff(f) -> Diff:
             return 0.0
         fx = f(x)
         worst = 0.0
-        for i in range(Z_SAMPLES):
-            u = -1.0 + 2.0 * i / (Z_SAMPLES - 1)
+        for u in _Z_GRID:
             worst = max(worst, abs(fx - f(x + u * b)))
         return worst
     return bound

@@ -24,11 +24,13 @@ the pair is ``None``.  A lambda's value is the closure the evaluator
 compiles, and its difference runs the fused pass of its body.
 
 A primitive of arity 1 or 2 with an analytic modulus is resolved into
-one node at compile time: its value half runs the implementation and
-its checks inline, as the evaluator's nodes do, and its difference half
-applies ``prim_modulus``'s radius rules inline before calling the
-modulus.  Other primitives take their value from ``Registry.checked``
-and their difference from ``prim_modulus``.  Runs on floats.  Exact
+one node at compile time, made by the evaluator's ``fuse``: it reads its
+literal, free-variable and bound-variable arguments itself (a literal's
+difference is 0), its value half runs the implementation and its checks
+inline, as the evaluator's nodes do, and its difference half applies
+``prim_modulus``'s radius rules inline before calling the modulus.
+Other primitives take their value from ``Registry.checked`` and their
+difference from ``prim_modulus``.  Runs on floats.  Exact
 differences need no mode here: the exact-mode ``evaluate`` of
 ``derivative_term(t)`` computes them, because the ``_d`` primitives'
 exact implementations use ``Primitive.exact_modulus``.
@@ -46,7 +48,8 @@ from ..prims import (DEFAULT_REGISTRY, Primitive, Registry, bad_radius,
 from ..syntax.terms import (App, First, FnType, Lam, Lit, Pair, PairType,
                             PrimOp, RealType, Second, Term, TermTooDeep, Type,
                             Var)
-from .eval import Value, compile_value, float_literal, slot
+from .eval import (CALL, CONST, SLOT, Value, compile_value, float_literal,
+                   fuse, slot)
 
 Diff = Union[float, tuple, Callable]
 
@@ -71,30 +74,31 @@ def _compile_dual(t: Term, scope: tuple[str, ...], free: Mapping[str, Value],
                   want: bool) -> DualCode:
     """Closures computing ``t``'s (value, difference) pair; the value is
     computed only when ``want`` is set."""
+    leaf = _leaf(t, scope, free, dfree, want)
+    if leaf is not None:
+        kind, x = leaf
+        if kind == SLOT:
+            return lambda env, denv: (env[x], denv[x])
+        return lambda env, denv: x
     if isinstance(t, Var):
-        i = slot(scope, t.name)
-        if i is not None:
-            return lambda env, denv: (env[i], denv[i])
         name = t.name
         if want and name not in free:
             def unbound(env, denv):
                 raise NameError(f"unbound variable {name!r} at evaluation")
             return unbound
-        if name not in dfree:
-            def unbound(env, denv):
-                raise NameError(f"no difference bound for variable {name!r}")
-            return unbound
-        pair = (free.get(name), dfree[name])
-        return lambda env, denv: pair
-    if isinstance(t, Lit):
-        pair = (float_literal(t.value), 0.0)
-        return lambda env, denv: pair
+
+        def unbound(env, denv):
+            raise NameError(f"no difference bound for variable {name!r}")
+        return unbound
     if isinstance(t, PrimOp):
         prim = registry.resolve(t.name, len(t.args))
+        if prim.modulus is not None and prim.arity in (1, 2):
+            return _prim_node(prim, [
+                _leaf(a, scope, free, dfree, True)
+                or (CALL, _compile_dual(a, scope, free, dfree, registry, True))
+                for a in t.args], want)
         args = [_compile_dual(a, scope, free, dfree, registry, True)
                 for a in t.args]
-        if prim.modulus is not None and prim.arity in (1, 2):
-            return _prim_node(prim, args, want)
         call = registry.checked(prim.name, prim.arity)
 
         def primop(env, denv):
@@ -148,58 +152,84 @@ def _compile_dual(t: Term, scope: tuple[str, ...], free: Mapping[str, Value],
     raise TypeError(f"not a term: {t!r}")
 
 
-def _prim_node(p: Primitive, args: list[DualCode], want: bool) -> DualCode:
+def _leaf(t: Term, scope: tuple[str, ...], free: Mapping[str, Value],
+          dfree: Mapping[str, Diff], want: bool) -> tuple[int, object] | None:
+    """``t`` as an argument a node reads itself: a bound variable's slot,
+    or the (value, difference) pair of a literal (difference 0) or of a
+    free variable (its value only when ``want`` is set) as a constant.
+    None for any other term, an unbound variable among them."""
+    if isinstance(t, Var):
+        i = slot(scope, t.name)
+        if i is not None:
+            return SLOT, i
+        name = t.name
+        if (name in free or not want) and name in dfree:
+            return CONST, (free.get(name), dfree[name])
+    elif isinstance(t, Lit):
+        return CONST, (float_literal(t.value), 0.0)
+    return None
+
+
+_READS = ("x{k}, b{k} = a{k}(env, denv)",
+          "x{k} = env[a{k}]\n    b{k} = denv[a{k}]",
+          "x{k}, b{k} = a{k}")
+
+_PRIM_NODES = ("""\
+def node(env, denv):
+    {0}
+    if domain is not None and not domain(x0):
+        raise outside_domain(name, (x0,))
+    out = None
+    if want:
+        out = fn(x0)
+        if isinstance(out, float) and not isfinite(out):
+            out = nonfinite_result(name, (x0,), out, total)
+    if not b0 >= 0:
+        raise bad_radius(b0)
+    if not b0:
+        return out, 0.0
+    if b0 == inf:
+        return out, oscillation
+    return out, modulus((x0,), (b0,))
+""", """\
+def node(env, denv):
+    {0}
+    {1}
+    if domain is not None and not domain(x0, x1):
+        raise outside_domain(name, (x0, x1))
+    out = None
+    if want:
+        out = fn(x0, x1)
+        if isinstance(out, float) and not isfinite(out):
+            out = nonfinite_result(name, (x0, x1), out, total)
+    if not b0 >= 0:
+        raise bad_radius(b0)
+    if not b1 >= 0:
+        raise bad_radius(b1)
+    if not (b0 or b1):
+        return out, 0.0
+    if b0 == inf or b1 == inf:
+        return out, oscillation
+    return out, modulus((x0, x1), (b0, b1))
+""")
+
+
+def _prim_node(p: Primitive, args: list[tuple[int, object]],
+               want: bool) -> DualCode:
     """A dual node of arity 1 or 2 for a primitive with an analytic
-    modulus.  It tests the domain whether or not the value is wanted, as
-    ``prim_modulus`` does; its value half runs ``Registry.checked``'s
-    other test inline, as the evaluator's nodes do; its difference half
-    applies ``prim_modulus``'s radius rules (a negative or NaN radius is
-    an error, a zero box gives 0, an infinite radius the oscillation)
-    before calling the modulus itself."""
-    name, fn, domain, modulus = p.name, p.fn, p.domain, p.modulus
-    total, oscillation = p.derived_from is None, p.oscillation
-    if len(args) == 1:
-        a, = args
-
-        def unary(env, denv):
-            x, b = a(env, denv)
-            if domain is not None and not domain(x):
-                raise outside_domain(name, (x,))
-            out = None
-            if want:
-                out = fn(x)
-                if isinstance(out, float) and not isfinite(out):
-                    out = nonfinite_result(name, (x,), out, total)
-            if not b >= 0:
-                raise bad_radius(b)
-            if not b:
-                return out, 0.0
-            if b == inf:
-                return out, oscillation
-            return out, modulus((x,), (b,))
-        return unary
-    a, c = args
-
-    def binary(env, denv):
-        x, b = a(env, denv)
-        y, d = c(env, denv)
-        if domain is not None and not domain(x, y):
-            raise outside_domain(name, (x, y))
-        out = None
-        if want:
-            out = fn(x, y)
-            if isinstance(out, float) and not isfinite(out):
-                out = nonfinite_result(name, (x, y), out, total)
-        if not b >= 0:
-            raise bad_radius(b)
-        if not d >= 0:
-            raise bad_radius(d)
-        if not (b or d):
-            return out, 0.0
-        if b == inf or d == inf:
-            return out, oscillation
-        return out, modulus((x, y), (b, d))
-    return binary
+    modulus, which reads its leaf arguments itself.  It tests the domain
+    whether or not the value is wanted, as ``prim_modulus`` does; its
+    value half runs ``Registry.checked``'s other test inline, as the
+    evaluator's nodes do; its difference half applies ``prim_modulus``'s
+    radius rules (a negative or NaN radius is an error, a zero box gives
+    0, an infinite radius the oscillation) before calling the modulus
+    itself."""
+    return fuse(_PRIM_NODES, _READS, args, name=p.name, fn=p.fn,
+                domain=p.domain, modulus=p.modulus,
+                total=p.derived_from is None, oscillation=p.oscillation,
+                want=want, outside_domain=outside_domain,
+                nonfinite_result=nonfinite_result, bad_radius=bad_radius,
+                isfinite=isfinite, inf=inf)
 
 
 # --- pointwise structure on differences -------------------------------------

@@ -9,13 +9,15 @@ and runs them: bound variables become slots of a tuple environment (a
 closure extends it by one slot per application), free variables and
 literals become constants converted once, and each primitive is looked
 up in the registry, and its arity checked, at compile time.  A
-primitive of arity 1 or 2 is resolved into a fused node that calls its
+primitive of arity 1 or 2 is resolved into a fused node that reads its
+literal, free-variable and bound-variable arguments itself, calls its
 implementation directly and runs ``Registry.checked``'s domain and
-finiteness tests inline, so a primitive call is one frame; other
-arities call through ``Registry.checked``.  The checks run on every
-call, and an unbound variable raises ``NameError`` only when its node
-runs, so errors stay as lazy as evaluation itself.  The same compiler
-builds the value closures of the fused difference pass in ``diff``.
+finiteness tests inline, so a primitive call is one frame and a leaf
+argument none; other arities call through ``Registry.checked``.  The
+checks run on every call, and an unbound variable raises ``NameError``
+only when its node runs, so errors stay as lazy as evaluation itself.
+The same compiler builds the value closures of the fused difference
+pass in ``diff``, whose nodes are made by the same ``fuse``.
 
 Exact mode carries ``Fraction`` values: field primitives compute exactly,
 transcendentals rationalize their float result, which is deterministic.
@@ -27,6 +29,7 @@ raises the same errors lazily.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import isfinite
 from typing import Callable, Mapping, Union
@@ -41,6 +44,11 @@ Value = Union[float, Fraction, tuple, Callable]
 
 # a compiled term: environment tuple (one slot per enclosing binder) to value
 Code = Callable[[tuple], Value]
+
+# How a fused node reads an argument: it calls the argument's compiled
+# code, reads a bound variable's slot, or holds a constant resolved at
+# compile time.  An argument is a (kind, code or slot or constant) pair.
+CALL, SLOT, CONST = range(3)
 
 
 def evaluate(t: Term, env: Mapping[str, Value] | None = None, *,
@@ -77,28 +85,27 @@ def compile_value(t: Term, scope: tuple[str, ...], free: Mapping[str, Value],
                   registry: Registry) -> Code:
     """Closures computing ``t``'s value from an environment tuple laid out
     as ``scope``; names outside ``scope`` are read from ``free`` now."""
+    leaf = _leaf(t, scope, free)
+    if leaf is not None:
+        kind, x = leaf
+        if kind == SLOT:
+            return lambda env: env[x]
+        return lambda env: x
     if isinstance(t, Var):
-        i = slot(scope, t.name)
-        if i is not None:
-            return lambda env: env[i]
-        if t.name in free:
-            value = free[t.name]
-            return lambda env: value
         name = t.name
 
         def unbound(env):
             raise NameError(f"unbound variable {name!r} at evaluation")
         return unbound
-    if isinstance(t, Lit):
-        value = float_literal(t.value)
-        return lambda env: value
     if isinstance(t, PrimOp):
         p = registry.resolve(t.name, len(t.args))
-        args = [compile_value(a, scope, free, registry) for a in t.args]
         if p.arity not in (1, 2):
+            args = [compile_value(a, scope, free, registry) for a in t.args]
             call = registry.checked(p.name, p.arity)
             return lambda env: call(*[a(env) for a in args])
-        return _prim_node(p, args)
+        return _prim_node(p, [_leaf(a, scope, free)
+                              or (CALL, compile_value(a, scope, free, registry))
+                              for a in t.args])
     if isinstance(t, App):
         fn = compile_value(t.fn, scope, free, registry)
         arg = compile_value(t.arg, scope, free, registry)
@@ -119,33 +126,82 @@ def compile_value(t: Term, scope: tuple[str, ...], free: Mapping[str, Value],
     raise TypeError(f"not a term: {t!r}")
 
 
-def _prim_node(p: Primitive, args: list[Code]) -> Code:
-    """A node of arity 1 or 2 that calls ``p``'s implementation
-    itself and runs ``Registry.checked``'s domain and finiteness tests
-    inline, so a primitive call is one frame."""
-    name, fn, domain = p.name, p.fn, p.domain
-    total = p.derived_from is None
-    if len(args) == 1:
-        a, = args
+def _leaf(t: Term, scope: tuple[str, ...],
+          free: Mapping[str, Value]) -> tuple[int, object] | None:
+    """``t`` as an argument a node reads itself: a bound variable's slot,
+    or a literal's or a free variable's value as a constant.  None for
+    any other term, an unbound variable among them."""
+    if isinstance(t, Var):
+        i = slot(scope, t.name)
+        if i is not None:
+            return SLOT, i
+        if t.name in free:
+            return CONST, free[t.name]
+    elif isinstance(t, Lit):
+        return CONST, float_literal(t.value)
+    return None
 
-        def unary(env):
-            x = a(env)
-            if domain is not None and not domain(x):
-                raise outside_domain(name, (x,))
-            out = fn(x)
-            if isinstance(out, float) and not isfinite(out):
-                out = nonfinite_result(name, (x,), out, total)
-            return out
-        return unary
-    a, b = args
 
-    def binary(env):
-        x = a(env)
-        y = b(env)
-        if domain is not None and not domain(x, y):
-            raise outside_domain(name, (x, y))
-        out = fn(x, y)
-        if isinstance(out, float) and not isfinite(out):
-            out = nonfinite_result(name, (x, y), out, total)
-        return out
-    return binary
+def fuse(templates: tuple[str, str], reads: tuple[str, str, str],
+         args: list[tuple[int, object]], **cells) -> Callable:
+    """The fused node of arity ``len(args)``: the function ``node`` that
+    ``templates[arity - 1]`` defines, where the placeholder ``{k}`` is the
+    read of argument k, written ``reads[kind]`` with ``a{k}`` naming the
+    argument's code, slot or constant.  The arguments and ``cells`` are
+    the node's closure variables.  The source is compiled once per
+    template, reads and argument kinds, so making a node costs one
+    closure, as a hand-written node does, and a leaf argument costs no
+    call when the node runs.  A template stands for the three shapes of
+    a unary node and the nine of a binary one, which would otherwise be
+    written out by hand in each compiler."""
+    kinds = tuple(kind for kind, _ in args)
+    make = _node_maker(templates[len(args) - 1], reads, kinds, tuple(cells))
+    return make(*[x for _, x in args], **cells)
+
+
+@functools.cache
+def _node_maker(template: str, reads: tuple[str, str, str],
+                kinds: tuple[int, ...], names: tuple[str, ...]) -> Callable:
+    body = template.format(*[reads[kind].format(k=k)
+                             for k, kind in enumerate(kinds)])
+    params = ", ".join([f"a{k}" for k in range(len(kinds))] + list(names))
+    source = "".join([f"def make({params}):\n"]
+                     + [f"    {line}\n" for line in body.splitlines()]
+                     + ["    return node\n"])
+    namespace: dict = {}
+    exec(compile(source, "<fused node>", "exec"), {}, namespace)
+    return namespace["make"]
+
+
+_READS = ("x{k} = a{k}(env)", "x{k} = env[a{k}]", "x{k} = a{k}")
+
+_PRIM_NODES = ("""\
+def node(env):
+    {0}
+    if domain is not None and not domain(x0):
+        raise outside_domain(name, (x0,))
+    out = fn(x0)
+    if isinstance(out, float) and not isfinite(out):
+        out = nonfinite_result(name, (x0,), out, total)
+    return out
+""", """\
+def node(env):
+    {0}
+    {1}
+    if domain is not None and not domain(x0, x1):
+        raise outside_domain(name, (x0, x1))
+    out = fn(x0, x1)
+    if isinstance(out, float) and not isfinite(out):
+        out = nonfinite_result(name, (x0, x1), out, total)
+    return out
+""")
+
+
+def _prim_node(p: Primitive, args: list[tuple[int, object]]) -> Code:
+    """A node of arity 1 or 2 that reads its leaf arguments itself, calls
+    ``p``'s implementation and runs ``Registry.checked``'s domain and
+    finiteness tests inline, so a primitive call is one frame."""
+    return fuse(_PRIM_NODES, _READS, args, name=p.name, fn=p.fn,
+                domain=p.domain, total=p.derived_from is None,
+                outside_domain=outside_domain,
+                nonfinite_result=nonfinite_result, isfinite=isfinite)

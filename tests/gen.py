@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .syntax.terms import Lam, Lit, PrimOp, REAL, Term, Var
+from lamdist.syntax.terms import Lam, Lit, PrimOp, REAL, Term, Var
 
 
 def random_literal(rng: random.Random, lo: float = -2.0, hi: float = 2.0) -> Lit:

@@ -18,7 +18,6 @@ from lamdist.eqtheory import (Derivation, DistanceJudgment,
                               check_derivation, check_dlog_judgment,
                               self_distance_derivation,
                               synthesize_fundamental)
-from lamdist.gen import random_closed_fn_term, random_real_term
 from lamdist.prims import DEFAULT_REGISTRY, default_registry
 from lamdist.quantale.finite import boolean, builtin, chain
 from lamdist.quantale.lawvere import ExtReal, INFINITY, leq, residual, tensor
@@ -28,6 +27,8 @@ from lamdist.relations import (Consistent, ProbeConfig, ProbeSet,
 from lamdist.semantics import (apply_member_triple, diff_evaluate, evaluate)
 from lamdist.syntax import (Lit, REAL, Var, derivative_term, parse_file,
                             parse_term)
+
+from gen import random_closed_fn_term, random_real_term
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 

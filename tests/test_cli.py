@@ -309,13 +309,15 @@ def test_a_closed_stdout_exits_2_without_traceback(tmp_path):
     import sys
     sums = tmp_path / "sum.lam"
     sums.write_text("f = \\x:Real. " + " + ".join(["x"] * 300) + "\n")
-    proc = subprocess.Popen([sys.executable, "-m", "lamdist.cli", "derive",
-                             str(sums), "f"], stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, env=_subprocess_env())
-    assert proc.stdout.read(400).startswith(b"\\x:Real. \\x':Real. add_d(")
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == 2
+    with subprocess.Popen([sys.executable, "-m", "lamdist.cli", "derive",
+                           str(sums), "f"], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE,
+                          env=_subprocess_env()) as proc:
+        assert proc.stdout.read(400).startswith(
+            b"\\x:Real. \\x':Real. add_d(")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
     assert err == "error: standard output closed\n"
 
 

@@ -7,7 +7,8 @@ from lamdist.syntax import (DottedVariableClash, FnType, Lam, Lit, PrimOp,
                             REAL, Var, alpha_equal, derivative_term,
                             parse_term, partial_context, partial_type,
                             render_type, typecheck)
-from lamdist.gen import random_closed_fn_term
+
+from gen import random_closed_fn_term
 
 
 def test_partial_type_equations():

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from lamdist.gen import random_closed_fn_term
 from lamdist.prims import EvalDomainError
 from lamdist.syntax import (FnType, REAL, TypecheckError, alpha_equal,
                             normalize, parse_term, term_equal, typecheck)
+
+from gen import random_closed_fn_term
 
 
 def eq(a, b, ctx=()):

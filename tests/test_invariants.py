@@ -11,7 +11,6 @@ import pytest
 from lamdist.eqtheory import (check_derivation, self_distance_derivation,
                               transitivity_derivation)
 from lamdist.eqtheory.judgments import Derivation, DistanceJudgment
-from lamdist.gen import random_closed_fn_term
 from lamdist.prims import DEFAULT_REGISTRY
 from lamdist.quantale.finite import chain
 from lamdist.quantale.qrel import (QRel, classify, obs_quasi_right,
@@ -23,6 +22,8 @@ from lamdist.semantics import (DiffTriple, compose_triples, diff_evaluate,
 from lamdist.syntax import (App, FnType, Lit, REAL, Var, alpha_equal,
                             derivative_term, normalize, parse_term,
                             substitute, term_equal)
+
+from gen import random_closed_fn_term
 
 FN = FnType(REAL, REAL)
 
@@ -55,7 +56,7 @@ def test_derivative_commutes_with_substitution_up_to_theory():
     rng = random.Random(31)
     ctx = (("x", REAL),)
     for _ in range(30):
-        from lamdist.gen import random_real_term
+        from gen import random_real_term
         t = random_real_term(rng, ("x",), depth=3)
         s = random_real_term(rng, (), depth=2)
         ds = derivative_term((), s, DEFAULT_REGISTRY)

@@ -4,8 +4,10 @@ agree bit for bit with the reference calls: ``Registry.call_float`` and
 Results are compared by ``repr`` (which tells -0.0, nan and inf apart),
 errors by type and message."""
 
+import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,7 @@ import pytest
 from lamdist.prims import (EvalDomainError, Primitive, default_registry,
                            prim_modulus, register_constant)
 from lamdist.semantics import diff_evaluate, evaluate
-from lamdist.syntax import App, Lam, PrimOp, REAL, Var, parse_term
+from lamdist.syntax import App, Lam, Lit, PrimOp, REAL, Var, parse_term
 
 
 def _root_modulus(ys, bs):
@@ -184,3 +186,249 @@ def test_a_box_a_period_wide_reaches_both_extremes_exactly():
     assert REG.call_exact("sin_d", (Fraction(0), HUGE)) == 1
     assert REG.call_exact("sin_d", (Fraction(0), Fraction(4))) == \
         Fraction(prim_modulus(REG["sin"], [0.0], [4.0]))
+
+
+# --- leaf arguments read inside the node -------------------------------------
+
+DEFAULTS = ["add", "sub", "mul", "div", "neg", "abs", "sin", "cos",
+            "neg_d", "abs_d", "sin_d", "cos_d"]
+# how each argument of the node is written: a bound variable, a free
+# variable, a literal, or a nested node over a bound variable
+LEAVES = ("slot", "free", "lit", "nested")
+
+
+def _shaped(name, leaves, ys, bs):
+    """The node ``name`` with its arguments written as ``leaves``; the
+    variables it is closed over and the (value, radius) pairs they are
+    applied to; the environments of its free variables; and for each
+    argument a (value, radius) pair of thunks making the reference calls
+    the node makes, in the same order."""
+    args, bound, applied, env, denv, refs = [], [], [], {}, {}, []
+    for k, (leaf, y, b) in enumerate(zip(leaves, ys, bs)):
+        var = f"{leaf}{k}"
+        if leaf == "lit":
+            y = float(Fraction(y if math.isfinite(y) else 1.5))
+            args.append(Lit(Fraction(y)))
+            refs.append((lambda y=y: y, lambda: 0.0))
+        elif leaf == "nested":
+            bound.append(var)
+            applied.append((y, b))
+            args.append(PrimOp("neg", (Var(var),)))
+            refs.append((lambda y=y: REG.call_float("neg", (y,)),
+                         lambda y=y, b=b: prim_modulus(REG["neg"], (y,),
+                                                       (b,))))
+        else:
+            if leaf == "slot":
+                bound.append(var)
+                applied.append((y, b))
+            else:
+                env[var], denv[var] = y, b
+            args.append(Var(var))
+            refs.append((lambda y=y: y, lambda b=b: b))
+    return PrimOp(name, tuple(args)), bound, applied, env, denv, refs
+
+
+def _close(term, bound):
+    for var in reversed(bound):
+        term = Lam(var, REAL, term)
+    return term
+
+
+@pytest.mark.parametrize("name", DEFAULTS)
+def test_leaf_arguments_match_the_reference_calls(name):
+    """Literals on either side or both, free-variable constants, bound
+    slots and nested nodes, against ``Registry.call_float`` and
+    ``prim_modulus`` on the arguments' reference values, with radii 0,
+    -0.0, inf, NaN and negative among the draws."""
+    arity = REG.arity(name)
+    prim = REG[name]
+    shapes = list(itertools.product(LEAVES, repeat=arity))
+    rng = random.Random(101 + DEFAULTS.index(name))
+    for ys, bs in _points(arity, 61 + DEFAULTS.index(name), count=40):
+        leaves = rng.choice(shapes)
+        node, bound, applied, env, denv, refs = _shaped(name, leaves, ys, bs)
+
+        def values():
+            return [value() for value, _ in refs]
+
+        def pairs():
+            out = [(value(), radius()) for value, radius in refs]
+            return [y for y, _ in out], [b for _, b in out]
+
+        def run_value():
+            f = evaluate(_close(node, bound), env, registry=REG)
+            for y, _ in applied:
+                f = f(y)
+            return f
+
+        def run_dual(term):
+            def run():
+                d = diff_evaluate(_close(term, bound), env, denv,
+                                  registry=REG)
+                for y, b in applied:
+                    d = d(y, b)
+                return d
+            return run
+
+        def diff_reference():
+            zs, rs = pairs()
+            return prim_modulus(prim, zs, rs)
+
+        def valued_reference():
+            zs, rs = pairs()
+            REG.call_float(name, zs)
+            return prim_modulus(prim, zs, rs)
+        where = (name, leaves, ys, bs)
+        assert _outcome(run_value) == \
+            _outcome(lambda: REG.call_float(name, values())), where
+        assert _outcome(run_dual(node)) == _outcome(diff_reference), where
+        valued = App(Lam("z", REAL, Var("z")), node)
+        assert _outcome(run_dual(valued)) == \
+            _outcome(valued_reference), where
+
+
+def test_a_literal_divisor_of_zero_raises_when_the_node_runs():
+    term = parse_term(r"\x:Real. x / 0")
+    f, df = evaluate(term), diff_evaluate(term)
+    with pytest.raises(EvalDomainError,
+                       match=r"^div\(1\.0, 0\.0\) outside declared domain$"):
+        f(1.0)
+    with pytest.raises(EvalDomainError,
+                       match=r"^div\(1\.0, 0\.0\) outside declared domain$"):
+        df(1.0, 0.5)
+
+
+def test_an_unbound_name_under_a_node_raises_when_reached():
+    term = parse_term(r"\x:Real. sin(x + z)")
+    f, df = evaluate(term), diff_evaluate(term)
+    with pytest.raises(NameError, match="unbound variable 'z'"):
+        f(1.0)
+    with pytest.raises(NameError, match="unbound variable 'z'"):
+        df(1.0, 0.5)
+    with pytest.raises(NameError, match="no difference bound for variable"):
+        diff_evaluate(term, {"z": 2.0})(1.0, 0.5)
+    assert diff_evaluate(term, {"z": 2.0}, {"z": 0.25})(1.0, 0.0) == \
+        prim_modulus(REG["sin"], (3.0,), (0.25,))
+
+
+def test_a_literal_beyond_the_float_range_fails_at_compile_time():
+    term = Lam("x", REAL, PrimOp("add", (Var("x"), Lit(HUGE))))
+    with pytest.raises(EvalDomainError, match="beyond the float range"):
+        evaluate(term)
+    with pytest.raises(EvalDomainError, match="beyond the float range"):
+        diff_evaluate(term)
+
+
+def _call_names(fn, *args):
+    """The Python functions that run while ``fn(*args)`` does, in call
+    order; functions written in C are not counted."""
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+    outer = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(outer)
+    return names
+
+
+def test_leaf_arguments_cost_no_call():
+    """One frame per primitive node plus the lambda's: the bound ``x`` and
+    the literal 0.5 are read inside the ``add`` node.  A difference also
+    calls each modulus, and the sine's makes one flat call."""
+    term = parse_term(r"\x:Real. sin(x + 0.5)")
+    f, df = evaluate(term), diff_evaluate(term)
+    assert _call_names(f, 1.0) == ["<lambda>", "node", "node"]
+    assert _call_names(df, 1.0, 0.0) == ["dclosure", "node", "node"]
+    assert _call_names(df, 1.0, 0.5) == [
+        "dclosure", "node", "node", "_sum_modulus", "modulus",
+        "_critical_points"]
+
+
+# --- the wave modulus against the range-of-sine path it replaced ------------
+
+def _contains_critical(lo, hi, offset):
+    if math.isinf(lo) or math.isinf(hi):
+        return True
+    k = math.ceil((lo - offset) / (2 * math.pi))
+    return offset + 2 * math.pi * k <= hi
+
+
+def _sin_range(lo, hi):
+    if hi - lo >= 2 * math.pi:
+        return (-1.0, 1.0)
+    has_max = _contains_critical(lo, hi, math.pi / 2)
+    has_min = _contains_critical(lo, hi, -math.pi / 2)
+    if has_max and has_min:
+        return (-1.0, 1.0)
+    s_lo, s_hi = math.sin(lo), math.sin(hi)
+    return (-1.0 if has_min else min(s_lo, s_hi),
+            1.0 if has_max else max(s_lo, s_hi))
+
+
+def _reference_wave_modulus(fn, offset):
+    def modulus(ys, bs):
+        y, b = ys[0] + offset, bs[0]
+        lo, hi = _sin_range(y - b, y + b)
+        centre = fn(ys[0])
+        return max(hi - centre, centre - lo)
+    return modulus
+
+
+def _reference_wave_modulus_exact(fn, offset):
+    def modulus(ys, bs):
+        y, b = ys[0], bs[0]
+        centre = Fraction(fn(float(y)))
+        if b >= math.pi:
+            return max(1 - centre, centre + 1)
+        lo, hi = y - b, y + b
+        v_lo, v_hi = Fraction(fn(float(lo))), Fraction(fn(float(hi)))
+        flo, fhi = float(lo) + offset, float(hi) + offset
+        top = Fraction(1) if _contains_critical(flo, fhi, math.pi / 2) \
+            else max(v_lo, v_hi)
+        bot = Fraction(-1) if _contains_critical(flo, fhi, -math.pi / 2) \
+            else min(v_lo, v_hi)
+        return max(top - centre, centre - bot)
+    return modulus
+
+
+WAVE_RADII = [0.0, 5e-324, math.pi, 2 * math.pi, 1e300, math.inf]
+
+
+@pytest.mark.parametrize("name, fn, offset", [
+    ("sin", math.sin, 0.0), ("cos", math.cos, math.pi / 2)])
+def test_the_wave_modulus_matches_the_range_of_sine(name, fn, offset):
+    rng = random.Random(17)
+    want = _reference_wave_modulus(fn, offset)
+    want_exact = _reference_wave_modulus_exact(fn, offset)
+    got, got_exact = REG[name].modulus, REG[name].exact_modulus
+    for i in range(20000):
+        r = rng.random()
+        if r < 0.1:
+            y = rng.choice([0.0, -0.0, math.inf, -math.inf, math.nan])
+        elif r < 0.2:  # a box edge at or next to a critical point
+            y = (rng.choice([-1, 1]) * math.pi / 2
+                 + 2 * math.pi * rng.randrange(-3, 4)
+                 + rng.choice([0.0, 1e-15, -1e-15, 1e-9, -1e-9]))
+        elif r < 0.4:
+            y = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300, 300)
+        else:
+            y = rng.uniform(-20.0, 20.0)
+        r = rng.random()
+        if r < 0.3:
+            b = rng.choice(WAVE_RADII)
+        elif r < 0.5:
+            b = 10.0 ** rng.uniform(-16, 3)
+        else:
+            b = rng.uniform(0.0, 4.0)
+        ys, bs = (y,), (b,)
+        assert _outcome(lambda: got(ys, bs)) == \
+            _outcome(lambda: want(ys, bs)), (name, y, b)
+        if i % 10 == 0 and math.isfinite(y) and math.isfinite(b):
+            qs, rs = (Fraction(y),), (Fraction(b),)
+            assert _outcome(lambda: got_exact(qs, rs)) == \
+                _outcome(lambda: want_exact(qs, rs)), (name, y, b)

@@ -41,6 +41,34 @@ def test_probe_generation_is_deterministic():
         == dumps(probes_to_json(ProbeSet(cfg), REAL))
 
 
+@pytest.mark.parametrize("field, settings", [
+    ("b_max", dict(b_max=-1.0)),
+    ("b_max", dict(b_max=math.nan)),
+    ("b_max", dict(b_max=math.inf)),
+    ("range", dict(lo=math.nan)),
+    ("range", dict(hi=math.inf)),
+    ("range", dict(lo=-math.inf)),
+    ("range", dict(lo=1.0, hi=-1.0)),
+    ("range", dict(lo=-1e308, hi=1e308)),
+    ("count", dict(count=-1)),
+])
+def test_probe_settings_the_command_line_refuses_are_refused(field, settings):
+    """A negative radius bound put every probe on the |x - x2| = b
+    boundary, where a member was falsified by rounding; a non-finite one
+    or range failed late, inside a primitive."""
+    words = {"b_max": "radius bound", "range": "range", "count": "count"}
+    with pytest.raises(ValueError, match=words[field]):
+        ProbeConfig(**settings)
+
+
+def test_a_negative_radius_bound_no_longer_falsifies_a_member():
+    term = parse_term(r"\x:Real. sin(x) + 0.5 * x")
+    with pytest.raises(ValueError, match="radius bound -1.0"):
+        check_fundamental(term, ProbeSet(ProbeConfig(count=40, b_max=-1.0)))
+    assert isinstance(check_fundamental(
+        term, ProbeSet(ProbeConfig(count=40, b_max=0.0))), Consistent)
+
+
 def test_function_probe_library_contents(probes):
     labels = " ".join(p.label for p in probes.triples(FN))
     for needle in (r"\x:Real. x", "sin", "x * x", "x + 0.25"):

@@ -4,10 +4,11 @@ lucky frozen seed, so smaller replicas run across several fresh ones."""
 import random
 
 from lamdist.eqtheory import check_suite
-from lamdist.gen import random_closed_fn_term
 from lamdist.prims import DEFAULT_REGISTRY, default_registry
 from lamdist.semantics import diff_evaluate, evaluate
 from lamdist.syntax import alpha_equal, derivative_term, parse_term, render_term
+
+from gen import random_closed_fn_term
 
 
 def test_soundness_across_seeds():

@@ -10,11 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from lamdist.gen import random_closed_fn_term
 from lamdist.prims import EvalDomainError, Primitive, default_registry
 from lamdist.relations import ProbeConfig, ProbeSet, check_fundamental
 from lamdist.semantics import diff_evaluate, evaluate
 from lamdist.syntax import App, Lam, Lit, PrimOp, REAL, Var, parse_term
+
+from gen import random_closed_fn_term
 
 DEPS = r"\f:Real->Real. \x:Real. (f (x + 0.1) - f x) / 0.1"
 
