@@ -68,7 +68,7 @@ import operator
 from dataclasses import dataclass, field
 
 from .finite import FiniteQuantale, validate
-from .qrel import QRel, kernel
+from .qrel import QRel, check_size, kernel
 
 ENUMERATION_BOUND = 10 ** 6
 
@@ -111,7 +111,9 @@ class Section3Report:
 def check_section3_props(q: FiniteQuantale, size: int,
                          max_failures: int = 20) -> Section3Report:
     """Run the full proposition suite over all |Q|^(size^2) relations,
-    one representative per orbit (see the module docstring)."""
+    one representative per orbit (see the module docstring).  Raises
+    ``DomainMismatch`` for a negative size."""
+    check_size(size)
     m = len(q)
     total = m ** (size * size)
     if total > ENUMERATION_BOUND:
@@ -286,7 +288,8 @@ def least_quasi_metric_above(s: QRel) -> QRel:
     A quasi-metric above s that lies below every other when the order is a
     partial order, join is its least upper bound and the tensor is monotone
     (true in any quantale): the reflexive-transitive closure of s."""
-    k, (_, _, join, _, _, top) = s.kernel, s.ops.tables
+    k, tables = s.kernel, s.ops.tables
+    join, top = tables.join, tables.top
     star = list(s.entries)
     star[::s.n + 1] = [top] * s.n
     star = tuple(star)

@@ -156,6 +156,12 @@ def test_domain_mismatch():
         qr.qrel_tensor(S, QRel.identity(boolean(), 2))
 
 
+def test_negative_size_rejected():
+    # n * n = 1 entry, so only the size itself is wrong
+    with pytest.raises(qr.DomainMismatch, match="-1"):
+        QRel(chain(1), -1, [0])
+
+
 def test_strong_transitivity_matches_pointwise_formula():
     rng = random.Random(11)
     for _ in range(40):

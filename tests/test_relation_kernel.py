@@ -2,17 +2,21 @@
 definition, written with the quantale's element operations only.
 
 The exhaustive checker and the ``qrel`` functions both run the kernel, so
-these transcriptions are the independent reference for it.
+these transcriptions are the independent reference for it.  Sizes up to
+``UNROLL_BOUND`` run generated straight-line code and larger ones the
+loops, so the tests cover sizes on both sides of it.
 """
 
 import itertools
 import random
+
+import pytest
 from types import SimpleNamespace
 
 from lamdist.quantale import lawvere as lv
 from lamdist.quantale.finite import FiniteQuantale, chain
 from lamdist.quantale.lawvere import LAWVERE, ExtReal
-from lamdist.quantale.qrel import kernel
+from lamdist.quantale.qrel import UNROLL_BOUND, kernel
 
 # The [0, +inf] quantale through its module functions.
 LAWVERE_REF = SimpleNamespace(leq=lv.leq, tensor=lv.tensor,
@@ -84,11 +88,14 @@ def assert_kernel_matches(ops, ref_ops, n, rels, pairs):
     for name, want in ref.items():
         got = getattr(k, name)
         if name in BINARY:
-            for a, b in pairs:
-                assert got(a, b) == want(a, b), (name, a, b)
+            cases = pairs
         else:
-            for e in rels:
-                assert got(e) == want(e), (name, e)
+            cases = [(e,) for e in rels]
+        for args in cases:
+            out, ref_out = got(*args), want(*args)
+            assert out == ref_out, (name, args)
+            # bool from tests, tuple from operations, whatever the tables hold
+            assert type(out) is type(ref_out), (name, args)
 
 
 def test_kernel_on_every_chain1_relation_and_pair():
@@ -118,3 +125,58 @@ def test_kernel_on_seeded_lawvere_relations():
             for i, e in enumerate(rels)]
     pairs = list(zip(rels, rels)) + list(zip(rels, rels[1:] + rels[:1]))
     assert_kernel_matches(LAWVERE, LAWVERE_REF, 3, rels, pairs)
+
+
+def sample_relations(values, top, n, rng, count=40):
+    """``count`` seeded relations, every second one with top on the
+    diagonal, then each constant off-diagonal relation with top on it: a
+    quasi-metric in any integral quantale, so the tests run to the end."""
+    diagonal = range(0, n * n, n + 1)
+    rels = [tuple(top if i % 2 == 0 and p in diagonal else rng.choice(values)
+                  for p in range(n * n))
+            for i in range(count)]
+    return rels + [tuple(top if p in diagonal else v for p in range(n * n))
+                   for v in values]
+
+
+class IntOrder:
+    """A finite quantale's tables with the order as 0/1 ints, so that a
+    test returning a table entry in place of a ``bool`` shows."""
+
+    def __init__(self, q):
+        t = q.tables
+        self.tables = t._replace(leq=tuple(tuple(int(v) for v in row)
+                                           for row in t.leq))
+
+
+CHAIN1 = chain(1)
+
+
+@pytest.mark.parametrize("ops", [CHAIN1, IntOrder(CHAIN1)],
+                         ids=["chain1", "chain1-int-order"])
+@pytest.mark.parametrize("n", [0, 1, 3, UNROLL_BOUND, UNROLL_BOUND + 1])
+def test_kernel_on_chain1_at_sizes_of_both_forms(ops, n):
+    values = range(len(CHAIN1))
+    if n <= 1:
+        rels = list(itertools.product(values, repeat=n * n))
+        pairs = list(itertools.product(rels, repeat=2))
+    else:
+        rels = sample_relations(values, CHAIN1.top, n, random.Random(n))
+        pairs = list(zip(rels, rels)) + list(zip(rels, rels[1:] + rels[:1]))
+    assert_kernel_matches(ops, CHAIN1, n, rels, pairs)
+
+
+@pytest.mark.parametrize("n", [0, 1, UNROLL_BOUND, UNROLL_BOUND + 1])
+def test_kernel_on_seeded_lawvere_relations_at_sizes_of_both_forms(n):
+    values = tuple(ExtReal(v) for v in (0, 1, 2, 3, "1/2", "inf"))
+    rels = sample_relations(values, ExtReal(0), n, random.Random(n))
+    pairs = list(zip(rels, rels)) + list(zip(rels, rels[1:] + rels[:1]))
+    assert_kernel_matches(LAWVERE, LAWVERE_REF, n, rels, pairs)
+
+
+def test_straight_line_code_up_to_the_bound_only():
+    # a bound that drifts upward would compile source growing as n³
+    forms = [kernel(CHAIN1, n).transitive.__code__.co_filename
+             for n in range(7)]
+    assert forms[:5] == [f"<relation kernel n={n}>" for n in range(5)]
+    assert not any(f.startswith("<") for f in forms[5:])

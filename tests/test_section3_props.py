@@ -10,9 +10,9 @@ from lamdist.quantale.finite import FiniteQuantale, boolean, chain, validate
 from lamdist.quantale.props import (EnumerationTooLarge, check_section3_props,
                                     is_q_closed, least_quasi_metric_above,
                                     rel_from_ternary, ternary_from_rel)
-from lamdist.quantale.qrel import (QRel, is_quasi_reflexive, is_reflexive,
-                                   is_transitive, kernel, qrel_leq,
-                                   qrel_tensor)
+from lamdist.quantale.qrel import (DomainMismatch, QRel, is_quasi_reflexive,
+                                   is_reflexive, is_transitive, kernel,
+                                   qrel_leq, qrel_tensor)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -295,6 +295,22 @@ def test_random_tables_match_their_golden():
 def test_infeasible_size_rejected():
     with pytest.raises(EnumerationTooLarge):
         check_section3_props(chain(2), 4)
+
+
+@pytest.mark.parametrize("size", [-1, -2])
+def test_negative_size_rejected(size):
+    with pytest.raises(DomainMismatch, match=str(size)):
+        check_section3_props(boolean(), size)
+
+
+@pytest.mark.parametrize("q", [boolean(), chain(1)])
+@pytest.mark.parametrize("size", [0, 1])
+def test_sizes_zero_and_one(q, size):
+    # the empty relation, or one relation per element
+    report = check_section3_props(q, size)
+    assert report.passed
+    assert report.relations_checked == report.orbits_checked == len(q) ** size
+    assert report.prop3_pairs_checked == 0
 
 
 def test_closure_bijection_round_trip_exhaustive():
