@@ -17,9 +17,9 @@ quantale and checks, with zero tolerance:
   left-handed strong transitivity — the straight transcription with Δ₁ is
   falsified on finite models, so the checker pins the mirrored form.
 
-The enumeration visits one relation per orbit, the lexicographic minimum,
-and weights its counts by the orbit size, so ``relations_checked`` is still
-|Q|^(n²) while ``orbits_checked`` counts the relations actually checked.
+The enumeration visits one relation per orbit and weights its counts by
+the orbit size, so ``relations_checked`` is still |Q|^(n²) while
+``orbits_checked`` counts the relations actually checked.
 The group is that of the simultaneous permutations Sₙ of the n points,
 under which every proposition is invariant once the folds over join and
 meet are order-free.  They are when :func:`validate` reports no
@@ -33,6 +33,14 @@ sᵀ is its verdict on s, but it applies to sᵀ when s is *column*
 quasi-reflexive.  So a representative whose transpose lies outside its
 Sₙ-orbit runs prop3 when it is row or column quasi-reflexive, and weights
 ``prop3_pairs_checked`` by the orbit halves it stands for.
+
+The representatives come straight from :func:`orbit_representatives`, not
+from filtering every relation: each has a nondecreasing diagonal and the
+least off-diagonal entries among its images under the diagonal's
+stabiliser.  Which member stands for an orbit does not show in a report:
+every count is a sum over orbits, and an orbit that fails hands over to
+the relation-by-relation sweep.  With one element in Q there is a single
+relation, and it is checked directly.
 
 ``prop3_pairs_checked`` counts the (s, q) pairs with s non-transitive and
 row quasi-reflexive and q a quasi-metric, but prop3.backward tests one
@@ -64,6 +72,7 @@ and transitivity) come from :func:`lamdist.quantale.qrel.kernel`.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -129,7 +138,6 @@ def check_section3_props(q: FiniteQuantale, size: int,
     tables = q.tables
     names = q.elements
     report = Section3Report(q.name, size)
-    rng = range(n)
 
     def rel_names(e):
         return tuple(names[v] for v in e)
@@ -143,14 +151,13 @@ def check_section3_props(q: FiniteQuantale, size: int,
 
     # Quasi-metrics have top on the diagonal: enumerate only the
     # off-diagonal entries, in the lexicographic order of the full tuples.
-    diagonal = range(0, n * n, n + 1)
+    layout = _layout(n)
+    tops = (tables.top,) * n
     quasi_metrics = []
     for off in itertools.product(range(m), repeat=n * n - n):
-        e = list(off)
-        for p in diagonal:
-            e.insert(p, tables.top)
+        e = layout(tops + off)
         if k.transitive(e):
-            quasi_metrics.append(tuple(e))
+            quasi_metrics.append(e)
 
     def dominating(e):
         """The first quasi-metric q above e with e ⊗ q ⊑ e or q ⊗ e ⊑ e."""
@@ -234,29 +241,15 @@ def check_section3_props(q: FiniteQuantale, size: int,
                 fail("prop4.three-way.l", e,
                      f"Θ^l⊑q^l={a}, Θ^l qm={b}, left strongly transitive={c}")
 
-    # One relation per orbit, its lexicographic minimum, stands for the
-    # whole orbit (see the module docstring for the group and its gates).
-    if lattice:
-        perms = list(itertools.permutations(rng))
-        permuted = [operator.itemgetter(*(p[x] * n + p[y]
-                                          for x in rng for y in rng))
-                    for p in perms[1:]]
-        transposed = []
-        if n > 1 and transposes:
-            transposed = [operator.itemgetter(*(p[y] * n + p[x]
-                                                for x in rng for y in rng))
-                          for p in perms]
-        images = permuted + transposed
+    # One relation per orbit stands for the whole orbit (see the module
+    # docstring for the group, its gates and the representative kept).
+    # With one element in Q there is one relation, whose diagonal's
+    # stabiliser is all of Sₙ: it goes straight to the sweep.
+    if lattice and m > 1:
         try:
-            for e in itertools.product(range(m), repeat=n * n):
-                for image in images:
-                    if image(e) < e:
-                        break
-                else:
-                    orbit = {e, *(image(e) for image in permuted)}
-                    mirrored = transposed and transposed[0](e) not in orbit
-                    check(e, len(orbit), len(orbit) if mirrored else 0,
-                          _raise_abort)
+            for e, weight, mirror_weight in orbit_representatives(
+                    m, n, transposes):
+                check(e, weight, mirror_weight, _raise_abort)
             return report
         except _Abort:
             report.relations_checked = report.prop3_pairs_checked = 0
@@ -272,6 +265,71 @@ def check_section3_props(q: FiniteQuantale, size: int,
     except _Abort:
         pass
     return report
+
+
+def _off_diagonal(n: int) -> dict[tuple[int, int], int]:
+    """The slot of each off-diagonal cell (x, y), in row-major order."""
+    rng = range(n)
+    return {(x, y): i for i, (x, y) in enumerate(
+        (x, y) for x in rng for y in rng if x != y)}
+
+
+def _layout(n: int):
+    """Maps diagonal + off-diagonal entries (each in row-major order) to
+    the row-major entries of the relation."""
+    # n < 2 has no off-diagonal entries, and itemgetter returns a tuple
+    # only for two indices or more
+    if n < 2:
+        return tuple
+    slot = _off_diagonal(n)
+    return operator.itemgetter(*(x if x == y else n + slot[x, y]
+                                 for x in range(n) for y in range(n)))
+
+
+def orbit_representatives(m: int, n: int, transposes: bool):
+    """Yield one relation per orbit of the n-point relations with entries
+    in range(m), with its orbit size and mirror weight: ``(e, weight,
+    mirror_weight)``.
+
+    The group is Sₙ acting by simultaneous point permutation, times
+    {id, transpose} when ``transposes``.  Each orbit meets the relations
+    with a nondecreasing diagonal, and among those exactly the images
+    under the diagonal's stabiliser (the permutations that only exchange
+    points with equal diagonal entries), composed with transposition,
+    which keeps the diagonal.  So the diagonals are taken nondecreasing
+    and only the off-diagonal entries tested: the representative has the
+    least off-diagonal tuple of those images.  ``weight`` is the Sₙ-orbit
+    size, n! over the number of stabiliser permutations that fix e;
+    ``mirror_weight`` is ``weight`` when the transposes form a second
+    Sₙ-orbit, no transposed stabiliser element fixing e, and 0 otherwise."""
+    slot = _off_diagonal(n)
+    layout = _layout(n)
+    group_order = math.factorial(n)
+    for diagonal in itertools.combinations_with_replacement(range(m), n):
+        # the stabiliser permutes each run of equal diagonal entries;
+        # the identity comes first
+        runs = [tuple(run) for _, run in itertools.groupby(
+            range(n), diagonal.__getitem__)]
+        stabiliser = [tuple(itertools.chain.from_iterable(p)) for p in
+                      itertools.product(*map(itertools.permutations, runs))]
+        permuted = [operator.itemgetter(*(slot[p[x], p[y]] for x, y in slot))
+                    for p in stabiliser[1:]]
+        transposed = []
+        if transposes and n > 1:
+            transposed = [operator.itemgetter(*(slot[p[y], p[x]]
+                                                for x, y in slot))
+                          for p in stabiliser]
+        images = permuted + transposed
+        for off in itertools.product(range(m), repeat=len(slot)):
+            for image in images:
+                if image(off) < off:
+                    break
+            else:
+                weight = group_order // (1 + sum(image(off) == off
+                                                 for image in permuted))
+                mirrored = transposed and not any(image(off) == off
+                                                  for image in transposed)
+                yield layout(diagonal + off), weight, weight if mirrored else 0
 
 
 class _Abort(Exception):

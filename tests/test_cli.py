@@ -163,6 +163,16 @@ def test_laws_user_quantale(capsys):
     assert code == 0
 
 
+
+def test_laws_one_element_quantale_at_a_large_size(tmp_path, capsys):
+    # one relation, however large n is: no work in n!
+    one = tmp_path / "one.qnt"
+    one.write_text("quantale one\nelements x\nunit x\ntensor x x = x\n")
+    code, out, _ = run(capsys, "--format", "json", "laws", "--file", one,
+                       "--size", "11")
+    assert code == 0
+    assert json.loads(out)["relations"] == 1
+
 def test_laws_broken_quantale_rejected_structurally(capsys):
     code, out, err = run(capsys, "laws", "--file", CORPUS / "bad.qnt",
                          "--size", "2")

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 
@@ -9,7 +10,8 @@ import pytest
 from lamdist.quantale.finite import FiniteQuantale, boolean, chain, validate
 from lamdist.quantale.props import (EnumerationTooLarge, check_section3_props,
                                     is_q_closed, least_quasi_metric_above,
-                                    rel_from_ternary, ternary_from_rel)
+                                    orbit_representatives, rel_from_ternary,
+                                    ternary_from_rel)
 from lamdist.quantale.qrel import (DomainMismatch, QRel, is_quasi_reflexive,
                                    is_reflexive, is_transitive, kernel,
                                    qrel_leq, qrel_tensor)
@@ -199,6 +201,17 @@ def test_boolean_size4_counts():
     assert report.passed, report.failures[:3]
     assert report.relations_checked == 65536
     assert report.prop3_pairs_checked == 1925875
+    # the orbit counts here and at chain2 size 3 were read from the
+    # checker that filtered every relation against all of its images
+    assert report.orbits_checked == 1740
+
+
+def test_chain2_size3_counts():
+    report = check_section3_props(chain(2), 3)
+    assert report.passed, report.failures[:3]
+    assert report.relations_checked == 262144
+    assert report.prop3_pairs_checked == 15762710
+    assert report.orbits_checked == 23480
 
 
 @pytest.mark.parametrize("q", [chain(1), frame3()])
@@ -209,6 +222,46 @@ def test_one_check_per_transpose_and_permutation_orbit(q):
     assert report.orbits_checked == 1950
     assert report.relations_checked == 19683
     assert "1950" not in report.summary()
+
+
+@pytest.mark.parametrize("transposes", [False, True])
+@pytest.mark.parametrize("m, n", [(m, n) for m in (1, 2, 3)
+                                  for n in (0, 1, 2, 3)] + [(2, 4)])
+def test_orbit_representatives_partition_the_relations(m, n, transposes):
+    """Each orbit is yielded once, with its size under point permutations
+    and the size of its mirror image when that is another such orbit;
+    the orbits are built here by applying every permutation."""
+    rng = range(n)
+    perms = [[p[x] * n + p[y] for x in rng for y in rng]
+             for p in itertools.permutations(rng)]
+    transpose = [y * n + x for x in rng for y in rng]
+
+    def orbit(e):
+        return frozenset(tuple(e[i] for i in perm) for perm in perms)
+
+    seen = set()
+    for e, weight, mirror_weight in orbit_representatives(m, n, transposes):
+        own = orbit(e)
+        mirror = orbit(tuple(e[i] for i in transpose)) if transposes else own
+        assert not (own | mirror) & seen, e
+        seen |= own | mirror
+        assert weight == len(own), e
+        assert mirror_weight == (0 if mirror == own else len(mirror)), e
+    assert len(seen) == m ** (n * n)
+
+
+def test_a_one_element_quantale_checks_its_one_relation():
+    # 1^(n^2) = 1 relation: nothing may be built per permutation of n points
+    q = FiniteQuantale("one", ("x",), [[True]], [[0]], unit=0)
+    tracemalloc.start()
+    try:
+        report = check_section3_props(q, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert report.relations_checked == report.orbits_checked == 1
+    assert peak < 2 * 2 ** 20
 
 
 def test_the_sweep_checks_every_relation():

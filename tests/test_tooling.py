@@ -17,6 +17,14 @@ def test_no_assert_statements_in_the_package():
     assert not found, f"assert statements in src/lamdist: {found}"
 
 
+
+def test_the_sources_parse_as_python_3_10():
+    """``requires-python`` is 3.10; ``feature_version`` makes the parser
+    reject the newer grammar it knows, such as ``except*``."""
+    for path in sorted(SRC.parent.rglob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=(3, 10))
+
 # The term walkers that still call themselves, and why: every function
 # under ``syntax/`` and in ``eqtheory/synthesis.py``
 WALKERS = sorted((SRC / "syntax").glob("*.py")) + [
