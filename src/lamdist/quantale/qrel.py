@@ -1,9 +1,10 @@
 """Quantity-valued relations: square matrices over a quantale.
 
-Every relation operation is implemented once, in :class:`Kernel`, on flat
-row-major entry tuples: as loops over the points, which run above
-n = :data:`UNROLL_BOUND`, and up to it as the same loops written out as
-straight-line code, generated and compiled once per size.  The kernel
+Every relation operation is stated once, in :data:`_SPECS`, as the term
+of each cell of its result on flat row-major entry tuples.  One emitter
+writes all of them as Python source, once per size, and compiles it into
+the operations of :class:`Kernel`: with every loop unrolled up to
+n = :data:`UNROLL_BOUND`, and as ``for`` loops above it.  The kernel
 reads a quantale only through its :class:`Tables`, by field name, so it
 serves finite quantales (carrier indices, precomputed tables) and the
 exact Lawvere quantale (``ExtReal`` entries, lazy views over exact
@@ -14,6 +15,8 @@ exhaustive model checker calls it directly.
 from __future__ import annotations
 
 import functools
+import itertools
+import re
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Sequence
@@ -38,21 +41,17 @@ class Kernel:
     self-distance, and ``strongly_transitive_left`` tests
     (s(z,z) ⊸ s(x,z)) ⊗ s(z,y) ⊑ s(x,y) for all x, y, z.
 
-    Sizes up to :data:`UNROLL_BOUND` run the loops of
-    :func:`_loop_operations` as straight-line code, every loop unrolled
-    and every index a constant (:func:`_straight_line_source`); larger
-    sizes run the loops.  Both forms fold joins from the first term and
-    meets from top, so no bottom is needed; evaluate the cells of a test
-    in the same order, so it stops, or raises, at the same cell; and
-    return ``bool`` from tests and ``tuple`` from operations.  Entry
-    sequences have length n²."""
+    Each operation is stated once (:data:`_SPECS`) and emitted unrolled,
+    every index a constant, for sizes up to :data:`UNROLL_BOUND`, and as
+    loops above it.  Both forms fold joins from the first term and meets
+    from top, so no bottom is needed; evaluate the cells of a test in the
+    same order, so it stops, or raises, at the same cell; and return
+    ``bool`` from tests and ``tuple`` from operations.  Entry sequences
+    have length n²."""
 
     def __init__(self, ops, n: int):
         check_size(n)
-        tables = ops.tables
-        made = (_straight_line_maker(n)(tables) if n <= UNROLL_BOUND
-                else _loop_operations(tables, n))
-        for op in made:
+        for op in _operations(n)(ops.tables):
             setattr(self, op.__name__, op)
 
 
@@ -62,180 +61,117 @@ def check_size(n: int) -> None:
         raise DomainMismatch(f"relation size must be at least 0, got {n}")
 
 
-def _loop_operations(tables: Tables, n: int) -> tuple:
-    """The kernel's operations as loops over x, y and z."""
-    leqt, ten, join = tables.leq, tables.tensor, tables.join
-    meet, res, top = tables.meet, tables.residual, tables.top
-    rng = range(n)
-    rest = range(1, n)
+# One relation operation: its head; the indices of the cells of its
+# result, outermost first, in the order they are evaluated; the term of a
+# cell, on symbolic entries a(x,y) of the arguments and the tables leqt,
+# ten, join, meet, res and top; optionally a fold of that term over one
+# more index i, ("join", i) from its first value or ("meet", i) from top;
+# and, for a test, the condition that each cell's value ``{}`` must meet.
+# ``quasi_metric(e)`` runs the statements of ``reflexive(e)`` and then of
+# ``transitive(e)``.
+_Spec = namedtuple("_Spec", "head cells term fold test", defaults=(None, None))
 
-    def leq(a, b):
-        return all(leqt[x][y] for x, y in zip(a, b))
+_SPECS = (
+    _Spec("leq(a, b)", "xy", "a(x,y)", test="leqt[{}][b(x,y)]"),
+    _Spec("tensor(a, b)", "xz", "ten[a(x,y)][b(y,z)]", fold=("join", "y")),
+    _Spec("residual_left(u, s)", "zy", "res[u(x,z)][s(x,y)]",
+          fold=("meet", "x")),
+    _Spec("residual_right(s, w)", "xz", "res[w(z,y)][s(x,y)]",
+          fold=("meet", "y")),
+    _Spec("theta_left(e)", "xy", "res[e(y,y)][e(x,y)]"),
+    _Spec("theta_right(e)", "xy", "res[e(x,x)][e(x,y)]"),
+    _Spec("reflexive(e)", "x", "e(x,x)", test="{} == top"),
+    _Spec("quasi_reflexive_rows(e)", "xy", "e(x,y)", test="leqt[{}][e(x,x)]"),
+    _Spec("quasi_reflexive_cols(e)", "xy", "e(x,y)", test="leqt[{}][e(y,y)]"),
+    _Spec("transitive(e)", "xz", "ten[e(x,y)][e(y,z)]", fold=("join", "y"),
+          test="leqt[{}][e(x,z)]"),
+    _Spec("strongly_transitive_right(e)", "xzy",
+          "ten[e(x,z)][res[e(z,z)][e(z,y)]]", test="leqt[{}][e(x,y)]"),
+    _Spec("strongly_transitive_left(e)", "xzy",
+          "ten[res[e(z,z)][e(x,z)]][e(z,y)]", test="leqt[{}][e(x,y)]"),
+)
 
-    def tensor(a, b):
-        out = []
-        for x in rng:
-            row = a[x * n:(x + 1) * n]
-            for z in rng:
-                acc = ten[row[0]][b[z]]
-                for y in rest:
-                    acc = join[acc][ten[row[y]][b[y * n + z]]]
-                out.append(acc)
-        return tuple(out)
+_ENTRY = re.compile(r"(\w)\((\w),(\w)\)")
 
-    def residual_left(u, s):
-        out = []
-        for z in rng:
-            for y in rng:
-                acc = top
-                for x in rng:
-                    acc = meet[acc][res[u[x * n + z]][s[x * n + y]]]
-                out.append(acc)
-        return tuple(out)
-
-    def residual_right(s, w):
-        out = []
-        for x in rng:
-            for z in rng:
-                acc = top
-                for y in rng:
-                    acc = meet[acc][res[w[z * n + y]][s[x * n + y]]]
-                out.append(acc)
-        return tuple(out)
-
-    def theta_left(e):
-        return tuple(res[e[y * n + y]][e[x * n + y]] for x in rng for y in rng)
-
-    def theta_right(e):
-        return tuple(res[e[x * n + x]][e[x * n + y]] for x in rng for y in rng)
-
-    def reflexive(e):
-        return all(e[x * n + x] == top for x in rng)
-
-    def quasi_reflexive_rows(e):
-        return all(leqt[e[x * n + y]][e[x * n + x]] for x in rng for y in rng)
-
-    def quasi_reflexive_cols(e):
-        return all(leqt[e[x * n + y]][e[y * n + y]] for x in rng for y in rng)
-
-    def transitive(e):
-        for x in rng:
-            for z in rng:
-                acc = ten[e[x * n]][e[z]]
-                for y in rest:
-                    acc = join[acc][ten[e[x * n + y]][e[y * n + z]]]
-                if not leqt[acc][e[x * n + z]]:
-                    return False
-        return True
-
-    def quasi_metric(e):
-        return reflexive(e) and transitive(e)
-
-    def strongly_transitive_right(e):
-        for x in rng:
-            for z in rng:
-                sxz = e[x * n + z]
-                dz = e[z * n + z]
-                for y in rng:
-                    if not leqt[ten[sxz][res[dz][e[z * n + y]]]][e[x * n + y]]:
-                        return False
-        return True
-
-    def strongly_transitive_left(e):
-        for x in rng:
-            for z in rng:
-                lft = res[e[z * n + z]][e[x * n + z]]
-                for y in rng:
-                    if not leqt[ten[lft][e[z * n + y]]][e[x * n + y]]:
-                        return False
-        return True
-
-    return (leq, tensor, residual_left, residual_right, theta_left,
-            theta_right, reflexive, quasi_reflexive_rows,
-            quasi_reflexive_cols, transitive, quasi_metric,
-            strongly_transitive_right, strongly_transitive_left)
-
-
-# The largest size run as straight-line code.  The generated source grows
-# as n³ (20 KiB, compiled in about 3.5 ms, at n = 4); n = 4 covers every
-# enumeration check_section3_props can run on two or more elements, since
-# 2^(5²) exceeds its bound of 10^6.
+# The largest size emitted unrolled.  That source grows as n³ (20 KiB,
+# compiled in about 4.5 ms, at n = 4; the looped source stays near
+# 3.5 KiB); n = 4 covers every enumeration check_section3_props can run on
+# two or more elements, since 2^(5²) exceeds its bound of 10^6.
 UNROLL_BOUND = 4
 
 
 @functools.cache
-def _straight_line_maker(n: int):
-    """Compile, once per size, ``make(tables)``: the operations of
-    :func:`_loop_operations` with every loop unrolled and every index
-    folded into a constant, bound to ``tables`` by field name."""
-    source = _straight_line_source(n)
+def _operations(n: int):
+    """Compile, once per size, ``make(tables)``, which returns the
+    kernel's operations bound to ``tables`` by field name."""
     namespace: dict = {}
-    exec(compile(source, f"<relation kernel n={n}>", "exec"), {}, namespace)
+    exec(compile(_source(n), f"<relation kernel n={n}>", "exec"), {},
+         namespace)
     return namespace["make"]
 
 
-def _straight_line_source(n: int) -> str:
-    """The source of ``make(tables)`` at size n: each loop of
-    :func:`_loop_operations` written out in its order, each entry argument
-    unpacked once into locals ``e0``, ``e1``, ... at entry."""
-    r = range(n)
+def _source(n: int) -> str:
+    """The source of ``make(tables)`` at size n.  Unrolled, each entry
+    argument is unpacked once into locals ``e0``, ``e1``, ... at entry;
+    looped, an entry is read as ``e[x * n + y]``."""
+    unrolled = n <= UNROLL_BOUND
 
-    def fold(table, head, terms):
+    def at(term, env):
+        # ``term`` with each entry a(x,y) at the indices bound in ``env``
+        def entry(m):
+            arg, x, y = m[1], env[m[2]], env[m[3]]
+            if unrolled:
+                return f"{arg}{x * n + y}"
+            return f"{arg}[{x} * {n} + {y}]"
+        return _ENTRY.sub(entry, term)
+
+    def check(spec, env, value):
+        return f"if not {at(spec.test, env).format(value)}: return False"
+
+    def unrolled_value(spec, env):
+        if not spec.fold:
+            return at(spec.term, env)
+        table, index = spec.fold
+        terms = [at(spec.term, {**env, index: i}) for i in range(n)]
+        value = "top" if table == "meet" else terms.pop(0)
         for term in terms:
-            head = f"{table}[{head}][{term}]"
-        return head
+            value = f"{table}[{value}][{term}]"
+        return value
 
-    def compose(a, b, x, z):
-        # (a ⊗ b)(x,z), the join of a(x,y) ⊗ b(y,z) from y = 0
-        return fold("join", f"ten[{a}{x * n}][{b}{z}]",
-                    [f"ten[{a}{x * n + y}][{b}{y * n + z}]" for y in r[1:]])
+    def unrolled_body(spec):
+        points = itertools.product(range(n), repeat=len(spec.cells))
+        cells = [dict(zip(spec.cells, point)) for point in points]
+        values = [unrolled_value(spec, env) for env in cells]
+        if spec.test:
+            return [check(spec, env, value)
+                    for env, value in zip(cells, values)]
+        return ["return (" + "".join(f"{v}, " for v in values) + ")"]
 
-    def residual(u, s, cells):
-        return [fold("meet", "top", [f"res[{u}{i}][{s}{j}]" for i, j in cell])
-                for cell in cells]
+    def looped_body(spec):
+        lines, indent = [], ""
+        for index in spec.cells:
+            lines.append(f"{indent}for {index} in range({n}):")
+            indent += "    "
+        env = {index: index for index in "xyz"}
+        if spec.fold:
+            table, index = spec.fold
+            join = table == "join"
+            first = at(spec.term, {**env, index: 0}) if join else "top"
+            lines += [f"{indent}acc = {first}",
+                      f"{indent}for {index} in range({int(join)}, {n}):",
+                      f"{indent}    acc = {table}[acc][{at(spec.term, env)}]"]
+            value = "acc"
+        else:
+            value = at(spec.term, env)
+        if spec.test:
+            return lines + [indent + check(spec, env, value)]
+        return ["out = []", *lines, f"{indent}out.append({value})",
+                "return tuple(out)"]
 
-    def value(cells):
-        return ["return (" + "".join(f"{c}, " for c in cells) + ")"]
-
-    def test(conditions):
-        return [f"if not {c}: return False" for c in conditions]
-
-    reflexive = test(f"e{x * n + x} == top" for x in r)
-    transitive = test(f"leqt[{compose('e', 'e', x, z)}][e{x * n + z}]"
-                      for x in r for z in r)
-    strong_left = []
-    for x in r:
-        for z in r:
-            strong_left.append(f"lft = res[e{z * n + z}][e{x * n + z}]")
-            strong_left += test(f"leqt[ten[lft][e{z * n + y}]][e{x * n + y}]"
-                                for y in r)
-    values = {
-        "tensor(a, b)": value(compose("a", "b", x, z) for x in r for z in r),
-        "residual_left(u, s)": value(residual(
-            "u", "s", ([(x * n + z, x * n + y) for x in r]
-                       for z in r for y in r))),
-        "residual_right(s, w)": value(residual(
-            "w", "s", ([(z * n + y, x * n + y) for y in r]
-                       for x in r for z in r))),
-        "theta_left(e)": value(f"res[e{y * n + y}][e{x * n + y}]"
-                               for x in r for y in r),
-        "theta_right(e)": value(f"res[e{x * n + x}][e{x * n + y}]"
-                                for x in r for y in r),
-    }
-    tests = {
-        "leq(a, b)": test(f"leqt[a{i}][b{i}]" for i in range(n * n)),
-        "reflexive(e)": reflexive,
-        "quasi_reflexive_rows(e)": test(f"leqt[e{x * n + y}][e{x * n + x}]"
-                                        for x in r for y in r),
-        "quasi_reflexive_cols(e)": test(f"leqt[e{x * n + y}][e{y * n + y}]"
-                                        for x in r for y in r),
-        "transitive(e)": transitive,
-        "quasi_metric(e)": reflexive + transitive,
-        "strongly_transitive_right(e)": test(
-            f"leqt[ten[e{x * n + z}][res[e{z * n + z}][e{z * n + y}]]]"
-            f"[e{x * n + y}]" for x in r for z in r for y in r),
-        "strongly_transitive_left(e)": strong_left,
-    }
+    body = unrolled_body if unrolled else looped_body
+    values = {spec.head: body(spec) for spec in _SPECS if not spec.test}
+    tests = {spec.head: body(spec) for spec in _SPECS if spec.test}
+    tests["quasi_metric(e)"] = tests["reflexive(e)"] + tests["transitive(e)"]
     bodies = {**values, **{head: body + ["return True"]
                            for head, body in tests.items()}}
     lines = ["def make(tables):",
@@ -243,7 +179,7 @@ def _straight_line_source(n: int) -> str:
              "    meet, res, top = tables.meet, tables.residual, tables.top"]
     for head, body in bodies.items():
         lines.append(f"    def {head}:")
-        if n:
+        if unrolled and n:
             for arg in head[head.index("(") + 1:-1].split(", "):
                 cells = "".join(f"{arg}{i}, " for i in range(n * n))
                 lines.append(f"        {cells}= {arg}")
@@ -381,6 +317,8 @@ def is_transitive(s: QRel) -> bool:
 def is_strongly_transitive(s: QRel) -> bool:
     """s(x,z) ⊗ (s(z,z) ⊸ s(z,y)) ⊑ s(x,y) for all x, y, z."""
     return s.kernel.strongly_transitive_right(s.entries)
+
+
 @dataclass(frozen=True)
 class RelationClassification:
     reflexive: bool

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from lamdist.quantale.finite import FiniteQuantale, boolean, chain, validate
+from lamdist.quantale.finite import (FiniteQuantale, QuantaleStructureError,
+                                     boolean, chain, validate)
 from lamdist.quantale.props import (EnumerationTooLarge, check_section3_props,
                                     is_q_closed, least_quasi_metric_above,
                                     orbit_representatives, rel_from_ternary,
@@ -126,6 +127,38 @@ def test_a_tensor_monotone_on_one_side_keeps_its_scan():
     assert "tensor.commutative" in laws and "tensor.continuous" not in laws
     got, want = first_witnesses(q)
     assert want and got == want
+
+
+def vee() -> FiniteQuantale:
+    """bot below two incomparable atoms, with no top, and a constant
+    tensor: the atoms have no join."""
+    return FiniteQuantale("vee", ("bot", "a", "b"),
+                          [[True, True, True], [False, True, False],
+                           [False, False, True]],
+                          [[0] * 3] * 3, unit=0)
+
+
+def test_an_order_without_a_join_is_rejected():
+    q = vee()
+    assert [str(v) for v in validate(q)] == [
+        "lattice.join at (a, b): no least upper bound",
+        "lattice.join at (b, a): no least upper bound"]
+    # the kernel reads the join table before any relation is checked
+    with pytest.raises(QuantaleStructureError, match="no join of a, b"):
+        check_section3_props(q, 2)
+
+
+def test_a_broken_order_is_reported_and_swept():
+    # p ⊑ q ⊑ p but not p ⊑ p, with a constant tensor: every bound exists,
+    # so only the library reaches it; the .qnt parser closes the order
+    q = FiniteQuantale("broken", ("p", "q"), [[False, True], [True, True]],
+                       [[0, 0], [0, 0]], unit=0)
+    assert [v.law for v in validate(q)] == [
+        "order.reflexive", "order.antisymmetric", "order.transitive",
+        "order.antisymmetric"]
+    report = check_section3_props(q, 2)
+    assert report.orbits_checked == report.relations_checked == 10
+    assert len(report.failures) == 21
 
 
 def frame3() -> FiniteQuantale:
