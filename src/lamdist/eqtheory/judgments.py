@@ -39,12 +39,12 @@ from typing import Optional
 
 from ..prims import DEFAULT_REGISTRY, Registry, derived_name
 from ..syntax.derivative import partial_context, partial_type
-from ..syntax.equality import term_equal
+from ..syntax.equality import equal_by, normalize
 from ..syntax.printer import render_term, render_type
 from ..syntax.terms import (App, Context, First, FnType, Lam, Lit, Pair,
                             PairType, PrimOp, REAL, Second, Term, Type, Var,
                             alpha_equal, dotted, is_dotted)
-from ..syntax.typecheck import TypecheckError, typecheck
+from ..syntax.typecheck import TypecheckError, typechecker
 
 RULES = ("Lit", "Prim", "Var", "TransReal", "QuasiReflReal", "Abs", "App",
          "Fst", "Snd", "Pair", "Conv")
@@ -141,11 +141,15 @@ class CheckResult:
 def check_derivation(d: Derivation,
                      registry: Registry = DEFAULT_REGISTRY) -> CheckResult:
     """Validate every node; on failure reports the path (child indices
-    from the root) of the first invalid node in preorder."""
+    from the root) of the first invalid node in preorder.  A derivation
+    restates its premises' subjects in its conclusions, so one call types
+    each (scope, subterm) pair and normalizes each ``Conv`` subject once:
+    checking costs about the derivation's distinct subterms."""
+    run = _Run(registry)
     todo = [(d, ())]
     while todo:
         node, path = todo.pop()
-        msg = _check_node(node, registry)
+        msg = _check_node(node, run)
         if msg is not None:
             return CheckResult(False, path, msg)
         todo.extend((p, path + (i,))
@@ -153,14 +157,35 @@ def check_derivation(d: Derivation,
     return CheckResult(True)
 
 
-def _judgment_shape(j: DistanceJudgment, registry) -> Optional[str]:
+class _Run:
+    """What one ``check_derivation`` call has worked out: the types of
+    its subterms (``typechecker``) and the normal forms of its ``Conv``
+    subjects, by (context, identity).  The derivation holds every term
+    checked, so no identity is reused during the call."""
+
+    def __init__(self, registry: Registry):
+        self.registry = registry
+        self.typed = typechecker(registry)
+        self.normal: dict = {}
+
+    def normal_form(self, ctx: Context, t: Term, ty: Type) -> Term:
+        if (n := self.normal.get(key := (ctx, id(t)))) is None:
+            n = self.normal[key] = normalize(ctx, t, ty, self.registry)
+        return n
+
+    def equal(self, ctx: Context, t: Term, s: Term) -> bool:
+        """``term_equal(ctx, t, s, registry)``."""
+        return equal_by(self.typed, self.normal_form, ctx, t, s)
+
+
+def _judgment_shape(j: DistanceJudgment, run: _Run) -> Optional[str]:
     for name, _ in j.ctx:
         if is_dotted(name):
             return f"context binds primed variable {name!r}"
     try:
-        lt = typecheck(j.ctx, j.left, registry)
-        rt = typecheck(j.ctx, j.right, registry)
-        dt = typecheck(j.dist_ctx, j.dist, registry)
+        lt = run.typed(j.ctx, j.left)
+        rt = run.typed(j.ctx, j.right)
+        dt = run.typed(j.dist_ctx, j.dist)
     except TypecheckError as e:
         return f"ill-typed judgment: {e}"
     if lt != j.ty:
@@ -174,18 +199,18 @@ def _judgment_shape(j: DistanceJudgment, registry) -> Optional[str]:
     return None
 
 
-def _check_node(d: Derivation, registry) -> Optional[str]:
+def _check_node(d: Derivation, run: _Run) -> Optional[str]:
     rule, j = d.rule, d.conclusion
     if rule not in RULES:
         return f"unknown rule {rule!r}"
-    shape = _judgment_shape(j, registry)
+    shape = _judgment_shape(j, run)
     if shape is not None:
         return shape
     for p in d.premises:
         if rule != "Abs" and p.conclusion.ctx != j.ctx:
             return "premise context differs from conclusion context"
     ps = [p.conclusion for p in d.premises]
-    msg = _side_conditions(rule, j, ps, registry)
+    msg = _side_conditions(rule, j, ps, run)
     if msg is not None or rule not in CONCLUSIONS:
         return msg
     want = derive(rule, *d.premises, ctx=j.ctx,
@@ -213,7 +238,7 @@ _PREMISES = {"Lit": 0, "Var": 0, "Conv": 1, "TransReal": 2,
              "Pair": 2}
 
 
-def _side_conditions(rule, j, ps, registry) -> Optional[str]:
+def _side_conditions(rule, j, ps, run: _Run) -> Optional[str]:
     """What ``rule`` asks of a node besides its derived conclusion."""
     if rule in ("TransReal", "QuasiReflReal") and j.ty != REAL:
         return f"{rule} is stated at Real only"
@@ -243,11 +268,11 @@ def _side_conditions(rule, j, ps, registry) -> Optional[str]:
         if p.ty != j.ty:
             return "Conv cannot change the type"
         try:
-            if not term_equal(j.ctx, p.left, j.left, registry):
+            if not run.equal(j.ctx, p.left, j.left):
                 return "left subjects are not provably equal"
-            if not term_equal(j.ctx, p.right, j.right, registry):
+            if not run.equal(j.ctx, p.right, j.right):
                 return "right subjects are not provably equal"
-            if not term_equal(j.dist_ctx, p.dist, j.dist, registry):
+            if not run.equal(j.dist_ctx, p.dist, j.dist):
                 return "distances are not provably equal"
         except TypecheckError as e:
             return f"conversion certificate ill-typed: {e}"
@@ -260,7 +285,7 @@ def _side_conditions(rule, j, ps, registry) -> Optional[str]:
             return "Prim subjects use different primitives"
         if j.dist.name != derived_name(name):
             return f"Prim distance must use {derived_name(name)!r}"
-        n = registry.arity(name)
+        n = run.registry.arity(name)
         if len(ps) != n:
             return f"Prim over {name!r} needs {n} premises"
     elif rule == "TransReal":

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 
 from ..prims import DEFAULT_REGISTRY, Registry
-from ..syntax.parser import ParseError, parse_term, parse_type
+from ..syntax.parser import ParseError, parse_shared, parse_shared_type
 from ..syntax.printer import render_term, render_type
 from ..syntax.terms import Var
 from .judgments import Derivation, DistanceJudgment, RULES
@@ -47,40 +47,39 @@ def derivation_to_json(d: Derivation) -> str:
 
 def derivation_from_dict(data, registry: Registry = DEFAULT_REGISTRY,
                          path: str = "$") -> Derivation:
-    """The derivation ``data`` describes.  Each distinct term or type text
-    is parsed once per call; the memo lives only as long as the call, and
-    sharing the parsed values is safe because terms are immutable.
-    Premises nested past Python's recursion limit raise
+    """The derivation ``data`` describes.  One call reads every term text
+    through one span table (``parser.parse_shared``): each binder-free
+    token span is parsed once, and the subjects that restate it share its
+    term, which is safe because terms are immutable.  The table keeps
+    each type text's type too, and lives only as long as the call.  Premises
+    nested past Python's recursion limit raise
     :class:`DerivationFormatError`."""
     try:
-        return _from_dict(data, registry, path, {}, {})
+        return _from_dict(data, registry, path, {})
     except RecursionError:
         raise DerivationFormatError(
             f"{path}: derivation nested too deeply to read") from None
 
 
-def _parsed(src, memo: dict, parse, registry: Registry):
+def _parsed(src, parse, spans: dict, registry: Registry):
     if not isinstance(src, str):
         raise TypeError(f"expected a string, got {type(src).__name__}")
-    value = memo.get(src)
-    if value is None:
-        value = memo[src] = parse(src, registry)
-    return value
+    return parse(src, spans, registry)
 
 
-def _binding(entry, registry: Registry, terms: dict, types: dict):
+def _binding(entry, spans: dict, registry: Registry):
     """A context entry ``[name, type]`` whose name reads back as the
     variable it names."""
     if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
         raise TypeError("expected a context entry [name, type]")
     name, ty_src = entry
-    if _parsed(name, terms, parse_term, registry) != Var(name):
+    if _parsed(name, parse_shared, spans, registry) != Var(name):
         raise ValueError(f"context name {name!r} is not a variable")
-    return name, _parsed(ty_src, types, parse_type, registry)
+    return name, _parsed(ty_src, parse_shared_type, spans, registry)
 
 
-def _from_dict(data, registry: Registry, path: str, terms: dict,
-               types: dict) -> Derivation:
+def _from_dict(data, registry: Registry, path: str,
+               spans: dict) -> Derivation:
     if not isinstance(data, dict):
         raise DerivationFormatError(f"{path}: expected an object")
     for key in ("rule", "conclusion", "premises"):
@@ -93,21 +92,21 @@ def _from_dict(data, registry: Registry, path: str, terms: dict,
     if not isinstance(c, dict):
         raise DerivationFormatError(f"{path}.conclusion: expected an object")
     try:
-        ctx = tuple(_binding(entry, registry, terms, types)
+        ctx = tuple(_binding(entry, spans, registry)
                     for entry in c.get("ctx", []))
         judgment = DistanceJudgment(
             ctx,
-            _parsed(c["left"], terms, parse_term, registry),
-            _parsed(c["dist"], terms, parse_term, registry),
-            _parsed(c["right"], terms, parse_term, registry),
-            _parsed(c["type"], types, parse_type, registry))
+            _parsed(c["left"], parse_shared, spans, registry),
+            _parsed(c["dist"], parse_shared, spans, registry),
+            _parsed(c["right"], parse_shared, spans, registry),
+            _parsed(c["type"], parse_shared_type, spans, registry))
     except (KeyError, TypeError, ValueError, ParseError) as e:
         raise DerivationFormatError(f"{path}.conclusion: {e}") from e
     premises = data["premises"]
     if not isinstance(premises, list):
         raise DerivationFormatError(f"{path}.premises: expected a list")
     return Derivation(rule, judgment, tuple(
-        _from_dict(p, registry, f"{path}.premises[{i}]", terms, types)
+        _from_dict(p, registry, f"{path}.premises[{i}]", spans)
         for i, p in enumerate(premises)))
 
 

@@ -175,11 +175,18 @@ def normalize(ctx: Context, t: Term, ty: Type | None = None,
 def term_equal(ctx: Context, t: Term, s: Term,
                registry: Registry = DEFAULT_REGISTRY) -> bool:
     """Does the equational theory prove ``t = s`` at their common type?"""
-    ty_t = typecheck(ctx, t, registry)
-    ty_s = typecheck(ctx, s, registry)
+    return equal_by(lambda c, u: typecheck(c, u, registry),
+                    lambda c, u, ty: normalize(c, u, ty, registry), ctx, t, s)
+
+
+def equal_by(typed, normal, ctx: Context, t: Term, s: Term) -> bool:
+    """``term_equal``, typing a term by ``typed(ctx, u)`` and normalizing
+    one of type ``ty`` by ``normal(ctx, u, ty)``: typecheck ``t``, then
+    ``s``, compare the types, normalize ``t``, then ``s``."""
+    ty_t = typed(ctx, t)
+    ty_s = typed(ctx, s)
     if ty_t != ty_s:
         raise TypecheckError(
             f"cannot compare terms of types {render_type(ty_t)} "
             f"and {render_type(ty_s)}")
-    return (normalize(ctx, t, ty_t, registry)
-            == normalize(ctx, s, ty_s, registry))
+    return normal(ctx, t, ty_t) == normal(ctx, s, ty_s)

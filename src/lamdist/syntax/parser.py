@@ -29,10 +29,12 @@ definitions may mention earlier names, which are inlined textually.
 Binders that shadow an enclosing binder or a free name are renamed to
 fresh plain-family names by a walk that runs only when some binder does
 (the parser tracks both as it descends) and after inlining; both walks
-run on the stack-safe term fold.  Every call parses afresh;
-``derivation_from_json`` shares parses within one call.  Only
-parentheses, argument lists and arrow types recurse; past the recursion
-limit they raise ``TermTooDeep``.
+run on the stack-safe term fold.  Every call of ``parse_term`` parses
+afresh.  ``parse_shared`` parses the texts of one derivation file
+through a span table: each span without a binder is parsed once, and
+every text that holds it shares its term.  Only parentheses, argument
+lists and arrow types recurse; past the recursion limit they raise
+``TermTooDeep``.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from fractions import Fraction
 
 from ..prims import DEFAULT_REGISTRY, Registry
 from .terms import (App, First, FnType, Lam, Lit, Pair, PairType, PrimOp,
-                    REAL, Second, Term, TermTooDeep, Var, all_var_names,
+                    REAL, Second, Term, TermTooDeep, Type, Var, all_var_names,
                     free_vars, fresh_name, rename_binders, substitute)
 
 
@@ -165,10 +167,14 @@ class _Parser:
             chain.append((name, ty))
         body = None
         while True:
+            start = self.i
             t = self.factor()
-            while (op := _PRODUCTS.get(toks[self.i])) is not None:
-                self.i += 1
-                t = PrimOp(op, (t, self.factor()))
+            if (op := _PRODUCTS.get(toks[self.i])) is not None:
+                while op is not None:
+                    self.i += 1
+                    t = PrimOp(op, (t, self.factor()))
+                    op = _PRODUCTS.get(toks[self.i])
+                self.parsed(start, t)
             body = t if body is None else PrimOp(sum_op, (body, t))
             if (sum_op := _SUMS.get(toks[self.i])) is None:
                 break
@@ -197,10 +203,10 @@ class _Parser:
         tok = self.toks[i]
         if tok == "(":
             self.i += 1
-            inner = self.term()
+            inner = self.component()
             if self.toks[self.i] == ",":
                 self.i += 1
-                inner = Pair(inner, self.term())
+                inner = Pair(inner, self.component())
             self.expect(")")
             return inner
         if tok in _NO_ATOM:
@@ -211,7 +217,7 @@ class _Parser:
             return Lit(Fraction(int(whole + frac), 10 ** len(frac)))
         if tok == "fst" or tok == "snd":
             self.expect("(")
-            inner = self.term()
+            inner = self.component()
             self.expect(")")
             return First(inner) if tok == "fst" else Second(inner)
         if tok == "Real":
@@ -229,15 +235,91 @@ class _Parser:
         self.expect("(")
         args: list[Term] = []
         if self.toks[self.i] != ")":
-            args.append(self.term())
+            args.append(self.component())
             while self.toks[self.i] == ",":
                 self.i += 1
-                args.append(self.term())
+                args.append(self.component())
         self.expect(")")
         if len(args) != (want := self.registry.arity(name)):
             raise self.error(f"primitive {name!r} takes {want} argument(s), "
                              f"got {len(args)}", at)
         return PrimOp(name, tuple(args))
+
+    # a term between "(" or "," and "," or ")"
+    component = term
+
+    def parsed(self, start: int, t: Term):
+        """Note that tokens ``start`` to ``self.i`` parsed to ``t``."""
+
+
+class _SharedParser(_Parser):
+    """A parser that reads and fills a span table, ``spans``: the terms of
+    binder-free token spans keyed by their token tuples, and the terms of
+    whole texts keyed by the text.  A span is parsed the same wherever it
+    stands, save for which of its names are free, so a stored span stands
+    in for parsing it.  Spans holding a binder are never stored; nor is
+    every prefix of a sum, which would take quadratic space."""
+
+    def __init__(self, text: str, toks: tuple[str, ...], registry: Registry,
+                 spans: dict):
+        super().__init__(text, toks, registry)
+        self.spans = spans
+        self.binds = "\\" in toks
+        if self.binds:  # the variables' names
+            self.names = {tok for tok in set(toks) if _is_name(tok)
+                          and tok not in registry and tok not in _RESERVED}
+        self.made: list[tuple[int, int, Term]] = []
+        # where each parenthesised component ends, keyed by where it
+        # starts, and where each group ends, past its ")", keyed by its "("
+        self.ends: dict[int, int] = {}
+        self.group_ends: dict[int, int] = {}
+        opened = []  # [index of "(", start of its current component]
+        for k, tok in enumerate(toks):
+            if tok == "(":
+                opened.append([k, k + 1])
+            elif opened and tok == ",":
+                self.ends[opened[-1][1]] = k
+                opened[-1][1] = k + 1
+            elif opened and tok == ")":
+                at, start = opened.pop()
+                self.ends[start] = k
+                self.group_ends[at] = k + 1
+
+    def reuse(self, start: int, end: int | None) -> Term | None:
+        """The stored term of tokens ``start`` to ``end``, if any, read as
+        if parsed: its unbound names become free."""
+        if end is None or (t := self.spans.get(self.toks[start:end])) is None:
+            return None
+        if self.binds:
+            bound = self.bound
+            self.free.update(name for name in self.names.intersection(
+                self.toks[start:end]) if not bound.get(name))
+        self.i = end
+        return t
+
+    def component(self) -> Term:
+        start = self.i
+        if (t := self.reuse(start, self.ends.get(start))) is None:
+            t = self.term()
+            self.parsed(start, t)
+        return t
+
+    def prim_call(self, at: int) -> Term:
+        if (t := self.reuse(at, self.group_ends.get(at + 1))) is None:
+            t = super().prim_call(at)
+            self.parsed(at, t)
+        return t
+
+    def parsed(self, start: int, t: Term):
+        self.made.append((start, self.i, t))
+
+    def store(self):
+        """Enter the binder-free spans met, once the text has parsed."""
+        spans, toks = self.spans, self.toks
+        for start, end, t in self.made:
+            key = toks[start:end]
+            if not self.binds or "\\" not in key:
+                spans.setdefault(key, t)
 
 
 def _freshen_shadowed(t: Term, free: set[str], names: set[str]) -> Term:
@@ -257,9 +339,9 @@ def _freshen_shadowed(t: Term, free: set[str], names: set[str]) -> Term:
 def _bounded(parse):
     """``parse``, raising ``TermTooDeep`` instead of ``RecursionError``."""
     @functools.wraps(parse)
-    def bounded(text: str, registry: Registry = DEFAULT_REGISTRY):
+    def bounded(*args):
         try:
-            return parse(text, registry)
+            return parse(*args)
         except RecursionError:
             raise TermTooDeep("input nested too deeply to parse") from None
     return bounded
@@ -269,6 +351,33 @@ def _bounded(parse):
 def parse_term(text: str, registry: Registry = DEFAULT_REGISTRY) -> Term:
     p = _Parser(text, _tokenize(text), registry)
     return p.renamed(p.whole(p.term, "term"))
+
+
+@_bounded
+def parse_shared(text: str, spans: dict,
+                 registry: Registry = DEFAULT_REGISTRY) -> Term:
+    """``parse_term(text, registry)``, reusing and adding to ``spans``, a
+    span table kept for one registry (see ``_SharedParser``).  The term
+    returned may share subterms with the other texts read through it."""
+    if (t := spans.get(text)) is None:
+        toks = tuple(_tokenize(text))
+        whole = toks[:toks.index("")]
+        if (t := spans.get(whole)) is None:
+            p = _SharedParser(text, toks, registry, spans)
+            t = p.renamed(p.whole(p.term, "term"))
+            p.parsed(0, t)
+            p.store()
+        spans[text] = t
+    return t
+
+
+def parse_shared_type(text: str, spans: dict,
+                      registry: Registry = DEFAULT_REGISTRY) -> Type:
+    """``parse_type(text, registry)``, kept in ``spans`` under the key
+    ``(Type, text)``, which no token tuple equals."""
+    if (ty := spans.get(key := (Type, text))) is None:
+        ty = spans[key] = parse_type(text, registry)
+    return ty
 
 
 @_bounded

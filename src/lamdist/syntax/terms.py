@@ -308,15 +308,22 @@ _RENAME = walker({**REBUILD, Lam: _leave_renaming}, {Lam: _enter_renaming})
 
 
 def alpha_equal(t: Term, s: Term) -> bool:
-    """Structural equality up to renaming of bound variables."""
+    r"""Structural equality up to renaming of bound variables.  One object
+    on both sides is equal to itself while every binder pair open around
+    it binds one name twice; under a pair of two names it is walked, as
+    in ``\x.\y.x`` against ``\y.\x.x`` with the body ``x`` shared."""
     # binder name -> a level no other binder in scope has; None when free
     level_t: dict[str, int | None] = {}
     level_s: dict[str, int | None] = {}
+    renamed = 0  # open binder pairs of two different names
     todo = [(t, s)]
     while todo:
         a, b = todo.pop()
+        if a is b and not renamed:
+            continue
         if a is None:  # leave two binders, restoring the levels they hid
             level_t[b[0]], level_s[b[1]] = b[2], b[3]
+            renamed -= b[0] != b[1]
         elif (cls := type(a)) is not type(b):
             return False
         elif cls is Var:
@@ -332,6 +339,7 @@ def alpha_equal(t: Term, s: Term) -> bool:
             todo.append((None, (a.var, b.var, level_t.get(a.var),
                                 level_s.get(b.var))))
             level_t[a.var] = level_s[b.var] = len(todo)  # the entry's place
+            renamed += a.var != b.var
             todo.append((a.body, b.body))
         elif (kids := _CHILDREN.get(cls)) is None:
             raise TypeError(f"not a term: {a!r}")

@@ -15,21 +15,31 @@ Both goldens were recorded before the rules were stated once in
   type or context taken from another node.
 * ``derivation_builders.json`` holds ``derivation_to_json`` of what each
   builder makes on a seeded set.
+* ``judge_cli.json`` holds the exit code and standard output of
+  ``lamdist --format json judge`` on the benchmark derivation files and
+  ``corpus/golden_sin.json``, recorded before their reading and checking
+  shared parses and types.
 
-Regenerate both with ``python -c "import sys; sys.path[:0] = ['src',
+Regenerate all three with ``python -c "import sys; sys.path[:0] = ['src',
 'tests']; import test_derivation_goldens as t; t.write_goldens()"`` run
 from the repository root.
 """
 
+import io
 import json
 import random
+from contextlib import redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
-from lamdist.eqtheory import (Derivation, DistanceJudgment, RULES,
-                              chain_partner, check_derivation,
-                              derivation_from_json, derivation_to_json,
+import pytest
+
+from lamdist.cli import main
+from lamdist.eqtheory import (Derivation, DerivationFormatError,
+                              DistanceJudgment, RULES, chain_partner,
+                              check_derivation, derivation_from_json,
+                              derivation_to_json,
                               quasi_reflexive_derivation, random_derivation,
                               self_distance_derivation,
                               synthesize_fundamental,
@@ -40,7 +50,10 @@ from lamdist.syntax import (FnType, Lit, PairType, PrimOp, REAL, Var,
 HERE = Path(__file__).parent
 CHECKS = HERE / "golden" / "derivation_checks.json"
 BUILDERS = HERE / "golden" / "derivation_builders.json"
+JUDGE = HERE / "golden" / "judge_cli.json"
 BENCH_INPUTS = HERE.parent / "perfbench" / "inputs" / "derivations"
+JUDGED = (*sorted(BENCH_INPUTS.glob("*.json")),
+          HERE.parent / "corpus" / "golden_sin.json")
 
 CLOSED = (
     "sin(1) + 2 * 3",
@@ -199,16 +212,22 @@ def outcome(d):
     return [r.ok, "/".join(map(str, r.path)), r.message]
 
 
-def derivation_checks() -> dict:
+def seeded_mutants():
+    """(source name, its mutants) for every source, from one seed."""
     rng = random.Random(20261020)
     srcs = sources()
     pool = [n for _, d in srcs for n in nodes(d)]
-    out = {"hand-written": {name: outcome(d)
-                            for name, d in hand_written().items()}}
     for name, d in srcs:
         count = 24 if name.startswith("bench-") else 14
+        yield name, mutants(rng, d, pool, count)
+
+
+def derivation_checks() -> dict:
+    out = {"hand-written": {name: outcome(d)
+                            for name, d in hand_written().items()}}
+    for name, made in seeded_mutants():
         out[name] = [[kind, "/".join(map(str, path))] + outcome(m)
-                     for kind, path, m in mutants(rng, d, pool, count)]
+                     for kind, path, m in made]
     return out
 
 
@@ -234,10 +253,22 @@ def derivation_builders() -> dict:
             for name, d in out.items()}
 
 
+def judge_outputs() -> dict:
+    """(exit code, standard output) of ``judge`` on each file of
+    ``JUDGED``, keyed by its folder and name."""
+    out = {}
+    for f in JUDGED:
+        with redirect_stdout(io.StringIO()) as printed:
+            code = main(["--format", "json", "judge", str(f)])
+        out[f"{f.parent.name}/{f.name}"] = [code, printed.getvalue()]
+    return out
+
+
 def write_goldens():
-    """Write both goldens, one entry a line."""
+    """Write the three goldens, one entry a line."""
     for path, data in ((CHECKS, derivation_checks()),
-                       (BUILDERS, derivation_builders())):
+                       (BUILDERS, derivation_builders()),
+                       (JUDGE, judge_outputs())):
         lines = (f"{json.dumps(k)}: {json.dumps(v, separators=(',', ':'))}"
                  for k, v in data.items())
         path.write_text("{\n" + ",\n".join(lines) + "\n}\n", "utf-8")
@@ -262,3 +293,24 @@ def test_builder_outputs_match_golden():
     assert list(live) == list(golden)
     for name in golden:
         assert live[name] == golden[name], name
+
+
+def test_judge_output_matches_golden():
+    assert judge_outputs() == json.loads(JUDGE.read_text("utf-8"))
+
+
+def test_mutants_read_back_from_text_check_as_in_memory():
+    # the checks golden holds in-memory mutants; through the text format
+    # the same derivations must read back to the same outcomes
+    for name, made in seeded_mutants():
+        for kind, path, m in made:
+            text = derivation_to_json(m)
+            assert outcome(derivation_from_json(text)) == outcome(m), (
+                name, kind, path)
+    for name, d in hand_written().items():
+        if d.rule in RULES:
+            assert outcome(derivation_from_json(derivation_to_json(d))) \
+                == outcome(d), name
+        else:  # the reader rejects an unknown rule tag before checking
+            with pytest.raises(DerivationFormatError):
+                derivation_from_json(derivation_to_json(d))

@@ -154,6 +154,28 @@ class IntOrder:
 CHAIN1 = chain(1)
 
 
+def one_sided_relations(n, rng):
+    """Relations on ``CHAIN1`` whose diagonal holds distinct entries and
+    whose other entries lie between their row's and their column's
+    diagonal entries: seeded ones, then one with each entry equal to its
+    column's diagonal entry and one with each equal to its row's.  The
+    last two are quasi-reflexive on one side only, so they tell the
+    column test from the row test."""
+    diagonal = [x % len(CHAIN1) for x in range(n)]
+    rng.shuffle(diagonal)
+
+    def relation(entry):
+        return tuple(diagonal[x] if x == y else entry(x, y)
+                     for x in range(n) for y in range(n))
+
+    def between(x, y):
+        return rng.randint(*sorted((diagonal[x], diagonal[y])))
+
+    return ([relation(between) for _ in range(10)]
+            + [relation(lambda x, y: diagonal[y]),
+               relation(lambda x, y: diagonal[x])])
+
+
 @pytest.mark.parametrize("ops", [CHAIN1, IntOrder(CHAIN1)],
                          ids=["chain1", "chain1-int-order"])
 @pytest.mark.parametrize("n", [0, 1, 3, UNROLL_BOUND, UNROLL_BOUND + 1,
@@ -164,7 +186,9 @@ def test_kernel_on_chain1_at_sizes_of_both_forms(ops, n):
         rels = list(itertools.product(values, repeat=n * n))
         pairs = list(itertools.product(rels, repeat=2))
     else:
-        rels = sample_relations(values, CHAIN1.top, n, random.Random(n))
+        rng = random.Random(n)
+        rels = (sample_relations(values, CHAIN1.top, n, rng)
+                + one_sided_relations(n, rng))
         pairs = list(zip(rels, rels)) + list(zip(rels, rels[1:] + rels[:1]))
     assert_kernel_matches(ops, CHAIN1, n, rels, pairs)
 
