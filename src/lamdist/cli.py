@@ -44,7 +44,7 @@ from .prims import DEFAULT_REGISTRY, EvalDomainError, ModulusError
 from .quantale.finite import (BUILTINS, QuantaleStructureError, builtin,
                               parse_quantale, validate)
 from .quantale.props import EnumerationTooLarge, check_section3_props
-from .relations import ProbeConfig, ProbeSet
+from .relations import MAX_PROBES, ProbeConfig, ProbeSet
 from .semantics import diff_evaluate, evaluate
 from .syntax import (REAL, DottedVariableClash, FnType, ParseError,
                      TermTooDeep, TypecheckError, derivative_term, parse_file,
@@ -52,9 +52,6 @@ from .syntax import (REAL, DottedVariableClash, FnType, ParseError,
 
 USAGE_ERROR = 2
 DEFAULT_PROBES_ENV = "LAMDIST_PROBES"
-# every probe is built before the first row prints, so the count has a
-# bound, as the relation enumeration of ``laws`` has
-MAX_PROBES = 10 ** 6
 
 # each typed library error: (exit code, prefix of its stderr line)
 FAILURES = {

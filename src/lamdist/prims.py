@@ -17,6 +17,7 @@ whose value *is* the modulus; the derivative transform emits calls to it.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -144,28 +145,19 @@ class Registry:
             raise TypeError(f"{name} expects {p.arity} args, got {nargs}")
         return p
 
-    def checked(self, name: str, nargs: int) -> Callable[..., float]:
-        """``name``'s float implementation for ``nargs`` arguments, looked
-        up and arity-checked once.  Every call still checks the declared
-        domain and that a declared-total primitive stayed finite.  The
-        compiled nodes of the evaluators inline the same checks and share
-        the error helpers below."""
-        p = self.resolve(name, nargs)
-        domain, fn = p.domain, p.fn
-        total = p.derived_from is None
-        isfinite = math.isfinite
-
-        def call(*args):
-            if domain is not None and not domain(*args):
-                raise outside_domain(name, args)
-            out = fn(*args)
-            if isinstance(out, float) and not isfinite(out):
-                out = nonfinite_result(name, args, out, total)
-            return out
-        return call
-
     def call_float(self, name: str, args: Sequence[float]) -> float:
-        return self.checked(name, len(args))(*args)
+        """``name`` on floats, after the declared domain test, checking that
+        a declared-total primitive stayed finite.  The compiled nodes of
+        the evaluators run the same tests inline and share the error
+        helpers below."""
+        p = self.resolve(name, len(args))
+        args = tuple(args)
+        if p.domain is not None and not p.domain(*args):
+            raise outside_domain(name, args)
+        out = p.fn(*args)
+        if isinstance(out, float) and not math.isfinite(out):
+            out = nonfinite_result(name, args, out, p.derived_from is None)
+        return out
 
     def call_exact(self, name: str, args: Sequence[Fraction]) -> Fraction:
         """``name`` on rationals, after the domain check: the exact
@@ -183,8 +175,8 @@ class Registry:
         return Fraction(p.fn(*map(float, args)))
 
 
-# --- the checks' errors, shared by ``Registry.checked``, ``call_exact`` and
-# the compiled nodes of the evaluators, which run the same tests inline ----
+# --- the checks' errors, shared by ``call_float``, ``call_exact`` and the
+# compiled nodes of the evaluators, which run the same tests inline --------
 
 def outside_domain(name: str, args: tuple) -> EvalDomainError:
     return EvalDomainError(f"{name}{args} outside declared domain")
@@ -230,9 +222,17 @@ def prim_modulus(prim: Primitive, ys: Sequence[float],
         return 0.0
     if infinite:
         return prim.oscillation
+    return box_modulus(prim)(ys, bs)
+
+
+def box_modulus(prim: Primitive) -> Callable[[Sequence[float],
+                                              Sequence[float]], float]:
+    """The modulus ``prim_modulus`` and the evaluators' nodes call on a
+    box with some radius nonzero and none infinite: the analytic one, or
+    else the interval enclosure."""
     if prim.modulus is not None:
-        return prim.modulus(ys, bs)
-    return _interval_modulus(prim, ys, bs)
+        return prim.modulus
+    return functools.partial(_interval_modulus, prim)
 
 
 def _interval_modulus(prim: Primitive, ys, bs) -> float:

@@ -2,8 +2,8 @@
 
 import json
 
-from .probes import (MAX_PROBE_DEPTH, ProbeConfig, ProbeSet, ProbeTriple,
-                     UnsupportedProbeDepth, canonical_term,
+from .probes import (MAX_PROBE_DEPTH, MAX_PROBES, ProbeConfig, ProbeSet,
+                     ProbeTriple, UnsupportedProbeDepth, canonical_term,
                      empirical_self_diff, generate_probes, library_terms,
                      lipschitz_self_diff)
 from .checkers import (ApproxReport, Consistent, Falsified,
@@ -43,8 +43,9 @@ def dumps(obj: dict) -> str:
 
 
 __all__ = [
-    "MAX_PROBE_DEPTH", "ProbeConfig", "ProbeSet", "ProbeTriple",
-    "UnsupportedProbeDepth", "canonical_term", "empirical_self_diff",
+    "MAX_PROBE_DEPTH", "MAX_PROBES", "ProbeConfig", "ProbeSet",
+    "ProbeTriple", "UnsupportedProbeDepth", "canonical_term",
+    "empirical_self_diff",
     "generate_probes", "library_terms", "lipschitz_self_diff",
     "ApproxReport", "Consistent", "Falsified", "SelfDistanceEstimate",
     "Verdict", "check_delta", "check_eta", "check_fundamental",

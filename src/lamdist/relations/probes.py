@@ -27,6 +27,8 @@ from ..syntax.terms import (FnType, Lam, Lit, Pair, PairType, REAL, RealType,
                             Term, Type, Var, arrow_depth, fresh_name)
 
 MAX_PROBE_DEPTH = 2
+# every Real probe is built in memory at once, so the count has a bound
+MAX_PROBES = 10 ** 6
 FN_PROBES = 10      # function probes per arrow type
 Z_SAMPLES = 33      # grid points per box in empirical sups
 # the grid's offsets in units of the radius, from -1 to 1
@@ -50,8 +52,9 @@ class ProbeConfig:
         # the settings the command line refuses: a negative radius puts
         # every probe on the |x - x2| = b boundary, and a non-finite one
         # or range reaches the primitives as an infinity or a NaN
-        if self.count < 0:
-            raise ValueError(f"probe count {self.count} is negative")
+        if not 0 <= self.count <= MAX_PROBES:
+            raise ValueError(f"probe count {self.count} is not from 0 to "
+                             f"{MAX_PROBES}")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)
                 and self.lo <= self.hi and math.isfinite(self.hi - self.lo)):
             raise ValueError(f"probe range [{self.lo}, {self.hi}] is not "

@@ -23,17 +23,18 @@ arguments of primitives and applications; elsewhere the value half of
 the pair is ``None``.  A lambda's value is the closure the evaluator
 compiles, and its difference runs the fused pass of its body.
 
-A primitive of arity 1 or 2 with an analytic modulus is resolved into
-one node at compile time, made by the evaluator's ``fuse``: it reads its
-literal, free-variable and bound-variable arguments itself (a literal's
-difference is 0), its value half runs the implementation and its checks
-inline, as the evaluator's nodes do, and its difference half applies
-``prim_modulus``'s radius rules inline before calling the modulus.
-Other primitives take their value from ``Registry.checked`` and their
-difference from ``prim_modulus``.  Runs on floats.  Exact
-differences need no mode here: the exact-mode ``evaluate`` of
-``derivative_term(t)`` computes them, because the ``_d`` primitives'
-exact implementations use ``Primitive.exact_modulus``.
+Every primitive call is resolved into one node at compile time, made by
+the evaluator's ``fuse``: it reads its literal, free-variable and
+bound-variable arguments itself (a literal's difference is 0), its
+value half runs the implementation and its checks inline, as the
+evaluator's nodes do, and its difference half applies
+``prim_modulus``'s radius rules inline before calling the modulus.  A
+primitive without an analytic modulus, the derived ``_d`` primitives
+among them, has its interval enclosure as the modulus
+(``prims.box_modulus``).  Runs on floats.  Exact differences need no
+mode here: the exact-mode ``evaluate`` of ``derivative_term(t)``
+computes them, because the ``_d`` primitives' exact implementations use
+``Primitive.exact_modulus``.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from math import inf, isfinite
 from typing import Callable, Mapping, Union
 
 from ..prims import (DEFAULT_REGISTRY, Primitive, Registry, bad_radius,
-                     nonfinite_result, outside_domain, prim_modulus)
+                     box_modulus, nonfinite_result, outside_domain)
 from ..syntax.terms import (App, First, FnType, Lam, Lit, Pair, PairType,
                             PrimOp, RealType, Second, Term, TermTooDeep, Type,
                             Var)
@@ -92,23 +93,10 @@ def _compile_dual(t: Term, scope: tuple[str, ...], free: Mapping[str, Value],
         return unbound
     if isinstance(t, PrimOp):
         prim = registry.resolve(t.name, len(t.args))
-        if prim.modulus is not None and prim.arity in (1, 2):
-            return _prim_node(prim, [
-                _leaf(a, scope, free, dfree, True)
-                or (CALL, _compile_dual(a, scope, free, dfree, registry, True))
-                for a in t.args], want)
-        args = [_compile_dual(a, scope, free, dfree, registry, True)
-                for a in t.args]
-        call = registry.checked(prim.name, prim.arity)
-
-        def primop(env, denv):
-            ys, bs = [], []
-            for a in args:
-                y, b = a(env, denv)
-                ys.append(y)
-                bs.append(b)
-            return (call(*ys) if want else None), prim_modulus(prim, ys, bs)
-        return primop
+        return _prim_node(prim, [
+            _leaf(a, scope, free, dfree, True)
+            or (CALL, _compile_dual(a, scope, free, dfree, registry, True))
+            for a in t.args], want)
     if isinstance(t, App):
         fn = _compile_dual(t.fn, scope, free, dfree, registry, want)
         arg = _compile_dual(t.arg, scope, free, dfree, registry, True)
@@ -174,58 +162,38 @@ _READS = ("x{k}, b{k} = a{k}(env, denv)",
           "x{k} = env[a{k}]\n    b{k} = denv[a{k}]",
           "x{k}, b{k} = a{k}")
 
-_PRIM_NODES = ("""\
+_PRIM_NODE = """\
 def node(env, denv):
-    {0}
-    if domain is not None and not domain(x0):
-        raise outside_domain(name, (x0,))
+    {reads}
+    if domain is not None and not domain({xs}):
+        raise outside_domain(name, ({xs}))
     out = None
     if want:
-        out = fn(x0)
+        out = fn({xs})
         if isinstance(out, float) and not isfinite(out):
-            out = nonfinite_result(name, (x0,), out, total)
-    if not b0 >= 0:
-        raise bad_radius(b0)
-    if not b0:
+            out = nonfinite_result(name, ({xs}), out, total)
+    {radii}
+    if not ({nonzero}):
         return out, 0.0
-    if b0 == inf:
+    if {infinite}:
         return out, oscillation
-    return out, modulus((x0,), (b0,))
-""", """\
-def node(env, denv):
-    {0}
-    {1}
-    if domain is not None and not domain(x0, x1):
-        raise outside_domain(name, (x0, x1))
-    out = None
-    if want:
-        out = fn(x0, x1)
-        if isinstance(out, float) and not isfinite(out):
-            out = nonfinite_result(name, (x0, x1), out, total)
-    if not b0 >= 0:
-        raise bad_radius(b0)
-    if not b1 >= 0:
-        raise bad_radius(b1)
-    if not (b0 or b1):
-        return out, 0.0
-    if b0 == inf or b1 == inf:
-        return out, oscillation
-    return out, modulus((x0, x1), (b0, b1))
-""")
+    return out, modulus(({xs}), ({bs}))
+"""
 
 
 def _prim_node(p: Primitive, args: list[tuple[int, object]],
                want: bool) -> DualCode:
-    """A dual node of arity 1 or 2 for a primitive with an analytic
-    modulus, which reads its leaf arguments itself.  It tests the domain
-    whether or not the value is wanted, as ``prim_modulus`` does; its
-    value half runs ``Registry.checked``'s other test inline, as the
-    evaluator's nodes do; its difference half applies ``prim_modulus``'s
-    radius rules (a negative or NaN radius is an error, a zero box gives
-    0, an infinite radius the oscillation) before calling the modulus
-    itself."""
-    return fuse(_PRIM_NODES, _READS, args, name=p.name, fn=p.fn,
-                domain=p.domain, modulus=p.modulus,
+    """A dual node that reads its leaf arguments itself and computes what
+    ``Registry.call_float`` and ``prim_modulus`` compute, with their tests
+    inline.  It tests the domain whether or not the value is wanted, as
+    ``prim_modulus`` does; its value half runs ``call_float``'s other
+    test, as the evaluator's nodes do; its difference half applies
+    ``prim_modulus``'s radius rules (a negative or NaN radius is an
+    error, a zero box gives 0, an infinite radius the oscillation) before
+    calling ``box_modulus(p)``: the analytic modulus, or else the
+    interval enclosure."""
+    return fuse(_PRIM_NODE, _READS, args, name=p.name, fn=p.fn,
+                domain=p.domain, modulus=box_modulus(p),
                 total=p.derived_from is None, oscillation=p.oscillation,
                 want=want, outside_domain=outside_domain,
                 nonfinite_result=nonfinite_result, bad_radius=bad_radius,

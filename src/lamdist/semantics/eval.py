@@ -8,16 +8,16 @@ In float mode ``evaluate`` compiles the term once into Python closures
 and runs them: bound variables become slots of a tuple environment (a
 closure extends it by one slot per application), free variables and
 literals become constants converted once, and each primitive is looked
-up in the registry, and its arity checked, at compile time.  A
-primitive of arity 1 or 2 is resolved into a fused node that reads its
-literal, free-variable and bound-variable arguments itself, calls its
-implementation directly and runs ``Registry.checked``'s domain and
-finiteness tests inline, so a primitive call is one frame and a leaf
-argument none; other arities call through ``Registry.checked``.  The
-checks run on every call, and an unbound variable raises ``NameError``
-only when its node runs, so errors stay as lazy as evaluation itself.
-The same compiler builds the value closures of the fused difference
-pass in ``diff``, whose nodes are made by the same ``fuse``.
+up in the registry, and its arity checked, at compile time.  Every
+primitive call, whatever its arity, is resolved into a fused node that
+reads its literal, free-variable and bound-variable arguments itself,
+calls the implementation directly and runs ``Registry.call_float``'s
+domain and finiteness tests inline, so a primitive call is one frame and
+a leaf argument none.  The checks run on every call, and an unbound
+variable raises ``NameError`` only when its node runs, so errors stay as
+lazy as evaluation itself.  The same compiler builds the value closures
+of the fused difference pass in ``diff``, whose nodes are made by the
+same ``fuse``.
 
 Exact mode carries ``Fraction`` values: field primitives compute exactly,
 transcendentals rationalize their float result, which is deterministic.
@@ -99,10 +99,6 @@ def compile_value(t: Term, scope: tuple[str, ...], free: Mapping[str, Value],
         return unbound
     if isinstance(t, PrimOp):
         p = registry.resolve(t.name, len(t.args))
-        if p.arity not in (1, 2):
-            args = [compile_value(a, scope, free, registry) for a in t.args]
-            call = registry.checked(p.name, p.arity)
-            return lambda env: call(*[a(env) for a in args])
         return _prim_node(p, [_leaf(a, scope, free)
                               or (CALL, compile_value(a, scope, free, registry))
                               for a in t.args])
@@ -142,29 +138,42 @@ def _leaf(t: Term, scope: tuple[str, ...],
     return None
 
 
-def fuse(templates: tuple[str, str], reads: tuple[str, str, str],
+def fuse(template: str, reads: tuple[str, str, str],
          args: list[tuple[int, object]], **cells) -> Callable:
-    """The fused node of arity ``len(args)``: the function ``node`` that
-    ``templates[arity - 1]`` defines, where the placeholder ``{k}`` is the
-    read of argument k, written ``reads[kind]`` with ``a{k}`` naming the
-    argument's code, slot or constant.  The arguments and ``cells`` are
-    the node's closure variables.  The source is compiled once per
-    template, reads and argument kinds, so making a node costs one
-    closure, as a hand-written node does, and a leaf argument costs no
-    call when the node runs.  A template stands for the three shapes of
-    a unary node and the nine of a binary one, which would otherwise be
-    written out by hand in each compiler."""
+    """The fused node over ``args``: the function ``node`` that
+    ``template`` defines.  Its placeholders are filled from the arity:
+    ``{reads}`` with one read per argument, written ``reads[kind]`` with
+    ``a{k}`` naming argument k's code, slot or constant; ``{xs}`` and
+    ``{bs}`` with the lists ``x0, x1, ...`` and ``b0, b1, ...``, each item
+    followed by a comma, so they make a call's arguments or, in
+    parentheses, a tuple; ``{radii}`` with a test of each radius
+    ``b{k}`` that raises ``bad_radius(b{k})`` unless it is >= 0;
+    ``{nonzero}`` with a test that some radius is nonzero; and
+    ``{infinite}`` with a test that some radius is infinite.  The
+    arguments and ``cells`` are the node's closure variables.  The source
+    is compiled once per template, reads and argument kinds, so making a
+    node costs one closure, as a hand-written node does, and a leaf
+    argument costs no call when the node runs.  One template stands for
+    every arity and every mix of argument kinds."""
     kinds = tuple(kind for kind, _ in args)
-    make = _node_maker(templates[len(args) - 1], reads, kinds, tuple(cells))
+    make = _node_maker(template, reads, kinds, tuple(cells))
     return make(*[x for _, x in args], **cells)
 
 
 @functools.cache
 def _node_maker(template: str, reads: tuple[str, str, str],
                 kinds: tuple[int, ...], names: tuple[str, ...]) -> Callable:
-    body = template.format(*[reads[kind].format(k=k)
-                             for k, kind in enumerate(kinds)])
-    params = ", ".join([f"a{k}" for k in range(len(kinds))] + list(names))
+    ks = range(len(kinds))
+    body = template.format(
+        reads="\n    ".join([reads[kind].format(k=k)
+                              for k, kind in enumerate(kinds)]),
+        xs="".join([f"x{k}, " for k in ks]),
+        bs="".join([f"b{k}, " for k in ks]),
+        radii="\n    ".join([f"if not b{k} >= 0:\n        "
+                              f"raise bad_radius(b{k})" for k in ks]),
+        nonzero=" or ".join([f"b{k}" for k in ks]) or "False",
+        infinite=" or ".join([f"b{k} == inf" for k in ks]) or "False")
+    params = ", ".join([f"a{k}" for k in ks] + list(names))
     source = "".join([f"def make({params}):\n"]
                      + [f"    {line}\n" for line in body.splitlines()]
                      + ["    return node\n"])
@@ -175,33 +184,23 @@ def _node_maker(template: str, reads: tuple[str, str, str],
 
 _READS = ("x{k} = a{k}(env)", "x{k} = env[a{k}]", "x{k} = a{k}")
 
-_PRIM_NODES = ("""\
+_PRIM_NODE = """\
 def node(env):
-    {0}
-    if domain is not None and not domain(x0):
-        raise outside_domain(name, (x0,))
-    out = fn(x0)
+    {reads}
+    if domain is not None and not domain({xs}):
+        raise outside_domain(name, ({xs}))
+    out = fn({xs})
     if isinstance(out, float) and not isfinite(out):
-        out = nonfinite_result(name, (x0,), out, total)
+        out = nonfinite_result(name, ({xs}), out, total)
     return out
-""", """\
-def node(env):
-    {0}
-    {1}
-    if domain is not None and not domain(x0, x1):
-        raise outside_domain(name, (x0, x1))
-    out = fn(x0, x1)
-    if isinstance(out, float) and not isfinite(out):
-        out = nonfinite_result(name, (x0, x1), out, total)
-    return out
-""")
+"""
 
 
 def _prim_node(p: Primitive, args: list[tuple[int, object]]) -> Code:
-    """A node of arity 1 or 2 that reads its leaf arguments itself, calls
-    ``p``'s implementation and runs ``Registry.checked``'s domain and
+    """A node that reads its leaf arguments itself, calls ``p``'s
+    implementation and runs ``Registry.call_float``'s domain and
     finiteness tests inline, so a primitive call is one frame."""
-    return fuse(_PRIM_NODES, _READS, args, name=p.name, fn=p.fn,
+    return fuse(_PRIM_NODE, _READS, args, name=p.name, fn=p.fn,
                 domain=p.domain, total=p.derived_from is None,
                 outside_domain=outside_domain,
                 nonfinite_result=nonfinite_result, isfinite=isfinite)

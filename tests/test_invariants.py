@@ -18,14 +18,16 @@ from lamdist.quantale.qrel import (QRel, classify, obs_quasi_right,
 from lamdist.relations import (Consistent, ProbeConfig, ProbeSet, check_eta,
                                check_rho, eta_transitivity_split)
 from lamdist.semantics import (DiffTriple, compose_triples, diff_evaluate,
-                               evaluate, tensor_diff)
-from lamdist.syntax import (App, FnType, Lit, REAL, Var, alpha_equal,
-                            derivative_term, normalize, parse_term,
-                            substitute, term_equal)
+                               evaluate, residual_diff, tensor_diff, top_diff)
+from lamdist.syntax import (App, FnType, Lit, PairType, REAL, Var,
+                            alpha_equal, derivative_term, normalize,
+                            parse_term, substitute, term_equal)
 
 from gen import random_closed_fn_term
 
 FN = FnType(REAL, REAL)
+REAL2 = PairType(REAL, REAL)
+FN_REAL = PairType(FN, REAL)
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +113,9 @@ def test_falsification_witnesses_reverify(probes):
 def test_eta_transitivity_split_at_real():
     c1, c2 = eta_transitivity_split(REAL, 0.5, 0.75)
     assert c1 == 0.0 and c2 == 1.25
+    # componentwise at a product of reals
+    assert eta_transitivity_split(REAL2, (0.5, 1.0), (0.25, 2.0)) == \
+        ((0.0, 0.0), (0.75, 3.0))
 
 
 def test_eta_transitivity_split_on_chained_triples(probes):
@@ -147,6 +152,39 @@ def test_eta_transitivity_split_on_chained_triples(probes):
     for probe in probes.triples(REAL):
         y, bb = probe.left, probe.diff
         assert a(y, bb) + b(y, bb) <= c1(y, bb) + c2(y, bb) + 1e-12
+
+
+# --- differences at product types ------------------------------------------
+
+def test_pointwise_differences_at_products():
+    """Componentwise: addition, truncated subtraction (0 under an
+    infinite left side) and the zero bound at the reals, and the same
+    pointwise in (value, bound) under an arrow."""
+    assert tensor_diff(REAL2, (0.5, math.inf), (0.25, 1.0)) == (0.75, math.inf)
+    assert residual_diff(REAL2, (0.5, math.inf), (0.75, 2.0)) == (0.25, 0.0)
+    assert residual_diff(REAL2, (1.0, 0.5), (0.25, 3.0)) == (0.0, 2.5)
+    assert top_diff(REAL2) == (0.0, 0.0)
+    a = (lambda y, b: abs(y) + b, 0.5)
+    b = (lambda y, b: 2 * b, 1.5)
+    fn, real = tensor_diff(FN_REAL, a, b)
+    assert real == 2.0
+    assert fn(1.0, 0.25) == 1.75 and fn(-2.0, 0.5) == 3.5
+    fn, real = residual_diff(FN_REAL, a, b)
+    assert real == 1.0
+    assert fn(1.0, 0.25) == 0.0 and fn(0.0, 2.0) == 2.0
+    fn, real = top_diff(FN_REAL)
+    assert real == 0.0 and fn(3.0, 0.5) == 0.0
+
+
+def test_a_product_valued_member_with_its_own_difference_as_self_part(probes):
+    """At Real -> Real * Real the supplied split is compared, and its
+    parts checked, componentwise at the probes."""
+    t = parse_term(r"\x:Real. (sin(x), x * x)")
+    ty = FnType(REAL, REAL2)
+    f, df = evaluate(t), diff_evaluate(t)
+    assert isinstance(check_eta(ty, f, df, f, probes,
+                                decomposition=(df, top_diff(ty))),
+                      Consistent)
 
 
 def test_gamma_composes_with_general_accepted_triples(probes):

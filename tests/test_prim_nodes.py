@@ -134,7 +134,7 @@ def test_dual_nodes_match_prim_modulus(name):
 
 def test_wrong_arity_is_rejected_at_compile_time_with_one_message():
     term = PrimOp("add", (Var("x"),))
-    want = _outcome(lambda: REG.checked("add", 1))
+    want = _outcome(lambda: REG.resolve("add", 1))
     assert want[:2] == ("raise", "TypeError")
     assert _outcome(lambda: evaluate(term, {"x": 1.0}, registry=REG)) == want
     assert _outcome(lambda: evaluate(term, {"x": Fraction(1)}, registry=REG,
@@ -190,8 +190,12 @@ def test_a_box_a_period_wide_reaches_both_extremes_exactly():
 
 # --- leaf arguments read inside the node -------------------------------------
 
-DEFAULTS = ["add", "sub", "mul", "div", "neg", "abs", "sin", "cos",
-            "neg_d", "abs_d", "sin_d", "cos_d"]
+# the default primitives and their derived partners, then every arity
+# from 0 to 4, interval moduli, an implementation that takes no intervals
+# and a modulus that answers nan
+LEAF_NAMES = ["add", "sub", "mul", "div", "neg", "abs", "sin", "cos",
+              "neg_d", "abs_d", "sin_d", "cos_d", "k", "fma", "grow",
+              "opaque", "wobble", "add_d", "div_d", "wobble_d"]
 # how each argument of the node is written: a bound variable, a free
 # variable, a literal, or a nested node over a bound variable
 LEAVES = ("slot", "free", "lit", "nested")
@@ -234,7 +238,7 @@ def _close(term, bound):
     return term
 
 
-@pytest.mark.parametrize("name", DEFAULTS)
+@pytest.mark.parametrize("name", LEAF_NAMES)
 def test_leaf_arguments_match_the_reference_calls(name):
     """Literals on either side or both, free-variable constants, bound
     slots and nested nodes, against ``Registry.call_float`` and
@@ -243,8 +247,8 @@ def test_leaf_arguments_match_the_reference_calls(name):
     arity = REG.arity(name)
     prim = REG[name]
     shapes = list(itertools.product(LEAVES, repeat=arity))
-    rng = random.Random(101 + DEFAULTS.index(name))
-    for ys, bs in _points(arity, 61 + DEFAULTS.index(name), count=40):
+    rng = random.Random(101 + LEAF_NAMES.index(name))
+    for ys, bs in _points(arity, 61 + LEAF_NAMES.index(name), count=40):
         leaves = rng.choice(shapes)
         node, bound, applied, env, denv, refs = _shaped(name, leaves, ys, bs)
 

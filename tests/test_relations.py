@@ -3,12 +3,12 @@ import random
 
 import pytest
 
-from lamdist.relations import (Consistent, Falsified, ProbeConfig, ProbeSet,
-                               UnsupportedProbeDepth, check_delta, check_eta,
-                               check_fundamental, check_gamma, check_rho,
-                               check_theorem_approx, estimate_self_distance,
-                               generate_probes, probes_to_json,
-                               verdict_to_json, dumps)
+from lamdist.relations import (MAX_PROBES, Consistent, Falsified,
+                               ProbeConfig, ProbeSet, UnsupportedProbeDepth,
+                               check_delta, check_eta, check_fundamental,
+                               check_gamma, check_rho, check_theorem_approx,
+                               estimate_self_distance, generate_probes,
+                               probes_to_json, verdict_to_json, dumps)
 from lamdist.semantics import diff_evaluate, evaluate, top_diff
 from lamdist.syntax import FnType, PairType, REAL, parse_term, typecheck
 
@@ -51,11 +51,13 @@ def test_probe_generation_is_deterministic():
     ("range", dict(lo=1.0, hi=-1.0)),
     ("range", dict(lo=-1e308, hi=1e308)),
     ("count", dict(count=-1)),
+    ("count", dict(count=MAX_PROBES + 1)),
 ])
 def test_probe_settings_the_command_line_refuses_are_refused(field, settings):
     """A negative radius bound put every probe on the |x - x2| = b
     boundary, where a member was falsified by rounding; a non-finite one
-    or range failed late, inside a primitive."""
+    or range failed late, inside a primitive; a count past ``MAX_PROBES``
+    built every probe in memory."""
     words = {"b_max": "radius bound", "range": "range", "count": "count"}
     with pytest.raises(ValueError, match=words[field]):
         ProbeConfig(**settings)

@@ -229,6 +229,46 @@ def test_noncommutative_table_matches_its_golden(size):
     assert [str(f) for f in report.failures] == golden["failures"]
 
 
+def _straight_left_prop4_failures(q, n):
+    """The relations on which Prop 4's left-hand case, transcribed
+    straight with row quasi-reflexivity (s ⊑ Δ₁s) as its gate, fails: s
+    row quasi-reflexive, yet Θ^l ⊑ q^l, Θ^l being a quasi-metric and left
+    strong transitivity do not agree."""
+    k = kernel(q, n)
+    failures = []
+    for e in itertools.product(range(len(q)), repeat=n * n):
+        if k.quasi_reflexive_rows(e):
+            thl = k.theta_left(e)
+            verdicts = {k.leq(thl, k.residual_right(e, e)),
+                        k.quasi_metric(thl), k.strongly_transitive_left(e)}
+            if len(verdicts) > 1:
+                failures.append(e)
+    return failures
+
+
+def test_the_left_prop4_case_needs_the_mirrored_gate():
+    """The checker gates the left-hand case on column quasi-reflexivity
+    (s ⊑ Δ₂s), the mirror image of the right-hand case, because the
+    straight transcription is falsified: its smallest witnesses are 12
+    relations on bool at n=3, none at n=2.  The first of them is row but
+    not column quasi-reflexive, and Θ^l is a quasi-metric while neither
+    Θ^l ⊑ q^l nor left strong transitivity holds."""
+    q = boolean()
+    s = QRel.from_rows(q, [["bot", "bot", "bot"],
+                           ["bot", "top", "top"],
+                           ["top", "bot", "top"]])
+    k, e = s.kernel, s.entries
+    assert k.quasi_reflexive_rows(e) and not k.quasi_reflexive_cols(e)
+    thl = k.theta_left(e)
+    assert not k.leq(thl, k.residual_right(e, e))
+    assert k.quasi_metric(thl)
+    assert not k.strongly_transitive_left(e)
+    assert _straight_left_prop4_failures(q, 2) == []
+    failures = _straight_left_prop4_failures(q, 3)
+    assert len(failures) == 12 and failures[0] == e
+    assert check_section3_props(q, 3).passed
+
+
 def test_boolean_size4_counts():
     report = check_section3_props(boolean(), 4)
     assert report.passed, report.failures[:3]
