@@ -93,9 +93,7 @@ def synthesize_fundamental(ctx: Context, t: Term,
     ty = typecheck(ctx, t, registry)
     ctx_types = dict(ctx)
     ambient: Context = ()
-    for name in sorted(free_vars(t)):
-        if name not in ctx_types:
-            raise SynthesisError(f"free variable {name!r} is not in the context")
+    for name in sorted(free_vars(t)):  # each in ctx, or typecheck raised
         if name not in components:
             raise SynthesisError(f"no component derivation for {name!r}")
     for name, comp in components.items():
@@ -121,11 +119,11 @@ def synthesize_fundamental(ctx: Context, t: Term,
         return var
 
     t = rename_binders(t, avoid | {n for n, _ in ctx}, pick)
-    return _synth(t, ambient, dict(components), ctx_types, registry)
+    return _synth(t, ambient, dict(components), ctx_types)
 
 
 def _synth(t: Term, ctx: Context, components: dict[str, Derivation],
-           bound: dict[str, Type], registry: Registry) -> Derivation:
+           bound: dict[str, Type]) -> Derivation:
     return fold(t, _SYNTH, ([ctx], components, dict(bound)))
 
 
@@ -183,20 +181,17 @@ def self_distance_derivation(t: Term,
     return synthesize_fundamental((), t, {}, registry)
 
 
-def quasi_reflexive_derivation(d: Derivation,
-                               registry: Registry = DEFAULT_REGISTRY
-                               ) -> Derivation:
+def quasi_reflexive_derivation(d: Derivation) -> Derivation:
     """From a derivation of (t, a, t2), derive (t, a, t) at any type."""
     j = d.conclusion
     if isinstance(j.ty, RealType):
         return derive("QuasiReflReal", d)
     if isinstance(j.ty, FnType):
         z = fresh_name("z", frozenset(_used_names(d)))
-        lifted = derive("Abs", quasi_reflexive_derivation(_applied(d, z),
-                                                          registry))
+        lifted = derive("Abs", quasi_reflexive_derivation(_applied(d, z)))
     elif isinstance(j.ty, PairType):
         lifted = derive("Pair", *(
-            quasi_reflexive_derivation(derive(rule, d), registry)
+            quasi_reflexive_derivation(derive(rule, d))
             for rule in ("Fst", "Snd")))
     else:
         raise TypeError(f"not a type: {j.ty!r}")
@@ -212,9 +207,7 @@ def _applied(d: Derivation, z: str) -> Derivation:
         ctx, Var(z), Var(dotted(z)), Var(z), j.ty.arg)))
 
 
-def transitivity_derivation(d1: Derivation, d2: Derivation,
-                            registry: Registry = DEFAULT_REGISTRY
-                            ) -> Derivation:
+def transitivity_derivation(d1: Derivation, d2: Derivation) -> Derivation:
     """Chain (t, a, t2) and (t2, a2, t3) into (t, add a a2, t3), the
     addition being pointwise at the judgment type."""
     j1, j2 = d1.conclusion, d2.conclusion
@@ -225,23 +218,22 @@ def transitivity_derivation(d1: Derivation, d2: Derivation,
     if not alpha_equal(j1.right, j2.left):
         raise SynthesisError("derivations do not share the middle subject")
 
-    combined = _trans(d1, d2, registry)
+    combined = _trans(d1, d2)
     target_dist = App(App(add_term(partial_type(j1.ty)), j1.dist), j2.dist)
     return Derivation("Conv", DistanceJudgment(
         j1.ctx, j1.left, target_dist, j2.right, j1.ty), (combined,))
 
 
-def _trans(d1: Derivation, d2: Derivation, registry) -> Derivation:
+def _trans(d1: Derivation, d2: Derivation) -> Derivation:
     ty = d1.conclusion.ty
     if isinstance(ty, RealType):
         return derive("TransReal", d1, d2)
     if isinstance(ty, FnType):
         z = fresh_name("z", frozenset(_used_names(d1) | _used_names(d2)))
         # the middle subjects match syntactically after application
-        return derive("Abs", _trans(_applied(d1, z), _applied(d2, z),
-                                    registry))
+        return derive("Abs", _trans(_applied(d1, z), _applied(d2, z)))
     if isinstance(ty, PairType):
         return derive("Pair", *(
-            _trans(derive(rule, d1), derive(rule, d2), registry)
+            _trans(derive(rule, d1), derive(rule, d2))
             for rule in ("Fst", "Snd")))
     raise TypeError(f"not a type: {ty!r}")

@@ -321,22 +321,19 @@ def parse_quantale(text: str) -> FiniteQuantale:
         if not line:
             continue
         parts = line.split()
-        try:
-            if parts[0] == "quantale" and len(parts) == 2:
-                name = parts[1]
-            elif parts[0] == "elements":
-                elements.extend(parts[1:])
-                if len(set(elements)) != len(elements):
-                    raise QuantaleStructureError("duplicate element names")
-            elif parts[0] == "order" and len(parts) == 4 and parts[2] == "<=":
-                order_pairs.append((parts[1], parts[3]))
-            elif parts[0] == "unit" and len(parts) == 2:
-                unit_name = parts[1]
-            elif parts[0] == "tensor" and len(parts) == 5 and parts[3] == "=":
-                tensor_entries[(parts[1], parts[2])] = parts[4]
-            else:
-                raise QuantaleStructureError(f"line {lineno}: cannot parse {raw!r}")
-        except IndexError:
+        if parts[0] == "quantale" and len(parts) == 2:
+            name = parts[1]
+        elif parts[0] == "elements":
+            elements.extend(parts[1:])
+            if len(set(elements)) != len(elements):
+                raise QuantaleStructureError("duplicate element names")
+        elif parts[0] == "order" and len(parts) == 4 and parts[2] == "<=":
+            order_pairs.append((parts[1], parts[3]))
+        elif parts[0] == "unit" and len(parts) == 2:
+            unit_name = parts[1]
+        elif parts[0] == "tensor" and len(parts) == 5 and parts[3] == "=":
+            tensor_entries[(parts[1], parts[2])] = parts[4]
+        else:
             raise QuantaleStructureError(f"line {lineno}: cannot parse {raw!r}")
 
     if not elements:

@@ -69,7 +69,8 @@ class ExtReal:
     def __hash__(self):
         return hash((ExtReal, self._num))
 
-    # Numeric comparisons (NOT the quantale order; see ``leq``).
+    # Numeric comparisons (NOT the quantale order; see ``leq``); Python
+    # answers ``>=`` and ``>`` with these, reflected.
     def __le__(self, other: "ExtReal") -> bool:
         if self._num is None:
             return other._num is None
@@ -79,12 +80,6 @@ class ExtReal:
 
     def __lt__(self, other: "ExtReal") -> bool:
         return self <= other and self != other
-
-    def __ge__(self, other: "ExtReal") -> bool:
-        return other <= self
-
-    def __gt__(self, other: "ExtReal") -> bool:
-        return other < self
 
     def __add__(self, other: "ExtReal") -> "ExtReal":
         if self._num is None or other._num is None:

@@ -23,8 +23,11 @@ the orbit size, so ``relations_checked`` is still |Q|^(n²) while
 The group is that of the simultaneous permutations Sₙ of the n points,
 under which every proposition is invariant once the folds over join and
 meet are order-free.  They are when :func:`validate` reports no
-``order.*`` or ``lattice.*`` law broken: join and meet of a partial order
-with all binary bounds are associative.  When ``tensor.commutative``
+``order.*`` law broken: join and meet of a partial order with all binary
+bounds are associative.  No ``lattice.*`` law can be broken there:
+``kernel(q, n)`` reads ``q.tables``, which raises
+``QuantaleStructureError`` on a missing join or meet, the only case
+``validate`` reports as ``lattice.*``.  When ``tensor.commutative``
 holds as well, the group is Sₙ × {id, transpose}: every check on sᵀ
 mirrors one on s with ``.l`` and ``.r`` swapped, since q^l(sᵀ) = q^r(s)ᵀ,
 Θ^r(sᵀ) = Θ^l(s)ᵀ and aᵀ ⊗ bᵀ = (b ⊗ a)ᵀ, while transitivity, reflexivity
@@ -132,8 +135,8 @@ def check_section3_props(q: FiniteQuantale, size: int,
     n = size
     k = kernel(q, n)
     broken = {v.law for v in validate(q)}
-    lattice = not any(law.startswith(("order.", "lattice.")) for law in broken)
-    transposes = lattice and "tensor.commutative" not in broken
+    ordered = not any(law.startswith("order.") for law in broken)
+    transposes = ordered and "tensor.commutative" not in broken
     closure_decides = transposes and "tensor.continuous" not in broken
     tables = q.tables
     names = q.elements
@@ -245,7 +248,7 @@ def check_section3_props(q: FiniteQuantale, size: int,
     # docstring for the group, its gates and the representative kept).
     # With one element in Q there is one relation, whose diagonal's
     # stabiliser is all of Sₙ: it goes straight to the sweep.
-    if lattice and m > 1:
+    if ordered and m > 1:
         try:
             for e, weight, mirror_weight in orbit_representatives(
                     m, n, transposes):
@@ -255,7 +258,7 @@ def check_section3_props(q: FiniteQuantale, size: int,
             report.relations_checked = report.prop3_pairs_checked = 0
             report.orbits_checked = 0
 
-    # Some orbit failed (or the order is no lattice): sweep relation by
+    # Some orbit failed (or the order is broken): sweep relation by
     # relation, so the failures come in enumeration order, every member of
     # a failing orbit is named, and the count stops where the failure list
     # is cut off.

@@ -4,7 +4,7 @@ import json
 
 from .probes import (MAX_PROBE_DEPTH, MAX_PROBES, ProbeConfig, ProbeSet,
                      ProbeTriple, UnsupportedProbeDepth, canonical_term,
-                     empirical_self_diff, generate_probes, library_terms,
+                     empirical_self_diff, library_terms,
                      lipschitz_self_diff)
 from .checkers import (ApproxReport, Consistent, Falsified,
                        SelfDistanceEstimate, Verdict, check_delta, check_eta,
@@ -45,8 +45,7 @@ def dumps(obj: dict) -> str:
 __all__ = [
     "MAX_PROBE_DEPTH", "MAX_PROBES", "ProbeConfig", "ProbeSet",
     "ProbeTriple", "UnsupportedProbeDepth", "canonical_term",
-    "empirical_self_diff",
-    "generate_probes", "library_terms", "lipschitz_self_diff",
+    "empirical_self_diff", "library_terms", "lipschitz_self_diff",
     "ApproxReport", "Consistent", "Falsified", "SelfDistanceEstimate",
     "Verdict", "check_delta", "check_eta", "check_fundamental",
     "check_gamma", "check_rho", "check_theorem_approx",

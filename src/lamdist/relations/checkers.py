@@ -318,11 +318,10 @@ def _diff_leq_at(ty: Type, d1: Diff, d2: Diff, probes: ProbeSet) -> bool:
     if isinstance(ty, PairType):
         return (_diff_leq_at(ty.left, d1[0], d2[0], probes)
                 and _diff_leq_at(ty.right, d1[1], d2[1], probes))
-    if isinstance(ty, FnType):
-        return all(_diff_leq_at(ty.res, d1(p.left, p.diff), d2(p.left, p.diff),
-                                probes)
-                   for p in probes.triples(ty.arg, "eta"))
-    raise TypeError(f"not a type: {ty!r}")
+    # an arrow: ``tensor_diff`` has refused anything else
+    return all(_diff_leq_at(ty.res, d1(p.left, p.diff), d2(p.left, p.diff),
+                            probes)
+               for p in probes.triples(ty.arg, "eta"))
 
 
 # --- the right observational family ------------------------------------------

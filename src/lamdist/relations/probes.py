@@ -87,8 +87,9 @@ class ProbeSet:
     ``registry`` parses and evaluates the term library, and the checkers
     run under it too.
 
-    The per-type cache fills lazily; prime it (``generate_probes``) before
-    sharing an instance across threads, after which reads are pure.
+    The per-type cache fills lazily; prime it (call ``triples`` at each
+    type the checkers will reach) before sharing an instance across
+    threads, after which reads are pure.
     """
 
     def __init__(self, config: ProbeConfig = ProbeConfig(),
@@ -214,15 +215,6 @@ def _eta_tail_diff(f, g, df, dg) -> Diff:
     def bound(x, b):
         return df(x, b) + abs(f(x) - g(x)) + dg(x, b)
     return bound
-
-
-def generate_probes(ty: Type, config: ProbeConfig = ProbeConfig(),
-                    registry: Registry = DEFAULT_REGISTRY) -> ProbeSet:
-    """A probe set whose cache is primed for ``ty`` (and, lazily, any
-    other type the checkers recurse into)."""
-    ps = ProbeSet(config, registry)
-    ps.triples(ty)
-    return ps
 
 
 # --- the term library --------------------------------------------------------

@@ -24,9 +24,6 @@ class DiffTriple:
     diff: Callable[[Value, Diff], Diff]
     bwd: Callable[[Value], Value]
 
-    def __call__(self, x: Value) -> Value:
-        return self.fwd(x)
-
 
 def identity_triple() -> DiffTriple:
     return DiffTriple(lambda x: x, lambda x, b: b, lambda x: x)

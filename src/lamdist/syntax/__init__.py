@@ -3,7 +3,7 @@
 from .terms import (App, Context, First, FnType, Lam, Lit, Pair, PairType,
                     PrimOp, REAL, RealType, Second, Term, TermTooDeep, Type,
                     Var, alpha_equal, all_var_names, arrow_depth, dotted,
-                    free_vars, fresh_name, is_dotted, lit, substitute)
+                    free_vars, fresh_name, is_dotted, substitute)
 from .parser import ParseError, parse_file, parse_term
 from .printer import render_fraction, render_term, render_type
 from .typecheck import TypecheckError, typecheck
@@ -15,7 +15,7 @@ __all__ = [
     "App", "Context", "First", "FnType", "Lam", "Lit", "Pair", "PairType",
     "PrimOp", "REAL", "RealType", "Second", "Term", "TermTooDeep", "Type",
     "Var", "alpha_equal", "all_var_names", "arrow_depth", "dotted",
-    "free_vars", "fresh_name", "is_dotted", "lit", "substitute",
+    "free_vars", "fresh_name", "is_dotted", "substitute",
     "ParseError", "parse_file", "parse_term",
     "render_fraction", "render_term", "render_type",
     "TypecheckError", "typecheck",

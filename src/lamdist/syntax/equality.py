@@ -141,19 +141,14 @@ def _readback(v: V, ty: Type, fresh: _Fresh, registry: Registry) -> Term:
 def _readback_neutral(ne: Neutral, fresh: _Fresh, registry: Registry) -> Term:
     if isinstance(ne, NVar):
         return Var(ne.name)
-    if isinstance(ne, NApp):
-        fn_ty = ne.fn.ty
-        if not isinstance(fn_ty, FnType):
-            raise TypeError(f"applied neutral at {render_type(fn_ty)}")
+    if isinstance(ne, NApp):  # ``_apply`` builds one only at an arrow
         return App(_readback_neutral(ne.fn.ne, fresh, registry),
-                   _readback(ne.arg, fn_ty.arg, fresh, registry))
+                   _readback(ne.arg, ne.fn.ty.arg, fresh, registry))
     if isinstance(ne, NProj):
         side = First if ne.first else Second
         return side(_readback_neutral(ne.pair.ne, fresh, registry))
-    if isinstance(ne, NPrim):
-        return PrimOp(ne.name,
-                      tuple(_readback(a, REAL, fresh, registry) for a in ne.args))
-    raise TypeError(f"not a neutral: {ne!r}")
+    return PrimOp(ne.name,  # an NPrim
+                  tuple(_readback(a, REAL, fresh, registry) for a in ne.args))
 
 
 def normalize(ctx: Context, t: Term, ty: Type | None = None,

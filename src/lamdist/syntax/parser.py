@@ -57,10 +57,10 @@ class ParseError(SyntaxError):
 
 
 _LEXEME = r"\d+(?:\.\d+)?|[A-Za-z_][A-Za-z0-9_]*'*|->|[\\.:(),*+\-/=]"
-# the longest prefix made of whitespace, comments and lexemes
-_SCAN = re.compile(rf"(?:[ \t\r\n]+|\#[^\n]*|{_LEXEME})*")
-# one lexeme after whitespace and comments; "" at the end of the text
-_TOKEN = re.compile(rf"(?:[ \t\r\n]+|\#[^\n]*)*({_LEXEME}|\Z)")
+_is_lexeme = re.compile(_LEXEME).match
+# one lexeme after whitespace and comments; "" at the end of the text; or
+# else the rest of the text, from a character that no lexeme starts with
+_TOKEN = re.compile(rf"(?:[ \t\r\n]+|\#[^\n]*)*({_LEXEME}|\Z|(?s:.+))")
 
 _RESERVED = {"fst", "snd", "Real"}
 # the end and the punctuation other than "(": tokens that cannot start an atom
@@ -77,10 +77,12 @@ def _error_at(message: str, text: str, pos: int, line: int = 1) -> ParseError:
 
 def _tokenize(text: str, line: int = 1) -> list[str]:
     """The lexemes of ``text``, then ``""`` (once or twice) for its end."""
-    end = _SCAN.match(text).end()
-    if end < len(text):
+    toks = _TOKEN.findall(text)
+    # a rest of the text comes last, before one ""
+    if len(toks) > 1 and (rest := toks[-2]) and not _is_lexeme(rest):
+        end = len(text) - len(rest)
         raise _error_at(f"unexpected character {text[end]!r}", text, end, line)
-    return _TOKEN.findall(text)
+    return toks
 
 
 class _Parser:

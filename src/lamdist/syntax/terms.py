@@ -119,10 +119,6 @@ Term = Union[Var, Lit, PrimOp, App, Lam, Pair, First, Second]
 Context = tuple[tuple[str, Type], ...]
 
 
-def lit(value) -> Lit:
-    return Lit(Fraction(value))
-
-
 # --- the variable partition ------------------------------------------------
 
 def dotted(name: str) -> str:
@@ -246,8 +242,6 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
 
 def substitute(t: Term, mapping: Mapping[str, Term]) -> Term:
     """Simultaneous capture-avoiding substitution."""
-    if not mapping:
-        return t
     # names that must not be captured by any binder we pass under
     danger = frozenset().union(*(free_vars(v) for v in mapping.values()))
     try:  # with the binders entered, innermost last, and each one's count

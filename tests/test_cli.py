@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -294,6 +296,17 @@ def test_a_conversion_to_a_deep_sum_is_valid(tmp_path, capsys):
     assert out == f"valid:  |- ({subject}, 0, {subject}) : Real\n"
 
 
+def test_comparing_types_nested_past_the_limit_is_a_usage_error(tmp_path,
+                                                               capsys):
+    # the equality of two arrow types recurses on their depth
+    chain = "".join(f"\\x{i}:Real. " for i in range(3000)) + "x0"
+    deep = tmp_path / "deep.lam"
+    deep.write_text(f"f = {chain}\ng = {chain}\n")
+    code, out, err = run(capsys, "diff", deep, "f", "g")
+    assert (code, out) == (2, "")
+    assert err == "error: input nested too deeply to process\n"
+
+
 def _subprocess_env():
     import os
     src = Path(__file__).resolve().parent.parent / "src"
@@ -302,7 +315,6 @@ def _subprocess_env():
 
 def test_a_deep_definition_prints_no_traceback(tmp_path):
     import subprocess
-    import sys
     deep = tmp_path / "deep.lam"
     deep.write_text(f"f = {DEEP_SUM.replace('x', '1')}\n")
     proc = subprocess.run([sys.executable, "-m", "lamdist.cli", "typecheck",
@@ -316,7 +328,6 @@ def test_a_closed_stdout_exits_2_without_traceback(tmp_path):
     """``lamdist derive FILE f | head -c 400``: the derivative of a
     300-term sum is far longer than a pipe holds, so the write fails."""
     import subprocess
-    import sys
     sums = tmp_path / "sum.lam"
     sums.write_text("f = \\x:Real. " + " + ".join(["x"] * 300) + "\n")
     with subprocess.Popen([sys.executable, "-m", "lamdist.cli", "derive",
@@ -329,6 +340,21 @@ def test_a_closed_stdout_exits_2_without_traceback(tmp_path):
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 2
     assert err == "error: standard output closed\n"
+
+
+class _ClosedPipe(io.StringIO):
+    """A standard output whose reader has gone, with no file descriptor
+    to point at devnull."""
+
+    def flush(self):
+        raise BrokenPipeError
+
+
+def test_a_closed_stdout_without_a_descriptor_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main(["typecheck", str(CORPUS / "deps.lam")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: standard output closed\n"
 
 
 BASICS = ("diff", CORPUS / "basics.lam", "idf", "sinf")

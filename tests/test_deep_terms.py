@@ -8,8 +8,8 @@ import pytest
 
 from lamdist.eqtheory import check_dlog, self_distance_derivation
 from lamdist.semantics import diff_evaluate, evaluate
-from lamdist.syntax import (App, FnType, Lam, Lit, REAL, TermTooDeep, Var,
-                            all_var_names, alpha_equal, derivative_term,
+from lamdist.syntax import (App, FnType, Lam, Lit, Pair, REAL, TermTooDeep,
+                            Var, all_var_names, alpha_equal, derivative_term,
                             free_vars, normalize, parse_file, parse_term,
                             render_term, substitute, term_equal, typecheck)
 from lamdist.syntax.terms import rename_binders, subterms
@@ -56,6 +56,16 @@ def test_a_ten_thousand_binder_chain_takes_under_a_second(walk):
 def test_recursion_that_stays_raises_term_too_deep(run):
     with pytest.raises(TermTooDeep):
         run(DEEP_SUM)
+
+
+def test_renaming_binders_within_renamed_binders_raises_term_too_deep():
+    """Every binder captures a name of the substituted term, so each one
+    is renamed by a walk nested in the walk renaming the one above it."""
+    t = Var("x")
+    for i in range(1000):  # each walk reads the rest: keep it short
+        t = Lam("yw"[i % 2], REAL, t)
+    with pytest.raises(TermTooDeep, match="binders renamed too deeply"):
+        substitute(t, {"x": Pair(Var("y"), Var("w"))})
 
 
 def test_a_ten_thousand_literal_sum_normalizes_to_a_literal():

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from lamdist.eqtheory import (Derivation, DistanceJudgment, add_term,
+from lamdist.eqtheory import (Derivation, DistanceJudgment, SynthesisError,
+                              SyntacticProbes, add_term,
                               chain_partner, check_derivation, check_dlog,
                               check_dlog_judgment, check_suite,
                               derivation_from_json, derivation_to_json,
@@ -12,6 +13,7 @@ from lamdist.eqtheory import (Derivation, DistanceJudgment, add_term,
                               self_distance_derivation,
                               synthesize_fundamental,
                               transitivity_derivation)
+from lamdist.eqtheory import corpus
 from lamdist.prims import default_registry
 from lamdist.relations import Consistent, Falsified
 from lamdist.syntax import (FnType, Lit, PrimOp, REAL, Var, alpha_equal,
@@ -157,7 +159,6 @@ def test_synthesized_conclusion_is_substituted_triple():
 
 
 def test_synthesize_missing_component():
-    from lamdist.eqtheory import SynthesisError
     with pytest.raises(SynthesisError):
         synthesize_fundamental((("x", REAL),), Var("x"), {}, REG)
 
@@ -166,7 +167,7 @@ def test_synthesize_missing_component():
 
 def test_quasi_reflexive_transform_at_real():
     d = lit_node(3, 0.5, 3.2)
-    q = quasi_reflexive_derivation(d, REG)
+    q = quasi_reflexive_derivation(d)
     assert check_derivation(q, REG)
     assert q.conclusion.right == Lit(3)
 
@@ -175,13 +176,13 @@ def test_quasi_reflexive_transform_at_arrow():
     d = self_distance_derivation(parse_term(r"\x:Real. sin(x)"), REG)
     # make it a two-sided derivation first: chain with a partner, then
     # take the self-distance of the chained conclusion
-    q = quasi_reflexive_derivation(d, REG)
+    q = quasi_reflexive_derivation(d)
     assert check_derivation(q, REG)
     assert alpha_equal(q.conclusion.left, q.conclusion.right)
 
 
 def test_transitivity_transform_at_real():
-    t = transitivity_derivation(lit_node(1, 1, 2), lit_node(2, 1, 3), REG)
+    t = transitivity_derivation(lit_node(1, 1, 2), lit_node(2, 1, 3))
     assert check_derivation(t, REG)
     j = t.conclusion
     assert j.left == Lit(1) and j.right == Lit(3)
@@ -192,7 +193,7 @@ def test_transitivity_transform_at_arrow():
     sin_t = parse_term(r"\x:Real. sin(x)")
     d1 = self_distance_derivation(sin_t, REG)
     d2 = self_distance_derivation(sin_t, REG)
-    t = transitivity_derivation(d1, d2, REG)
+    t = transitivity_derivation(d1, d2)
     assert check_derivation(t, REG)
     ty = t.conclusion.ty
     assert ty == FnType(REAL, REAL)
@@ -215,7 +216,7 @@ def pair_node(d1, d2):
 def test_transitivity_transform_at_product():
     d1 = pair_node(lit_node(1, 1, 2), lit_node(0, 0.5, 0.25))
     d2 = pair_node(lit_node(2, 1, 3), lit_node(0.25, 0.5, 0.5))
-    t = transitivity_derivation(d1, d2, REG)
+    t = transitivity_derivation(d1, d2)
     assert check_derivation(t, REG)
     from lamdist.semantics import evaluate
     assert evaluate(t.conclusion.dist, registry=REG) == (2.0, 1.0)
@@ -223,7 +224,7 @@ def test_transitivity_transform_at_product():
 
 def test_quasi_reflexive_transform_at_product():
     d = pair_node(lit_node(1, 1, 2), lit_node(0, 0.5, 0.25))
-    q = quasi_reflexive_derivation(d, REG)
+    q = quasi_reflexive_derivation(d)
     assert check_derivation(q, REG)
     assert alpha_equal(q.conclusion.left, q.conclusion.right)
     assert alpha_equal(q.conclusion.left, d.conclusion.left)
@@ -286,6 +287,22 @@ def test_dlog_at_arrow_probe_based():
     assert isinstance(verdict, Falsified)
 
 
+@pytest.mark.parametrize("src, labels", [
+    # the fixed second-order library
+    (r"\g:(Real->Real)->Real. g (\x:Real. x)",
+     [r"\f:Real -> Real. f 0", r"\f:Real -> Real. f 1 + f (-1)"]),
+    # any other arrow: its canonical term, and the identity when the
+    # argument and the result agree
+    (r"\h:(Real*Real)->(Real*Real). fst (h (1, 2))",
+     [r"\u:Real * Real. (0, 0)", r"\u:Real * Real. u"]),
+])
+def test_dlog_probes_a_function_argument_from_the_library(src, labels):
+    d = self_distance_derivation(parse_term(src), REG)
+    probes = SyntacticProbes(REG).triples(d.conclusion.ty.arg)
+    assert [p.label for p in probes] == labels
+    assert isinstance(check_dlog_judgment(d.conclusion, REG), Consistent)
+
+
 @pytest.mark.parametrize("dist", ["z", r"\x:Real. x", "(1, 2)"])
 def test_dlog_typechecks_the_distance(dist):
     """The distance is closed at the difference type, like the subjects
@@ -297,7 +314,7 @@ def test_dlog_typechecks_the_distance(dist):
 # --- serialization -------------------------------------------------------------------
 
 def test_derivation_json_round_trip():
-    d = transitivity_derivation(lit_node(1, 1, 2), lit_node(2, 1, 3), REG)
+    d = transitivity_derivation(lit_node(1, 1, 2), lit_node(2, 1, 3))
     text = derivation_to_json(d)
     back = derivation_from_json(text, REG)
     assert check_derivation(back, REG)
@@ -442,14 +459,13 @@ def test_judging_a_derivation_leaves_no_cyclic_garbage():
 
 
 def test_synthesis_rejects_ill_typed_premises_without_asserts():
-    from lamdist.eqtheory import SynthesisError
     from lamdist.eqtheory.synthesis import _synth
     from lamdist.syntax import App, First
     real = {"f": lit_node(1, 0, 1)}
     with pytest.raises(SynthesisError, match="applied term"):
-        _synth(App(Var("f"), Lit(1)), (), real, {}, REG)
+        _synth(App(Var("f"), Lit(1)), (), real, {})
     with pytest.raises(SynthesisError, match="projected term"):
-        _synth(First(Var("f")), (), real, {}, REG)
+        _synth(First(Var("f")), (), real, {})
 
 
 # --- the randomized suite ------------------------------------------------------------
@@ -458,6 +474,30 @@ def test_corpus_suite_passes():
     report = check_suite(count=60, seed=7, registry=default_registry())
     assert report.passed, report.failures[:5]
     assert report.checked == 60
+
+
+def _refuse(*args):
+    raise SynthesisError("no partner")
+
+
+@pytest.mark.parametrize("part, broken, report", [
+    ("random_derivation", lambda rng: lit_node(3, 0.1, 3.2),
+     "[0] checker: "),
+    ("quasi_reflexive_derivation", lambda d: lit_node(3, 0.1, 3.2),
+     "[0] self-distance transform: "),
+    ("transitivity_derivation", lambda d1, d2: lit_node(3, 0.1, 3.2),
+     "[0] chaining: "),
+    ("transitivity_derivation", _refuse, "[0] chaining: no partner"),
+    ("check_dlog_judgment",
+     lambda j, registry: Falsified("base", (), 1.0, 0.0),
+     "[0] membership: Falsified(clause='base'"),
+])
+def test_the_suite_reports_a_broken_part(monkeypatch, part, broken, report):
+    """Each cross-check of the suite fails when the part it checks is
+    broken."""
+    monkeypatch.setattr(corpus, part, broken)
+    failures = check_suite(count=1, seed=1, registry=REG).failures
+    assert len(failures) == 1 and failures[0].startswith(report)
 
 
 def test_chain_partner_matches_endpoint():

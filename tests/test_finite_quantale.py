@@ -71,6 +71,12 @@ def test_structural_errors_raise_before_law_checking():
     with pytest.raises(QuantaleStructureError):
         FiniteQuantale("badunit", ("a", "b"), [[True, True], [False, True]],
                        [[0, 0], [0, 1]], 7)
+    with pytest.raises(QuantaleStructureError, match="leq table is not"):
+        FiniteQuantale("short", ("a", "b"), [[True, True]],
+                       [[0, 0], [0, 1]], 1)
+    with pytest.raises(QuantaleStructureError, match="tensor table is not"):
+        FiniteQuantale("ragged", ("a", "b"), [[True, True], [False, True]],
+                       [[0, 0], [0]], 1)
 
 
 QNT_TEXT = """
@@ -99,6 +105,8 @@ def test_parse_quantale_errors():
         parse_quantale("nonsense line\n")
     with pytest.raises(QuantaleStructureError):
         parse_quantale("elements a\n")  # no unit
+    with pytest.raises(QuantaleStructureError, match="no elements declared"):
+        parse_quantale("unit a\n")
     for declared in ("elements a a", "elements a b\nelements b"):
         with pytest.raises(QuantaleStructureError,
                            match="^duplicate element names$"):

@@ -82,3 +82,19 @@ def test_construction_and_interop():
         ExtReal(-1)
     with pytest.raises(ValueError):
         ExtReal(math.nan)
+    with pytest.raises(ValueError, match="negative infinity"):
+        ExtReal(-math.inf)
+    with pytest.raises(ValueError, match="no rational representation"):
+        INFINITY.numerator_value
+
+
+def test_equality_printing_and_reflected_comparisons():
+    assert ExtReal(2) != 2 and ExtReal(2) != "2"
+    assert repr(ExtReal(Fraction(1, 2))) == "ExtReal(1/2)"
+    assert repr(INFINITY) == "ExtReal(inf)"
+    assert (str(ExtReal(3)), str(INFINITY)) == ("3", "inf")
+    # >= and > are <= and < reflected
+    assert INFINITY >= ExtReal(5) > ExtReal(1) >= ExtReal(1)
+    assert not ExtReal(1) > ExtReal(1)
+    with pytest.raises(TypeError):
+        ExtReal(1) >= 0

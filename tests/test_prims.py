@@ -150,6 +150,9 @@ def test_interval_fallback_requires_interval_capable_fn():
     reg.register(Primitive("opaque", 1, lambda x: math.exp(x)))
     with pytest.raises(ModulusError):
         prim_modulus(reg["opaque"], (0.0,), (1.0,))
+    reg.register(Primitive("flat", 1, lambda x: 0.5))
+    with pytest.raises(ModulusError, match="flat returned float"):
+        prim_modulus(reg["flat"], (0.0,), (1.0,))
 
 
 def test_interval_arithmetic_outward():
@@ -161,6 +164,47 @@ def test_interval_arithmetic_outward():
     assert j.hi >= (1.5 * 1.5 - 0.5) / 2
     with pytest.raises(ValueError):
         Interval(2.0, 1.0)
+
+
+def _just_above(got: float, exact: float, ulps: int = 4) -> bool:
+    """``got`` is ``exact`` or a few ulps above it: outward rounding
+    widens an endpoint by one ulp an operation."""
+    return got == exact or exact < got <= exact + ulps * math.ulp(exact)
+
+
+# the interval fallback on user primitives with no analytic modulus:
+# (implementation, centre, radius, hand-computed range over the box)
+FALLBACK = [
+    # 1 - |x| on [0.25, 0.75], [-0.75, -0.25] and [-0.5, 0.5]: abs of a box
+    # above 0, below 0 and across 0, then a number minus an interval
+    (lambda x: 1 - abs(x), 0.5, 0.25, 0.25, 0.75),
+    (lambda x: 1 - abs(x), -0.5, 0.25, 0.25, 0.75),
+    (lambda x: 1 - abs(x), 0.0, 0.5, 0.5, 1.0),
+    # 2 / x on [1, 3]: a number over an interval
+    (lambda x: 2 / x, 2.0, 1.0, 2 / 3, 2.0),
+    # 2 / x on [-0.5, 1.5], which holds 0: no finite bound
+    (lambda x: 2 / x, 0.5, 1.0, -math.inf, math.inf),
+]
+
+
+@pytest.mark.parametrize("fn, y, b, lo, hi", FALLBACK)
+def test_interval_fallback_on_hand_computed_ranges(fn, y, b, lo, hi):
+    reg = default_registry()
+    p = reg.register(Primitive("user", 1, fn))
+    box = fn(Interval.around(y, b))
+    assert _just_above(-box.lo, -lo) and _just_above(box.hi, hi)
+    centre = fn(y)
+    got = prim_modulus(p, (y,), (b,))
+    assert _just_above(got, max(centre - lo, hi - centre))
+    if math.isfinite(got):  # the grid would meet the pole of 2 / x
+        assert got >= brute_modulus(fn, (y,), (b,), steps=200)
+
+
+def test_an_infinite_radius_gives_the_whole_line():
+    # prim_modulus answers an infinite radius with the oscillation before
+    # any interval is built, so only a direct call reaches this
+    assert Interval.around(1.0, math.inf) == Interval(-math.inf, math.inf)
+
 
 
 @pytest.mark.parametrize("name, args", [

@@ -154,6 +154,10 @@ def test_domain_mismatch():
         qr.qrel_tensor(S, QRel.identity(LAWVERE, 3))
     with pytest.raises(qr.DomainMismatch):
         qr.qrel_tensor(S, QRel.identity(boolean(), 2))
+    with pytest.raises(qr.DomainMismatch, match="expected 4 entries, got 1"):
+        QRel(LAWVERE, 2, [ZERO])
+    with pytest.raises(qr.DomainMismatch, match="not square"):
+        lawvere_rel([[0, 0]])
 
 
 def test_negative_size_rejected():
@@ -187,3 +191,14 @@ def test_operations_over_an_order_without_a_join_raise():
             op()
     with pytest.raises(QuantaleStructureError, match="no join of a, b"):
         check_section3_props(q, 2)
+
+
+def test_relations_compare_hash_and_print_by_entries():
+    q = chain(1)
+    a = QRel.from_rows(q, [[0, "1"], ["inf", 0]])
+    b = QRel(q, 2, [0, 1, 2, 0])
+    assert a == b and hash(a) == hash(b)
+    assert a.rows() == [[0, 1], [2, 0]]
+    assert repr(a) == "QRel([[0, 1], [2, 0]])"
+    assert a != a.rows()
+    assert repr(q) == "FiniteQuantale('chain1', |Q|=3)"

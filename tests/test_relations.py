@@ -1,14 +1,16 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from lamdist.relations import (MAX_PROBES, Consistent, Falsified,
-                               ProbeConfig, ProbeSet, UnsupportedProbeDepth,
-                               check_delta, check_eta, check_fundamental,
+                               ProbeConfig, ProbeSet, ProbeTriple,
+                               UnsupportedProbeDepth, check_delta, check_eta,
+                               check_fundamental,
                                check_gamma, check_rho, check_theorem_approx,
-                               estimate_self_distance, generate_probes,
-                               probes_to_json, verdict_to_json, dumps)
+                               estimate_self_distance, probes_to_json,
+                               verdict_to_json, dumps)
 from lamdist.semantics import diff_evaluate, evaluate, top_diff
 from lamdist.syntax import FnType, PairType, REAL, parse_term, typecheck
 
@@ -532,3 +534,49 @@ def test_verdict_json_round_trip(probes):
     assert j["verdict"] == "falsified" and j["holds"] is False
     good = check_rho(REAL, 3.0, 1.0, 3.5, probes)
     assert verdict_to_json(good)["verdict"] == "consistent"
+
+
+def test_eta_probes_at_a_product_of_arrows_split_componentwise():
+    ps = ProbeSet(ProbeConfig(count=20, seed=3))
+    pairs = ps.triples(PairType(FN, FN), "eta")
+    fns = ps.triples(FN, "eta")
+    assert len(pairs) == len(fns) > 0
+    for p, f in zip(pairs, fns):
+        (self_l, self_r), (cross_l, cross_r) = p.decomposition
+        assert p.label == f"({f.label},{f.label})"
+        assert self_l is self_r is f.decomposition[0]
+        assert cross_l is cross_r is f.decomposition[1]
+
+
+def test_function_probes_are_listed_by_their_terms():
+    out = probes_to_json(ProbeSet(ProbeConfig(count=20, seed=3)), FN)
+    assert out["type"] == "Real -> Real" and len(out["probes"]) == 10
+    identity = r"\x:Real. x"
+    assert out["probes"][0] == {"label": identity, "left": identity,
+                                "right": identity}
+    assert out["probes"][-1] == {"label": r"\x:Real. 2 vs \x:Real. x",
+                                 "left": r"\x:Real. 2", "right": identity}
+
+
+class _UnlabeledProbes(ProbeSet):
+    """The one probe (x, b, x2) = (1/2, 1/4, 3/4), without a label."""
+
+    def __init__(self, exact: bool):
+        super().__init__()
+        self.probe = (ProbeTriple(Fraction(1, 2), Fraction(1, 4),
+                                  Fraction(3, 4)) if exact
+                      else ProbeTriple(0.5, 0.25, 0.75))
+
+    def _real_triples(self):
+        return [self.probe]
+
+
+@pytest.mark.parametrize("exact, path", [
+    (False, ("at 0.5 b=0.25 [cross]",)),
+    (True, ("at 1/2 [cross]", "1/2 > 1/4")),
+])
+def test_a_probe_without_a_label_is_shown_by_its_input(exact, path):
+    double = lambda y: 2 * y  # noqa: E731
+    verdict = check_rho(FN, double, lambda y, b: b, double,
+                        _UnlabeledProbes(exact))
+    assert isinstance(verdict, Falsified) and verdict.path == path

@@ -148,6 +148,19 @@ def test_an_order_without_a_join_is_rejected():
         check_section3_props(q, 2)
 
 
+def test_an_order_without_a_meet_is_rejected():
+    # two incomparable atoms below top, with no bottom: the mirror of vee
+    q = FiniteQuantale("wedge", ("a", "b", "top"),
+                       [[True, False, True], [False, True, True],
+                        [False, False, True]],
+                       [[2] * 3] * 3, unit=2)
+    assert [str(v) for v in validate(q)] == [
+        "lattice.meet at (a, b): no greatest lower bound",
+        "lattice.meet at (b, a): no greatest lower bound"]
+    with pytest.raises(QuantaleStructureError, match="no meet of a, b"):
+        check_section3_props(q, 2)
+
+
 def test_a_broken_order_is_reported_and_swept():
     # p ⊑ q ⊑ p but not p ⊑ p, with a constant tensor: every bound exists,
     # so only the library reaches it; the .qnt parser closes the order
@@ -453,3 +466,16 @@ def test_not_closed_detected():
     # missing a downward-closed triple: (0, inf, 0) absent
     triples = frozenset({(0, q.index("0"), 0)})
     assert not is_q_closed(q, 1, triples)
+
+
+def test_a_missing_join_of_quantities_is_detected():
+    # the four-element frame: a and b are incomparable, a ∨ b = top
+    q = FiniteQuantale("diamond", ("bot", "a", "b", "top"),
+                       [[True] * 4, [False, True, False, True],
+                        [False, False, True, True], [False, False, False, True]],
+                       [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]],
+                       unit=3)
+    assert validate(q) == []
+    downward = frozenset((0, a, 0) for a in (0, 1, 2))
+    assert not is_q_closed(q, 1, downward)
+    assert is_q_closed(q, 1, downward | {(0, 3, 0)})
