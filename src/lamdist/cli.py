@@ -45,6 +45,8 @@ from .quantale.finite import (BUILTINS, QuantaleStructureError, builtin,
                               parse_quantale, validate)
 from .quantale.props import EnumerationTooLarge, check_section3_props
 from .relations import MAX_PROBES, ProbeConfig, ProbeSet
+from .relations.probes import (valid_bounds, valid_count, valid_radius,
+                               valid_width)
 from .semantics import diff_evaluate, evaluate
 from .syntax import (REAL, DottedVariableClash, FnType, ParseError,
                      TermTooDeep, TypecheckError, derivative_term, parse_file,
@@ -232,8 +234,8 @@ def _checked(convert, ok, expected: str):
 
 _SIZE = _checked(int, lambda n: n >= 1, "a positive integer")
 _COUNT_RANGE = f"an integer from 0 to {MAX_PROBES}"
-_COUNT = _checked(int, lambda n: 0 <= n <= MAX_PROBES, _COUNT_RANGE)
-_RADIUS = _checked(float, lambda b: 0 <= b < math.inf, "a finite number >= 0")
+_COUNT = _checked(int, valid_count, _COUNT_RANGE)
+_RADIUS = _checked(float, valid_radius, "a finite number >= 0")
 _TOLERANCE = _checked(float, lambda e: 0 < e < math.inf,
                       "a finite number > 0")
 
@@ -241,10 +243,10 @@ _TOLERANCE = _checked(float, lambda e: 0 < e < math.inf,
 def _range(text: str) -> tuple[float, float]:
     lo, _, hi = text.partition(":")
     lo, hi = float(lo), float(hi)
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+    if not valid_bounds(lo, hi):
         raise argparse.ArgumentTypeError(
             f"expected finite bounds LO:HI with LO <= HI, got {text!r}")
-    if not math.isfinite(hi - lo):  # samples would overflow to inf
+    if not valid_width(lo, hi):  # samples would overflow to inf
         raise argparse.ArgumentTypeError(
             f"expected a finite width HI - LO, got {text!r}")
     return lo, hi
@@ -333,7 +335,11 @@ def main(argv: list[str] | None = None) -> int:
         # the reader closed standard output; point it at devnull so the
         # interpreter's final flush cannot fail again
         try:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(devnull, sys.stdout.fileno())
+            finally:
+                os.close(devnull)
         except (OSError, ValueError):
             pass
         code, line = USAGE_ERROR, "error: standard output closed"

@@ -39,12 +39,12 @@ from typing import Optional
 
 from ..prims import DEFAULT_REGISTRY, Registry, derived_name
 from ..syntax.derivative import partial_context, partial_type
-from ..syntax.equality import equal_by, normalize
+from ..syntax.equality import Equality
 from ..syntax.printer import render_term, render_type
 from ..syntax.terms import (App, Context, First, FnType, Lam, Lit, Pair,
                             PairType, PrimOp, REAL, Second, Term, Type, Var,
                             alpha_equal, dotted, is_dotted)
-from ..syntax.typecheck import TypecheckError, typechecker
+from ..syntax.typecheck import TypecheckError
 
 RULES = ("Lit", "Prim", "Var", "TransReal", "QuasiReflReal", "Abs", "App",
          "Fst", "Snd", "Pair", "Conv")
@@ -60,7 +60,10 @@ class DistanceJudgment:
 
     @property
     def dist_ctx(self) -> Context:
-        return self.ctx + partial_context(self.ctx)
+        """Each variable, then its primed partner: the order ``Abs`` binds
+        them in, so a premise's distance shares the conclusion's scopes."""
+        return tuple(entry for pair in zip(self.ctx, partial_context(
+            self.ctx)) for entry in pair)
 
     def render(self) -> str:
         ctx = ", ".join(f"{x}:{render_type(t)}" for x, t in self.ctx)
@@ -142,14 +145,15 @@ def check_derivation(d: Derivation,
                      registry: Registry = DEFAULT_REGISTRY) -> CheckResult:
     """Validate every node; on failure reports the path (child indices
     from the root) of the first invalid node in preorder.  A derivation
-    restates its premises' subjects in its conclusions, so one call types
-    each (scope, subterm) pair and normalizes each ``Conv`` subject once:
-    checking costs about the derivation's distinct subterms."""
-    run = _Run(registry)
+    restates its premises' subjects in its conclusions, so one call
+    types each (scope, subterm) pair and normalizes each ``Conv`` subject
+    once, in one ``Equality`` session: checking costs about the
+    derivation's distinct subterms."""
+    session = Equality(registry)
     todo = [(d, ())]
     while todo:
         node, path = todo.pop()
-        msg = _check_node(node, run)
+        msg = _check_node(node, session)
         if msg is not None:
             return CheckResult(False, path, msg)
         todo.extend((p, path + (i,))
@@ -157,35 +161,14 @@ def check_derivation(d: Derivation,
     return CheckResult(True)
 
 
-class _Run:
-    """What one ``check_derivation`` call has worked out: the types of
-    its subterms (``typechecker``) and the normal forms of its ``Conv``
-    subjects, by (context, identity).  The derivation holds every term
-    checked, so no identity is reused during the call."""
-
-    def __init__(self, registry: Registry):
-        self.registry = registry
-        self.typed = typechecker(registry)
-        self.normal: dict = {}
-
-    def normal_form(self, ctx: Context, t: Term, ty: Type) -> Term:
-        if (n := self.normal.get(key := (ctx, id(t)))) is None:
-            n = self.normal[key] = normalize(ctx, t, ty, self.registry)
-        return n
-
-    def equal(self, ctx: Context, t: Term, s: Term) -> bool:
-        """``term_equal(ctx, t, s, registry)``."""
-        return equal_by(self.typed, self.normal_form, ctx, t, s)
-
-
-def _judgment_shape(j: DistanceJudgment, run: _Run) -> Optional[str]:
+def _judgment_shape(j: DistanceJudgment, session: Equality) -> Optional[str]:
     for name, _ in j.ctx:
         if is_dotted(name):
             return f"context binds primed variable {name!r}"
     try:
-        lt = run.typed(j.ctx, j.left)
-        rt = run.typed(j.ctx, j.right)
-        dt = run.typed(j.dist_ctx, j.dist)
+        lt = session.typed(j.ctx, j.left)
+        rt = session.typed(j.ctx, j.right)
+        dt = session.typed(j.dist_ctx, j.dist)
     except TypecheckError as e:
         return f"ill-typed judgment: {e}"
     if lt != j.ty:
@@ -199,18 +182,18 @@ def _judgment_shape(j: DistanceJudgment, run: _Run) -> Optional[str]:
     return None
 
 
-def _check_node(d: Derivation, run: _Run) -> Optional[str]:
+def _check_node(d: Derivation, session: Equality) -> Optional[str]:
     rule, j = d.rule, d.conclusion
     if rule not in RULES:
         return f"unknown rule {rule!r}"
-    shape = _judgment_shape(j, run)
+    shape = _judgment_shape(j, session)
     if shape is not None:
         return shape
     for p in d.premises:
         if rule != "Abs" and p.conclusion.ctx != j.ctx:
             return "premise context differs from conclusion context"
     ps = [p.conclusion for p in d.premises]
-    msg = _side_conditions(rule, j, ps, run)
+    msg = _side_conditions(rule, j, ps, session)
     if msg is not None or rule not in CONCLUSIONS:
         return msg
     want = derive(rule, *d.premises, ctx=j.ctx,
@@ -238,7 +221,7 @@ _PREMISES = {"Lit": 0, "Var": 0, "Conv": 1, "TransReal": 2,
              "Pair": 2}
 
 
-def _side_conditions(rule, j, ps, run: _Run) -> Optional[str]:
+def _side_conditions(rule, j, ps, session: Equality) -> Optional[str]:
     """What ``rule`` asks of a node besides its derived conclusion."""
     if rule in ("TransReal", "QuasiReflReal") and j.ty != REAL:
         return f"{rule} is stated at Real only"
@@ -268,11 +251,11 @@ def _side_conditions(rule, j, ps, run: _Run) -> Optional[str]:
         if p.ty != j.ty:
             return "Conv cannot change the type"
         try:
-            if not run.equal(j.ctx, p.left, j.left):
+            if not session.equal(j.ctx, p.left, j.left):
                 return "left subjects are not provably equal"
-            if not run.equal(j.ctx, p.right, j.right):
+            if not session.equal(j.ctx, p.right, j.right):
                 return "right subjects are not provably equal"
-            if not run.equal(j.dist_ctx, p.dist, j.dist):
+            if not session.equal(j.dist_ctx, p.dist, j.dist):
                 return "distances are not provably equal"
         except TypecheckError as e:
             return f"conversion certificate ill-typed: {e}"
@@ -285,7 +268,7 @@ def _side_conditions(rule, j, ps, run: _Run) -> Optional[str]:
             return "Prim subjects use different primitives"
         if j.dist.name != derived_name(name):
             return f"Prim distance must use {derived_name(name)!r}"
-        n = run.registry.arity(name)
+        n = session.registry.arity(name)
         if len(ps) != n:
             return f"Prim over {name!r} needs {n} premises"
     elif rule == "TransReal":

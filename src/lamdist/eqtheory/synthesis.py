@@ -87,8 +87,9 @@ def synthesize_fundamental(ctx: Context, t: Term,
     construct, on the stack-safe term fold.
 
     ``ctx`` types the free variables of ``t``; ``components`` maps each
-    of them to a derivation (all in one shared ambient context) whose
-    type matches.  Missing components are an error.
+    of them to a derivation whose type matches, all in one shared ambient
+    context or in the empty one, whatever their order.  Missing
+    components are an error.
     """
     ty = typecheck(ctx, t, registry)
     ctx_types = dict(ctx)
@@ -102,9 +103,9 @@ def synthesize_fundamental(ctx: Context, t: Term,
         if comp.conclusion.ty != ctx_types[name]:
             raise SynthesisError(
                 f"component for {name!r} concludes at the wrong type")
-        if ambient == ():
+        if ambient == ():  # an empty context is weakened into any other
             ambient = comp.conclusion.ctx
-        elif comp.conclusion.ctx != ambient:
+        elif comp.conclusion.ctx not in ((), ambient):
             raise SynthesisError("components live in different contexts")
 
     avoid = set()

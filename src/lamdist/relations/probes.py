@@ -40,6 +40,28 @@ class UnsupportedProbeDepth(ValueError):
     user-supplied probes."""
 
 
+# Which probe settings are valid, each test stated once: ``ProbeConfig``
+# refuses a setting that fails one, and the command line reads them for its
+# flags and for ``$LAMDIST_PROBES``.  A negative radius puts every probe on
+# the |x - x2| = b boundary, and a non-finite radius, bound or width reaches
+# the primitives as an infinity or a NaN.
+
+def valid_count(count) -> bool:
+    return 0 <= count <= MAX_PROBES
+
+
+def valid_bounds(lo, hi) -> bool:
+    return math.isfinite(lo) and math.isfinite(hi) and lo <= hi
+
+
+def valid_width(lo, hi) -> bool:
+    return math.isfinite(hi - lo)
+
+
+def valid_radius(b_max) -> bool:
+    return 0 <= b_max < math.inf
+
+
 @dataclass(frozen=True)
 class ProbeConfig:
     count: int = 1000           # Real-type probes
@@ -49,17 +71,14 @@ class ProbeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # the settings the command line refuses: a negative radius puts
-        # every probe on the |x - x2| = b boundary, and a non-finite one
-        # or range reaches the primitives as an infinity or a NaN
-        if not 0 <= self.count <= MAX_PROBES:
+        if not valid_count(self.count):
             raise ValueError(f"probe count {self.count} is not from 0 to "
                              f"{MAX_PROBES}")
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)
-                and self.lo <= self.hi and math.isfinite(self.hi - self.lo)):
+        if not (valid_bounds(self.lo, self.hi)
+                and valid_width(self.lo, self.hi)):
             raise ValueError(f"probe range [{self.lo}, {self.hi}] is not "
                              "finite bounds LO <= HI with a finite width")
-        if not 0 <= self.b_max < math.inf:
+        if not valid_radius(self.b_max):
             raise ValueError(f"probe radius bound {self.b_max} is not a "
                              "finite number >= 0")
 

@@ -9,6 +9,10 @@ terms are equal in the theory iff their normal forms are structurally
 identical.  On terms whose primitive calls stay open the comparison
 degrades to syntactic equality of normal forms, which is sound.
 
+``Equality.equal`` is the one comparison: a session types through one
+``typechecker`` and normalizes each (context, term) once, and
+``term_equal`` compares in a fresh session.
+
 The evaluator, ``exact_value``, is lamdist's one evaluator in rational
 arithmetic: exact-mode ``evaluate`` runs it on closed values, and only it
 calls ``Registry.call_exact``.  It runs on ``terms.fold``: stack-safe.
@@ -26,7 +30,7 @@ from .printer import render_type
 from .terms import (App, Context, First, FnType, Lam, Lit, Pair, PairType,
                     PrimOp, REAL, RealType, Second, Skip, Term, TermTooDeep,
                     Type, Var, fold, free_vars, walker)
-from .typecheck import TypecheckError, typecheck
+from .typecheck import TypecheckError, typecheck, typechecker
 
 
 # --- semantic domain --------------------------------------------------------
@@ -167,21 +171,33 @@ def normalize(ctx: Context, t: Term, ty: Type | None = None,
         raise TermTooDeep("normal form too deep to read back") from None
 
 
+class Equality:
+    """Comparisons that share their typing and normal forms, as the
+    ``Conv`` nodes of one derivation do.  Normal forms are kept by context
+    and term identity, so every term given must stay alive while the
+    session is used."""
+
+    def __init__(self, registry: Registry = DEFAULT_REGISTRY):
+        self.registry = registry
+        self.typed = typechecker(registry)
+        self._normal: dict = {}  # (context, id of a term) -> normal form
+
+    def equal(self, ctx: Context, t: Term, s: Term) -> bool:
+        """Does the theory prove ``t = s`` at their common type?"""
+        ty = self.typed(ctx, t)
+        if ty != (ty_s := self.typed(ctx, s)):
+            raise TypecheckError(
+                f"cannot compare terms of types {render_type(ty)} "
+                f"and {render_type(ty_s)}")
+        return self._normal_form(ctx, t, ty) == self._normal_form(ctx, s, ty)
+
+    def _normal_form(self, ctx: Context, t: Term, ty: Type) -> Term:
+        if (n := self._normal.get(key := (ctx, id(t)))) is None:
+            n = self._normal[key] = normalize(ctx, t, ty, self.registry)
+        return n
+
+
 def term_equal(ctx: Context, t: Term, s: Term,
                registry: Registry = DEFAULT_REGISTRY) -> bool:
     """Does the equational theory prove ``t = s`` at their common type?"""
-    return equal_by(lambda c, u: typecheck(c, u, registry),
-                    lambda c, u, ty: normalize(c, u, ty, registry), ctx, t, s)
-
-
-def equal_by(typed, normal, ctx: Context, t: Term, s: Term) -> bool:
-    """``term_equal``, typing a term by ``typed(ctx, u)`` and normalizing
-    one of type ``ty`` by ``normal(ctx, u, ty)``: typecheck ``t``, then
-    ``s``, compare the types, normalize ``t``, then ``s``."""
-    ty_t = typed(ctx, t)
-    ty_s = typed(ctx, s)
-    if ty_t != ty_s:
-        raise TypecheckError(
-            f"cannot compare terms of types {render_type(ty_t)} "
-            f"and {render_type(ty_s)}")
-    return normal(ctx, t, ty_t) == normal(ctx, s, ty_s)
+    return Equality(registry).equal(ctx, t, s)

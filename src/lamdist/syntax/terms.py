@@ -24,16 +24,43 @@ class TermTooDeep(ValueError):
 # --- types ----------------------------------------------------------------
 
 class Type:
+    """Types compare structurally on an explicit stack, and hash by the
+    classes of their top two levels: a type nests as deep as the binder
+    chain it types."""
     __slots__ = ()
 
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Type):
+            return NotImplemented
+        todo = [self, other]  # pairs to compare, flattened
+        while todo:
+            b, a = todo.pop(), todo.pop()
+            if a is b:
+                continue
+            if (cls := type(a)) is not type(b):
+                return False
+            if (kids := _TYPE_CHILDREN[cls]) is not None:
+                (a1, a2), (b1, b2) = kids(a), kids(b)
+                todo += (a1, b1, a2, b2)
+        return True
 
-@dataclass(frozen=True, slots=True)
+    def __hash__(self):
+        a, b = _TYPE_CHILDREN[type(self)](self)
+        return hash((_TAGS[type(self)], _TAGS[type(a)], _TAGS[type(b)]))
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class RealType(Type):
+    def __hash__(self):
+        return 0
+
     def __repr__(self):
         return "Real"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class PairType(Type):
     left: Type
     right: Type
@@ -42,7 +69,7 @@ class PairType(Type):
         return f"({self.left!r} * {self.right!r})"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class FnType(Type):
     arg: Type
     res: Type
@@ -52,6 +79,12 @@ class FnType(Type):
 
 
 REAL = RealType()
+# The children of a type of each class, for ``Type``'s comparisons and for
+# the folds of the type walkers; and a tag per class that hashes alike in
+# every process
+_TYPE_CHILDREN = {RealType: None, FnType: attrgetter("arg", "res"),
+                  PairType: attrgetter("left", "right")}
+_TAGS = {RealType: 0, PairType: 1, FnType: 2}
 
 
 def arrow_depth(ty: Type) -> int:
@@ -150,11 +183,6 @@ REBUILD = {  # hooks that rebuild each node around new children
 
 class Skip(tuple):
     """``Skip((result,))``, returned by a ``pre`` hook, skips the children."""
-
-
-# The children of a type of each class, for the folds of the type walkers
-_TYPE_CHILDREN = {RealType: None, FnType: attrgetter("arg", "res"),
-                  PairType: attrgetter("left", "right")}
 
 
 def walker(alg: Mapping, pre: Mapping = {}) -> dict:

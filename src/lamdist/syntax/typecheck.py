@@ -18,30 +18,37 @@ class TypecheckError(TypeError):
 
 def typecheck(ctx: Context, t: Term,
               registry: Registry = DEFAULT_REGISTRY) -> Type:
-    _check_names(ctx)
-    # the binders in scope, the registry, the arities of primitives met
-    ty = fold(t, _SYNTH, (dict(ctx), registry, {}))
-    if type(ty) is _Error:
-        raise TypecheckError(*ty)
-    return ty
+    """``t``'s type in ``ctx``: ``typechecker(registry)(ctx, t)``."""
+    return typechecker(registry)(ctx, t)
 
 
 def typechecker(registry: Registry = DEFAULT_REGISTRY):
-    """A function that does what ``typecheck(ctx, t, registry)`` does, and
-    types each (scope, subterm) pair once over all its calls: a subterm's
-    type is kept under the set of bindings in scope and the subterm's
-    identity.  Every term it is given must stay alive while it is used, so
-    that no identity is reused.  A one-off ``typecheck`` is faster: the
-    memo pays where calls restate shared subterms, as the subjects of one
-    derivation do."""
-    memo: dict = {}
-    arity: dict = {}
+    """A function ``typed(ctx, t)``, the one typing walk, that keeps each
+    (scope, subterm) pair's type over all its calls, so calls that restate
+    shared subterms, as the subjects of one derivation do, type each once.
+    A scope is an int interned per (enclosing scope, name, type), through
+    the context's entries in order and then the binders entered: entering
+    a binder costs the same at any depth, and ``ctx + ((x, a),)`` is the
+    scope the binder ``x:a`` opens in ``ctx``.  Types are kept by scope and
+    subterm identity, so every term given must stay alive while the
+    function is used.  Errors are not kept: each call raises the first
+    error a recursive walk meets."""
+    memo: dict = {}    # (scope, id of a subterm) -> its type
+    scopes: dict = {}  # (enclosing scope, name, type) -> scope
+    arity: dict = {}   # of the primitives met
+    contexts: dict = {}  # context -> its scope
 
     def typed(ctx: Context, t: Term) -> Type:
-        _check_names(ctx)
-        scope = dict(ctx)
-        ty = fold(t, _SYNTH_ONCE, (scope, registry, arity,
-                                   [frozenset(scope.items())], memo))
+        if (scope := contexts.get(ctx)) is None:
+            _check_names(ctx)
+            scope = 0
+            for entry in ctx:
+                scope = scopes.setdefault((scope, *entry), len(scopes) + 1)
+            contexts[ctx] = scope
+        # the binders in scope, the registry, the arities, the scopes
+        # entered (innermost last), the memo and the scope table
+        ty = fold(t, _TYPED,
+                  (dict(ctx), registry, arity, [scope], memo, scopes))
         if type(ty) is _Error:
             raise TypecheckError(*ty)
         return ty
@@ -92,15 +99,26 @@ def _app(state, t: App, tys):
     return fn_ty.res
 
 
+def _seen(state, t):
+    ty = state[4].get((state[3][-1], id(t)))
+    return t if ty is None else Skip((ty,))
+
+
 def _enter(state, t: Lam):
+    if type(t := _seen(state, t)) is Skip:
+        return t
     if t.var in state[0]:  # checked before the body, which is not walked
         return Skip(((f"binder {t.var!r} shadows a variable in scope", t),))
     state[0][t.var] = t.var_type
+    scopes = state[5]
+    state[3].append(scopes.setdefault((state[3][-1], t.var, t.var_type),
+                                      len(scopes) + 1))
     return t
 
 
 def _lam(state, t: Lam, tys):
     del state[0][t.var]
+    state[3].pop()
     return tys[0] if type(tys[0]) is _Error else FnType(t.var_type, tys[0])
 
 
@@ -110,40 +128,8 @@ def _project(state, t, tys):
     return _fail(ty, t, "projection of non-product of type {}")
 
 
-_HOOKS = {
-    Var: lambda state, t, tys: (state[0].get(t.name)
-                                or (f"unbound variable {t.name!r}", None)),
-    Lit: lambda state, t, tys: REAL,
-    PrimOp: _prim, App: _app, Lam: _lam, First: _project, Second: _project,
-    Pair: lambda state, t, tys: next(
-        (ty for ty in tys if type(ty) is _Error), None) or PairType(*tys),
-}
-_SYNTH = walker(_HOOKS, {Lam: _enter})
-
-
-# ``typechecker``'s walk: ``_SYNTH``'s hooks, with the state extended by
-# the scope keys (the scope's bindings as a set, innermost last) and the
-# memo of types by (scope key, id of the subterm).  Only types are kept;
-# an error is found again, so each call raises what ``typecheck`` would.
-# Leaves are cheaper to type than to look up.
-
-def _seen(state, t):
-    ty = state[4].get((state[3][-1], id(t)))
-    return t if ty is None else Skip((ty,))
-
-
-def _enter_once(state, t: Lam):
-    if (ty := state[4].get((state[3][-1], id(t)))) is not None:
-        return Skip((ty,))
-    if type(t := _enter(state, t)) is not Skip:
-        state[3].append(frozenset(state[0].items()))
-    return t
-
-
-def _kept(combine, leave: bool = False):
+def _kept(combine):
     def keep(state, t, tys):
-        if leave:
-            state[3].pop()
         ty = combine(state, t, tys)
         if type(ty) is not _Error:
             state[4][state[3][-1], id(t)] = ty
@@ -151,9 +137,14 @@ def _kept(combine, leave: bool = False):
     return keep
 
 
-_SYNTH_ONCE = walker({
-    **_HOOKS, **{cls: _kept(_HOOKS[cls])
-                 for cls in (PrimOp, App, First, Second, Pair)},
-    Lam: _kept(_lam, leave=True),
-}, {**dict.fromkeys((PrimOp, App, First, Second, Pair), _seen),
-    Lam: _enter_once})
+# Leaves are cheaper to type than to look up
+_COMBINE = {
+    PrimOp: _prim, App: _app, Lam: _lam, First: _project, Second: _project,
+    Pair: lambda state, t, tys: next(
+        (ty for ty in tys if type(ty) is _Error), None) or PairType(*tys)}
+_TYPED = walker({
+    Var: lambda state, t, tys: (state[0].get(t.name)
+                                or (f"unbound variable {t.name!r}", None)),
+    Lit: lambda state, t, tys: REAL,
+    **{cls: _kept(combine) for cls, combine in _COMBINE.items()},
+}, {**dict.fromkeys(_COMBINE, _seen), Lam: _enter})

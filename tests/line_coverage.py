@@ -50,9 +50,6 @@ ALLOWLIST: dict[str, dict[str, tuple[str, ...]]] = {
     # ``except RecursionError`` clauses to catch another type fails a
     # tier-1 test.
     "a RecursionError handler: the overflow removes the tracer": {
-        "cli.py": (
-            'code, line = USAGE_ERROR, "error: input nested too deeply to '
-            'process"',),
         "eqtheory/dlog.py": (
             "except RecursionError:",
             'raise TermTooDeep("term nested too deeply to evaluate") from None'),

@@ -1,11 +1,16 @@
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
-from lamdist.cli import main
+from lamdist import cli
+from lamdist.cli import build_parser, main
+from lamdist.eqtheory import derivation_to_json, self_distance_derivation
+from lamdist.relations import ProbeConfig
+from lamdist.syntax import parse_term
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -296,19 +301,41 @@ def test_a_conversion_to_a_deep_sum_is_valid(tmp_path, capsys):
     assert out == f"valid:  |- ({subject}, 0, {subject}) : Real\n"
 
 
-def test_comparing_types_nested_past_the_limit_is_a_usage_error(tmp_path,
-                                                               capsys):
-    # the equality of two arrow types recurses on their depth
+def test_types_nested_past_the_recursion_limit_are_compared(tmp_path,
+                                                            capsys):
+    # two arrow types 3,000 deep compare equal, and then are not Real -> Real
     chain = "".join(f"\\x{i}:Real. " for i in range(3000)) + "x0"
     deep = tmp_path / "deep.lam"
     deep.write_text(f"f = {chain}\ng = {chain}\n")
     code, out, err = run(capsys, "diff", deep, "f", "g")
     assert (code, out) == (2, "")
+    assert err == ("error: diff tabulates first-order functions (got "
+                   + "Real -> " * 3000 + "Real)\n")
+
+
+def test_a_derivation_over_a_two_hundred_binder_chain_is_valid(tmp_path,
+                                                                capsys):
+    """Its distance type nests twice as deep as the chain."""
+    chain = parse_term("".join(f"\\x{i}:Real. " for i in range(200)) + "x0")
+    path = tmp_path / "chain.json"
+    path.write_text(derivation_to_json(self_distance_derivation(chain)))
+    code, out, err = run(capsys, "judge", path)
+    assert (code, err) == (0, "")
+    assert out.startswith("valid:  |- (\\x0:Real. \\x1:Real. ")
+
+
+def test_a_recursion_past_the_limit_is_a_usage_error(monkeypatch, capsys):
+    """Whatever still recurses on its input ends in one stderr line."""
+    def overflow(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "check_derivation", overflow)
+    code, out, err = run(capsys, "judge", CORPUS / "golden_sin.json")
+    assert (code, out) == (2, "")
     assert err == "error: input nested too deeply to process\n"
 
 
 def _subprocess_env():
-    import os
     src = Path(__file__).resolve().parent.parent / "src"
     return {**os.environ, "PYTHONPATH": str(src)}
 
@@ -343,17 +370,49 @@ def test_a_closed_stdout_exits_2_without_traceback(tmp_path):
 
 
 class _ClosedPipe(io.StringIO):
-    """A standard output whose reader has gone, with no file descriptor
-    to point at devnull."""
+    """A standard output whose reader has gone, with the file descriptor
+    ``fd`` to point at devnull, or none."""
+
+    def __init__(self, fd=None):
+        super().__init__()
+        self.fd = fd
+
+    def fileno(self):
+        return super().fileno() if self.fd is None else self.fd
 
     def flush(self):
         raise BrokenPipeError
+
+
+def _descriptors():
+    """The file descriptors below 1024 that this process has open."""
+    found = set()
+    for fd in range(1024):
+        try:
+            os.fstat(fd)
+        except OSError:
+            continue
+        found.add(fd)
+    return found
 
 
 def test_a_closed_stdout_without_a_descriptor_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdout", _ClosedPipe())
     code = main(["typecheck", str(CORPUS / "deps.lam")])
     assert code == 2
+    assert capsys.readouterr().err == "error: standard output closed\n"
+
+
+@pytest.mark.parametrize("with_descriptor", [False, True],
+                         ids=["no-descriptor", "descriptor"])
+def test_a_closed_stdout_leaves_no_descriptor_open(tmp_path, monkeypatch,
+                                                   capsys, with_descriptor):
+    with open(tmp_path / "stdout", "w") as target:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(
+            target.fileno() if with_descriptor else None))
+        before = _descriptors()
+        assert main(["typecheck", str(CORPUS / "deps.lam")]) == 2
+        assert _descriptors() == before
     assert capsys.readouterr().err == "error: standard output closed\n"
 
 
@@ -385,6 +444,32 @@ def test_bad_probe_budget_env_var_is_a_usage_error(capsys, monkeypatch):
         assert code == 2 and out == ""
         assert err == ("error: $LAMDIST_PROBES: expected an integer from 0 "
                        f"to 1000000, got '{value}'\n")
+
+
+@pytest.mark.parametrize("flag, values, setting", [
+    ("--probes", ("-1", "0", "3", "1000000", "1000001"),
+     lambda v: {"count": int(v)}),
+    ("--b-max", ("-1", "-0.0", "0", "0.5", "1e308", "inf", "nan"),
+     lambda v: {"b_max": float(v)}),
+    ("--range", ("5:1", "1:1", "-1:1", "0:inf", "nan:1", "-1e308:1e308"),
+     lambda v: dict(zip(("lo", "hi"), map(float, v.split(":"))))),
+], ids=["count", "radius", "range"])
+def test_the_flags_refuse_what_probe_config_refuses(capsys, flag, values,
+                                                    setting):
+    for value in values:
+        try:
+            ProbeConfig(**setting(value))
+            valid = True
+        except ValueError:
+            valid = False
+        try:
+            build_parser().parse_args(["diff", "f", "a", "b",
+                                       f"{flag}={value}"])
+            parsed = True
+        except SystemExit:
+            parsed = False
+        assert parsed == valid, (flag, value)
+    capsys.readouterr()
 
 
 def test_an_overflowing_range_width_is_a_usage_error(capsys):

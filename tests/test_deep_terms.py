@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from lamdist.eqtheory import check_dlog, self_distance_derivation
+from lamdist.eqtheory import (check_derivation, check_dlog,
+                              self_distance_derivation)
 from lamdist.semantics import diff_evaluate, evaluate
 from lamdist.syntax import (App, FnType, Lam, Lit, Pair, REAL, TermTooDeep,
                             Var, all_var_names, alpha_equal, derivative_term,
@@ -66,6 +67,21 @@ def test_renaming_binders_within_renamed_binders_raises_term_too_deep():
         t = Lam("yw"[i % 2], REAL, t)
     with pytest.raises(TermTooDeep, match="binders renamed too deeply"):
         substitute(t, {"x": Pair(Var("y"), Var("w"))})
+
+
+def test_types_ten_thousand_deep_compare_and_hash():
+    ty, again = typecheck((), BINDER_CHAIN), typecheck((), BINDER_CHAIN)
+    assert ty is not again
+    assert ty == again and hash(ty) == hash(again)
+    # unequal at the innermost result only
+    paired = parse_term(render_term(BINDER_CHAIN)[:-2] + "(x0, x0)")
+    assert ty != typecheck((), paired)
+
+
+def test_a_derivation_over_a_three_hundred_binder_chain_checks():
+    """Its distance type nests twice as deep as the chain."""
+    chain = parse_term("".join(f"\\x{i}:Real. " for i in range(300)) + "x0")
+    assert check_derivation(self_distance_derivation(chain))
 
 
 def test_a_ten_thousand_literal_sum_normalizes_to_a_literal():

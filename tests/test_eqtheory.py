@@ -163,6 +163,18 @@ def test_synthesize_missing_component():
         synthesize_fundamental((("x", REAL),), Var("x"), {}, REG)
 
 
+@pytest.mark.parametrize("order", ["xy", "yx"])
+def test_synthesis_weakens_an_empty_context_component_in_either_order(order):
+    comps = {"x": lit_node(1, 0.5, 1.25),
+             "y": lit_node(2, 0.25, 2, ctx=(("u", REAL),))}
+    d = synthesize_fundamental((("x", REAL), ("y", REAL)),
+                               parse_term("x + y"),
+                               {name: comps[name] for name in order}, REG)
+    assert d.conclusion.ctx == (("u", REAL),)
+    assert render_term(d.conclusion.left) == "1 + 2"
+    assert check_derivation(d, REG)
+
+
 # --- derived transforms -----------------------------------------------------------
 
 def test_quasi_reflexive_transform_at_real():

@@ -7,7 +7,9 @@ test that fails without its guard.
 * ``alpha_equal`` takes one object on both sides as equal to itself
   only while the open binder pairs bind the same names.
 * ``check_derivation`` types each (scope, subterm) pair once: one object
-  met under two scopes gets each scope's type or message.
+  met under two scopes gets each scope's type or message, and a context
+  entry and a binder of one name and type open one scope, in the
+  distance's doubled context too.
 * The span table keeps no prefix of a sum, so a long sum reads in space
   linear in its length.
 """
@@ -19,10 +21,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from lamdist.eqtheory import (Derivation, DistanceJudgment, check_derivation,
-                              derivation_from_json)
+                              derivation_from_json, self_distance_derivation)
 from lamdist.syntax import (App, FnType, Lam, Lit, PairType, ParseError,
                             REAL, TermTooDeep, Var, alpha_equal, parse_term)
 from lamdist.syntax.parser import parse_shared
+from lamdist.syntax.typecheck import typechecker
 
 ROOT = Path(__file__).resolve().parent.parent
 READ = (*sorted((ROOT / "perfbench" / "inputs" / "derivations").glob("*.json")),
@@ -144,6 +147,26 @@ def test_one_subterm_under_two_scopes_gets_each_scope_s_type():
     assert not r.ok and r.path == ()
     assert r.message == ("right subject has type (Real -> Real) * Real, "
                          "not Real * Real")
+
+
+def test_a_context_entry_and_a_binder_share_a_scope():
+    """An ``Abs`` premise types its subjects in the context extended by
+    the binder that its conclusion's subjects open: one scope."""
+    typed = typechecker()
+    ctx, body = (("f", FnType(REAL, REAL)),), parse_term("(f x, x)")
+    outer = typed(ctx, Lam("x", REAL, body))
+    assert typed(ctx + (("x", REAL),), body) is outer.res
+
+
+def test_an_abs_premise_s_distance_shares_its_conclusion_s_scopes():
+    """The doubled context lists each variable before its primed partner,
+    the order the ``Abs`` rule binds them in."""
+    d = self_distance_derivation(parse_term(r"\x:Real. \y:Real. (x * y, x)"))
+    outer, inner = d.premises[0].conclusion, d.premises[0].premises[0]
+    typed = typechecker()
+    ty = typed(outer.dist_ctx, outer.dist)
+    assert typed(inner.conclusion.dist_ctx, inner.conclusion.dist) is \
+        ty.res.res
 
 
 def test_reading_a_long_sum_keeps_no_prefix_of_it():
