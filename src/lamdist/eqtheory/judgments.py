@@ -29,7 +29,10 @@ The other three rules are checked by their side conditions alone:
 * ``Conv``: replaces all three components by provably equal terms, the
   equalities being discharged by normalization.
 
-The checker validates every node locally.
+The checker validates every node locally.  A judgment's context is an
+interned ``Scope``: a premise's context is its conclusion's, or extends
+it by one entry, by identity, and each scope keeps its doubled scope and
+its first primed name, so a node costs the same at any context depth.
 """
 
 from __future__ import annotations
@@ -38,12 +41,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..prims import DEFAULT_REGISTRY, Registry, derived_name
-from ..syntax.derivative import partial_context, partial_type
+from ..syntax.derivative import doubled, partial_type
 from ..syntax.equality import Equality
 from ..syntax.printer import render_term, render_type
 from ..syntax.terms import (App, Context, First, FnType, Lam, Lit, Pair,
-                            PairType, PrimOp, REAL, Second, Term, Type, Var,
-                            alpha_equal, dotted, is_dotted)
+                            PairType, PrimOp, REAL, Scope, Second, Term, Type,
+                            Var, alpha_equal, dotted)
 from ..syntax.typecheck import TypecheckError
 
 RULES = ("Lit", "Prim", "Var", "TransReal", "QuasiReflReal", "Abs", "App",
@@ -52,18 +55,22 @@ RULES = ("Lit", "Prim", "Var", "TransReal", "QuasiReflReal", "Abs", "App",
 
 @dataclass(frozen=True)
 class DistanceJudgment:
-    ctx: Context
+    """``ctx`` may be given as a tuple of entries and is kept as its
+    interned ``Scope``: the judgments of one context share one object."""
+    ctx: Scope
     left: Term
     dist: Term
     right: Term
     ty: Type
 
+    def __post_init__(self):
+        object.__setattr__(self, "ctx", Scope.of(self.ctx))
+
     @property
-    def dist_ctx(self) -> Context:
+    def dist_ctx(self) -> Scope:
         """Each variable, then its primed partner: the order ``Abs`` binds
         them in, so a premise's distance shares the conclusion's scopes."""
-        return tuple(entry for pair in zip(self.ctx, partial_context(
-            self.ctx)) for entry in pair)
+        return doubled(self.ctx)
 
     def render(self) -> str:
         ctx = ", ".join(f"{x}:{render_type(t)}" for x, t in self.ctx)
@@ -89,7 +96,7 @@ def _prim(name: str, *ps: DistanceJudgment):
 
 
 def _abs(p: DistanceJudgment):
-    x, ty = p.ctx[-1]
+    x, ty = p.ctx.entry
     return (Lam(x, ty, p.left),
             Lam(x, ty, Lam(dotted(x), partial_type(ty), p.dist)),
             Lam(x, ty, p.right), FnType(ty, p.ty))
@@ -114,7 +121,8 @@ CONCLUSIONS = {
 }
 
 
-def derive(rule: str, *premises: Derivation, ctx: Context | None = None,
+def derive(rule: str, *premises: Derivation,
+           ctx: Context | Scope | None = None,
            prim: str | None = None) -> Derivation:
     """The ``rule`` node over ``premises``, concluding what the rule draws
     from their conclusions.  ``Prim`` needs the primitive's name; the
@@ -122,7 +130,7 @@ def derive(rule: str, *premises: Derivation, ctx: Context | None = None,
     variable) and must be given to a ``Prim`` node without premises."""
     js = [p.conclusion for p in premises]
     if ctx is None:
-        ctx = js[0].ctx[:-1] if rule == "Abs" else js[0].ctx
+        ctx = js[0].ctx.parent if rule == "Abs" else js[0].ctx
     if rule == "Prim":
         js.insert(0, prim)
     return Derivation(rule, DistanceJudgment(ctx, *CONCLUSIONS[rule](*js)),
@@ -162,21 +170,20 @@ def check_derivation(d: Derivation,
 
 
 def _judgment_shape(j: DistanceJudgment, session: Equality) -> Optional[str]:
-    for name, _ in j.ctx:
-        if is_dotted(name):
-            return f"context binds primed variable {name!r}"
+    if (name := j.ctx.primed) is not None:
+        return f"context binds primed variable {name!r}"
     try:
         lt = session.typed(j.ctx, j.left)
         rt = session.typed(j.ctx, j.right)
         dt = session.typed(j.dist_ctx, j.dist)
     except TypecheckError as e:
         return f"ill-typed judgment: {e}"
-    if lt != j.ty:
+    if lt is not j.ty:
         return f"left subject has type {render_type(lt)}, not {render_type(j.ty)}"
-    if rt != j.ty:
+    if rt is not j.ty:
         return f"right subject has type {render_type(rt)}, not {render_type(j.ty)}"
     want = partial_type(j.ty)
-    if dt != want:
+    if dt is not want:
         return (f"distance has type {render_type(dt)}, "
                 f"expected {render_type(want)}")
     return None
@@ -190,7 +197,7 @@ def _check_node(d: Derivation, session: Equality) -> Optional[str]:
     if shape is not None:
         return shape
     for p in d.premises:
-        if rule != "Abs" and p.conclusion.ctx != j.ctx:
+        if rule != "Abs" and p.conclusion.ctx is not j.ctx:
             return "premise context differs from conclusion context"
     ps = [p.conclusion for p in d.premises]
     msg = _side_conditions(rule, j, ps, session)
@@ -201,7 +208,7 @@ def _check_node(d: Derivation, session: Equality) -> Optional[str]:
     if rule == "Prim":
         n = len(ps)
         for i, p in enumerate(ps):
-            if p.ty != REAL:
+            if p.ty is not REAL:
                 return f"premise {i} is not at Real"
             if not all(alpha_equal(s.args[k], w.args[k]) for s, w, k in (
                     (j.left, want.left, i), (j.right, want.right, i),
@@ -209,7 +216,7 @@ def _check_node(d: Derivation, session: Equality) -> Optional[str]:
                 return f"premise {i} does not match the conclusion arguments"
         return None
     for fields, message in _MISMATCH[rule]:
-        if not all(j.ty == want.ty if f == "ty"
+        if not all(j.ty is want.ty if f == "ty"
                    else alpha_equal(getattr(j, f), getattr(want, f))
                    for f in fields):
             return message
@@ -223,7 +230,7 @@ _PREMISES = {"Lit": 0, "Var": 0, "Conv": 1, "TransReal": 2,
 
 def _side_conditions(rule, j, ps, session: Equality) -> Optional[str]:
     """What ``rule`` asks of a node besides its derived conclusion."""
-    if rule in ("TransReal", "QuasiReflReal") and j.ty != REAL:
+    if rule in ("TransReal", "QuasiReflReal") and j.ty is not REAL:
         return f"{rule} is stated at Real only"
     if rule == "Abs" and not isinstance(j.ty, FnType):
         return "Abs concludes at a function type"
@@ -248,7 +255,7 @@ def _side_conditions(rule, j, ps, session: Equality) -> Optional[str]:
             return "Var distance must be the primed partner"
     elif rule == "Conv":
         p = ps[0]
-        if p.ty != j.ty:
+        if p.ty is not j.ty:
             return "Conv cannot change the type"
         try:
             if not session.equal(j.ctx, p.left, j.left):
@@ -273,26 +280,26 @@ def _side_conditions(rule, j, ps, session: Equality) -> Optional[str]:
             return f"Prim over {name!r} needs {n} premises"
     elif rule == "TransReal":
         p1, p2 = ps
-        if p1.ty != REAL or p2.ty != REAL:
+        if p1.ty is not REAL or p2.ty is not REAL:
             return "TransReal premises must be at Real"
         if not alpha_equal(p1.right, p2.left):
             return "premises do not share the middle subject"
     elif rule == "QuasiReflReal":
-        if ps[0].ty != REAL:
+        if ps[0].ty is not REAL:
             return "premise must be at Real"
     elif rule == "Abs":
         p = ps[0]
-        if len(p.ctx) != len(j.ctx) + 1 or p.ctx[:len(j.ctx)] != j.ctx:
+        if p.ctx.parent is not j.ctx:
             return "premise context must extend the conclusion context"
-        if p.ctx[-1][1] != j.ty.arg:
+        if p.ctx.entry[1] is not j.ty.arg:
             return "bound variable type does not match the function type"
-        if p.ty != j.ty.res:
+        if p.ty is not j.ty.res:
             return "premise type does not match the function result"
     elif rule == "App":
         pf, pa = ps
         if not isinstance(pf.ty, FnType):
             return "first premise must be at a function type"
-        if pa.ty != pf.ty.arg or j.ty != pf.ty.res:
+        if pa.ty is not pf.ty.arg or j.ty is not pf.ty.res:
             return "premise types do not compose"
     elif rule in ("Fst", "Snd"):
         if not isinstance(ps[0].ty, PairType):

@@ -18,7 +18,7 @@ import json
 from ..prims import DEFAULT_REGISTRY, Registry
 from ..syntax.parser import ParseError, parse_shared, parse_shared_type
 from ..syntax.printer import render_term, render_type
-from ..syntax.terms import Var
+from ..syntax.terms import EMPTY_SCOPE, Scope, Var
 from .judgments import Derivation, DistanceJudgment, RULES
 
 
@@ -27,22 +27,39 @@ class DerivationFormatError(ValueError):
 
 
 def derivation_to_dict(d: Derivation) -> dict:
-    j = d.conclusion
-    return {
-        "rule": d.rule,
-        "conclusion": {
-            "ctx": [[name, render_type(ty)] for name, ty in j.ctx],
-            "left": render_term(j.left),
-            "dist": render_term(j.dist),
-            "right": render_term(j.right),
-            "type": render_type(j.ty),
-        },
-        "premises": [derivation_to_dict(p) for p in d.premises],
-    }
+    """The schema's object for ``d``, built on an explicit stack, so no
+    derivation is too deep for it."""
+    root: dict = {}
+    todo = [(d, root)]
+    while todo:
+        node, out = todo.pop()
+        j = node.conclusion
+        premises = [{} for _ in node.premises]
+        out.update({
+            "rule": node.rule,
+            "conclusion": {
+                "ctx": [[name, render_type(ty)] for name, ty in j.ctx],
+                "left": render_term(j.left),
+                "dist": render_term(j.dist),
+                "right": render_term(j.right),
+                "type": render_type(j.ty),
+            },
+            "premises": premises,
+        })
+        todo += zip(node.premises, premises)
+    return root
 
 
 def derivation_to_json(d: Derivation) -> str:
-    return json.dumps(derivation_to_dict(d), indent=2, sort_keys=True)
+    """``d`` as indented JSON.  The ``json`` module writes nested objects
+    by recursion, so past about 500 premise levels (at Python's default
+    recursion limit) this raises :class:`DerivationFormatError`."""
+    data = derivation_to_dict(d)
+    try:
+        return json.dumps(data, indent=2, sort_keys=True)
+    except RecursionError:
+        raise DerivationFormatError(
+            "derivation nested too deeply to write") from None
 
 
 def derivation_from_dict(data, registry: Registry = DEFAULT_REGISTRY,
@@ -67,15 +84,25 @@ def _parsed(src, parse, spans: dict, registry: Registry):
     return parse(src, spans, registry)
 
 
-def _binding(entry, spans: dict, registry: Registry):
-    """A context entry ``[name, type]`` whose name reads back as the
-    variable it names."""
-    if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-        raise TypeError("expected a context entry [name, type]")
-    name, ty_src = entry
-    if _parsed(name, parse_shared, spans, registry) != Var(name):
-        raise ValueError(f"context name {name!r} is not a variable")
-    return name, _parsed(ty_src, parse_shared_type, spans, registry)
+def _context(entries, spans: dict, registry: Registry) -> Scope:
+    """The scope of the context entries ``[name, type]``, each name
+    reading back as the variable it names.  Each (scope, entry) pair is
+    read once per call and kept in ``spans`` under a key that starts with
+    ``Scope``, which no token tuple does."""
+    scope = EMPTY_SCOPE
+    for entry in entries:
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+            raise TypeError("expected a context entry [name, type]")
+        name, ty_src = entry
+        key = (Scope, id(scope), name, ty_src)
+        if type(name) is not str or type(ty_src) is not str or (
+                inner := spans.get(key)) is None:
+            if _parsed(name, parse_shared, spans, registry) != Var(name):
+                raise ValueError(f"context name {name!r} is not a variable")
+            inner = spans[key] = scope.enter(
+                name, _parsed(ty_src, parse_shared_type, spans, registry))
+        scope = inner
+    return scope
 
 
 def _from_dict(data, registry: Registry, path: str,
@@ -92,8 +119,7 @@ def _from_dict(data, registry: Registry, path: str,
     if not isinstance(c, dict):
         raise DerivationFormatError(f"{path}.conclusion: expected an object")
     try:
-        ctx = tuple(_binding(entry, spans, registry)
-                    for entry in c.get("ctx", []))
+        ctx = _context(c.get("ctx", []), spans, registry)
         judgment = DistanceJudgment(
             ctx,
             _parsed(c["left"], parse_shared, spans, registry),

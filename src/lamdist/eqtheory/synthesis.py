@@ -28,9 +28,9 @@ from typing import Mapping
 from ..prims import DEFAULT_REGISTRY, Registry
 from ..syntax.derivative import partial_type
 from ..syntax.terms import (App, Context, First, FnType, Lam, Lit, Pair,
-                            PairType, PrimOp, REAL, RealType, Second, Term,
-                            Type, Var, all_var_names, alpha_equal, dotted,
-                            fold, fresh_name, free_vars, is_dotted,
+                            PairType, PrimOp, REAL, RealType, Scope, Second,
+                            Term, Type, Var, all_var_names, alpha_equal,
+                            dotted, fold, fresh_name, free_vars, is_dotted,
                             rename_binders, walker)
 from ..syntax.typecheck import typecheck
 from .addterm import add_term
@@ -59,7 +59,7 @@ def weaken(d: Derivation, ctx: Context) -> Derivation:
 
     ``ctx`` must extend the derivation's conclusion context; the new
     names must not collide with anything the derivation mentions."""
-    old = d.conclusion.ctx
+    old, ctx = tuple(d.conclusion.ctx), tuple(ctx)
     if ctx[:len(old)] != old:
         raise SynthesisError("weakening target does not extend the context")
     added = ctx[len(old):]
@@ -70,7 +70,8 @@ def weaken(d: Derivation, ctx: Context) -> Derivation:
 
     def rebuild(node: Derivation) -> Derivation:
         j = node.conclusion
-        new_ctx = j.ctx[:len(old)] + added + j.ctx[len(old):]
+        here = tuple(j.ctx)
+        new_ctx = here[:len(old)] + added + here[len(old):]
         return Derivation(node.rule,
                           DistanceJudgment(new_ctx, j.left, j.dist, j.right,
                                            j.ty),
@@ -125,12 +126,12 @@ def synthesize_fundamental(ctx: Context, t: Term,
 
 def _synth(t: Term, ctx: Context, components: dict[str, Derivation],
            bound: dict[str, Type]) -> Derivation:
-    return fold(t, _SYNTH, ([ctx], components, dict(bound)))
+    return fold(t, _SYNTH, ([Scope.of(ctx)], components, dict(bound)))
 
 
 def _enter_binder(state, t: Lam) -> Lam:
     ctxs, _, bound = state
-    ctxs.append(ctxs[-1] + ((t.var, t.var_type),))
+    ctxs.append(ctxs[-1].enter(t.var, t.var_type))
     bound[t.var] = t.var_type
     return t
 
@@ -144,7 +145,7 @@ def _synth_var(state, t: Var, kids) -> Derivation:
     ctxs, components, bound = state
     if t.name in components:
         comp = components[t.name]
-        if comp.conclusion.ctx != ctxs[-1]:
+        if comp.conclusion.ctx is not ctxs[-1]:
             comp = weaken(comp, ctxs[-1])
         return comp
     return Derivation("Var", DistanceJudgment(
@@ -203,7 +204,7 @@ def quasi_reflexive_derivation(d: Derivation) -> Derivation:
 def _applied(d: Derivation, z: str) -> Derivation:
     """``d`` at a function type applied to the fresh variable ``z``."""
     j = d.conclusion
-    ctx = j.ctx + ((z, j.ty.arg),)
+    ctx = j.ctx.enter(z, j.ty.arg)
     return derive("App", weaken(d, ctx), Derivation("Var", DistanceJudgment(
         ctx, Var(z), Var(dotted(z)), Var(z), j.ty.arg)))
 

@@ -11,10 +11,13 @@ their derivatives.
 
 from __future__ import annotations
 
+import weakref
+
 from ..prims import DEFAULT_REGISTRY, Registry
-from .terms import (App, Context, FnType, Lam, Lit, PairType, PrimOp, REAL,
-                    REBUILD, RealType, Term, Type, Var, all_var_names, dotted,
-                    fold, is_dotted, type_walker, walker)
+from .terms import (App, Context, FnType, Lam, Lit, PairType, PrimOp,
+                    REBUILD, RealType, Scope, Skip, Term, Type, Var,
+                    all_var_names, dotted, fold, is_dotted, type_walker,
+                    walker)
 from .typecheck import typecheck
 
 
@@ -23,18 +26,51 @@ class DottedVariableClash(ValueError):
 
 
 def partial_type(ty: Type) -> Type:
+    """The type of ``ty``'s differences, kept on ``ty`` by a weak
+    reference: a partial type may have ``ty`` as a part, and a strong one
+    would then make a reference cycle."""
+    if isinstance(ty, Type) and (p := ty._partial and ty._partial()):
+        return p
     return fold(ty, _PARTIAL_TYPE)
 
 
+def _kept(ty: Type, partial: Type) -> Type:
+    object.__setattr__(ty, "_partial", weakref.ref(partial))
+    return partial
+
+
+def _known(state, ty: Type):
+    return Skip((p,)) if (p := ty._partial and ty._partial()) else ty
+
+
 _PARTIAL_TYPE = type_walker({
-    RealType: lambda state, ty, kids: REAL,
-    FnType: lambda state, ty, kids: FnType(ty.arg, FnType(*kids)),
-    PairType: lambda state, ty, kids: PairType(*kids),
-})
+    RealType: lambda state, ty, kids: _kept(ty, ty),
+    FnType: lambda state, ty, kids: _kept(ty, FnType(ty.arg, FnType(*kids))),
+    PairType: lambda state, ty, kids: _kept(ty, PairType(*kids)),
+}, dict.fromkeys((FnType, PairType), _known))
 
 
 def partial_context(ctx: Context) -> Context:
     return tuple((dotted(x), partial_type(ty)) for x, ty in ctx)
+
+
+def doubled(scope: Scope) -> Scope:
+    """``scope`` with each variable followed by its primed partner at its
+    partial type, the order ``Abs`` binds them in.  Each scope keeps its
+    doubled scope, so doubling a chain of scopes is linear in its depth;
+    but a scope of one entry does not, as its doubled scope extends it
+    and keeping that would make a reference cycle."""
+    todo = []
+    while scope._doubled is None:
+        todo.append(scope)
+        scope = scope.parent
+    out = scope._doubled
+    for scope in reversed(todo):
+        x, ty = scope.entry
+        out = out.enter(x, ty).enter(dotted(x), partial_type(ty))
+        if out.parent is not scope:
+            scope._doubled = out
+    return out
 
 
 def derivative_term(ctx: Context, t: Term,

@@ -28,8 +28,8 @@ from typing import Callable, Mapping
 from ..prims import DEFAULT_REGISTRY, Registry
 from .printer import render_type
 from .terms import (App, Context, First, FnType, Lam, Lit, Pair, PairType,
-                    PrimOp, REAL, RealType, Second, Skip, Term, TermTooDeep,
-                    Type, Var, fold, free_vars, walker)
+                    PrimOp, REAL, RealType, Scope, Second, Skip, Term,
+                    TermTooDeep, Type, Var, alpha_equal, fold, walker)
 from .typecheck import TypecheckError, typecheck, typechecker
 
 
@@ -157,14 +157,15 @@ def _readback_neutral(ne: Neutral, fresh: _Fresh, registry: Registry) -> Term:
 
 def normalize(ctx: Context, t: Term, ty: Type | None = None,
               registry: Registry = DEFAULT_REGISTRY) -> Term:
-    """Beta-normal eta-long constant-folded form with canonical binder names."""
+    """Beta-normal eta-long constant-folded form with canonical binder
+    names.  ``ty``, when given, must be ``t``'s type in ``ctx``."""
     if ty is None:
         ty = typecheck(ctx, t, registry)
     env = {x: VNeutral(NVar(x), a) for x, a in ctx}
-    avoid = frozenset(env) | free_vars(t)
-    # binder names v0, v1, ... that clash with no name in sight
+    # binder names v0, v1, ... that clash with no name in sight: a typed
+    # term's free names are in its context
     fresh = (n for i in count()
-             if (n := f"v{i}") not in avoid and n + "'" not in avoid).__next__
+             if (n := f"v{i}") not in env and n + "'" not in env).__next__
     try:
         return _readback(exact_value(env, t, registry), ty, fresh, registry)
     except RecursionError:
@@ -173,26 +174,29 @@ def normalize(ctx: Context, t: Term, ty: Type | None = None,
 
 class Equality:
     """Comparisons that share their typing and normal forms, as the
-    ``Conv`` nodes of one derivation do.  Normal forms are kept by context
+    ``Conv`` nodes of one derivation do.  Normal forms are kept by scope
     and term identity, so every term given must stay alive while the
-    session is used."""
+    session is used; the scopes stay alive in ``typed``'s table."""
 
     def __init__(self, registry: Registry = DEFAULT_REGISTRY):
         self.registry = registry
         self.typed = typechecker(registry)
-        self._normal: dict = {}  # (context, id of a term) -> normal form
+        self._normal: dict = {}  # (id of a scope, id of a term) -> normal form
 
-    def equal(self, ctx: Context, t: Term, s: Term) -> bool:
+    def equal(self, ctx: Context | Scope, t: Term, s: Term) -> bool:
         """Does the theory prove ``t = s`` at their common type?"""
-        ty = self.typed(ctx, t)
-        if ty != (ty_s := self.typed(ctx, s)):
+        ty = self.typed(ctx := Scope.of(ctx), t)
+        if ty is not (ty_s := self.typed(ctx, s)):
             raise TypecheckError(
                 f"cannot compare terms of types {render_type(ty)} "
                 f"and {render_type(ty_s)}")
-        return self._normal_form(ctx, t, ty) == self._normal_form(ctx, s, ty)
+        # binders are named canonically, so alpha-equal normal forms are
+        # one term; ``alpha_equal`` decides it on an explicit stack
+        return alpha_equal(self._normal_form(ctx, t, ty),
+                           self._normal_form(ctx, s, ty))
 
-    def _normal_form(self, ctx: Context, t: Term, ty: Type) -> Term:
-        if (n := self._normal.get(key := (ctx, id(t)))) is None:
+    def _normal_form(self, ctx: Scope, t: Term, ty: Type) -> Term:
+        if (n := self._normal.get(key := (id(ctx), id(t)))) is None:
             n = self._normal[key] = normalize(ctx, t, ty, self.registry)
         return n
 

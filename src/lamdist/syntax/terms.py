@@ -1,5 +1,9 @@
-"""Abstract syntax: types, terms, the stack-safe term fold, substitution.
+"""Abstract syntax: types, terms, scopes, the stack-safe term fold,
+substitution.
 
+Types and scopes (typing contexts) are interned: construction returns the
+one live object of a structure, so they compare by identity, and a scope
+is its parent plus one entry, so a context costs the same at any depth.
 Variables come in two disjoint families: plain names and their primed
 partners (``x`` / ``x'``).  The primed family is reserved for the
 difference variables introduced by the derivative transform; the parser
@@ -10,6 +14,7 @@ round.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
@@ -22,78 +27,73 @@ class TermTooDeep(ValueError):
 
 
 # --- types ----------------------------------------------------------------
+# Hash-consed, as in Filliâtre and Conchon, "Type-safe modular hash-consing"
+# (ML Workshop, 2006): one object per structure, so ``==`` is ``is``.
 
 class Type:
-    """Types compare structurally on an explicit stack, and hash by the
-    classes of their top two levels: a type nests as deep as the binder
-    chain it types."""
+    """A type.  Construction returns the one live type of its structure,
+    kept in ``INTERNED`` while something else refers to it; its hash is
+    computed once, from its children's, and is the same in every process.
+    A type nests as deep as the binder chain it types."""
+    # ``_partial`` refers to the type's partial type, see
+    # ``derivative.partial_type``
+    __slots__ = ("_hash", "_partial", "__weakref__")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return fold(self, _TYPE_REPR)
+
+    def __reduce__(self):  # copies and unpickles intern again
+        kids = _TYPE_CHILDREN[type(self)]
+        return type(self), kids(self) if kids else ()
+
+
+# (class, ids of the children) -> the live object of that structure, for
+# types and scopes: an entry goes when its object does
+INTERNED = weakref.WeakValueDictionary()
+
+
+def _interned(cls, tag: int, *kids):
+    """The live ``cls`` type with children ``kids``, made if none is."""
+    if (ty := INTERNED.get(key := (cls, *map(id, kids)))) is None:
+        ty = INTERNED[key] = object.__new__(cls)
+        for name, kid in zip(cls.__slots__, kids):
+            object.__setattr__(ty, name, kid)
+        object.__setattr__(ty, "_hash", hash((tag, *map(hash, kids))))
+        object.__setattr__(ty, "_partial", None)
+    return ty
+
+
+class RealType(Type):
     __slots__ = ()
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Type):
-            return NotImplemented
-        todo = [self, other]  # pairs to compare, flattened
-        while todo:
-            b, a = todo.pop(), todo.pop()
-            if a is b:
-                continue
-            if (cls := type(a)) is not type(b):
-                return False
-            if (kids := _TYPE_CHILDREN[cls]) is not None:
-                (a1, a2), (b1, b2) = kids(a), kids(b)
-                todo += (a1, b1, a2, b2)
-        return True
-
-    def __hash__(self):
-        a, b = _TYPE_CHILDREN[type(self)](self)
-        return hash((_TAGS[type(self)], _TAGS[type(a)], _TAGS[type(b)]))
+    def __new__(cls):
+        return REAL
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class RealType(Type):
-    def __hash__(self):
-        return 0
-
-    def __repr__(self):
-        return "Real"
-
-
-@dataclass(frozen=True, slots=True, eq=False)
 class PairType(Type):
-    left: Type
-    right: Type
+    __slots__ = ("left", "right")
 
-    def __repr__(self):
-        return f"({self.left!r} * {self.right!r})"
+    def __new__(cls, left: Type, right: Type):
+        return _interned(cls, 1, left, right)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class FnType(Type):
-    arg: Type
-    res: Type
+    __slots__ = ("arg", "res")
 
-    def __repr__(self):
-        return f"({self.arg!r} -> {self.res!r})"
+    def __new__(cls, arg: Type, res: Type):
+        return _interned(cls, 2, arg, res)
 
 
-REAL = RealType()
-# The children of a type of each class, for ``Type``'s comparisons and for
-# the folds of the type walkers; and a tag per class that hashes alike in
-# every process
+REAL = _interned(RealType, 0)
+# The children of a type of each class, for the folds of the type walkers
 _TYPE_CHILDREN = {RealType: None, FnType: attrgetter("arg", "res"),
                   PairType: attrgetter("left", "right")}
-_TAGS = {RealType: 0, PairType: 1, FnType: 2}
-
-
-def arrow_depth(ty: Type) -> int:
-    """Nesting depth of arrows; Real and products of Reals have depth 0."""
-    if isinstance(ty, FnType):
-        return max(arrow_depth(ty.arg) + 1, arrow_depth(ty.res))
-    if isinstance(ty, PairType):
-        return max(arrow_depth(ty.left), arrow_depth(ty.right))
-    return 0
 
 
 # --- terms ----------------------------------------------------------------
@@ -152,6 +152,69 @@ Term = Union[Var, Lit, PrimOp, App, Lam, Pair, First, Second]
 Context = tuple[tuple[str, Type], ...]
 
 
+class Scope:
+    """A typing context as a persistent chain: the entries of ``parent``,
+    then ``entry``, a ``(name, type)`` pair.  Scopes are interned like
+    types, per (parent, name, type), so entering a binder costs the same
+    at any depth and the contexts with the same entries are one object.
+    A scope iterates, compares and hashes like the tuple of its entries.
+    ``primed`` is the first primed name it binds, or None; ``_doubled``
+    keeps its doubled scope (see ``derivative.doubled``)."""
+    __slots__ = ("parent", "entry", "depth", "primed", "_doubled",
+                 "__weakref__")
+
+    def enter(self, name: str, ty: Type) -> Scope:
+        """This scope extended by the binder ``name: ty``."""
+        if (scope := INTERNED.get(key := (Scope, id(self), name,
+                                          id(ty)))) is None:
+            scope = INTERNED[key] = object.__new__(Scope)
+            scope.parent, scope.entry = self, (name, ty)
+            scope.depth = self.depth + 1
+            scope.primed = self.primed or (name if is_dotted(name) else None)
+            scope._doubled = None
+        return scope
+
+    @staticmethod
+    def of(ctx: Context | Scope) -> Scope:
+        """``ctx`` if it is a scope, else the scope of its entries."""
+        return ctx if type(ctx) is Scope else EMPTY_SCOPE + ctx
+
+    def __add__(self, entries) -> Scope:
+        scope = self
+        for name, ty in entries:
+            scope = scope.enter(name, ty)
+        return scope
+
+    def __iter__(self):
+        entries, scope = [], self
+        while scope.depth:
+            entries.append(scope.entry)
+            scope = scope.parent
+        return reversed(entries)
+
+    def __len__(self):
+        return self.depth
+
+    def __getitem__(self, i):
+        return tuple(self)[i]
+
+    def __eq__(self, other):
+        if isinstance(other, tuple):
+            return len(other) == self.depth and tuple(self) == other
+        return self is other if isinstance(other, Scope) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return f"Scope({tuple(self)!r})"
+
+
+EMPTY_SCOPE = object.__new__(Scope)
+EMPTY_SCOPE.parent = EMPTY_SCOPE.entry = EMPTY_SCOPE.primed = None
+EMPTY_SCOPE.depth, EMPTY_SCOPE._doubled = 0, EMPTY_SCOPE
+
+
 # --- the variable partition ------------------------------------------------
 
 def dotted(name: str) -> str:
@@ -195,10 +258,10 @@ def walker(alg: Mapping, pre: Mapping = {}) -> dict:
             for cls, kids in _CHILDREN.items()}
 
 
-def type_walker(alg: Mapping) -> dict:
-    """The :func:`fold` table of a type walker, from ``alg`` hooks keyed
-    by type class."""
-    return {cls: (None, kids, alg[cls])
+def type_walker(alg: Mapping, pre: Mapping = {}) -> dict:
+    """The :func:`fold` table of a type walker, from ``alg`` and ``pre``
+    hooks keyed by type class, as for :func:`walker`."""
+    return {cls: (pre.get(cls), kids, alg[cls])
             for cls, kids in _TYPE_CHILDREN.items()}
 
 
@@ -229,6 +292,23 @@ def fold(t: Term | Type, table: dict, state=None):
             results[start:] = [combine(state, node, results[start:])]
         else:
             return results[0]
+
+
+_TYPE_REPR = type_walker({
+    RealType: lambda state, ty, kids: "Real",
+    PairType: lambda state, ty, kids: f"({kids[0]} * {kids[1]})",
+    FnType: lambda state, ty, kids: f"({kids[0]} -> {kids[1]})",
+})
+_ARROW_DEPTH = type_walker({
+    RealType: lambda state, ty, kids: 0,
+    PairType: lambda state, ty, kids: max(kids),
+    FnType: lambda state, ty, kids: max(kids[0] + 1, kids[1]),
+})
+
+
+def arrow_depth(ty: Type) -> int:
+    """Nesting depth of arrows; Real and products of Reals have depth 0."""
+    return fold(ty, _ARROW_DEPTH)
 
 
 # --- traversals -------------------------------------------------------------

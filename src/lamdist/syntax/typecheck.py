@@ -6,7 +6,8 @@ from __future__ import annotations
 from ..prims import DEFAULT_REGISTRY, Registry
 from .printer import render_term, render_type
 from .terms import (App, Context, First, FnType, Lam, Lit, Pair, PairType,
-                    PrimOp, REAL, Second, Skip, Term, Type, Var, fold, walker)
+                    PrimOp, REAL, Scope, Second, Skip, Term, Type, Var, fold,
+                    walker)
 
 
 class TypecheckError(TypeError):
@@ -26,39 +27,42 @@ def typechecker(registry: Registry = DEFAULT_REGISTRY):
     """A function ``typed(ctx, t)``, the one typing walk, that keeps each
     (scope, subterm) pair's type over all its calls, so calls that restate
     shared subterms, as the subjects of one derivation do, type each once.
-    A scope is an int interned per (enclosing scope, name, type), through
-    the context's entries in order and then the binders entered: entering
-    a binder costs the same at any depth, and ``ctx + ((x, a),)`` is the
-    scope the binder ``x:a`` opens in ``ctx``.  Types are kept by scope and
-    subterm identity, so every term given must stay alive while the
-    function is used.  Errors are not kept: each call raises the first
-    error a recursive walk meets."""
-    memo: dict = {}    # (scope, id of a subterm) -> its type
-    scopes: dict = {}  # (enclosing scope, name, type) -> scope
-    arity: dict = {}   # of the primitives met
-    contexts: dict = {}  # context -> its scope
+    A scope is the interned ``Scope`` of the context's entries and then
+    the binders entered: entering a binder costs the same at any depth,
+    ``ctx + ((x, a),)`` is the scope the binder ``x:a`` opens in ``ctx``,
+    and a call in a scope met before costs the same at any depth too.  Types
+    are kept by scope and subterm identity, so every term given must stay
+    alive while the function is used.  Errors are not kept: each call
+    raises the first error a recursive walk meets."""
+    memo: dict = {}   # (id of a scope, id of a subterm) -> its type
+    known: dict = {}  # id -> each scope met that binds no name twice
+    arity: dict = {}  # of the primitives met
 
-    def typed(ctx: Context, t: Term) -> Type:
-        if (scope := contexts.get(ctx)) is None:
-            _check_names(ctx)
-            scope = 0
-            for entry in ctx:
-                scope = scopes.setdefault((scope, *entry), len(scopes) + 1)
-            contexts[ctx] = scope
-        # the binders in scope, the registry, the arities, the scopes
-        # entered (innermost last), the memo and the scope table
-        ty = fold(t, _TYPED,
-                  (dict(ctx), registry, arity, [scope], memo, scopes))
+    def typed(ctx: Context | Scope, t: Term) -> Type:
+        if id(scope := Scope.of(ctx)) not in known:
+            names = [n for n, _ in scope]
+            if len(set(names)) != len(names):
+                raise TypecheckError(f"duplicate names in context: {names}")
+            known[id(scope)] = scope
+        # the names in scope, the registry, the arities, the scopes entered
+        # (innermost last), the memo, the known scopes, and the context
+        # while its names are not yet in the first
+        ty = fold(t, _TYPED, [{}, registry, arity, [scope], memo, known,
+                              scope if scope.depth else None])
         if type(ty) is _Error:
             raise TypecheckError(*ty)
         return ty
     return typed
 
 
-def _check_names(ctx: Context):
-    names = [n for n, _ in ctx]
-    if len(set(names)) != len(names):
-        raise TypecheckError(f"duplicate names in context: {names}")
+def _names(state) -> dict:
+    """The names in scope, with the context's, which are entered on the
+    first lookup: a walk that meets no free name costs the same at any
+    depth."""
+    if state[6] is not None:
+        state[0].update(state[6])
+        state[6] = None
+    return state[0]
 
 
 # A type error is a value, (message, term).  A node passes on the first
@@ -84,7 +88,7 @@ def _prim(state, t: PrimOp, tys):
         return (f"primitive {t.name!r} takes {want} argument(s), "
                 f"got {len(t.args)}", t)
     for ty in tys:
-        if ty is not REAL and ty != REAL:
+        if ty is not REAL:
             return _fail(ty, t, "primitive argument has type {}, expected Real")
     return REAL
 
@@ -93,26 +97,27 @@ def _app(state, t: App, tys):
     fn_ty, arg_ty = tys
     if type(fn_ty) is not FnType:
         return _fail(fn_ty, t, "application of non-function of type {}")
-    if arg_ty != fn_ty.arg:
+    if arg_ty is not fn_ty.arg:
         return _fail(arg_ty, t, "argument has type {}, expected {}",
                      fn_ty.arg)
     return fn_ty.res
 
 
 def _seen(state, t):
-    ty = state[4].get((state[3][-1], id(t)))
+    ty = state[4].get((id(state[3][-1]), id(t)))
     return t if ty is None else Skip((ty,))
 
 
 def _enter(state, t: Lam):
     if type(t := _seen(state, t)) is Skip:
         return t
-    if t.var in state[0]:  # checked before the body, which is not walked
+    names = _names(state)
+    if t.var in names:  # checked before the body, which is not walked
         return Skip(((f"binder {t.var!r} shadows a variable in scope", t),))
-    state[0][t.var] = t.var_type
-    scopes = state[5]
-    state[3].append(scopes.setdefault((state[3][-1], t.var, t.var_type),
-                                      len(scopes) + 1))
+    names[t.var] = t.var_type
+    scope = state[3][-1].enter(t.var, t.var_type)
+    state[5][id(scope)] = scope  # binds no name twice, as its parent
+    state[3].append(scope)
     return t
 
 
@@ -132,7 +137,7 @@ def _kept(combine):
     def keep(state, t, tys):
         ty = combine(state, t, tys)
         if type(ty) is not _Error:
-            state[4][state[3][-1], id(t)] = ty
+            state[4][id(state[3][-1]), id(t)] = ty
         return ty
     return keep
 
@@ -143,7 +148,7 @@ _COMBINE = {
     Pair: lambda state, t, tys: next(
         (ty for ty in tys if type(ty) is _Error), None) or PairType(*tys)}
 _TYPED = walker({
-    Var: lambda state, t, tys: (state[0].get(t.name)
+    Var: lambda state, t, tys: (_names(state).get(t.name)
                                 or (f"unbound variable {t.name!r}", None)),
     Lit: lambda state, t, tys: REAL,
     **{cls: _kept(combine) for cls, combine in _COMBINE.items()},

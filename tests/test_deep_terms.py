@@ -6,18 +6,28 @@ from fractions import Fraction
 
 import pytest
 
-from lamdist.eqtheory import (check_derivation, check_dlog,
+from lamdist.eqtheory import (Derivation, DerivationFormatError,
+                              DistanceJudgment, check_derivation, check_dlog,
+                              derivation_to_dict, derivation_to_json,
                               self_distance_derivation)
+from lamdist.eqtheory.judgments import derive
 from lamdist.semantics import diff_evaluate, evaluate
 from lamdist.syntax import (App, FnType, Lam, Lit, Pair, REAL, TermTooDeep,
-                            Var, all_var_names, alpha_equal, derivative_term,
-                            free_vars, normalize, parse_file, parse_term,
-                            render_term, substitute, term_equal, typecheck)
+                            Var, all_var_names, alpha_equal, arrow_depth,
+                            derivative_term, free_vars, normalize, parse_file,
+                            parse_term, render_term, substitute, term_equal,
+                            typecheck)
 from lamdist.syntax.terms import rename_binders, subterms
 
 N = 10_000
 DEEP_SUM = Lam("x", REAL, parse_term(" + ".join(["x"] * N)))
-BINDER_CHAIN = parse_term("".join(f"\\x{i}:Real. " for i in range(N)) + "x0")
+
+
+def binder_chain(n: int):
+    return parse_term("".join(f"\\x{i}:Real. " for i in range(n)) + "x0")
+
+
+BINDER_CHAIN = binder_chain(N)
 
 
 @pytest.mark.parametrize("walk", [
@@ -70,18 +80,54 @@ def test_renaming_binders_within_renamed_binders_raises_term_too_deep():
 
 
 def test_types_ten_thousand_deep_compare_and_hash():
+    """Types are interned, so two typings of one chain are one type and a
+    comparison costs the same at any depth."""
     ty, again = typecheck((), BINDER_CHAIN), typecheck((), BINDER_CHAIN)
-    assert ty is not again
-    assert ty == again and hash(ty) == hash(again)
     # unequal at the innermost result only
-    paired = parse_term(render_term(BINDER_CHAIN)[:-2] + "(x0, x0)")
-    assert ty != typecheck((), paired)
+    paired = typecheck((), parse_term(render_term(BINDER_CHAIN)[:-2]
+                                      + "(x0, x0)"))
+    start = time.perf_counter()
+    for _ in range(1000):
+        assert ty == again and hash(ty) == hash(again)
+        assert ty != paired and ty is not paired
+    assert time.perf_counter() - start < 0.1
+
+
+def test_arrow_depth_and_repr_of_three_thousand_nested_types():
+    ty = typecheck((), binder_chain(3000))
+    assert repr(ty) == "(Real -> " * 3000 + "Real" + ")" * 3000
+    assert arrow_depth(ty) == 1
+    curried = REAL
+    for _ in range(3000):
+        curried = FnType(curried, REAL)
+    assert arrow_depth(curried) == 3000
+
+
+def test_normal_forms_of_three_hundred_summands_compare():
+    ctx = (("x", REAL),)
+    sums = [parse_term(" + ".join([s] * 300))
+            for s in ("x", "(\\y:Real. y) x")]
+    assert term_equal(ctx, *sums)
+    assert not term_equal(ctx, sums[0], parse_term(" + ".join(["x"] * 299)
+                                                   + " + 1"))
+
+
+def test_writing_a_thousand_premise_levels_refuses_deep_json():
+    """The dict is built on a stack; ``json`` nests it by recursion."""
+    d = Derivation("Lit", DistanceJudgment((), Lit(1), Lit(0), Lit(1), REAL))
+    for _ in range(1000):
+        d = derive("QuasiReflReal", d)
+    data, depth = derivation_to_dict(d), 0
+    while data["premises"]:
+        data, depth = data["premises"][0], depth + 1
+    assert depth == 1000 and data["rule"] == "Lit"
+    with pytest.raises(DerivationFormatError, match="too deeply to write"):
+        derivation_to_json(d)
 
 
 def test_a_derivation_over_a_three_hundred_binder_chain_checks():
     """Its distance type nests twice as deep as the chain."""
-    chain = parse_term("".join(f"\\x{i}:Real. " for i in range(300)) + "x0")
-    assert check_derivation(self_distance_derivation(chain))
+    assert check_derivation(self_distance_derivation(binder_chain(300)))
 
 
 def test_a_ten_thousand_literal_sum_normalizes_to_a_literal():

@@ -32,7 +32,6 @@ WALKERS = sorted((SRC / "syntax").glob("*.py")) + [
 RECURSIVE = {
     "parser.py:_Parser.type_": "arrow types nest as written; past the "
                                "recursion limit the parser raises TermTooDeep",
-    "terms.py:arrow_depth": "a type walker: annotations nest as written",
     "equality.py:_readback": "walks values; normalize raises TermTooDeep",
     "equality.py:_readback_neutral": "walks values with _readback",
     "synthesis.py:quasi_reflexive_derivation": "a type walker: lifts the "
