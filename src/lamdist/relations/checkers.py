@@ -63,12 +63,6 @@ class Falsified:
     lhs: float
     rhs: float
 
-    @property
-    def recheck(self) -> dict:
-        return {"clause": self.clause, "path": list(self.path),
-                "lhs": self.lhs, "rhs": self.rhs,
-                "expected": "lhs <= rhs", "holds": self.lhs <= self.rhs}
-
     def reverifies(self) -> bool:
         return not (self.lhs <= self.rhs)
 

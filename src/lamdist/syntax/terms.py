@@ -98,13 +98,22 @@ _TYPE_CHILDREN = {RealType: None, FnType: attrgetter("arg", "res"),
 
 # --- terms ----------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Var:
+class _Node:
+    """The base of the term classes.  ``repr`` runs on :func:`fold`, so a
+    term of any depth prints, in the dataclasses' format."""
+    __slots__ = ()
+
+    def __repr__(self):
+        return fold(self, _TERM_REPR)
+
+
+@dataclass(frozen=True, slots=True, repr=False)
+class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
-class Lit:
+@dataclass(frozen=True, slots=True, repr=False)
+class Lit(_Node):
     value: Fraction
 
     def __post_init__(self):
@@ -112,38 +121,38 @@ class Lit:
             object.__setattr__(self, "value", Fraction(self.value))
 
 
-@dataclass(frozen=True, slots=True)
-class PrimOp:
+@dataclass(frozen=True, slots=True, repr=False)
+class PrimOp(_Node):
     name: str
     args: tuple["Term", ...]
 
 
-@dataclass(frozen=True, slots=True)
-class App:
+@dataclass(frozen=True, slots=True, repr=False)
+class App(_Node):
     fn: "Term"
     arg: "Term"
 
 
-@dataclass(frozen=True, slots=True)
-class Lam:
+@dataclass(frozen=True, slots=True, repr=False)
+class Lam(_Node):
     var: str
     var_type: Type
     body: "Term"
 
 
-@dataclass(frozen=True, slots=True)
-class Pair:
+@dataclass(frozen=True, slots=True, repr=False)
+class Pair(_Node):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True, slots=True)
-class First:
+@dataclass(frozen=True, slots=True, repr=False)
+class First(_Node):
     pair: "Term"
 
 
-@dataclass(frozen=True, slots=True)
-class Second:
+@dataclass(frozen=True, slots=True, repr=False)
+class Second(_Node):
     pair: "Term"
 
 
@@ -304,6 +313,32 @@ _ARROW_DEPTH = type_walker({
     PairType: lambda state, ty, kids: max(kids),
     FnType: lambda state, ty, kids: max(kids[0] + 1, kids[1]),
 })
+
+
+class _ReprTable(dict):
+    """A fold table that prints a child of no term class, such as a
+    misplaced type or number, by its own ``repr``."""
+
+    def __missing__(self, cls):
+        return None, None, lambda state, s, kids: repr(s)
+
+
+def _repr_args(kids) -> str:  # a tuple's repr, from its items' reprs
+    return f"({kids[0]},)" if len(kids) == 1 else f"({', '.join(kids)})"
+
+
+_TERM_REPR = _ReprTable(walker({
+    Var: lambda state, t, kids: f"Var(name={t.name!r})",
+    Lit: lambda state, t, kids: f"Lit(value={t.value!r})",
+    PrimOp: lambda state, t, kids:
+        f"PrimOp(name={t.name!r}, args={_repr_args(kids)})",
+    App: lambda state, t, kids: f"App(fn={kids[0]}, arg={kids[1]})",
+    Lam: lambda state, t, kids:
+        f"Lam(var={t.var!r}, var_type={t.var_type!r}, body={kids[0]})",
+    Pair: lambda state, t, kids: f"Pair(left={kids[0]}, right={kids[1]})",
+    First: lambda state, t, kids: f"First(pair={kids[0]})",
+    Second: lambda state, t, kids: f"Second(pair={kids[0]})",
+}))
 
 
 def arrow_depth(ty: Type) -> int:

@@ -14,19 +14,19 @@ from pathlib import Path
 
 import pytest
 
-from lamdist.eqtheory import (Derivation, DistanceJudgment,
-                              check_derivation, check_dlog_judgment,
-                              self_distance_derivation,
-                              synthesize_fundamental)
+from lamdist.eqtheory import (check_derivation, check_dlog_judgment,
+                              self_distance_derivation, synthesize_fundamental)
+from lamdist.eqtheory.judgments import Derivation, DistanceJudgment
 from lamdist.prims import DEFAULT_REGISTRY, default_registry
 from lamdist.quantale.finite import boolean, builtin, chain
 from lamdist.quantale.lawvere import ExtReal, INFINITY, leq, residual, tensor
 from lamdist.quantale.props import check_section3_props
 from lamdist.relations import (Consistent, ProbeConfig, ProbeSet,
                                check_theorem_approx)
-from lamdist.semantics import (apply_member_triple, diff_evaluate, evaluate)
-from lamdist.syntax import (Lit, REAL, Var, derivative_term, parse_file,
-                            parse_term)
+from lamdist.semantics import diff_evaluate, evaluate
+from lamdist.semantics.triples import apply_member_triple
+from lamdist.syntax import Lit, REAL, derivative_term, parse_file, parse_term
+from lamdist.syntax.terms import Var
 
 from gen import random_closed_fn_term, random_real_term
 

@@ -6,18 +6,20 @@ from fractions import Fraction
 
 import pytest
 
-from lamdist.eqtheory import (Derivation, DerivationFormatError,
-                              DistanceJudgment, check_derivation, check_dlog,
-                              derivation_to_dict, derivation_to_json,
+from lamdist.eqtheory import (DerivationFormatError, check_derivation,
+                              check_dlog, derivation_to_json,
                               self_distance_derivation)
-from lamdist.eqtheory.judgments import derive
+from lamdist.eqtheory.judgments import Derivation, DistanceJudgment, derive
+from lamdist.eqtheory.serialize import derivation_to_dict
 from lamdist.semantics import diff_evaluate, evaluate
-from lamdist.syntax import (App, FnType, Lam, Lit, Pair, REAL, TermTooDeep,
-                            Var, all_var_names, alpha_equal, arrow_depth,
-                            derivative_term, free_vars, normalize, parse_file,
-                            parse_term, render_term, substitute, term_equal,
+from lamdist.syntax import (FnType, Lit, REAL, TermTooDeep, derivative_term,
+                            parse_file, parse_term, render_term, term_equal,
                             typecheck)
-from lamdist.syntax.terms import rename_binders, subterms
+from lamdist.syntax.equality import normalize
+from lamdist.syntax.terms import (REBUILD, App, Lam, Pair, Var, all_var_names,
+                                  alpha_equal, arrow_depth, fold, free_vars,
+                                  rename_binders, substitute, subterms,
+                                  walker)
 
 N = 10_000
 DEEP_SUM = Lam("x", REAL, parse_term(" + ".join(["x"] * N)))
@@ -101,6 +103,25 @@ def test_arrow_depth_and_repr_of_three_thousand_nested_types():
     for _ in range(3000):
         curried = FnType(curried, REAL)
     assert arrow_depth(curried) == 3000
+
+
+def test_repr_of_a_three_thousand_binder_chain():
+    """Error messages print terms with ``repr``, so a misplaced deep term
+    raises the intended ``TypeError``, not ``RecursionError``."""
+    chain = binder_chain(3000)
+    text = repr(chain)
+    assert text.startswith("Lam(var='x0', var_type=Real, body=Lam(var='x1'")
+    assert text.endswith("body=Var(name='x0'))" + ")" * 2999)
+    with pytest.raises(TypeError, match=r"^not a term: \[Lam\(var='x0'"):
+        fold([chain], walker(REBUILD))
+    with pytest.raises(TypeError, match=r"^not a term: \[Lam\(var='x0'"):
+        evaluate([chain])
+
+
+def test_repr_prints_a_child_of_no_term_class_by_its_own_repr():
+    """As the dataclasses did: a misplaced type or number still prints."""
+    assert repr(App(REAL, Pair(Lit(1), 5))) == \
+        "App(fn=Real, arg=Pair(left=Lit(value=Fraction(1, 1)), right=5))"
 
 
 def test_normal_forms_of_three_hundred_summands_compare():

@@ -36,16 +36,15 @@ from pathlib import Path
 import pytest
 
 from lamdist.cli import main
-from lamdist.eqtheory import (Derivation, DerivationFormatError,
-                              DistanceJudgment, RULES, chain_partner,
-                              check_derivation, derivation_from_json,
-                              derivation_to_json,
-                              quasi_reflexive_derivation, random_derivation,
-                              self_distance_derivation,
-                              synthesize_fundamental,
+from lamdist.eqtheory import (DerivationFormatError, check_derivation,
+                              derivation_from_json, derivation_to_json,
+                              quasi_reflexive_derivation,
+                              self_distance_derivation, synthesize_fundamental,
                               transitivity_derivation)
-from lamdist.syntax import (FnType, Lit, PairType, PrimOp, REAL, Var,
-                            parse_term)
+from lamdist.eqtheory.judgments import Derivation, DistanceJudgment, RULES
+from lamdist.eqtheory.corpus import chain_partner, random_derivation
+from lamdist.syntax import FnType, Lit, REAL, parse_term
+from lamdist.syntax.terms import PairType, PrimOp, Var
 
 HERE = Path(__file__).parent
 CHECKS = HERE / "golden" / "derivation_checks.json"

@@ -3,10 +3,11 @@ import random
 import pytest
 
 from lamdist.prims import default_registry
-from lamdist.syntax import (DottedVariableClash, FnType, Lam, Lit, PrimOp,
-                            REAL, Var, alpha_equal, derivative_term,
-                            parse_term, partial_context, partial_type,
+from lamdist.syntax import (DottedVariableClash, FnType, Lit, REAL,
+                            derivative_term, parse_term, partial_type,
                             render_type, typecheck)
+from lamdist.syntax.terms import Lam, PrimOp, Var, alpha_equal
+from lamdist.syntax.derivative import partial_context
 
 from gen import random_closed_fn_term
 

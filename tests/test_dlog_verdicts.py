@@ -13,9 +13,11 @@ from dataclasses import asdict
 from pathlib import Path
 
 from lamdist.eqtheory import (check_dlog, check_dlog_judgment,
-                              random_derivation, self_distance_derivation)
+                              self_distance_derivation)
+from lamdist.eqtheory.corpus import random_derivation
 from lamdist.prims import DEFAULT_REGISTRY
-from lamdist.syntax import FnType, PairType, REAL, parse_term
+from lamdist.syntax import FnType, REAL, parse_term
+from lamdist.syntax.terms import PairType
 
 GOLDEN = Path(__file__).parent / "golden" / "dlog_verdicts.json"
 FN = FnType(REAL, REAL)

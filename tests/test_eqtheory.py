@@ -4,20 +4,24 @@ from fractions import Fraction
 
 import pytest
 
-from lamdist.eqtheory import (Derivation, DistanceJudgment, SynthesisError,
-                              SyntacticProbes, add_term,
-                              chain_partner, check_derivation, check_dlog,
+from lamdist.eqtheory import (check_derivation, check_dlog,
                               check_dlog_judgment, check_suite,
                               derivation_from_json, derivation_to_json,
-                              quasi_reflexive_derivation, random_derivation,
-                              self_distance_derivation,
-                              synthesize_fundamental,
+                              quasi_reflexive_derivation,
+                              self_distance_derivation, synthesize_fundamental,
                               transitivity_derivation)
+from lamdist.eqtheory.judgments import Derivation, DistanceJudgment
+from lamdist.eqtheory.synthesis import SynthesisError
+from lamdist.eqtheory.dlog import SyntacticProbes
+from lamdist.eqtheory.addterm import add_term
 from lamdist.eqtheory import corpus
+from lamdist.eqtheory.corpus import chain_partner, random_derivation
 from lamdist.prims import default_registry
 from lamdist.relations import Consistent, Falsified
-from lamdist.syntax import (FnType, Lit, PrimOp, REAL, Var, alpha_equal,
-                            normalize, parse_term, render_term, typecheck)
+from lamdist.syntax import (FnType, Lit, REAL, parse_term, render_term,
+                            typecheck)
+from lamdist.syntax.terms import PrimOp, Var, alpha_equal
+from lamdist.syntax.equality import normalize
 
 REG = default_registry()
 
@@ -148,7 +152,8 @@ def test_synthesized_conclusion_is_substituted_triple():
     d = synthesize_fundamental((("x", REAL),), t, {"x": comp}, REG)
     assert check_derivation(d, REG)
     j = d.conclusion
-    from lamdist.syntax import derivative_term, substitute
+    from lamdist.syntax import derivative_term
+    from lamdist.syntax.terms import substitute
     want_left = substitute(t, {"x": Lit(1)})
     want_dist = substitute(derivative_term((("x", REAL),), t, REG),
                            {"x": Lit(1), "x'": Lit(Fraction("0.5"))})
@@ -218,7 +223,7 @@ def test_transitivity_transform_at_arrow():
 
 
 def pair_node(d1, d2):
-    from lamdist.syntax import Pair, PairType
+    from lamdist.syntax.terms import Pair, PairType
     j1, j2 = d1.conclusion, d2.conclusion
     return Derivation("Pair", DistanceJudgment(
         j1.ctx, Pair(j1.left, j2.left), Pair(j1.dist, j2.dist),
@@ -246,7 +251,7 @@ def test_add_term_shapes():
     assert normalize((), parse_term("add(1, 2)"), REAL, REG) == Lit(3)
     two_args = add_term(REAL)
     assert typecheck((), two_args, REG) == FnType(REAL, FnType(REAL, REAL))
-    from lamdist.syntax import App
+    from lamdist.syntax.terms import App
     applied = App(App(two_args, Lit(1)), Lit(2))
     assert normalize((), applied, REAL, REG) == Lit(3)
     fn_add = add_term(FnType(REAL, REAL))
@@ -256,7 +261,7 @@ def test_add_term_shapes():
     from lamdist.semantics import evaluate
     h = evaluate(summed, registry=REG)
     assert h(0.5) == pytest.approx(0.5 + math.sin(0.5))
-    from lamdist.syntax import PairType, Pair
+    from lamdist.syntax.terms import PairType, Pair
     pair_add = add_term(PairType(REAL, REAL))
     applied = App(App(pair_add, Pair(Lit(1), Lit(2))), Pair(Lit(3), Lit(4)))
     assert evaluate(applied, registry=REG) == (4.0, 6.0)
@@ -406,7 +411,8 @@ def test_a_primed_context_name_reaches_the_checker():
 
 
 def test_a_deeply_nested_derivation_is_a_format_error():
-    from lamdist.eqtheory import DerivationFormatError, derivation_from_dict
+    from lamdist.eqtheory import DerivationFormatError
+    from lamdist.eqtheory.serialize import derivation_from_dict
     conclusion = ('{"ctx": [], "left": "1", "dist": "0", "right": "1", '
                   '"type": "Real"}')
     text = f'{{"rule": "Lit", "premises": [], "conclusion": {conclusion}}}'
@@ -472,7 +478,7 @@ def test_judging_a_derivation_leaves_no_cyclic_garbage():
 
 def test_synthesis_rejects_ill_typed_premises_without_asserts():
     from lamdist.eqtheory.synthesis import _synth
-    from lamdist.syntax import App, First
+    from lamdist.syntax.terms import App, First
     real = {"f": lit_node(1, 0, 1)}
     with pytest.raises(SynthesisError, match="applied term"):
         _synth(App(Var("f"), Lit(1)), (), real, {})

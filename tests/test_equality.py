@@ -3,8 +3,10 @@ import random
 import pytest
 
 from lamdist.prims import EvalDomainError
-from lamdist.syntax import (FnType, REAL, TypecheckError, alpha_equal,
-                            normalize, parse_term, term_equal, typecheck)
+from lamdist.syntax import (FnType, REAL, TypecheckError, parse_term,
+                            term_equal, typecheck)
+from lamdist.syntax.terms import alpha_equal
+from lamdist.syntax.equality import normalize
 
 from gen import random_closed_fn_term
 
@@ -30,7 +32,7 @@ def test_eta_for_functions():
 
 
 def test_eta_for_products():
-    from lamdist.syntax import PairType
+    from lamdist.syntax.terms import PairType
     ctx = (("p", PairType(REAL, REAL)),)
     assert eq("(fst(p), snd(p))", "p", ctx=ctx)
 
@@ -79,7 +81,8 @@ def test_normalization_idempotent_on_random_terms():
 def test_subject_reduction_on_random_redexes():
     # applying a generated function to a literal preserves the type through
     # normalization, and the normal form is the folded literal
-    from lamdist.syntax import App, Lit
+    from lamdist.syntax import Lit
+    from lamdist.syntax.terms import App
     rng = random.Random(22)
     for _ in range(40):
         t = random_closed_fn_term(rng, depth=3)

@@ -8,9 +8,9 @@ import pickle
 import pytest
 
 from lamdist.eqtheory import self_distance_derivation
-from lamdist.syntax import FnType, PairType, REAL, parse_term, typecheck
+from lamdist.syntax import FnType, REAL, parse_term, typecheck
 from lamdist.syntax.parser import parse_type
-from lamdist.syntax.terms import EMPTY_SCOPE, INTERNED, Scope
+from lamdist.syntax.terms import EMPTY_SCOPE, INTERNED, PairType, Scope
 
 FN = FnType(REAL, REAL)
 

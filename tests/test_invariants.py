@@ -17,11 +17,13 @@ from lamdist.quantale.qrel import (QRel, classify, obs_quasi_right,
                                    theta_right)
 from lamdist.relations import (Consistent, ProbeConfig, ProbeSet, check_eta,
                                check_rho, eta_transitivity_split)
-from lamdist.semantics import (DiffTriple, compose_triples, diff_evaluate,
-                               evaluate, residual_diff, tensor_diff, top_diff)
-from lamdist.syntax import (App, FnType, Lit, PairType, REAL, Var,
-                            alpha_equal, derivative_term, normalize,
-                            parse_term, substitute, term_equal)
+from lamdist.semantics import compose_triples, diff_evaluate, evaluate
+from lamdist.semantics.triples import DiffTriple
+from lamdist.semantics.diff import residual_diff, tensor_diff, top_diff
+from lamdist.syntax import (FnType, Lit, REAL, derivative_term, parse_term,
+                            term_equal)
+from lamdist.syntax.terms import App, PairType, Var, alpha_equal, substitute
+from lamdist.syntax.equality import normalize
 
 from gen import random_closed_fn_term
 
@@ -105,7 +107,6 @@ def test_falsification_witnesses_reverify(probes):
     for v in cases:
         assert isinstance(v, Falsified)
         assert v.reverifies()
-        assert v.recheck["holds"] is False
 
 
 # --- decomposition-family transitivity --------------------------------------------
@@ -122,7 +123,7 @@ def test_eta_transitivity_split_on_chained_triples(probes):
     # build (f, a, g) and (g, b, h) decomposition-family triples with
     # their canonical splits, then check the constructive witness
     from lamdist.relations.probes import _eta_tail_diff
-    from lamdist.semantics import top_diff
+    from lamdist.semantics.diff import top_diff
 
     def entry(src):
         t = parse_term(src)

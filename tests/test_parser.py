@@ -5,10 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from lamdist.syntax import (App, FnType, Lam, Lit, Pair, PairType, PrimOp,
-                            REAL, TermTooDeep, Var, all_var_names, alpha_equal,
-                            free_vars, parse_file, parse_term, render_term,
-                            render_type, ParseError)
+from lamdist.syntax import (FnType, Lit, REAL, TermTooDeep, parse_file,
+                            parse_term, render_term, render_type, ParseError)
+from lamdist.syntax.terms import (App, Lam, Pair, PairType, PrimOp, Var,
+                                  all_var_names, alpha_equal, free_vars)
 from lamdist.syntax.parser import _freshen_shadowed, parse_type
 
 GOLDEN = Path(__file__).parent / "golden" / "parse_identity.json"

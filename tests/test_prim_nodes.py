@@ -15,7 +15,8 @@ import pytest
 from lamdist.prims import (EvalDomainError, Primitive, default_registry,
                            prim_modulus, register_constant)
 from lamdist.semantics import diff_evaluate, evaluate
-from lamdist.syntax import App, Lam, Lit, PrimOp, REAL, Var, parse_term
+from lamdist.syntax import Lit, REAL, parse_term
+from lamdist.syntax.terms import App, Lam, PrimOp, Var
 
 
 def _root_modulus(ys, bs):

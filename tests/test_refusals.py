@@ -4,18 +4,22 @@ a typed error that names the problem."""
 
 import pytest
 
-from lamdist.eqtheory import (Derivation, DistanceJudgment, SynthesisError,
-                              add_term, check_dlog_judgment,
-                              quasi_reflexive_derivation,
-                              synthesize_fundamental, transitivity_derivation,
-                              weaken)
+from lamdist.eqtheory import (check_dlog_judgment, quasi_reflexive_derivation,
+                              synthesize_fundamental, transitivity_derivation)
+from lamdist.eqtheory.judgments import Derivation, DistanceJudgment
+from lamdist.eqtheory.synthesis import SynthesisError, weaken
+from lamdist.eqtheory.addterm import add_term
 from lamdist.prims import Registry, default_registry, prim_modulus
 from lamdist.quantale import QRel, QuantaleStructureError, builtin, chain
-from lamdist.relations import (ProbeSet, canonical_term, check_rho,
-                               estimate_self_distance, eta_transitivity_split)
-from lamdist.semantics import diff_evaluate, evaluate, top_diff
-from lamdist.syntax import (FnType, Lit, Pair, PairType, REAL, Var,
-                            alpha_equal, dotted, free_vars, normalize)
+from lamdist.relations import ProbeSet, check_rho, eta_transitivity_split
+from lamdist.relations.probes import canonical_term
+from lamdist.relations.checkers import estimate_self_distance
+from lamdist.semantics import diff_evaluate, evaluate
+from lamdist.semantics.diff import top_diff
+from lamdist.syntax import FnType, Lit, REAL
+from lamdist.syntax.terms import (Pair, PairType, Var, alpha_equal, dotted,
+                                  free_vars)
+from lamdist.syntax.equality import normalize
 
 FN = FnType(REAL, REAL)
 BOGUS = object()

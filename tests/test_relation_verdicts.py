@@ -17,9 +17,12 @@ import pytest
 
 from lamdist.relations import (ProbeConfig, ProbeSet, check_delta, check_eta,
                                check_fundamental, check_gamma, check_rho,
-                               check_theorem_approx, estimate_self_distance)
-from lamdist.semantics import diff_evaluate, evaluate, top_diff
-from lamdist.syntax import FnType, PairType, REAL, parse_term
+                               check_theorem_approx)
+from lamdist.relations.checkers import estimate_self_distance
+from lamdist.semantics import diff_evaluate, evaluate
+from lamdist.semantics.diff import top_diff
+from lamdist.syntax import FnType, REAL, parse_term
+from lamdist.syntax.terms import PairType
 
 GOLDEN = Path(__file__).parent / "golden" / "relation_verdicts.json"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"

@@ -5,14 +5,15 @@ from fractions import Fraction
 import pytest
 
 from lamdist.relations import (MAX_PROBES, Consistent, Falsified,
-                               ProbeConfig, ProbeSet, ProbeTriple,
-                               UnsupportedProbeDepth, check_delta, check_eta,
-                               check_fundamental,
-                               check_gamma, check_rho, check_theorem_approx,
-                               estimate_self_distance, probes_to_json,
-                               verdict_to_json, dumps)
-from lamdist.semantics import diff_evaluate, evaluate, top_diff
-from lamdist.syntax import FnType, PairType, REAL, parse_term, typecheck
+                               ProbeConfig, ProbeSet, check_delta, check_eta,
+                               check_fundamental, check_gamma, check_rho,
+                               check_theorem_approx)
+from lamdist.relations.checkers import estimate_self_distance
+from lamdist.relations.probes import ProbeTriple, UnsupportedProbeDepth
+from lamdist.semantics import diff_evaluate, evaluate
+from lamdist.semantics.diff import top_diff
+from lamdist.syntax import FnType, REAL, parse_term, render_term, typecheck
+from lamdist.syntax.terms import PairType
 
 FN = FnType(REAL, REAL)
 
@@ -39,8 +40,9 @@ def test_probe_generation_is_deterministic():
     a = [(p.left, p.diff, p.right) for p in ProbeSet(cfg).triples(REAL)]
     b = [(p.left, p.diff, p.right) for p in ProbeSet(cfg).triples(REAL)]
     assert a == b
-    assert dumps(probes_to_json(ProbeSet(cfg), REAL)) \
-        == dumps(probes_to_json(ProbeSet(cfg), REAL))
+    for ty in (REAL, FN):
+        assert [p.label for p in ProbeSet(cfg).triples(ty)] \
+            == [p.label for p in ProbeSet(cfg).triples(ty)]
 
 
 @pytest.mark.parametrize("field, settings", [
@@ -187,7 +189,7 @@ def test_gamma_id_vs_sin_falsified_by_tight_self_probes(probes):
 def test_gamma_members_compose_into_rho(probes):
     # accepted vertical triple + accepted self-distance of the right
     # function gives an accepted two-sided triple at the same probes
-    from lamdist.semantics import tensor_diff
+    from lamdist.semantics.diff import tensor_diff
     sin_term, sin_v, _ = named(r"\x:Real. sin(x)")
 
     def vertical(x, b):
@@ -526,16 +528,6 @@ def test_theorem_approx_random_polynomials(probes):
         assert report.passed
 
 
-# --- serialization -------------------------------------------------------------------
-
-def test_verdict_json_round_trip(probes):
-    bad = check_rho(REAL, 3.0, 0.4, 3.5, probes)
-    j = verdict_to_json(bad)
-    assert j["verdict"] == "falsified" and j["holds"] is False
-    good = check_rho(REAL, 3.0, 1.0, 3.5, probes)
-    assert verdict_to_json(good)["verdict"] == "consistent"
-
-
 def test_eta_probes_at_a_product_of_arrows_split_componentwise():
     ps = ProbeSet(ProbeConfig(count=20, seed=3))
     pairs = ps.triples(PairType(FN, FN), "eta")
@@ -549,13 +541,12 @@ def test_eta_probes_at_a_product_of_arrows_split_componentwise():
 
 
 def test_function_probes_are_listed_by_their_terms():
-    out = probes_to_json(ProbeSet(ProbeConfig(count=20, seed=3)), FN)
-    assert out["type"] == "Real -> Real" and len(out["probes"]) == 10
+    out = [(p.label, render_term(p.left_term), render_term(p.right_term))
+           for p in ProbeSet(ProbeConfig(count=20, seed=3)).triples(FN)]
+    assert len(out) == 10
     identity = r"\x:Real. x"
-    assert out["probes"][0] == {"label": identity, "left": identity,
-                                "right": identity}
-    assert out["probes"][-1] == {"label": r"\x:Real. 2 vs \x:Real. x",
-                                 "left": r"\x:Real. 2", "right": identity}
+    assert out[0] == (identity, identity, identity)
+    assert out[-1] == (r"\x:Real. 2 vs \x:Real. x", r"\x:Real. 2", identity)
 
 
 class _UnlabeledProbes(ProbeSet):

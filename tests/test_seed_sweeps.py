@@ -6,7 +6,8 @@ import random
 from lamdist.eqtheory import check_suite
 from lamdist.prims import DEFAULT_REGISTRY, default_registry
 from lamdist.semantics import diff_evaluate, evaluate
-from lamdist.syntax import alpha_equal, derivative_term, parse_term, render_term
+from lamdist.syntax import derivative_term, parse_term, render_term
+from lamdist.syntax.terms import alpha_equal
 
 from gen import random_closed_fn_term
 

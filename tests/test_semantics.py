@@ -13,7 +13,8 @@ import pytest
 from lamdist.prims import EvalDomainError, Primitive, default_registry
 from lamdist.relations import ProbeConfig, ProbeSet, check_fundamental
 from lamdist.semantics import diff_evaluate, evaluate
-from lamdist.syntax import App, Lam, Lit, PrimOp, REAL, Var, parse_term
+from lamdist.syntax import Lit, REAL, parse_term
+from lamdist.syntax.terms import App, Lam, PrimOp, Var
 
 from gen import random_closed_fn_term
 

@@ -20,10 +20,12 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
-from lamdist.eqtheory import (Derivation, DistanceJudgment, check_derivation,
-                              derivation_from_json, self_distance_derivation)
-from lamdist.syntax import (App, FnType, Lam, Lit, PairType, ParseError,
-                            REAL, TermTooDeep, Var, alpha_equal, parse_term)
+from lamdist.eqtheory import (check_derivation, derivation_from_json,
+                              self_distance_derivation)
+from lamdist.eqtheory.judgments import Derivation, DistanceJudgment
+from lamdist.syntax import (FnType, Lit, ParseError, REAL, TermTooDeep,
+                            parse_term)
+from lamdist.syntax.terms import App, Lam, PairType, Var, alpha_equal
 from lamdist.syntax.parser import parse_shared
 from lamdist.syntax.typecheck import typechecker
 

@@ -18,12 +18,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from lamdist.eqtheory import self_distance_derivation
-from lamdist.syntax import (App, First, FnType, Lam, Lit, Pair, PairType,
-                            PrimOp, REAL, Second, Var, all_var_names,
-                            alpha_equal, derivative_term, free_vars,
-                            normalize, parse_term, render_term, substitute,
-                            typecheck)
-from lamdist.syntax.terms import subterms
+from lamdist.syntax import (FnType, Lit, REAL, derivative_term, parse_term,
+                            render_term, typecheck)
+from lamdist.syntax.terms import (App, First, Lam, Pair, PairType, PrimOp,
+                                  Second, Var, all_var_names, alpha_equal,
+                                  free_vars, substitute, subterms)
+from lamdist.syntax.equality import normalize
 
 GOLDEN = Path(__file__).parent / "golden" / "syntax_walkers.json"
 

@@ -25,10 +25,10 @@ def test_the_sources_parse_as_python_3_10():
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
                   feature_version=(3, 10))
 
-# The term walkers that still call themselves, and why: every function
-# under ``syntax/`` and in ``eqtheory/synthesis.py``
-WALKERS = sorted((SRC / "syntax").glob("*.py")) + [
-    SRC / "eqtheory" / "synthesis.py"]
+# The walkers that still call themselves, and why: every function under
+# ``syntax/``, ``semantics/`` and ``eqtheory/``
+WALKERS = [path for layer in ("syntax", "semantics", "eqtheory")
+           for path in sorted((SRC / layer).glob("*.py"))]
 RECURSIVE = {
     "parser.py:_Parser.type_": "arrow types nest as written; past the "
                                "recursion limit the parser raises TermTooDeep",
@@ -40,6 +40,19 @@ RECURSIVE = {
                            "judgment type",
     "synthesis.py:weaken.rebuild": "walks the derivation's depth, not a "
                                    "term's",
+    "eval.py:compile_value": "compiles by recursion on the term; evaluate "
+                             "raises TermTooDeep",
+    "diff.py:_compile_dual": "compiles by recursion on the term; "
+                             "diff_evaluate raises TermTooDeep",
+    "diff.py:_lift": "a type walker: lifts an operation along the "
+                     "difference type, once per lift",
+    "serialize.py:_from_dict": "walks the derivation's depth, which json "
+                               "bounds; deeper is a DerivationFormatError",
+    "dlog.py:_uncurried": "a type walker: uncurries a distance value along "
+                          "its type",
+    "addterm.py:_build": "a type walker: builds the sum term along the type",
+    "corpus.py:random_real_derivation": "builds a random derivation to a "
+                                        "depth its caller chooses",
 }
 
 

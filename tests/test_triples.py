@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from lamdist.semantics import (apply_member_triple, compose_triples,
-                               curry_triple, element_triple, eval_triple,
-                               diff_evaluate, evaluate, identity_triple,
-                               pair_triples, proj1_triple, proj2_triple)
-from lamdist.semantics.triples import DiffTriple
+from lamdist.semantics import (compose_triples, diff_evaluate, evaluate,
+                               identity_triple)
+from lamdist.semantics.triples import (DiffTriple, apply_member_triple,
+                                       curry_triple, element_triple,
+                                       eval_triple, pair_triples, proj1_triple,
+                                       proj2_triple)
 from lamdist.syntax import parse_term
 
 DEPS = r"\f:Real->Real. \x:Real. (f (x + 0.1) - f x) / 0.1"
