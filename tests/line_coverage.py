@@ -60,8 +60,6 @@ ALLOWLIST: dict[str, dict[str, tuple[str, ...]]] = {
             'raise TermTooDeep("term nested too deeply to evaluate") from None',),
         "semantics/eval.py": (
             'raise TermTooDeep("term nested too deeply to evaluate") from None',),
-        "syntax/parser.py": (
-            'raise TermTooDeep("input nested too deeply to parse") from None',),
         "syntax/terms.py": (
             "except RecursionError:  # renamed binders nested in renamed "
             "binders",

@@ -11,7 +11,8 @@ test that fails without its guard.
   entry and a binder of one name and type open one scope, in the
   distance's doubled context too.
 * The span table keeps no prefix of a sum, so a long sum reads in space
-  linear in its length.
+  linear in its length; nor any span nested in more than ``SPAN_DEPTH``
+  groups, so deep nesting reads in space linear in its depth.
 """
 
 import json
@@ -26,7 +27,7 @@ from lamdist.eqtheory.judgments import Derivation, DistanceJudgment
 from lamdist.syntax import (FnType, Lit, ParseError, REAL, TermTooDeep,
                             parse_term)
 from lamdist.syntax.terms import App, Lam, PairType, Var, alpha_equal
-from lamdist.syntax.parser import parse_shared
+from lamdist.syntax.parser import SPAN_DEPTH, parse_shared
 from lamdist.syntax.typecheck import typechecker
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -184,3 +185,14 @@ def test_reading_a_long_sum_keeps_no_prefix_of_it():
         tracemalloc.stop()
     assert d.conclusion.left is d.conclusion.right
     assert peak < 12 * 2 ** 20
+
+
+def test_the_span_table_keeps_no_span_nested_past_its_depth():
+    # each nested span repeats the calls inside it in its key: storing all
+    # 3,000 levels would hold about 27 million tokens
+    n = 3_000
+    spans = {}
+    parse_shared("sin(" * n + "x" + ")" * n, spans)
+    # the calls in no more than SPAN_DEPTH groups, and the argument of
+    # the last of them
+    assert len([k for k in spans if isinstance(k, tuple)]) == SPAN_DEPTH + 1
