@@ -14,11 +14,12 @@ becomes the node :func:`~lamdist.eqtheory.judgments.derive` builds from
 its children's derivations.
 
 ``quasi_reflexive_derivation`` and ``transitivity_derivation`` lift the
-two Real-only rules to every type: the lifts go through application to a
-fresh variable (or projections), the inductive step, re-abstraction, and
-a final conversion, with the pointwise-addition combinator mediating
-transitivity.  They recurse on the judgment type, and build their nodes
-with ``derive`` too.
+two Real-only rules to every type by one walk on the stack-safe fold, over
+the positions of the judgment type: application to a fresh variable at
+arrows, projections at products, the rule at each Real position, then
+re-abstraction and pairing back up, with a conversion at each level of the
+self-distance lift and the pointwise-addition combinator after the
+triangle lift.  Their nodes are built with ``derive`` too.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from ..syntax.derivative import partial_type
 from ..syntax.terms import (App, Context, First, FnType, Lam, Lit, Pair,
                             PairType, PrimOp, REAL, RealType, Scope, Second,
                             Term, Type, Var, all_var_names, alpha_equal,
-                            dotted, fold, fresh_name, free_vars, is_dotted,
-                            rename_binders, walker)
+                            dotted, fold, fresh_name, fresh_names, free_vars,
+                            is_dotted, rename_binders, var_names, walker)
 from ..syntax.typecheck import typecheck
 from .addterm import add_term
 from .judgments import Derivation, DistanceJudgment, derive
@@ -41,15 +42,18 @@ class SynthesisError(ValueError):
     pass
 
 
-def _used_names(d: Derivation) -> set[str]:
-    out: set[str] = set()
-    todo = [d]
+def _used_names(*ds: Derivation) -> set[str]:
+    """The names that ``ds`` bind or mention, in contexts and subjects;
+    each scope and subterm they share is read once."""
+    out, seen, todo = set(), set(), list(ds)
     while todo:
-        node = todo.pop()
-        j = node.conclusion
-        out.update(n for n, _ in j.ctx)
-        for t in (j.left, j.dist, j.right):
-            out.update(all_var_names(t))
+        j = (node := todo.pop()).conclusion
+        scope = j.ctx
+        while scope.depth and id(scope) not in seen:
+            seen.add(id(scope))
+            out.add(scope.entry[0])
+            scope = scope.parent
+        out.update(var_names((j.left, j.dist, j.right), seen))
         todo.extend(node.premises)
     return out
 
@@ -67,17 +71,28 @@ def weaken(d: Derivation, ctx: Context) -> Derivation:
     for name, _ in added:
         if name in used or dotted(name) in used:
             raise SynthesisError(f"weakening variable {name!r} collides")
+    return fold(d, _WEAKEN, ({}, len(old), added))
 
-    def rebuild(node: Derivation) -> Derivation:
-        j = node.conclusion
-        here = tuple(j.ctx)
-        new_ctx = here[:len(old)] + added + here[len(old):]
-        return Derivation(node.rule,
-                          DistanceJudgment(new_ctx, j.left, j.dist, j.right,
-                                           j.ty),
-                          tuple(rebuild(p) for p in node.premises))
 
-    return rebuild(d)
+def _rerooted(state, scope: Scope) -> Scope:
+    """``scope`` with the ``added`` entries after its first ``n``, each
+    scope re-rooted once: ``memo`` keeps them by id."""
+    memo, n, added = state
+    above = []
+    while (new := memo.get(id(scope))) is None and scope.depth > n:
+        above.append(scope)
+        scope = scope.parent
+    if new is None:
+        new = memo[id(scope)] = scope + added
+    for scope in reversed(above):
+        new = memo[id(scope)] = new.enter(*scope.entry)
+    return new
+
+
+_WEAKEN = {Derivation: (None, lambda d: d.premises, lambda state, node, kids:
+                        Derivation(node.rule, DistanceJudgment(
+                            _rerooted(state, (j := node.conclusion).ctx),
+                            j.left, j.dist, j.right, j.ty), tuple(kids)))}
 
 
 def synthesize_fundamental(ctx: Context, t: Term,
@@ -109,10 +124,7 @@ def synthesize_fundamental(ctx: Context, t: Term,
         elif comp.conclusion.ctx not in ((), ambient):
             raise SynthesisError("components live in different contexts")
 
-    avoid = set()
-    for comp in components.values():
-        avoid |= _used_names(comp)
-    avoid |= {n for n, _ in ambient}
+    avoid = _used_names(*components.values()) | {n for n, _ in ambient}
 
     def pick(var: str, body: Term, scope: set[str]) -> str:
         # rename binders clashing with ambient names (or their partners)
@@ -185,28 +197,7 @@ def self_distance_derivation(t: Term,
 
 def quasi_reflexive_derivation(d: Derivation) -> Derivation:
     """From a derivation of (t, a, t2), derive (t, a, t) at any type."""
-    j = d.conclusion
-    if isinstance(j.ty, RealType):
-        return derive("QuasiReflReal", d)
-    if isinstance(j.ty, FnType):
-        z = fresh_name("z", frozenset(_used_names(d)))
-        lifted = derive("Abs", quasi_reflexive_derivation(_applied(d, z)))
-    elif isinstance(j.ty, PairType):
-        lifted = derive("Pair", *(
-            quasi_reflexive_derivation(derive(rule, d))
-            for rule in ("Fst", "Snd")))
-    else:
-        raise TypeError(f"not a type: {j.ty!r}")
-    return Derivation("Conv", DistanceJudgment(
-        j.ctx, j.left, j.dist, j.left, j.ty), (lifted,))
-
-
-def _applied(d: Derivation, z: str) -> Derivation:
-    """``d`` at a function type applied to the fresh variable ``z``."""
-    j = d.conclusion
-    ctx = j.ctx.enter(z, j.ty.arg)
-    return derive("App", weaken(d, ctx), Derivation("Var", DistanceJudgment(
-        ctx, Var(z), Var(dotted(z)), Var(z), j.ty.arg)))
+    return _lift("QuasiReflReal", d)
 
 
 def transitivity_derivation(d1: Derivation, d2: Derivation) -> Derivation:
@@ -220,22 +211,46 @@ def transitivity_derivation(d1: Derivation, d2: Derivation) -> Derivation:
     if not alpha_equal(j1.right, j2.left):
         raise SynthesisError("derivations do not share the middle subject")
 
-    combined = _trans(d1, d2)
+    combined = _lift("TransReal", d1, d2)
     target_dist = App(App(add_term(partial_type(j1.ty)), j1.dist), j2.dist)
     return Derivation("Conv", DistanceJudgment(
         j1.ctx, j1.left, target_dist, j2.right, j1.ty), (combined,))
 
 
-def _trans(d1: Derivation, d2: Derivation) -> Derivation:
-    ty = d1.conclusion.ty
-    if isinstance(ty, RealType):
-        return derive("TransReal", d1, d2)
-    if isinstance(ty, FnType):
-        z = fresh_name("z", frozenset(_used_names(d1) | _used_names(d2)))
-        # the middle subjects match syntactically after application
-        return derive("Abs", _trans(_applied(d1, z), _applied(d2, z)))
-    if isinstance(ty, PairType):
-        return derive("Pair", *(
-            _trans(derive(rule, d1), derive(rule, d2))
-            for rule in ("Fst", "Snd")))
-    raise TypeError(f"not a type: {ty!r}")
+def _lift(rule: str, *ds: Derivation) -> Derivation:
+    """The Real-only ``rule`` lifted over ``ds`` to their judgment type.
+    A position is a tuple (type, ``ds`` applied and projected to it in
+    their own context, its context); at a Real one, they are weakened."""
+    top = ds[0].conclusion.ctx
+    fresh, zs = fresh_names("z", _used_names(*ds)), []  # z of each depth
+
+    def below(position):
+        ty, nodes, ctx = position
+        if isinstance(ty, FnType):
+            if len(zs) == (k := ctx.depth - top.depth):
+                zs.append(next(fresh))
+            var = Derivation("Var", DistanceJudgment(
+                top, Var(z := zs[k]), Var(dotted(z)), Var(z), ty.arg))
+            return (ty.res, [derive("App", d, var) for d in nodes],
+                    ctx.enter(z, ty.arg)),
+        if isinstance(ty, PairType):
+            return ((ty.left, [derive("Fst", d) for d in nodes], ctx),
+                    (ty.right, [derive("Snd", d) for d in nodes], ctx))
+        if not isinstance(ty, RealType):
+            raise TypeError(f"not a type: {ty!r}")
+
+    def close(state, position, kids) -> Derivation:
+        ty, nodes, ctx = position
+        if not kids:
+            if added := tuple(ctx)[top.depth:]:
+                state = ({}, top.depth, added)
+                nodes = [fold(d, _WEAKEN, state) for d in nodes]
+            return derive(rule, *nodes)
+        lifted = derive("Abs" if isinstance(ty, FnType) else "Pair", *kids)
+        if rule == "TransReal":
+            return lifted
+        j = nodes[0].conclusion
+        return Derivation("Conv", DistanceJudgment(
+            ctx, j.left, j.dist, j.left, j.ty), (lifted,))
+
+    return fold((ds[0].conclusion.ty, ds, top), {tuple: (None, below, close)})

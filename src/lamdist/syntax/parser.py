@@ -45,7 +45,7 @@ from fractions import Fraction
 from ..prims import DEFAULT_REGISTRY, Registry
 from .terms import (App, First, FnType, Lam, Lit, Pair, PairType, PrimOp,
                     REAL, Second, Term, Type, Var, all_var_names,
-                    free_vars, fresh_name, rename_binders, substitute)
+                    free_vars, fresh_names, rename_binders, substitute)
 
 
 class ParseError(SyntaxError):
@@ -342,12 +342,12 @@ class _Parser:
 def _freshen_shadowed(t: Term, free: set[str], names: set[str]) -> Term:
     """Rename binders that shadow a name in scope (``free`` ones of ``t``
     included), avoiding ``names``, so typing contexts hold no duplicates."""
-    used = set(names)
+    used, renames = set(names), {}  # each name's sequence of fresh names
 
     def pick(var: str, body: Term, scope: set[str]) -> str:
         if var in scope:  # every name in scope is in ``used``
-            var = fresh_name(var, used)
-            used.add(var)
+            used.add(var := next(renames.setdefault(
+                var, fresh_names(var, used))))
         return var
 
     return rename_binders(t, free, pick)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -367,20 +368,35 @@ def free_vars(t: Term) -> frozenset[str]:
     return fold(t, _FREE_VARS)
 
 
+def var_names(roots: Iterable[Term], seen: set[int]) -> Iterator[str]:
+    """The names bound or used in ``roots``, reading each subterm whose id
+    is not in ``seen`` once and adding its id there."""
+    todo = list(roots)
+    while todo:
+        if id(s := todo.pop()) not in seen:
+            seen.add(id(s))
+            if type(s) is Var or type(s) is Lam:
+                yield s.name if type(s) is Var else s.var
+            if (kids := _CHILDREN.get(type(s))) is not None:
+                todo.extend(kids(s))
+
+
 def all_var_names(t: Term) -> frozenset[str]:
-    return frozenset(s.name if type(s) is Var else s.var
-                     for s in subterms(t) if type(s) in (Var, Lam))
+    return frozenset(var_names((t,), set()))
+
+
+def fresh_names(base: str, avoid: frozenset[str] | set[str]) -> Iterator[str]:
+    """The plain-family names ``base``, ``base1``, ... not in ``avoid``
+    whose primed partners are free too, each tested when it is drawn."""
+    stem = base.rstrip("'") or "v"
+    for name in (f"{stem}{i or ''}" for i in count()):
+        if name not in avoid and name + "'" not in avoid:
+            yield name
 
 
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
     """A plain-family name not in ``avoid`` whose primed partner is free too."""
-    stem = base.rstrip("'") or "v"
-    if stem not in avoid and stem + "'" not in avoid:
-        return stem
-    i = 1
-    while f"{stem}{i}" in avoid or f"{stem}{i}'" in avoid:
-        i += 1
-    return f"{stem}{i}"
+    return next(fresh_names(base, avoid))
 
 
 def substitute(t: Term, mapping: Mapping[str, Term]) -> Term:

@@ -1,5 +1,6 @@
 """The deep-input scaling gate: checking a derivation is linear in binder
-depth, and parsing in nesting depth.
+depth, lifting it to the self-distance and triangle rules too, and
+parsing is linear in nesting depth.
 
 Run it from the repository root::
 
@@ -7,15 +8,18 @@ Run it from the repository root::
 
 For closed binder chains ``\\x0:Real. ... \\x{n-1}:Real. x0`` of 1,000,
 3,000 and 10,000 binders it builds the self-distance derivation and
-times ``check_derivation`` on it.  For 1,000, 3,000 and 10,000 nested
+times ``check_derivation`` on it, then ``quasi_reflexive_derivation`` and
+``transitivity_derivation`` on it.  For 1,000, 3,000 and 10,000 nested
 ``sin(`` calls it times ``parse_term`` and ``parse_shared`` (with an
-empty span table).  Each measurement runs in a fresh interpreter, and
-the script prints its wall time and the interpreter's peak RSS.  It
-exits 1 if a derivation is not judged valid, if 10,000 binders take
-more than ``LIMIT_S`` seconds to check, or if parsing 10,000 nested
-calls peaks above ``PARSE_RSS_MB``: a span table that stored every
-nested span would hold tokens quadratic in the depth.  Standard library
-only.
+empty span table), and it times ``parse_term`` on 10,000 nested binders
+that all bind ``x``, each one renamed.  Each measurement runs in a fresh
+interpreter, and the script prints its wall time and the interpreter's
+peak RSS.  It exits 1 if a measurement raises, if a derivation is not
+judged valid, if 10,000 binders take more than ``LIMIT_S`` seconds to
+check or ``LIFT_LIMIT_S`` to lift, if the shadowing binders take more
+than ``SHADOWED_LIMIT_S`` to parse, or if parsing 10,000 nested calls
+peaks above ``PARSE_RSS_MB``: a span table that stored every nested span
+would hold tokens quadratic in the depth.  Standard library only.
 """
 
 from __future__ import annotations
@@ -32,16 +36,30 @@ SIZES = (1_000, 3_000, 10_000)
 LIMIT_S = 20.0  # for the largest size
 PARSERS = ("parse_term", "parse_shared")
 PARSE_RSS_MB = 400.0  # for the largest size: about 85 bounded, 2,000 without
+LIFTS = ("quasi_reflexive_derivation", "transitivity_derivation")
+LIFT_LIMIT_S = 10.0  # for the largest size: about 0.4 and 1.2 s
+SHADOWED = 10_000
+SHADOWED_LIMIT_S = 1.0  # about 0.05 s; 3 s when each renaming counted from 1
+
+
+def _peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def _chain(n: int):
+    """The closed chain of ``n`` binders, parsed in this interpreter."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from lamdist.syntax import parse_term
+
+    return parse_term("".join(f"\\x{i}:Real. " for i in range(n)) + "x0")
 
 
 def measure(n: int) -> dict:
     """Build and check the self-distance derivation of an ``n``-binder
     chain in this interpreter."""
-    sys.path.insert(0, str(ROOT / "src"))
+    chain = _chain(n)
     from lamdist.eqtheory import check_derivation, self_distance_derivation
-    from lamdist.syntax import parse_term
 
-    chain = parse_term("".join(f"\\x{i}:Real. " for i in range(n)) + "x0")
     start = perf_counter()
     d = self_distance_derivation(chain)
     built = perf_counter() - start
@@ -49,26 +67,54 @@ def measure(n: int) -> dict:
     result = check_derivation(d)
     checked = perf_counter() - start
     return {"binders": n, "valid": result.ok, "build_s": built,
-            "check_s": checked,
-            "peak_rss_mb": resource.getrusage(
-                resource.RUSAGE_SELF).ru_maxrss / 1024}
+            "check_s": checked, "peak_rss_mb": _peak_rss_mb()}
+
+
+def measure_lift(lift: str, n: int) -> dict:
+    """Lift the self-distance derivation of an ``n``-binder chain with
+    ``lift`` in this interpreter, to the chain related to itself."""
+    chain = _chain(n)
+    from lamdist import eqtheory
+    from lamdist.syntax.terms import alpha_equal
+
+    d = eqtheory.self_distance_derivation(chain)
+    start = perf_counter()
+    if lift == "quasi_reflexive_derivation":
+        lifted = eqtheory.quasi_reflexive_derivation(d)
+    else:
+        lifted = eqtheory.transitivity_derivation(d, d)
+    took = perf_counter() - start
+    j = lifted.conclusion
+    return {"lift": lift, "binders": n, "lift_s": took,
+            "same": alpha_equal(j.left, chain) and alpha_equal(j.right, chain),
+            "peak_rss_mb": _peak_rss_mb()}
 
 
 def measure_parse(parser: str, n: int) -> dict:
-    """Parse ``n`` nested ``sin(`` calls with ``parser`` in this
-    interpreter."""
+    """Parse ``n`` nested ``sin(`` calls with ``parser``, or with
+    ``shadowed``, ``n`` nested binders of ``x``, in this interpreter."""
     sys.path.insert(0, str(ROOT / "src"))
     from lamdist.syntax import parse_term, render_term
     from lamdist.syntax.parser import parse_shared
+    from lamdist.syntax.terms import all_var_names, free_vars
 
-    text = "sin(" * n + "x" + ")" * n
-    start = perf_counter()
-    t = parse_term(text) if parser == "parse_term" else parse_shared(text, {})
-    parsed = perf_counter() - start
-    return {"parser": parser, "calls": n, "same": render_term(t) == text,
-            "parse_s": parsed,
-            "peak_rss_mb": resource.getrusage(
-                resource.RUSAGE_SELF).ru_maxrss / 1024}
+    if parser == "shadowed":  # read with each binder renamed apart
+        start = perf_counter()
+        t = parse_term("\\x:Real. " * n + "x")
+        parsed = perf_counter() - start
+        same = len(all_var_names(t)) == n and not free_vars(t)
+    else:
+        text = "sin(" * n + "x" + ")" * n
+        start = perf_counter()
+        t = (parse_term(text) if parser == "parse_term"
+             else parse_shared(text, {}))
+        parsed = perf_counter() - start
+        same = render_term(t) == text
+    return {"parser": parser, "calls": n, "same": same, "parse_s": parsed,
+            "peak_rss_mb": _peak_rss_mb()}
+
+
+MEASURES = {"check": measure, "lift": measure_lift, "parse": measure_parse}
 
 
 def run(*args: str) -> dict | None:
@@ -86,7 +132,7 @@ def main() -> int:
     failed = False
     print(f"{'binders':>8} {'build s':>8} {'check s':>8} {'peak RSS MB':>12}")
     for n in SIZES:
-        if (row := run(str(n))) is None:
+        if (row := run("check", str(n))) is None:
             return 1
         print(f"{n:>8} {row['build_s']:>8.2f} {row['check_s']:>8.2f} "
               f"{row['peak_rss_mb']:>12.1f}")
@@ -96,17 +142,35 @@ def main() -> int:
     if row["check_s"] > LIMIT_S:
         print(f"  checking {n} binders took over {LIMIT_S:g} s")
         failed = True
-    print(f"\n{'parser':>12} {'calls':>8} {'parse s':>8} {'peak RSS MB':>12}")
-    for parser in PARSERS:
+    print(f"\n{'lift':>26} {'binders':>8} {'lift s':>8} {'peak RSS MB':>12}")
+    for lift in LIFTS:
         for n in SIZES:
-            if (row := run(parser, str(n))) is None:
+            if (row := run("lift", lift, str(n))) is None:
+                return 1
+            print(f"{lift:>26} {n:>8} {row['lift_s']:>8.2f} "
+                  f"{row['peak_rss_mb']:>12.1f}")
+            if not row["same"]:
+                print(f"  {lift} does not relate {n} binders to themselves")
+                failed = True
+        if row["lift_s"] > LIFT_LIMIT_S:
+            print(f"  {lift} on {n} binders took over {LIFT_LIMIT_S:g} s")
+            failed = True
+    print(f"\n{'parser':>12} {'depth':>8} {'parse s':>8} {'peak RSS MB':>12}")
+    for parser, sizes in (*((p, SIZES) for p in PARSERS),
+                          ("shadowed", (SHADOWED,))):
+        for n in sizes:
+            if (row := run("parse", parser, str(n))) is None:
                 return 1
             print(f"{parser:>12} {n:>8} {row['parse_s']:>8.3f} "
                   f"{row['peak_rss_mb']:>12.1f}")
             if not row["same"]:
-                print(f"  {parser} misreads {n} nested calls")
+                print(f"  {parser} misreads {n} levels")
                 failed = True
-        if row["peak_rss_mb"] > PARSE_RSS_MB:
+        if parser == "shadowed" and row["parse_s"] > SHADOWED_LIMIT_S:
+            print(f"  {n} shadowing binders took over "
+                  f"{SHADOWED_LIMIT_S:g} s to parse")
+            failed = True
+        elif parser != "shadowed" and row["peak_rss_mb"] > PARSE_RSS_MB:
             print(f"  {parser} on {n} nested calls peaked above "
                   f"{PARSE_RSS_MB:g} MB")
             failed = True
@@ -114,10 +178,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    if len(sys.argv) > 2:
-        print(json.dumps(measure_parse(sys.argv[1], int(sys.argv[2]))))
-        sys.exit(0)
     if len(sys.argv) > 1:
-        print(json.dumps(measure(int(sys.argv[1]))))
+        measure_row = MEASURES[sys.argv[1]]
+        print(json.dumps(measure_row(*sys.argv[2:-1], int(sys.argv[-1]))))
         sys.exit(0)
     sys.exit(main())

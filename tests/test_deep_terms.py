@@ -8,7 +8,9 @@ import pytest
 
 from lamdist.eqtheory import (DerivationFormatError, check_derivation,
                               check_dlog, derivation_to_json,
-                              self_distance_derivation)
+                              quasi_reflexive_derivation,
+                              self_distance_derivation,
+                              transitivity_derivation)
 from lamdist.eqtheory.judgments import Derivation, DistanceJudgment, derive
 from lamdist.eqtheory.serialize import derivation_to_dict
 from lamdist.semantics import diff_evaluate, evaluate
@@ -58,6 +60,23 @@ def test_a_ten_thousand_binder_chain_takes_under_a_second(walk):
     start = time.perf_counter()
     walk(BINDER_CHAIN)
     assert time.perf_counter() - start < 1.0
+
+
+LIFTS = [quasi_reflexive_derivation, lambda d: transitivity_derivation(d, d)]
+
+
+@pytest.mark.parametrize("lift", LIFTS, ids=["self-distance", "triangle"])
+def test_both_lifts_of_a_three_thousand_binder_chain_build(lift):
+    """The lifts walk the judgment type on the fold: a chain of binders
+    is lifted without recursion, to a conclusion relating it to itself."""
+    chain = binder_chain(3000)
+    j = lift(self_distance_derivation(chain)).conclusion
+    assert alpha_equal(j.left, chain) and alpha_equal(j.right, chain)
+
+
+@pytest.mark.parametrize("lift", LIFTS, ids=["self-distance", "triangle"])
+def test_both_lifts_of_a_forty_binder_chain_check(lift):
+    assert check_derivation(lift(self_distance_derivation(binder_chain(40))))
 
 
 @pytest.mark.parametrize("run", [

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,8 +19,8 @@ from lamdist.eqtheory import corpus
 from lamdist.eqtheory.corpus import chain_partner, random_derivation
 from lamdist.prims import default_registry
 from lamdist.relations import Consistent, Falsified
-from lamdist.syntax import (FnType, Lit, REAL, parse_term, render_term,
-                            typecheck)
+from lamdist.syntax import (FnType, Lit, REAL, parse_file, parse_term,
+                            render_term, term_equal, typecheck)
 from lamdist.syntax.terms import PrimOp, Var, alpha_equal
 from lamdist.syntax.equality import normalize
 
@@ -265,6 +266,15 @@ def test_add_term_shapes():
     pair_add = add_term(PairType(REAL, REAL))
     applied = App(App(pair_add, Pair(Lit(1), Lit(2))), Pair(Lit(3), Lit(4)))
     assert evaluate(applied, registry=REG) == (4.0, 6.0)
+
+
+def test_add_term_proves_equal_to_the_corpus_instances():
+    """``corpus/addfn.lam`` writes out the sums at ``Real`` and at
+    ``Real -> Real``."""
+    corpus_file = Path(__file__).resolve().parent.parent / "corpus" / "addfn.lam"
+    defs = parse_file(corpus_file.read_text(encoding="utf-8"), REG)
+    assert term_equal((), add_term(REAL), defs["add_real"], REG)
+    assert term_equal((), add_term(FnType(REAL, REAL)), defs["add_fn"], REG)
 
 
 # --- membership ---------------------------------------------------------------------

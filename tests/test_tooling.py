@@ -32,12 +32,6 @@ WALKERS = [path for layer in ("syntax", "semantics", "eqtheory", "relations")
 RECURSIVE = {
     "equality.py:_readback": "walks values; normalize raises TermTooDeep",
     "equality.py:_readback_neutral": "walks values with _readback",
-    "synthesis.py:quasi_reflexive_derivation": "a type walker: lifts the "
-                                               "rule along the judgment type",
-    "synthesis.py:_trans": "a type walker: lifts the rule along the "
-                           "judgment type",
-    "synthesis.py:weaken.rebuild": "walks the derivation's depth, not a "
-                                   "term's",
     "eval.py:compile_value": "compiles by recursion on the term; evaluate "
                              "raises TermTooDeep",
     "diff.py:_compile_dual": "compiles by recursion on the term; "
@@ -48,7 +42,6 @@ RECURSIVE = {
                                "bounds; deeper is a DerivationFormatError",
     "dlog.py:_uncurried": "a type walker: uncurries a distance value along "
                           "its type",
-    "addterm.py:_build": "a type walker: builds the sum term along the type",
     "corpus.py:random_real_derivation": "builds a random derivation to a "
                                         "depth its caller chooses",
     "checkers.py:_Walk.member": "a type walker: walks product components, "
