@@ -27,7 +27,8 @@ The other three rules are checked by their side conditions alone:
   decided on exact rationals;
 * ``Var``: a variable is at distance "its primed partner" from itself;
 * ``Conv``: replaces all three components by provably equal terms, the
-  equalities being discharged by normalization.
+  equalities being discharged by type-directed conversion
+  (``Equality.equal``).
 
 The checker validates every node locally.  A judgment's context is an
 interned ``Scope``: a premise's context is its conclusion's, or extends
@@ -154,9 +155,10 @@ def check_derivation(d: Derivation,
     """Validate every node; on failure reports the path (child indices
     from the root) of the first invalid node in preorder.  A derivation
     restates its premises' subjects in its conclusions, so one call
-    types each (scope, subterm) pair and normalizes each ``Conv`` subject
-    once, in one ``Equality`` session: checking costs about the
-    derivation's distinct subterms."""
+    types each (scope, subterm) pair once, in one ``Equality`` session,
+    which compares each ``Conv`` subject with its premise's by conversion
+    and reads each shared subterm's free names once: checking costs about
+    the derivation's distinct subterms."""
     session = Equality(registry)
     todo = [(d, ())]
     while todo:

@@ -1,21 +1,36 @@
-"""Deciding the equational theory by normalization.
+"""Deciding the equational theory by type-directed conversion.
 
-Terms are evaluated into a semantic domain and read back type-directed,
-which yields beta-normal eta-long forms (functions are lambdas, products
-are pairs) with primitive applications folded to literals exactly when
-every argument is a literal — folding under binders included, but never
-for partially-literal calls.  Readback names binders canonically, so two
-terms are equal in the theory iff their normal forms are structurally
-identical.  On terms whose primitive calls stay open the comparison
-degrades to syntactic equality of normal forms, which is sound.
+``Equality.equal`` compares two terms at their type, as in Coquand, "An
+algorithm for type-theoretic conversion with a type-directed conversion
+check" (Science of Computer Programming 26, 1996), on an explicit stack
+of (type, side, side) items.  A side is a term in an environment, or a
+value.  Head beta-redexes, applications whose head is a lambda or a
+variable bound to a lambda's value, are contracted by binding their
+arguments, without evaluating the body.  At an arrow both sides step
+under one fresh neutral variable; at a product their components are
+compared; at ``Real`` both are evaluated, literals compare by value and
+neutral values structurally, each argument at its type.  Before every
+step, two sides are equal if their terms are one object or
+alpha-equivalent and both environments bind each free name of the term
+to one value object: so a lift's eta-expansion ``\\z. (\\x. B) z`` against
+``\\x. B`` costs its spine, and nothing is evaluated or read back.  The
+same shortcut accepts a term against itself even when it holds a call
+outside its primitive's domain, such as ``div(1, 0)``, which evaluating
+would refuse.
 
-``Equality.equal`` is the one comparison: a session types through one
-``typechecker`` and normalizes each (context, term) once, and
-``term_equal`` compares in a fresh session.
+The theory's terms have beta-normal eta-long forms with primitive calls
+folded exactly when every argument is a literal, folding under binders
+included; two terms are equal iff those forms are alpha-equivalent, which
+the conversion decides without building them.  Primitive calls with a
+neutral argument compare structurally, which is sound.  ``normalize``
+builds the forms, by evaluation and type-directed readback, for
+``check_suite`` and the tests; the derivation checker does not call it.
 
 The evaluator, ``exact_value``, is lamdist's one evaluator in rational
 arithmetic: exact-mode ``evaluate`` runs it on closed values, and only it
 calls ``Registry.call_exact``.  It runs on ``terms.fold``: stack-safe.
+A lambda's value is a ``Closure`` of the lambda and its environment,
+which conversion reads and which applies like a function.
 """
 
 from __future__ import annotations
@@ -29,13 +44,15 @@ from ..prims import DEFAULT_REGISTRY, Registry
 from .printer import render_type
 from .terms import (App, Context, First, FnType, Lam, Lit, Pair, PairType,
                     PrimOp, REAL, RealType, Scope, Second, Skip, Term,
-                    TermTooDeep, Type, Var, alpha_equal, fold, walker)
+                    TermTooDeep, Type, Var, alpha_equal, fold, free_vars,
+                    walker)
 from .typecheck import TypecheckError, typecheck, typechecker
 
 
 # --- semantic domain --------------------------------------------------------
 # Values are plain data, as in the evaluator: ``Fraction`` at Real, 2-tuples
-# at products and 1-argument callables at arrows; or neutral.
+# at products and 1-argument callables at arrows, ``Closure`` for a
+# lambda's; or neutral.
 
 @dataclass(frozen=True)
 class VNeutral:
@@ -64,6 +81,19 @@ class NProj:
 class NPrim:
     name: str
     args: tuple["V", ...]
+
+
+class Closure:
+    """A lambda's value: the lambda and the environment it was evaluated
+    in.  Applying it evaluates the body with the argument bound."""
+    __slots__ = ("env", "lam", "registry")
+
+    def __init__(self, env: Mapping[str, "V"], lam: Lam, registry: Registry):
+        self.env, self.lam, self.registry = env, lam, registry
+
+    def __call__(self, v: "V") -> "V":
+        return exact_value({**self.env, self.lam.var: v}, self.lam.body,
+                           self.registry)
 
 
 V = Fraction | tuple | Callable[["V"], "V"] | VNeutral
@@ -110,7 +140,7 @@ def _lookup(state, t: Var, vs) -> V:
 def _closure(state, t: Lam) -> Skip:
     """A lambda's value: its body is evaluated when it is applied."""
     env, registry = state
-    return Skip((lambda v: exact_value({**env, t.var: v}, t.body, registry),))
+    return Skip((Closure(env, t, registry),))
 
 
 _EVAL = walker({
@@ -166,22 +196,29 @@ def normalize(ctx: Context, t: Term, ty: Type | None = None,
     # term's free names are in its context
     fresh = (n for i in count()
              if (n := f"v{i}") not in env and n + "'" not in env).__next__
+    return _bounded("normal form too deep to read back", lambda: _readback(
+        exact_value(env, t, registry), ty, fresh, registry))
+
+
+def _bounded(what: str, run: Callable[[], bool | Term]):
+    """``run()``, which raises ``TermTooDeep(what)`` past the interpreter's
+    recursion limit: reading back recurses on the normal form, and
+    evaluating applies a closure within the one applying it."""
     try:
-        return _readback(exact_value(env, t, registry), ty, fresh, registry)
+        return run()
     except RecursionError:
-        raise TermTooDeep("normal form too deep to read back") from None
+        raise TermTooDeep(what) from None
 
 
 class Equality:
-    """Comparisons that share their typing and normal forms, as the
-    ``Conv`` nodes of one derivation do.  Normal forms are kept by scope
-    and term identity, so every term given must stay alive while the
-    session is used; the scopes stay alive in ``typed``'s table."""
+    """Comparisons that share their typing, as the ``Conv`` nodes of one
+    derivation do, and each subterm's free names, which are kept by the
+    subterm's identity."""
 
     def __init__(self, registry: Registry = DEFAULT_REGISTRY):
         self.registry = registry
         self.typed = typechecker(registry)
-        self._normal: dict = {}  # (id of a scope, id of a term) -> normal form
+        self._free: dict = {}  # id of a subterm -> (it, its free names)
 
     def equal(self, ctx: Context | Scope, t: Term, s: Term) -> bool:
         """Does the theory prove ``t = s`` at their common type?"""
@@ -190,15 +227,149 @@ class Equality:
             raise TypecheckError(
                 f"cannot compare terms of types {render_type(ty)} "
                 f"and {render_type(ty_s)}")
-        # binders are named canonically, so alpha-equal normal forms are
-        # one term; ``alpha_equal`` decides it on an explicit stack
-        return alpha_equal(self._normal_form(ctx, t, ty),
-                           self._normal_form(ctx, s, ty))
+        # each variable is one neutral object, and neutral variables
+        # compare by identity
+        env = {x: VNeutral(NVar(x), a) for x, a in ctx}
+        return _bounded("term nested too deeply to compare",
+                        lambda: self._convertible(ty, (env, t), (env, s)))
 
-    def _normal_form(self, ctx: Scope, t: Term, ty: Type) -> Term:
-        if (n := self._normal.get(key := (id(ctx), id(t)))) is None:
-            n = self._normal[key] = normalize(ctx, t, ty, self.registry)
-        return n
+    def _convertible(self, ty: Type, a, b) -> bool:
+        """Are sides ``a`` and ``b`` equal at ``ty``?  A side is
+        ``(env, term)``, or ``(None, value)``."""
+        todo = [(ty, a, b, True)]  # ..., and whether the shortcut may hold
+        while todo:
+            ty, a, b, may = todo.pop()
+            if ty is None:  # two neutral values, compared structurally
+                if not _same_neutral_shape(a, b, todo):
+                    return False
+                continue
+            if may and self._same(a, b):
+                continue
+            a2, b2 = self._head(a), self._head(b)
+            if (a2 is not a or b2 is not b) and self._same(a2, b2):
+                continue
+            if type(ty) is FnType:
+                # the shortcut failed on two lambdas, so it fails on their
+                # bodies under one fresh variable: skip its walk there
+                may = not all(env is not None and type(t) is Lam
+                              for env, t in (a2, b2))
+                x = VNeutral(NVar(""), ty.arg)  # compared by identity alone
+                todo.append((ty.res, self._applied(a2, x),
+                             self._applied(b2, x), may))
+            elif type(ty) is PairType:
+                (al, ar), (bl, br) = self._split(a2), self._split(b2)
+                todo += ((ty.right, ar, br, True), (ty.left, al, bl, True))
+            else:  # at Real: literals by value, neutrals structurally
+                va, vb = self._value(a2), self._value(b2)
+                if type(va) is VNeutral and type(vb) is VNeutral:
+                    todo.append((None, va, vb, False))
+                elif va != vb:  # a literal is no neutral
+                    return False
+        return True
+
+    def _same(self, a, b) -> bool:
+        """The shortcut: one value object, or one term up to renaming
+        whose free names the two environments bind to one value each."""
+        (env_a, ta), (env_b, tb) = a, b
+        if env_a is None or env_b is None:
+            return ta is tb and env_a is env_b
+        if ta is not tb and not alpha_equal(ta, tb):
+            return False
+        return env_a is env_b or all(env_a[x] is env_b[x]
+                                     for x in free_vars(ta, self._free))
+
+    def _head(self, side):
+        """``side`` with its head redexes contracted: a term side whose
+        term is no variable and no redex, or a value side that holds no
+        closure; ``side`` itself if it was one."""
+        env, t = side
+        while True:
+            if env is None:
+                if type(t) is not Closure:
+                    break
+                env, t = t.env, t.lam
+            elif type(t) is Var:
+                env, t = None, env[t.name]
+            elif type(t) is App:
+                args, head = [], t
+                while type(head) is App:
+                    args.append(head.arg)
+                    head = head.fn
+                if type(head) is Var and type(f := env[head.name]) is Closure:
+                    env_f, head = f.env, f.lam
+                elif type(head) is Lam:
+                    env_f = env
+                else:
+                    break
+                env, t = self._bind(env_f, head, [
+                    self._value((env, arg)) for arg in reversed(args)])
+            else:
+                break
+        return side if t is side[1] and env is side[0] else (env, t)
+
+    def _bind(self, env, lam: Lam, args: list):
+        """The side ``lam`` applied to the values ``args`` in ``env``: its
+        binders bound to them, and any more applied to its body's value."""
+        env = dict(env)
+        for i, v in enumerate(args):
+            if type(lam) is not Lam:
+                f = exact_value(env, lam, self.registry)
+                for v in args[i:]:
+                    f = _apply(f, v)
+                return None, f
+            env[lam.var] = v
+            lam = lam.body
+        return env, lam
+
+    def _value(self, side) -> V:
+        env, t = side
+        if env is None:
+            return t
+        return env[t.name] if type(t) is Var else exact_value(
+            env, t, self.registry)
+
+    def _applied(self, side, x: VNeutral):
+        """The side ``side`` applied to ``x``: a lambda's body with ``x``
+        bound, or the value applied."""
+        env, t = side
+        if env is not None and type(t) is not Lam:
+            env, t = None, exact_value(env, t, self.registry)
+        if env is None and type(t) is Closure:
+            env, t = t.env, t.lam
+        if env is None:
+            return None, _apply(t, x)
+        return {**env, t.var: x}, t.body
+
+    def _split(self, side):
+        """The two components of the side ``side``, at a product."""
+        env, t = side
+        if env is not None and type(t) is Pair:
+            return (env, t.left), (env, t.right)
+        p = self._value(side)
+        return (None, _project(p, True)), (None, _project(p, False))
+
+
+def _same_neutral_shape(a: VNeutral, b: VNeutral, todo: list) -> bool:
+    """Do ``a`` and ``b`` agree at their heads?  Their parts left to
+    compare go on ``todo``, the spine last, so that it is compared first."""
+    if a is b:
+        return True
+    na, nb = a.ne, b.ne
+    if type(na) is not type(nb) or type(na) is NVar:
+        return False  # a neutral variable is one object
+    if type(na) is NApp:
+        todo += ((na.fn.ty.arg, (None, na.arg), (None, nb.arg), True),
+                 (None, na.fn, nb.fn, False))
+    elif type(na) is NProj:
+        if na.first is not nb.first:
+            return False
+        todo.append((None, na.pair, nb.pair, False))
+    else:  # an NPrim
+        if na.name != nb.name or len(na.args) != len(nb.args):
+            return False
+        todo += ((REAL, (None, x), (None, y), True)
+                 for x, y in zip(reversed(na.args), reversed(nb.args)))
+    return True
 
 
 def term_equal(ctx: Context, t: Term, s: Term,

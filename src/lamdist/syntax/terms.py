@@ -357,15 +357,32 @@ def subterms(t: Term) -> Iterator[Term]:
             todo.extend(reversed(kids(s)))
 
 
-_FREE_VARS = walker({
+_FREE_NAMES = {  # a node's free names, from its children's
     **dict.fromkeys(_CHILDREN, lambda state, t, kids: frozenset().union(*kids)),
     Var: lambda state, t, kids: frozenset((t.name,)),
     Lam: lambda state, t, kids: kids[0] - {t.var},
-})
+}
+_FREE_VARS = walker(_FREE_NAMES)
 
 
-def free_vars(t: Term) -> frozenset[str]:
-    return fold(t, _FREE_VARS)
+def _keep_free_vars(memo, t: Term, kids) -> frozenset[str]:
+    memo[id(t)] = t, (names := _FREE_NAMES[type(t)](memo, t, kids))
+    return names
+
+
+_FREE_VARS_KEPT = walker(  # reads each subterm not in the memo
+    dict.fromkeys(_CHILDREN, _keep_free_vars),
+    dict.fromkeys(_CHILDREN, lambda memo, t: Skip((hit[1],)) if (
+        hit := memo.get(id(t))) is not None else t))
+
+
+def free_vars(t: Term, memo: dict | None = None) -> frozenset[str]:
+    """The names free in ``t``.  With ``memo``, a dict from a subterm's id
+    to the subterm and its free names, kept over calls, each subterm met
+    before is not read again."""
+    if memo is None:
+        return fold(t, _FREE_VARS)
+    return fold(t, _FREE_VARS_KEPT, memo)
 
 
 def var_names(roots: Iterable[Term], seen: set[int]) -> Iterator[str]:

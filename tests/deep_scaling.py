@@ -9,17 +9,21 @@ Run it from the repository root::
 For closed binder chains ``\\x0:Real. ... \\x{n-1}:Real. x0`` of 1,000,
 3,000 and 10,000 binders it builds the self-distance derivation and
 times ``check_derivation`` on it, then ``quasi_reflexive_derivation`` and
-``transitivity_derivation`` on it.  For 1,000, 3,000 and 10,000 nested
-``sin(`` calls it times ``parse_term`` and ``parse_shared`` (with an
-empty span table), and it times ``parse_term`` on 10,000 nested binders
-that all bind ``x``, each one renamed.  Each measurement runs in a fresh
-interpreter, and the script prints its wall time and the interpreter's
-peak RSS.  It exits 1 if a measurement raises, if a derivation is not
-judged valid, if 10,000 binders take more than ``LIMIT_S`` seconds to
-check or ``LIFT_LIMIT_S`` to lift, if the shadowing binders take more
-than ``SHADOWED_LIMIT_S`` to parse, or if parsing 10,000 nested calls
-peaks above ``PARSE_RSS_MB``: a span table that stored every nested span
-would hold tokens quadratic in the depth.  Standard library only.
+``transitivity_derivation`` on it.  For chains of 100, 200 and 300
+binders it times ``check_derivation`` on the self-distance lift, whose
+every level ends in a ``Conv`` node; these rows report their time and
+fail only if the check raises or judges the lift invalid.  For 1,000,
+3,000 and 10,000 nested ``sin(`` calls it times ``parse_term`` and
+``parse_shared`` (with an empty span table), and it times ``parse_term``
+on 10,000 nested binders that all bind ``x``, each one renamed.  Each
+measurement runs in a fresh interpreter, and the script prints its wall
+time and the interpreter's peak RSS.  It exits 1 if a measurement
+raises, if a derivation is not judged valid, if 10,000 binders take more
+than ``LIMIT_S`` seconds to check or ``LIFT_LIMIT_S`` to lift, if the
+shadowing binders take more than ``SHADOWED_LIMIT_S`` to parse, or if
+parsing 10,000 nested calls peaks above ``PARSE_RSS_MB``: a span table
+that stored every nested span would hold tokens quadratic in the depth.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ PARSERS = ("parse_term", "parse_shared")
 PARSE_RSS_MB = 400.0  # for the largest size: about 85 bounded, 2,000 without
 LIFTS = ("quasi_reflexive_derivation", "transitivity_derivation")
 LIFT_LIMIT_S = 10.0  # for the largest size: about 0.4 and 1.2 s
+LIFT_CHECK_SIZES = (100, 200, 300)  # quadratic in the depth: no limit yet
 SHADOWED = 10_000
 SHADOWED_LIMIT_S = 1.0  # about 0.05 s; 3 s when each renaming counted from 1
 
@@ -114,7 +119,24 @@ def measure_parse(parser: str, n: int) -> dict:
             "peak_rss_mb": _peak_rss_mb()}
 
 
-MEASURES = {"check": measure, "lift": measure_lift, "parse": measure_parse}
+def measure_lift_check(n: int) -> dict:
+    """Check the self-distance lift of an ``n``-binder chain in this
+    interpreter."""
+    chain = _chain(n)
+    from lamdist.eqtheory import (check_derivation,
+                                  quasi_reflexive_derivation,
+                                  self_distance_derivation)
+
+    lifted = quasi_reflexive_derivation(self_distance_derivation(chain))
+    start = perf_counter()
+    result = check_derivation(lifted)
+    checked = perf_counter() - start
+    return {"binders": n, "valid": result.ok, "check_s": checked,
+            "peak_rss_mb": _peak_rss_mb()}
+
+
+MEASURES = {"check": measure, "lift": measure_lift, "parse": measure_parse,
+            "lift-check": measure_lift_check}
 
 
 def run(*args: str) -> dict | None:
@@ -154,6 +176,17 @@ def main() -> int:
                 failed = True
         if row["lift_s"] > LIFT_LIMIT_S:
             print(f"  {lift} on {n} binders took over {LIFT_LIMIT_S:g} s")
+            failed = True
+    print(f"\n{'lift checked':>26} {'binders':>8} {'check s':>8} "
+          f"{'peak RSS MB':>12}")
+    for n in LIFT_CHECK_SIZES:
+        if (row := run("lift-check", str(n))) is None:
+            return 1
+        print(f"{'quasi_reflexive_derivation':>26} {n:>8} "
+              f"{row['check_s']:>8.2f} {row['peak_rss_mb']:>12.1f}")
+        if not row["valid"]:
+            print(f"  the self-distance lift over {n} binders is not judged "
+                  "valid")
             failed = True
     print(f"\n{'parser':>12} {'depth':>8} {'parse s':>8} {'peak RSS MB':>12}")
     for parser, sizes in (*((p, SIZES) for p in PARSERS),

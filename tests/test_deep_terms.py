@@ -13,15 +13,16 @@ from lamdist.eqtheory import (DerivationFormatError, check_derivation,
                               transitivity_derivation)
 from lamdist.eqtheory.judgments import Derivation, DistanceJudgment, derive
 from lamdist.eqtheory.serialize import derivation_to_dict
+from lamdist.prims import Primitive, default_registry
 from lamdist.semantics import diff_evaluate, evaluate
 from lamdist.syntax import (FnType, Lit, REAL, TermTooDeep, derivative_term,
                             parse_file, parse_term, render_term, term_equal,
                             typecheck)
 from lamdist.syntax.equality import normalize
-from lamdist.syntax.terms import (REBUILD, App, Lam, Pair, Var, all_var_names,
-                                  alpha_equal, arrow_depth, fold, free_vars,
-                                  rename_binders, substitute, subterms,
-                                  walker)
+from lamdist.syntax.terms import (REBUILD, App, Lam, Pair, PrimOp, Var,
+                                  all_var_names, alpha_equal, arrow_depth,
+                                  fold, free_vars, rename_binders, substitute,
+                                  subterms, walker)
 
 N = 10_000
 DEEP_SUM = Lam("x", REAL, parse_term(" + ".join(["x"] * N)))
@@ -83,11 +84,49 @@ def test_both_lifts_of_a_forty_binder_chain_check(lift):
     lambda t: evaluate(t)(1.0),  # compiling recurses on the depth
     lambda t: diff_evaluate(t)(1.0, 0.5),
     lambda t: normalize((), t),  # reading back the open sum recurses
-    lambda t: term_equal((), t, t),
-], ids=["evaluate", "diff_evaluate", "normalize", "term_equal"])
+], ids=["evaluate", "diff_evaluate", "normalize"])
 def test_recursion_that_stays_raises_term_too_deep(run):
     with pytest.raises(TermTooDeep):
         run(DEEP_SUM)
+
+
+SIN_TOWER = Lam("x", REAL, parse_term("sin(" * N + "x" + ")" * N))
+
+
+@pytest.mark.parametrize("t", [DEEP_SUM, SIN_TOWER, BINDER_CHAIN],
+                         ids=["sum", "sin-tower", "binder-chain"])
+def test_term_equal_returns_at_depth_ten_thousand(t):
+    """Conversion runs on an explicit stack and reads no normal form: a
+    term against itself, against a copy, and against the copy with each
+    variable put in an identity redex, which is contracted."""
+    copy = parse_term(render_term(t))
+    assert term_equal((), t, t) and term_equal((), t, copy)
+    inner = fold(copy, walker({**REBUILD, Var: lambda state, v, kids: App(
+        Lam("r", REAL, Var("r")), v)}))
+    assert term_equal((), t, inner)
+
+
+def test_comparing_ten_thousand_nested_closures_raises_term_too_deep():
+    """At ``Real`` both sides are evaluated, and each ``sin`` argument
+    applies a closure whose body applies the next one."""
+    body = Var("x")
+    for i in range(N):
+        body = PrimOp("sin", (App(Lam(f"a{i}", REAL, body), Var("x")),))
+    with pytest.raises(TermTooDeep, match="too deeply to compare"):
+        term_equal((), Lam("x", REAL, body), parse_term(r"\x:Real. x"))
+
+
+def test_a_recursion_error_raised_within_a_comparison_is_term_too_deep():
+    """The handler of the test above, reached without an overflow: past
+    the recursion limit a tracer such as ``tests/line_coverage.py``'s may
+    be the call that overflows, and the interpreter then removes it."""
+    def too_deep(a):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    registry = default_registry()
+    registry.register(Primitive("deep", 1, too_deep, exact_fn=too_deep))
+    with pytest.raises(TermTooDeep, match="too deeply to compare"):
+        term_equal((), parse_term("deep(1)", registry), Lit(0), registry)
 
 
 def test_renaming_binders_within_renamed_binders_raises_term_too_deep():

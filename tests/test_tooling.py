@@ -30,8 +30,11 @@ def test_the_sources_parse_as_python_3_10():
 WALKERS = [path for layer in ("syntax", "semantics", "eqtheory", "relations")
            for path in sorted((SRC / layer).glob("*.py"))]
 RECURSIVE = {
-    "equality.py:_readback": "walks values; normalize raises TermTooDeep",
-    "equality.py:_readback_neutral": "walks values with _readback",
+    "equality.py:_readback": "walks values for normalize alone, which "
+                             "raises TermTooDeep; conversion reads no "
+                             "normal form",
+    "equality.py:_readback_neutral": "walks values with _readback, for "
+                                     "normalize alone",
     "eval.py:compile_value": "compiles by recursion on the term; evaluate "
                              "raises TermTooDeep",
     "diff.py:_compile_dual": "compiles by recursion on the term; "
