@@ -296,29 +296,39 @@ def _critical_points(lo: float, hi: float) -> tuple[bool, bool]:
 
 def _wave_modulus(fn: Callable[[float], float], offset: float):
     """Float modulus for sine-shaped primitives, fn(y) = sin(y + offset):
-    the sine's range over the shifted box against the centre value.  It
-    makes one call, to the critical-point test it shares with the exact
-    modulus.  A box a period wide, or one holding both critical points,
-    spans [-1, 1]; otherwise an end of the range is 1 or -1 where the
-    box holds that critical point, else the sine at an endpoint."""
+    the sine's range over the shifted box against the centre value, as
+    ``modulus(ys, bs)`` and in the scalar form ``scalar(y, b, centre)``
+    that the evaluators call with the node's own value as the centre; a
+    centre of None is computed last, as ``fn(y)``.  It makes one call, to
+    the critical-point test it shares with the exact modulus.  A box a
+    period wide, or one holding both critical points, spans [-1, 1];
+    otherwise an end of the range is 1 or -1 where the box holds that
+    critical point, else the sine at an endpoint."""
     sin = math.sin
 
-    def modulus(ys, bs):
-        y, b = ys[0] + offset, bs[0]
-        lo, hi = y - b, y + b
+    def scalar(y, b, centre=None):
+        shifted = y + offset
+        lo, hi = shifted - b, shifted + b
         if hi - lo >= TWO_PI:
             has_max = has_min = True
         else:
             has_max, has_min = _critical_points(lo, hi)
+        # min and max written out, as they choose (the first of equals):
+        # each call of theirs costs as much as the comparisons
         if has_max and has_min:
             bottom, top = -1.0, 1.0
         else:
             s_lo, s_hi = sin(lo), sin(hi)
-            bottom = -1.0 if has_min else min(s_lo, s_hi)
-            top = 1.0 if has_max else max(s_lo, s_hi)
-        centre = fn(ys[0])
-        return max(top - centre, centre - bottom)
-    return modulus
+            bottom = -1.0 if has_min else s_hi if s_hi < s_lo else s_lo
+            top = 1.0 if has_max else s_hi if s_hi > s_lo else s_lo
+        if centre is None:
+            centre = fn(y)
+        rise, fall = top - centre, centre - bottom
+        return fall if fall > rise else rise
+
+    def modulus(ys, bs):
+        return scalar(ys[0], bs[0])
+    return modulus, scalar
 
 
 def _wave_modulus_exact(fn: Callable[[float], float], offset: float):
@@ -340,6 +350,22 @@ def _wave_modulus_exact(fn: Callable[[float], float], offset: float):
         bot = Fraction(-1) if has_min else min(v_lo, v_hi)
         return max(top - centre, centre - bot)
     return modulus
+
+
+_SIN_MODULUS, _SIN_SCALAR = _wave_modulus(math.sin, 0.0)
+_COS_MODULUS, _COS_SCALAR = _wave_modulus(math.cos, HALF_PI)
+
+# How the evaluators' emitted code writes a primitive inline, keyed by the
+# id of the implementation or modulus it stands for (each key lives as
+# long as this module, and an id needs no hash of a user's callable): add,
+# sub and mul as infix operators; the sum and identity moduli as
+# expressions on the radii; the wave moduli as a call of their scalar form,
+# with the function whose value at the centre the node may pass to it.
+_INFIX = {id(operator.add): "+", id(operator.sub): "-",
+          id(operator.mul): "*"}
+_RADIUS_MODULI = {id(_sum_modulus): "{0} + {1}", id(_id_modulus): "{0}"}
+_SCALAR_MODULI = {id(_SIN_MODULUS): (_SIN_SCALAR, math.sin),
+                  id(_COS_MODULUS): (_COS_SCALAR, math.cos)}
 
 
 def default_registry() -> Registry:
@@ -368,13 +394,13 @@ def default_registry() -> Registry:
     reg.register(Primitive("sin", 1, math.sin,
                            exact_fn=lambda a: Fraction(math.sin(float(a))),
                            domain=math.isfinite,  # math.sin(inf) raises
-                           modulus=_wave_modulus(math.sin, 0.0),
+                           modulus=_SIN_MODULUS,
                            exact_modulus=_wave_modulus_exact(math.sin, 0.0),
                            oscillation=2.0))
     reg.register(Primitive("cos", 1, math.cos,
                            exact_fn=lambda a: Fraction(math.cos(float(a))),
                            domain=math.isfinite,  # math.cos(inf) raises
-                           modulus=_wave_modulus(math.cos, math.pi / 2),
+                           modulus=_COS_MODULUS,
                            exact_modulus=_wave_modulus_exact(
                                math.cos, math.pi / 2),
                            oscillation=2.0))

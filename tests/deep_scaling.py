@@ -15,14 +15,20 @@ every level ends in a ``Conv`` node; these rows report their time and
 fail only if the check raises or judges the lift invalid.  For 1,000,
 3,000 and 10,000 nested ``sin(`` calls it times ``parse_term`` and
 ``parse_shared`` (with an empty span table), and it times ``parse_term``
-on 10,000 nested binders that all bind ``x``, each one renamed.  Each
+on 10,000 nested binders that all bind ``x``, each one renamed.  For
+sums ``\\x:Real. x + ... + x`` and towers ``\\x:Real. sin(... sin(x))``
+of 1,000, 3,000 and 10,000 levels it times ``evaluate`` and
+``diff_evaluate``, compiling the term and applying it once, and checks
+the result against the same computation made level by level.  Each
 measurement runs in a fresh interpreter, and the script prints its wall
 time and the interpreter's peak RSS.  It exits 1 if a measurement
-raises, if a derivation is not judged valid, if 10,000 binders take more
-than ``LIMIT_S`` seconds to check or ``LIFT_LIMIT_S`` to lift, if the
-shadowing binders take more than ``SHADOWED_LIMIT_S`` to parse, or if
-parsing 10,000 nested calls peaks above ``PARSE_RSS_MB``: a span table
-that stored every nested span would hold tokens quadratic in the depth.
+raises, if a derivation is not judged valid, if an evaluator returns a
+wrong value, if 10,000 binders take more than ``LIMIT_S`` seconds to
+check or ``LIFT_LIMIT_S`` to lift, if the shadowing binders take more
+than ``SHADOWED_LIMIT_S`` to parse, if parsing 10,000 nested calls peaks
+above ``PARSE_RSS_MB`` (a span table that stored every nested span would
+hold tokens quadratic in the depth), or if an evaluator on 10,000
+levels takes more than ``EVAL_LIMIT_S`` or peaks above ``EVAL_RSS_MB``.
 Standard library only.
 """
 
@@ -45,6 +51,10 @@ LIFT_LIMIT_S = 10.0  # for the largest size: about 0.4 and 1.2 s
 LIFT_CHECK_SIZES = (100, 200, 300)  # quadratic in the depth: no limit yet
 SHADOWED = 10_000
 SHADOWED_LIMIT_S = 1.0  # about 0.05 s; 3 s when each renaming counted from 1
+EVALUATORS = ("evaluate", "diff_evaluate")
+SHAPES = ("sum", "sin")
+EVAL_LIMIT_S = 5.0  # for the largest size: about 0.3 s
+EVAL_RSS_MB = 200.0  # for the largest size: about 35
 
 
 def _peak_rss_mb() -> float:
@@ -135,8 +145,41 @@ def measure_lift_check(n: int) -> dict:
             "peak_rss_mb": _peak_rss_mb()}
 
 
+def measure_evaluator(evaluator: str, shape: str, n: int) -> dict:
+    """Compile an ``n``-level ``shape`` with ``evaluator`` and apply it
+    once, in this interpreter; compare with the same computation made
+    level by level: the sum of ``n`` ones (of ``n`` radii 0.5), or
+    ``math.sin`` iterated ``n`` times (with the difference that
+    ``prim_modulus`` gives each level)."""
+    import math
+    sys.path.insert(0, str(ROOT / "src"))
+    from lamdist.prims import DEFAULT_REGISTRY, prim_modulus
+    from lamdist.semantics import diff_evaluate, evaluate
+    from lamdist.syntax import parse_term
+
+    if shape == "sum":
+        t = parse_term("\\x:Real. " + " + ".join(["x"] * n))
+        y, b, want = 1.0, 0.5, (float(n) if evaluator == "evaluate"
+                                else 0.5 * n)
+    else:
+        t = parse_term("\\x:Real. " + "sin(" * n + "x" + ")" * n)
+        y, b = 0.75, 1e-3
+        value, diff = y, b
+        for _ in range(n):
+            value, diff = (math.sin(value),
+                           prim_modulus(DEFAULT_REGISTRY["sin"], (value,),
+                                        (diff,)))
+        want = value if evaluator == "evaluate" else diff
+    start = perf_counter()
+    got = evaluate(t)(y) if evaluator == "evaluate" else diff_evaluate(t)(y, b)
+    took = perf_counter() - start
+    return {"evaluator": evaluator, "shape": shape, "levels": n,
+            "same": repr(got) == repr(want), "eval_s": took,
+            "peak_rss_mb": _peak_rss_mb()}
+
+
 MEASURES = {"check": measure, "lift": measure_lift, "parse": measure_parse,
-            "lift-check": measure_lift_check}
+            "lift-check": measure_lift_check, "evaluate": measure_evaluator}
 
 
 def run(*args: str) -> dict | None:
@@ -207,6 +250,27 @@ def main() -> int:
             print(f"  {parser} on {n} nested calls peaked above "
                   f"{PARSE_RSS_MB:g} MB")
             failed = True
+    print(f"\n{'evaluator':>14} {'shape':>6} {'levels':>8} {'eval s':>8} "
+          f"{'peak RSS MB':>12}")
+    for evaluator in EVALUATORS:
+        for shape in SHAPES:
+            for n in SIZES:
+                if (row := run("evaluate", evaluator, shape, str(n))) is None:
+                    return 1
+                print(f"{evaluator:>14} {shape:>6} {n:>8} "
+                      f"{row['eval_s']:>8.3f} {row['peak_rss_mb']:>12.1f}")
+                if not row["same"]:
+                    print(f"  {evaluator} gives a wrong value on {n} levels "
+                          f"of {shape}")
+                    failed = True
+            if row["eval_s"] > EVAL_LIMIT_S:
+                print(f"  {evaluator} on {n} levels of {shape} took over "
+                      f"{EVAL_LIMIT_S:g} s")
+                failed = True
+            if row["peak_rss_mb"] > EVAL_RSS_MB:
+                print(f"  {evaluator} on {n} levels of {shape} peaked above "
+                      f"{EVAL_RSS_MB:g} MB")
+                failed = True
     return int(failed)
 
 

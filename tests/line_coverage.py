@@ -56,10 +56,6 @@ ALLOWLIST: dict[str, dict[str, tuple[str, ...]]] = {
         "eqtheory/serialize.py": (
             "raise DerivationFormatError(",
             'f"{path}: derivation nested too deeply to read") from None'),
-        "semantics/diff.py": (
-            'raise TermTooDeep("term nested too deeply to evaluate") from None',),
-        "semantics/eval.py": (
-            'raise TermTooDeep("term nested too deeply to evaluate") from None',),
         "syntax/terms.py": (
             "except RecursionError:  # renamed binders nested in renamed "
             "binders",

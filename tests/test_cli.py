@@ -242,13 +242,15 @@ DEEP_SUM = " + ".join(["x"] * 10_000)
 BINDER_CHAIN = "".join(f"\\x{i}:Real. " for i in range(10_000)) + "x0"
 
 
-def test_a_deep_definition_is_a_usage_error(tmp_path, capsys):
-    """Compiling a term for ``diff`` still recurses on its depth."""
+def test_a_deep_definition_is_compared(tmp_path, capsys):
+    """Compiling a term for ``diff`` runs on the fold: the difference of
+    a sum of 10,000 terms at radius 1 is 10,000."""
     deep = tmp_path / "deep.lam"
     deep.write_text(f"f = \\x:Real. {DEEP_SUM}\ng = \\x:Real. {DEEP_SUM}\n")
     code, out, err = run(capsys, "diff", deep, "f", "g", "--probes", "3")
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert code == 0 and err == ""
+    assert out.startswith("f vs g (seed 0)\n")
+    assert f"{0:>14} {1:>10} {0:>14} {10000:>14}\n" in out
 
 
 @pytest.mark.parametrize("command, names, body, want", [

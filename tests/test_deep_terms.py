@@ -1,6 +1,7 @@
 """Terms ten thousand deep: every term walker runs on the explicit-stack
 fold, and what still recurses raises ``TermTooDeep`` from the library."""
 
+import math
 import time
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from lamdist.eqtheory import (DerivationFormatError, check_derivation,
                               transitivity_derivation)
 from lamdist.eqtheory.judgments import Derivation, DistanceJudgment, derive
 from lamdist.eqtheory.serialize import derivation_to_dict
-from lamdist.prims import Primitive, default_registry
+from lamdist.prims import Primitive, default_registry, prim_modulus
 from lamdist.semantics import diff_evaluate, evaluate
 from lamdist.syntax import (FnType, Lit, REAL, TermTooDeep, derivative_term,
                             parse_file, parse_term, render_term, term_equal,
@@ -81,16 +82,80 @@ def test_both_lifts_of_a_forty_binder_chain_check(lift):
 
 
 @pytest.mark.parametrize("run", [
-    lambda t: evaluate(t)(1.0),  # compiling recurses on the depth
-    lambda t: diff_evaluate(t)(1.0, 0.5),
     lambda t: normalize((), t),  # reading back the open sum recurses
-], ids=["evaluate", "diff_evaluate", "normalize"])
+], ids=["normalize"])
 def test_recursion_that_stays_raises_term_too_deep(run):
     with pytest.raises(TermTooDeep):
         run(DEEP_SUM)
 
 
 SIN_TOWER = Lam("x", REAL, parse_term("sin(" * N + "x" + ")" * N))
+
+
+def _iterated_sine(y: float, b: float) -> tuple[float, float]:
+    """``math.sin`` applied N times to ``y``, and the difference that
+    ``prim_modulus`` gives it level by level from the radius ``b``."""
+    sin = default_registry()["sin"]
+    for _ in range(N):
+        y, b = math.sin(y), prim_modulus(sin, (y,), (b,))
+    return y, b
+
+
+@pytest.mark.parametrize("run, want", [
+    (lambda: evaluate(DEEP_SUM)(1.0), 10000.0),
+    (lambda: diff_evaluate(DEEP_SUM)(1.0, 0.5), 5000.0),
+    (lambda: evaluate(SIN_TOWER)(0.75), _iterated_sine(0.75, 0.0)[0]),
+    (lambda: diff_evaluate(SIN_TOWER)(0.75, 1e-3),
+     _iterated_sine(0.75, 1e-3)[1]),
+], ids=["evaluate-sum", "diff_evaluate-sum", "evaluate-sin-tower",
+        "diff_evaluate-sin-tower"])
+def test_the_evaluators_return_at_depth_ten_thousand(run, want):
+    """Compiling runs on the fold and a region is straight-line code, cut
+    into chunks that run one after another; the values are bit for bit
+    those of the node-by-node computation."""
+    assert repr(run()) == repr(want)
+
+
+def _nested_redexes(n: int):
+    """``(\\a0. (\\a1. ... 1) 1) 1``: each body applies the next lambda."""
+    body = Lit(1)
+    for i in range(n):
+        body = App(Lam(f"a{i}", REAL, body), Lit(1))
+    return body
+
+
+@pytest.mark.parametrize("run", [
+    lambda t: evaluate(t),
+    lambda t: diff_evaluate(t),
+], ids=["evaluate", "diff_evaluate"])
+def test_closures_applied_within_closures_raise_term_too_deep(run):
+    """Each closure's code applies the next one, so running the term
+    recurses on the nesting."""
+    with pytest.raises(TermTooDeep, match="too deeply to evaluate"):
+        run(_nested_redexes(N))
+
+
+def _overflowing_registry():
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    registry = default_registry()
+    registry.register(Primitive("deep", 1, too_deep, modulus=too_deep))
+    return registry
+
+
+@pytest.mark.parametrize("run", [
+    lambda t, registry: evaluate(t, {"x": 1.0}, registry=registry),
+    lambda t, registry: diff_evaluate(t, {"x": 1.0}, {"x": 0.5},
+                                      registry=registry),
+], ids=["evaluate", "diff_evaluate"])
+def test_a_recursion_error_raised_within_an_evaluation_is_term_too_deep(run):
+    """The handlers of the test above, reached without an overflow: past
+    the recursion limit a tracer such as ``tests/line_coverage.py``'s may
+    be the call that overflows, and the interpreter then removes it."""
+    registry = _overflowing_registry()
+    with pytest.raises(TermTooDeep, match="too deeply to evaluate"):
+        run(parse_term("deep(x)", registry), registry)
 
 
 @pytest.mark.parametrize("t", [DEEP_SUM, SIN_TOWER, BINDER_CHAIN],

@@ -342,16 +342,18 @@ def _call_names(fn, *args):
 
 
 def test_leaf_arguments_cost_no_call():
-    """One frame per primitive node plus the lambda's: the bound ``x`` and
-    the literal 0.5 are read inside the ``add`` node.  A difference also
-    calls each modulus, and the sine's makes one flat call."""
+    """A lambda whose body is straight-line code takes its parameter
+    itself, so applying it is one frame: the bound ``x`` and the literal
+    0.5 are read inline, and ``add`` and ``sin`` are statements of it.  A
+    difference adds one call where a modulus is not written inline: the
+    sine's scalar modulus, which makes one flat call.  The sum modulus
+    is an expression on the radii."""
     term = parse_term(r"\x:Real. sin(x + 0.5)")
     f, df = evaluate(term), diff_evaluate(term)
-    assert _call_names(f, 1.0) == ["<lambda>", "node", "node"]
-    assert _call_names(df, 1.0, 0.0) == ["dclosure", "node", "node"]
-    assert _call_names(df, 1.0, 0.5) == [
-        "dclosure", "node", "node", "_sum_modulus", "modulus",
-        "_critical_points"]
+    assert _call_names(f, 1.0) == ["region"]
+    assert _call_names(df, 1.0, 0.0) == ["region"]
+    assert _call_names(df, 1.0, 0.5) == ["region", "scalar",
+                                          "_critical_points"]
 
 
 # --- the wave modulus against the range-of-sine path it replaced ------------

@@ -35,10 +35,6 @@ RECURSIVE = {
                              "normal form",
     "equality.py:_readback_neutral": "walks values with _readback, for "
                                      "normalize alone",
-    "eval.py:compile_value": "compiles by recursion on the term; evaluate "
-                             "raises TermTooDeep",
-    "diff.py:_compile_dual": "compiles by recursion on the term; "
-                             "diff_evaluate raises TermTooDeep",
     "diff.py:_lift": "a type walker: lifts an operation along the "
                      "difference type, once per lift",
     "serialize.py:_from_dict": "walks the derivation's depth, which json "
