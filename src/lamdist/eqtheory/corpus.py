@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from ..prims import DEFAULT_REGISTRY, Registry
 from ..relations.checkers import Consistent
-from ..syntax.equality import normalize
+from ..syntax.equality import exact_value
 from ..syntax.terms import App, Lam, Lit, REAL, RealType, Var, fresh_name
 from .dlog import check_dlog_judgment
 from .judgments import (Derivation, DistanceJudgment, check_derivation,
@@ -167,14 +167,14 @@ def chain_partner(d: Derivation, rng: random.Random,
                   registry: Registry = DEFAULT_REGISTRY) -> Derivation:
     """A valid derivation whose left subject is ``d``'s right subject.
 
-    At ``Real`` the right subject is closed, so it normalizes to a
+    At ``Real`` the right subject is closed, so it evaluates exactly to a
     literal; a literal judgment plus one conversion step restates it with
     the original term.  At arrows the canonical self-distance derivation
     of the right subject already starts in the right place.
     """
     j = d.conclusion
     if isinstance(j.ty, RealType):
-        n = normalize((), j.right, REAL, registry)
+        n = Lit(exact_value({}, j.right, registry))
         step = Fraction(rng.randint(0, 6), 4)
         target = n.value + step
         lit_node = Derivation("Lit", DistanceJudgment(

@@ -2,8 +2,8 @@
 
 The syntactic relation has the semantic one's membership clauses, so
 ``check_dlog`` is ``check_rho`` on the exact denotations of its three
-closed terms (exact-mode ``evaluate``, the evaluator ``normalize`` reads
-back from): at ``Real`` it compares rationals, which decides membership
+closed terms (exact-mode ``evaluate``, the evaluator conversion runs
+too): at ``Real`` it compares rationals, which decides membership
 outright; products go componentwise; at arrows both the two-sided and
 the self application triples must stay members for every probe.  The
 probes are ``SyntacticProbes``: literal triples at the base, and
@@ -21,7 +21,8 @@ from ..relations.probes import ProbeSet, ProbeTriple, library_terms
 from ..semantics.eval import evaluate
 from ..syntax.derivative import derivative_term, partial_type
 from ..syntax.printer import render_term
-from ..syntax.terms import FnType, PairType, Term, TermTooDeep, Type
+from ..syntax.terms import (FnType, PairType, Term, TermTooDeep, Type,
+                            on_overflow)
 from ..syntax.typecheck import typecheck
 from .judgments import DistanceJudgment
 
@@ -72,11 +73,9 @@ def check_dlog(ty: Type, left: Term, dist: Term, right: Term,
             raise TypeError(f"{name} subject is not closed at the claimed type")
     x, a, x2 = (evaluate(term, registry=registry, exact=True)
                 for term in (left, dist, right))
-    try:
+    with on_overflow(TermTooDeep, "term nested too deeply to evaluate"):
         return check_rho(ty, x, _uncurried(ty, a), x2,
                          SyntacticProbes(registry))
-    except RecursionError:
-        raise TermTooDeep("term nested too deeply to evaluate") from None
 
 
 def _uncurried(ty: Type, a):

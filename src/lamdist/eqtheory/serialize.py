@@ -18,7 +18,7 @@ import json
 from ..prims import DEFAULT_REGISTRY, Registry
 from ..syntax.parser import ParseError, parse_shared, parse_shared_type
 from ..syntax.printer import render_term, render_type
-from ..syntax.terms import EMPTY_SCOPE, Scope, Var
+from ..syntax.terms import EMPTY_SCOPE, Scope, Var, on_overflow
 from .judgments import Derivation, DistanceJudgment, RULES
 
 
@@ -55,11 +55,9 @@ def derivation_to_json(d: Derivation) -> str:
     by recursion, so past about 500 premise levels (at Python's default
     recursion limit) this raises :class:`DerivationFormatError`."""
     data = derivation_to_dict(d)
-    try:
+    with on_overflow(DerivationFormatError,
+                     "derivation nested too deeply to write"):
         return json.dumps(data, indent=2, sort_keys=True)
-    except RecursionError:
-        raise DerivationFormatError(
-            "derivation nested too deeply to write") from None
 
 
 def derivation_from_dict(data, registry: Registry = DEFAULT_REGISTRY,
@@ -71,11 +69,9 @@ def derivation_from_dict(data, registry: Registry = DEFAULT_REGISTRY,
     each type text's type too, and lives only as long as the call.  Premises
     nested past Python's recursion limit raise
     :class:`DerivationFormatError`."""
-    try:
+    with on_overflow(DerivationFormatError,
+                     f"{path}: derivation nested too deeply to read"):
         return _from_dict(data, registry, path, {})
-    except RecursionError:
-        raise DerivationFormatError(
-            f"{path}: derivation nested too deeply to read") from None
 
 
 def _parsed(src, parse, spans: dict, registry: Registry):
@@ -139,10 +135,9 @@ def _from_dict(data, registry: Registry, path: str,
 def derivation_from_json(text: str,
                          registry: Registry = DEFAULT_REGISTRY) -> Derivation:
     try:
-        data = json.loads(text)
+        with on_overflow(DerivationFormatError,
+                         "JSON nested too deeply to decode"):
+            data = json.loads(text)
     except json.JSONDecodeError as e:
         raise DerivationFormatError(f"not valid JSON: {e}") from e
-    except RecursionError:
-        raise DerivationFormatError(
-            "JSON nested too deeply to decode") from None
     return derivation_from_dict(data, registry)

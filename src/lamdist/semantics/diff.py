@@ -50,7 +50,7 @@ from typing import Callable, Mapping, Union
 from ..prims import (_RADIUS_MODULI, _SCALAR_MODULI, DEFAULT_REGISTRY,
                      Registry, box_modulus)
 from ..syntax.terms import (FnType, Lam, Pair, PairType, RealType, Term,
-                            TermTooDeep, Type)
+                            TermTooDeep, Type, on_overflow)
 from .eval import (REGION, Const, Literal, Mode, Position, Region, Value,
                    ValueMode, emit, tuple_source)
 
@@ -64,12 +64,11 @@ DualCode = Callable[[tuple, tuple], tuple]
 def diff_evaluate(t: Term, env: Mapping[str, Value] | None = None,
                   denv: Mapping[str, Diff] | None = None, *,
                   registry: Registry = DEFAULT_REGISTRY) -> Diff:
-    try:
+    # closures applied within closures recurse
+    with on_overflow(TermTooDeep, "term nested too deeply to evaluate"):
         code = _compile_dual(t, dict(env) if env else {},
                              dict(denv) if denv else {}, registry)
         return code((), ())[1]
-    except RecursionError:  # closures applied within closures
-        raise TermTooDeep("term nested too deeply to evaluate") from None
 
 
 def _compile_dual(t: Term, free: Mapping[str, Value],

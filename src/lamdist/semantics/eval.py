@@ -34,7 +34,7 @@ difference pass of ``diff``, from node templates of its own.
 Exact mode carries ``Fraction`` values: field primitives compute exactly,
 transcendentals rationalize their float result, which is deterministic.
 It exists so inequalities between evaluated reals can be decided with no
-rounding at all.  It runs normalization's evaluator,
+rounding at all.  It runs conversion's evaluator,
 ``syntax.equality.exact_value``, which is stack-safe on deep terms and
 raises the same errors lazily.
 """
@@ -50,7 +50,7 @@ from ..prims import (_INFIX, DEFAULT_REGISTRY, EvalDomainError, Primitive,
                      Registry, bad_radius, nonfinite_result, outside_domain)
 from ..syntax.equality import exact_value
 from ..syntax.terms import (App, First, Lam, Lit, Pair, PrimOp, Second, Term,
-                            TermTooDeep, Var, fold, walker)
+                            TermTooDeep, Var, fold, on_overflow, walker)
 
 Value = Union[float, Fraction, tuple, Callable]
 
@@ -62,12 +62,11 @@ def evaluate(t: Term, env: Mapping[str, Value] | None = None, *,
              registry: Registry = DEFAULT_REGISTRY,
              exact: bool = False) -> Value:
     env = dict(env) if env else {}
-    try:
+    # closures applied within closures recurse
+    with on_overflow(TermTooDeep, "term nested too deeply to evaluate"):
         if exact:
             return exact_value(env, t, registry)
         return compile_value(t, env, registry)(())
-    except RecursionError:  # closures applied within closures
-        raise TermTooDeep("term nested too deeply to evaluate") from None
 
 
 def compile_value(t: Term, free: Mapping[str, Value],

@@ -13,7 +13,7 @@ neutral values structurally, each argument at its type.  Before every
 step, two sides are equal if their terms are one object or
 alpha-equivalent and both environments bind each free name of the term
 to one value object: so a lift's eta-expansion ``\\z. (\\x. B) z`` against
-``\\x. B`` costs its spine, and nothing is evaluated or read back.  The
+``\\x. B`` costs its spine, and nothing is evaluated.  The
 same shortcut accepts a term against itself even when it holds a call
 outside its primitive's domain, such as ``div(1, 0)``, which evaluating
 would refuse.
@@ -21,10 +21,9 @@ would refuse.
 The theory's terms have beta-normal eta-long forms with primitive calls
 folded exactly when every argument is a literal, folding under binders
 included; two terms are equal iff those forms are alpha-equivalent, which
-the conversion decides without building them.  Primitive calls with a
-neutral argument compare structurally, which is sound.  ``normalize``
-builds the forms, by evaluation and type-directed readback, for
-``check_suite`` and the tests; the derivation checker does not call it.
+the conversion, lamdist's one equality, decides without building them.
+Primitive calls with a neutral argument compare structurally, which is
+sound.
 
 The evaluator, ``exact_value``, is lamdist's one evaluator in rational
 arithmetic: exact-mode ``evaluate`` runs it on closed values, and only it
@@ -37,16 +36,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
 from typing import Callable, Mapping
 
 from ..prims import DEFAULT_REGISTRY, Registry
 from .printer import render_type
 from .terms import (App, Context, First, FnType, Lam, Lit, Pair, PairType,
-                    PrimOp, REAL, RealType, Scope, Second, Skip, Term,
-                    TermTooDeep, Type, Var, alpha_equal, fold, free_vars,
+                    PrimOp, REAL, Scope, Second, Skip, Term, TermTooDeep,
+                    Type, Var, alpha_equal, fold, free_vars, on_overflow,
                     walker)
-from .typecheck import TypecheckError, typecheck, typechecker
+from .typecheck import TypecheckError, typechecker
 
 
 # --- semantic domain --------------------------------------------------------
@@ -98,7 +96,6 @@ class Closure:
 
 V = Fraction | tuple | Callable[["V"], "V"] | VNeutral
 Neutral = NVar | NApp | NProj | NPrim
-_Fresh = Callable[[], str]  # the next canonical binder name
 
 
 def _apply(f: V, a: V) -> V:
@@ -125,7 +122,7 @@ def _prim(name: str, args: tuple[V, ...], registry: Registry) -> V:
 
 def exact_value(env: Mapping[str, V], t: Term, registry: Registry) -> V:
     """``t``'s value, with its free names read from ``env`` (where
-    ``normalize`` puts neutral values)."""
+    conversion puts neutral values)."""
     return fold(t, _EVAL, (env, registry))
 
 
@@ -155,61 +152,6 @@ _EVAL = walker({
 }, {Lam: _closure})
 
 
-def _readback(v: V, ty: Type, fresh: _Fresh, registry: Registry) -> Term:
-    if isinstance(ty, FnType):
-        x = fresh()
-        body = _readback(_apply(v, VNeutral(NVar(x), ty.arg)), ty.res,
-                         fresh, registry)
-        return Lam(x, ty.arg, body)
-    if isinstance(ty, PairType):
-        return Pair(_readback(_project(v, True), ty.left, fresh, registry),
-                    _readback(_project(v, False), ty.right, fresh, registry))
-    if isinstance(ty, RealType):
-        if isinstance(v, Fraction):
-            return Lit(v)
-        if isinstance(v, VNeutral):
-            return _readback_neutral(v.ne, fresh, registry)
-    raise TypeError(f"cannot read back {v!r} at {render_type(ty)}")
-
-
-def _readback_neutral(ne: Neutral, fresh: _Fresh, registry: Registry) -> Term:
-    if isinstance(ne, NVar):
-        return Var(ne.name)
-    if isinstance(ne, NApp):  # ``_apply`` builds one only at an arrow
-        return App(_readback_neutral(ne.fn.ne, fresh, registry),
-                   _readback(ne.arg, ne.fn.ty.arg, fresh, registry))
-    if isinstance(ne, NProj):
-        side = First if ne.first else Second
-        return side(_readback_neutral(ne.pair.ne, fresh, registry))
-    return PrimOp(ne.name,  # an NPrim
-                  tuple(_readback(a, REAL, fresh, registry) for a in ne.args))
-
-
-def normalize(ctx: Context, t: Term, ty: Type | None = None,
-              registry: Registry = DEFAULT_REGISTRY) -> Term:
-    """Beta-normal eta-long constant-folded form with canonical binder
-    names.  ``ty``, when given, must be ``t``'s type in ``ctx``."""
-    if ty is None:
-        ty = typecheck(ctx, t, registry)
-    env = {x: VNeutral(NVar(x), a) for x, a in ctx}
-    # binder names v0, v1, ... that clash with no name in sight: a typed
-    # term's free names are in its context
-    fresh = (n for i in count()
-             if (n := f"v{i}") not in env and n + "'" not in env).__next__
-    return _bounded("normal form too deep to read back", lambda: _readback(
-        exact_value(env, t, registry), ty, fresh, registry))
-
-
-def _bounded(what: str, run: Callable[[], bool | Term]):
-    """``run()``, which raises ``TermTooDeep(what)`` past the interpreter's
-    recursion limit: reading back recurses on the normal form, and
-    evaluating applies a closure within the one applying it."""
-    try:
-        return run()
-    except RecursionError:
-        raise TermTooDeep(what) from None
-
-
 class Equality:
     """Comparisons that share their typing, as the ``Conv`` nodes of one
     derivation do, and each subterm's free names, which are kept by the
@@ -230,8 +172,9 @@ class Equality:
         # each variable is one neutral object, and neutral variables
         # compare by identity
         env = {x: VNeutral(NVar(x), a) for x, a in ctx}
-        return _bounded("term nested too deeply to compare",
-                        lambda: self._convertible(ty, (env, t), (env, s)))
+        # evaluating applies a closure within the one applying it
+        with on_overflow(TermTooDeep, "term nested too deeply to compare"):
+            return self._convertible(ty, (env, t), (env, s))
 
     def _convertible(self, ty: Type, a, b) -> bool:
         """Are sides ``a`` and ``b`` equal at ``ty``?  A side is

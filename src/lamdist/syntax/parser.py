@@ -20,8 +20,10 @@ Terms::
 
 The infix operators ``+ - * /`` are sugar for the ``add``/``sub``/
 ``mul``/``div`` primitives; ``-`` before a number literal folds into the
-literal.  Names may carry trailing primes (``x'``), the reserved family
-of difference variables.  ``#`` starts a comment.
+literal.  A ``NUMBER`` is digits with at most one decimal point; one that
+runs into a letter, as ``1e300`` does, is an error: scientific notation
+is not supported.  Names may carry trailing primes (``x'``), the
+reserved family of difference variables.  ``#`` starts a comment.
 
 Term files hold one ``name = term`` definition per line; later
 definitions may mention earlier names, which are inlined textually.
@@ -55,7 +57,9 @@ class ParseError(SyntaxError):
         self.col = col
 
 
-_LEXEME = r"\d+(?:\.\d+)?|[A-Za-z_][A-Za-z0-9_]*'*|->|[\\.:(),*+\-/=]"
+# a number is read with all the letters, digits and points it runs into,
+# and refused unless it is digits with at most one point
+_LEXEME = r"\d[\w.]*|[A-Za-z_][A-Za-z0-9_]*'*|->|[\\.:(),*+\-/=]"
 _is_lexeme = re.compile(_LEXEME).match
 # one lexeme after whitespace and comments; "" at the end of the text; or
 # else the rest of the text, from a character that no lexeme starts with
@@ -307,7 +311,11 @@ class _Parser:
             self.fail("expected a term")
         self.i += 1
         if tok[0].isdigit():
-            whole, _, frac = tok.partition(".")
+            whole, point, frac = tok.partition(".")
+            if not whole.isdecimal() or point and not frac.isdecimal():
+                raise self.error(f"malformed number {tok!r}: a number is "
+                                 "digits with at most one point; scientific "
+                                 "notation is not supported", i)
             return Lit(Fraction(int(whole + frac), 10 ** len(frac)))
         if tok == "fst" or tok == "snd":
             self.expect("(")

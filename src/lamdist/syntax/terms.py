@@ -27,6 +27,24 @@ class TermTooDeep(ValueError):
     interpreter's recursion limit."""
 
 
+class on_overflow:
+    """A context in which passing the interpreter's recursion limit raises
+    ``error(message)``, not ``RecursionError``: the one place where an
+    overflow becomes a typed error."""
+    __slots__ = ("error", "message")
+
+    def __init__(self, error: type[Exception], message: str):
+        self.error, self.message = error, message
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if kind is not None and issubclass(kind, RecursionError):
+            raise self.error(self.message) from None
+        return False
+
+
 # --- types ----------------------------------------------------------------
 # Hash-consed, as in Filliâtre and Conchon, "Type-safe modular hash-consing"
 # (ML Workshop, 2006): one object per structure, so ``==`` is ``is``.
@@ -420,10 +438,10 @@ def substitute(t: Term, mapping: Mapping[str, Term]) -> Term:
     """Simultaneous capture-avoiding substitution."""
     # names that must not be captured by any binder we pass under
     danger = frozenset().union(*(free_vars(v) for v in mapping.values()))
-    try:  # with the binders entered, innermost last, and each one's count
+    # renamed binders nested in renamed binders recurse
+    with on_overflow(TermTooDeep, "binders renamed too deeply to substitute"):
+        # with the binders entered, innermost last, and each one's count
         return fold(t, _SUBSTITUTE, (dict(mapping), danger, [], {}))
-    except RecursionError:  # renamed binders nested in renamed binders
-        raise TermTooDeep("binders renamed too deeply to substitute") from None
 
 
 def _enter_substitution(state, lam: Lam):

@@ -44,24 +44,6 @@ ALLOWLIST: dict[str, dict[str, tuple[str, ...]]] = {
     "run only as a script, which tests/test_cli.py starts as a subprocess": {
         "cli.py": ("sys.exit(main())",),
     },
-    # Past the recursion limit the interpreter raises RecursionError in the
-    # tracer's own call and removes the tracer, so the handler that turns
-    # the error into a typed one runs unseen.  Changing each of these
-    # ``except RecursionError`` clauses to catch another type fails a
-    # tier-1 test.
-    "a RecursionError handler: the overflow removes the tracer": {
-        "eqtheory/dlog.py": (
-            "except RecursionError:",
-            'raise TermTooDeep("term nested too deeply to evaluate") from None'),
-        "eqtheory/serialize.py": (
-            "raise DerivationFormatError(",
-            'f"{path}: derivation nested too deeply to read") from None'),
-        "syntax/terms.py": (
-            "except RecursionError:  # renamed binders nested in renamed "
-            "binders",
-            'raise TermTooDeep("binders renamed too deeply to substitute") '
-            "from None"),
-    },
     # q^c's fold of meets has Θ^c's cell among its terms, so only an order
     # that is not transitive could put q^c above Θ^c; none of the tables
     # in the tests does, nor any of 153,846 random three-element tables

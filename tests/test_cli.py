@@ -35,6 +35,15 @@ def test_typecheck_ill_typed_file(tmp_path, capsys):
     assert "non-product" in err
 
 
+def test_typecheck_refuses_scientific_notation(tmp_path, capsys):
+    source = tmp_path / "sci.lam"
+    source.write_text("f = \\x:Real. x * 1e300\n")
+    code, out, err = run(capsys, "typecheck", source)
+    assert (code, out) == (1, "")
+    assert err.startswith("syntax error: 1:18: malformed number '1e300'")
+    assert err.count("\n") == 1
+
+
 def test_typecheck_empty_file(tmp_path, capsys):
     empty = tmp_path / "empty.lam"
     empty.write_text("")

@@ -1,12 +1,13 @@
-"""Conversion against normal forms.
+"""Conversion against the reference normalizer.
 
 ``Equality.equal`` decides the theory by a type-directed comparison with
-a shared-subterm shortcut; its oracle is ``normalize`` on both sides and
-``alpha_equal`` on the two normal forms.  The two must agree on each pair
-of ``test_equality.py``, on seeded pairs from ``gen.py``, and on every
-``Conv`` node of the benchmark's derivation files and of the corpus.  The
-named cases below fail if the shortcut skips its environment test or
-reads free names as bound ones.
+a shared-subterm shortcut; its oracle is ``tests/reference``, which types
+both sides itself and compares their de Bruijn normal forms, built by
+substitution and eta expansion apart from lamdist.  The two must agree
+on each pair of ``test_equality.py``, on seeded pairs from ``gen.py``,
+and on every ``Conv`` node of the benchmark's derivation files and of the
+corpus.  The named cases below fail if the shortcut skips its
+environment test or reads free names as bound ones.
 """
 
 import random
@@ -16,33 +17,33 @@ import pytest
 
 from lamdist.eqtheory import check_derivation, derivation_from_json
 from lamdist.eqtheory.judgments import Derivation, DistanceJudgment
-from lamdist.prims import EvalDomainError
+from lamdist.prims import DEFAULT_REGISTRY, EvalDomainError
 from lamdist.syntax import (FnType, REAL, TypecheckError, parse_term,
-                            term_equal, typecheck)
-from lamdist.syntax.equality import normalize
-from lamdist.syntax.terms import (App, Lam, Lit, PairType, PrimOp, Var,
-                                  alpha_equal)
+                            term_equal)
+from lamdist.syntax.terms import App, Lam, Lit, PairType, PrimOp, Var
 
 from gen import random_closed_fn_term
+from reference.normalizer import IllTyped, equal, normal_form
 
 ROOT = Path(__file__).resolve().parent.parent
 F = FnType(REAL, REAL)
 
 
 def by_normal_forms(ctx, t, s) -> bool:
-    """The oracle: are the normal forms of ``t`` and ``s`` one term?"""
-    ty = typecheck(ctx, t)
-    if typecheck(ctx, s) is not ty:
-        raise TypecheckError("the two sides differ in type")
-    return alpha_equal(normalize(ctx, t, ty), normalize(ctx, s, ty))
+    """The oracle: do ``t`` and ``s`` have one normal form in the
+    reference?"""
+    return equal(ctx, t, s, DEFAULT_REGISTRY)
 
 
 def outcome(decide, ctx, t, s):
-    """``decide``'s verdict on ``t = s``, or the type of error it raised."""
+    """``decide``'s verdict on ``t = s``, or the type of error it raised:
+    ``TypecheckError`` for either side's refusal to type."""
     try:
         return decide(ctx, t, s)
-    except (TypecheckError, EvalDomainError) as e:
-        return type(e)
+    except (TypecheckError, IllTyped):
+        return TypecheckError
+    except EvalDomainError:
+        return EvalDomainError
 
 
 def assert_agree(ctx, t, s):
@@ -178,12 +179,14 @@ def test_a_shared_body_under_swapped_binders():
 
 def test_one_side_holding_an_out_of_domain_call_is_equal_to_itself():
     """Both sides are one term, or alpha-equivalent ones, so the shortcut
-    accepts them without evaluating ``div(1, 0)``; normalizing refuses.
-    Against another term the call is evaluated, and refused."""
+    accepts them without evaluating ``div(1, 0)``, as the reference does;
+    normalizing refuses.  Against another term the call is evaluated, and
+    refused."""
     t = parse_term("div(1, 0)")
     assert term_equal((), t, t) and term_equal((), t, parse_term("div(1, 0)"))
+    assert assert_agree((), t, parse_term("div(1, 0)")) is True
     with pytest.raises(EvalDomainError):
-        by_normal_forms((), t, t)
+        normal_form((), t, DEFAULT_REGISTRY)
     with pytest.raises(EvalDomainError):
         term_equal((), t, Lit(0))
     # a Conv node over a premise about the call: the node passes, so the

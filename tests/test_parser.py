@@ -135,8 +135,23 @@ def test_parse_identity_golden():
         assert got == want, src
 
 
+# A number that runs into a name once parsed as an application (``1e300``
+# as ``1 e300``) or, before a minus, as a subtraction
+SCIENTIFIC = ("a number is digits with at most one point; scientific "
+              "notation is not supported")
+
+
 @pytest.mark.parametrize("parse, src, message", [
     (parse_term, "x + $", "1:5: unexpected character '$'"),
+    (parse_term, "1e300", f"1:1: malformed number '1e300': {SCIENTIFIC}"),
+    (parse_term, "2.5e3", f"1:1: malformed number '2.5e3': {SCIENTIFIC}"),
+    (parse_term, "1e-3", f"1:1: malformed number '1e': {SCIENTIFIC}"),
+    (parse_file, "a = 1\nb = a * 1e300",
+     f"2:9: malformed number '1e300': {SCIENTIFIC}"),
+    (parse_file, "a = 1\nb = a * 2.5e3",
+     f"2:9: malformed number '2.5e3': {SCIENTIFIC}"),
+    (parse_file, "a = 1\nb = a * 1e-3",
+     f"2:9: malformed number '1e': {SCIENTIFIC}"),
     (parse_term, "x )", "1:3: trailing input after term (found ')')"),
     (parse_term, "sin(1, 2)", "1:1: primitive 'sin' takes 1 argument(s), got 2"),
     (parse_term, "\\x:Real.\n  x $", "2:5: unexpected character '$'"),

@@ -17,9 +17,8 @@ from lamdist.relations.checkers import estimate_self_distance
 from lamdist.semantics import diff_evaluate, evaluate
 from lamdist.semantics.diff import top_diff
 from lamdist.syntax import FnType, Lit, REAL
-from lamdist.syntax.terms import (Pair, PairType, Var, alpha_equal, dotted,
+from lamdist.syntax.terms import (App, First, Var, alpha_equal, dotted,
                                   free_vars)
-from lamdist.syntax.equality import normalize
 
 FN = FnType(REAL, REAL)
 BOGUS = object()
@@ -49,15 +48,13 @@ REFUSALS = {
     "evaluate": (lambda: evaluate(BOGUS), TypeError, "not a term"),
     "diff_evaluate": (lambda: diff_evaluate(BOGUS), TypeError, "not a term"),
     "top_diff": (lambda: top_diff(BOGUS), TypeError, "not a type"),
-    # normal forms at a type the term does not have
-    "normalize a number at an arrow": (
-        lambda: normalize((), Lit(1), FN), TypeError, "cannot apply"),
-    "normalize a number at a product": (
-        lambda: normalize((), Lit(1), PairType(REAL, REAL)), TypeError,
+    # exact evaluation of an ill-typed term
+    "exact evaluation applying a number": (
+        lambda: evaluate(App(Lit(1), Lit(2)), exact=True), TypeError,
+        "cannot apply"),
+    "exact evaluation projecting a number": (
+        lambda: evaluate(First(Lit(1)), exact=True), TypeError,
         "cannot project"),
-    "normalize a pair at Real": (
-        lambda: normalize((), Pair(Lit(1), Lit(2)), REAL), TypeError,
-        "cannot read back"),
     # probes and checkers
     "probes at no type": (lambda: ProbeSet().triples(BOGUS), TypeError,
                           "not a type"),

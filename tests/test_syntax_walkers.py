@@ -8,7 +8,8 @@ unknown primitives, wrong arities, ill-typed applications and
 projections).  For each term the golden holds its type or the exact
 error text, its rendering, its derivative, its free and all names, its
 subterms in order, five capturing substitutions, a set of alpha
-comparisons, its normal form, its round trip through the parser and,
+comparisons, its normal form (from ``tests/reference``, once lamdist's
+typing has accepted the term), its round trip through the parser and,
 for closed well-typed terms, its synthesized self-distance conclusion.
 """
 
@@ -18,12 +19,14 @@ from fractions import Fraction
 from pathlib import Path
 
 from lamdist.eqtheory import self_distance_derivation
+from lamdist.prims import DEFAULT_REGISTRY
 from lamdist.syntax import (FnType, Lit, REAL, derivative_term, parse_term,
                             render_term, typecheck)
 from lamdist.syntax.terms import (App, First, Lam, Pair, PairType, PrimOp,
                                   Second, Var, all_var_names, alpha_equal,
                                   free_vars, substitute, subterms)
-from lamdist.syntax.equality import normalize
+
+from reference.normalizer import normal_form
 
 GOLDEN = Path(__file__).parent / "golden" / "syntax_walkers.json"
 
@@ -169,7 +172,10 @@ def _record(t, neighbour):
                     alpha_equal(primed, t), alpha_equal(t, collapsed),
                     alpha_equal(t, neighbour), alpha_equal(neighbour, t),
                     alpha_equal(t, substitute(t, SUBSTITUTIONS[0]))]
-    out["normalize"] = _outcome(lambda: render_term(normalize(CTX, t)))
+    # the reference's normal form, once lamdist's typing has passed: a
+    # term it refuses records lamdist's error text
+    out["normalize"] = _outcome(lambda: typecheck(CTX, t) and render_term(
+        normal_form(CTX, t, DEFAULT_REGISTRY)))
     out["reparse"] = _outcome(lambda: render_term(parse_term(render_term(t))))
     if not free_vars(t) and not out["type"].startswith("TypecheckError"):
         out["self_distance"] = _outcome(

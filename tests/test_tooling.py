@@ -30,11 +30,6 @@ def test_the_sources_parse_as_python_3_10():
 WALKERS = [path for layer in ("syntax", "semantics", "eqtheory", "relations")
            for path in sorted((SRC / layer).glob("*.py"))]
 RECURSIVE = {
-    "equality.py:_readback": "walks values for normalize alone, which "
-                             "raises TermTooDeep; conversion reads no "
-                             "normal form",
-    "equality.py:_readback_neutral": "walks values with _readback, for "
-                                     "normalize alone",
     "diff.py:_lift": "a type walker: lifts an operation along the "
                      "difference type, once per lift",
     "serialize.py:_from_dict": "walks the derivation's depth, which json "
@@ -164,7 +159,7 @@ def test_no_code_in_the_package_raises_system_exit():
 
 def test_one_module_calls_primitives_in_rational_arithmetic():
     """Exact evaluation has one evaluator, ``syntax.equality.exact_value``,
-    which ``normalize`` and exact-mode ``evaluate`` both run: only its
+    which conversion and exact-mode ``evaluate`` both run: only its
     module reads ``Registry.call_exact``."""
     readers = set()
     for path in sorted(SRC.rglob("*.py")):
