@@ -14,6 +14,7 @@ Terms and types are carried in the concrete syntax.
 from __future__ import annotations
 
 import json
+from itertools import islice
 
 from ..prims import DEFAULT_REGISTRY, Registry
 from ..syntax.parser import ParseError, parse_shared, parse_shared_type
@@ -29,6 +30,12 @@ class DerivationFormatError(ValueError):
 def derivation_to_dict(d: Derivation) -> dict:
     """The schema's object for ``d``, built on an explicit stack, so no
     derivation is too deep for it."""
+    return _to_dict(d, render_term, render_type, None)
+
+
+def _to_dict(d: Derivation, term, ty, entries: int | None) -> dict:
+    """``d``'s object, with ``term`` and ``ty`` writing its texts and the
+    first ``entries`` entries of each context (all if None) in it."""
     root: dict = {}
     todo = [(d, root)]
     while todo:
@@ -38,11 +45,11 @@ def derivation_to_dict(d: Derivation) -> dict:
         out.update({
             "rule": node.rule,
             "conclusion": {
-                "ctx": [[name, render_type(ty)] for name, ty in j.ctx],
-                "left": render_term(j.left),
-                "dist": render_term(j.dist),
-                "right": render_term(j.right),
-                "type": render_type(j.ty),
+                "ctx": [[x, ty(a)] for x, a in islice(j.ctx, entries)],
+                "left": term(j.left),
+                "dist": term(j.dist),
+                "right": term(j.right),
+                "type": ty(j.ty),
             },
             "premises": premises,
         })
@@ -53,11 +60,12 @@ def derivation_to_dict(d: Derivation) -> dict:
 def derivation_to_json(d: Derivation) -> str:
     """``d`` as indented JSON.  The ``json`` module writes nested objects
     by recursion, so past about 500 premise levels (at Python's default
-    recursion limit) this raises :class:`DerivationFormatError`."""
-    data = derivation_to_dict(d)
+    recursion limit) this raises :class:`DerivationFormatError`, before
+    rendering a term: it writes first a shape as deep, with no text."""
     with on_overflow(DerivationFormatError,
                      "derivation nested too deeply to write"):
-        return json.dumps(data, indent=2, sort_keys=True)
+        json.dumps(_to_dict(d, lambda t: "", lambda ty: "", 1), indent=0)
+        return json.dumps(derivation_to_dict(d), indent=2, sort_keys=True)
 
 
 def derivation_from_dict(data, registry: Registry = DEFAULT_REGISTRY,

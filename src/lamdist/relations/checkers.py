@@ -49,8 +49,8 @@ from typing import Optional, Union
 from ..semantics.diff import (Diff, diff_evaluate, residual_diff, tensor_diff,
                               top_diff)
 from ..semantics.eval import Value, evaluate
-from ..syntax.terms import (FnType, PairType, RealType, Term, Type,
-                            arrow_depth)
+from ..syntax.terms import (FnType, PairType, RealType, Term, TermTooDeep,
+                            Type, arrow_depth, on_overflow)
 from ..syntax.typecheck import typecheck
 from .probes import (ProbeSet, ProbeTriple, empirical_self_diff,
                      lipschitz_self_diff)
@@ -171,7 +171,8 @@ class _Walk:
         return self.made[key][1]
 
     def verdict(self, arrow, ty, x, a, x2, given=(None, None)) -> Verdict:
-        result = self.member(arrow, ty, x, a, x2, None, given)
+        with on_overflow(TermTooDeep, "value nested too deeply to check"):
+            result = self.member(arrow, ty, x, a, x2, None, given)
         if isinstance(result, Falsified):
             return result
         return Consistent(self.compared, arrow_depth(ty),
@@ -425,12 +426,13 @@ def eta_transitivity_split(ty: Type, a: Diff, b: Diff,
     if isinstance(ty, RealType):
         return (0.0, a + b)
     if isinstance(ty, PairType):
-        l = eta_transitivity_split(ty.left, a[0], b[0],
-                                   _proj_split(a_split, 0),
-                                   _proj_split(b_split, 0))
-        r = eta_transitivity_split(ty.right, a[1], b[1],
-                                   _proj_split(a_split, 1),
-                                   _proj_split(b_split, 1))
+        with on_overflow(TermTooDeep, "type nested too deeply to split"):
+            l = eta_transitivity_split(ty.left, a[0], b[0],
+                                       _proj_split(a_split, 0),
+                                       _proj_split(b_split, 0))
+            r = eta_transitivity_split(ty.right, a[1], b[1],
+                                       _proj_split(a_split, 1),
+                                       _proj_split(b_split, 1))
         return ((l[0], r[0]), (l[1], r[1]))
     if isinstance(ty, FnType):
         if a_split is None or b_split is None:
@@ -492,8 +494,11 @@ def estimate_self_distance(ty: Type, x: Value, probes: ProbeSet, *,
     if isinstance(ty, RealType):
         return SelfDistanceEstimate(ty, (("exact", 0.0),), 0)
     if isinstance(ty, PairType):
-        left = estimate_self_distance(ty.left, x[0], probes, family=family)
-        right = estimate_self_distance(ty.right, x[1], probes, family=family)
+        with on_overflow(TermTooDeep, "type nested too deeply to estimate"):
+            left = estimate_self_distance(ty.left, x[0], probes,
+                                          family=family)
+            right = estimate_self_distance(ty.right, x[1], probes,
+                                           family=family)
         combined = tuple((f"({pl},{pr})", (dl, dr))
                          for (pl, dl) in left.candidates
                          for (pr, dr) in right.candidates)

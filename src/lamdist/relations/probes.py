@@ -24,7 +24,8 @@ from ..semantics.eval import Value, evaluate
 from ..syntax.parser import parse_term
 from ..syntax.printer import render_term, render_type
 from ..syntax.terms import (FnType, Lam, Lit, Pair, PairType, REAL, RealType,
-                            Term, Type, Var, arrow_depth, fresh_name)
+                            Term, TermTooDeep, Type, Var, arrow_depth,
+                            fresh_name, on_overflow)
 
 MAX_PROBE_DEPTH = 2
 # every Real probe is built in memory at once, so the count has a bound
@@ -124,7 +125,8 @@ class ProbeSet:
         # recognise its probes across families
         key = (ty, "rho" if isinstance(ty, RealType) else family)
         if key not in self._cache:
-            self._cache[key] = self._build(ty, family)
+            with on_overflow(TermTooDeep, "type nested too deeply for probes"):
+                self._cache[key] = self._build(ty, family)
         return self._cache[key]
 
     # -- construction -------------------------------------------------------

@@ -89,7 +89,7 @@ def derivative_term(ctx: Context, t: Term,
     if primed:
         raise DottedVariableClash(
             f"cannot differentiate: primed variable(s) {primed} already occur")
-    return fold(t, _D, registry)
+    return fold(t, _D, registry, {})  # one derivative per shared subterm
 
 
 _D = walker({

@@ -29,7 +29,8 @@ The evaluator, ``exact_value``, is lamdist's one evaluator in rational
 arithmetic: exact-mode ``evaluate`` runs it on closed values, and only it
 calls ``Registry.call_exact``.  It runs on ``terms.fold``: stack-safe.
 A lambda's value is a ``Closure`` of the lambda and its environment,
-which conversion reads and which applies like a function.
+which conversion reads and which applies like a function, so one call
+evaluates each subterm it reaches in one environment.
 """
 
 from __future__ import annotations
@@ -122,8 +123,12 @@ def _prim(name: str, args: tuple[V, ...], registry: Registry) -> V:
 
 def exact_value(env: Mapping[str, V], t: Term, registry: Registry) -> V:
     """``t``'s value, with its free names read from ``env`` (where
-    conversion puts neutral values)."""
-    return fold(t, _EVAL, (env, registry))
+    conversion puts neutral values).  A subterm's value is kept from its
+    second reach on: at most two evaluations each, and a product's
+    factors, whose values grow with them, are not kept at all."""
+    seen = set()  # the key None from ``add`` keeps nothing
+    return fold(t, _EVAL, (env, registry), {},
+                lambda s: id(s) if id(s) in seen else seen.add(id(s)))
 
 
 def _lookup(state, t: Var, vs) -> V:

@@ -293,13 +293,20 @@ def type_walker(alg: Mapping, pre: Mapping = {}) -> dict:
             for cls, kids in _TYPE_CHILDREN.items()}
 
 
-def fold(t: Term | Type, table: dict, state=None):
+def fold(t: Term | Type, table: dict, state=None, memo: dict | None = None,
+         key=id):
     """Fold ``t``, a term or a type, bottom-up on an explicit stack, so
     none is too deep.  A node is combined right after its last child, so
-    the hooks run in the order a recursive walk would run them."""
+    the hooks run in the order a recursive walk would run them.  With
+    ``memo``, a non-leaf node whose ``key(node)`` is not None is folded
+    once per key: ``memo[key]``, read before the ``pre`` hook, keeps the
+    node alive and its result.  Typing keys on (scope, subterm), exact
+    evaluation on the subterms it reaches twice, ``derivative_term`` and
+    ``free_vars`` on the subterm; ``render_term``, ``repr`` and memo-less
+    ``free_vars`` keep nothing, as their results grow with their tree."""
     results = []
     put = results.append
-    frames = []  # (node, its alg hook, where its results start, children)
+    frames = []  # (node, alg hook, where its results start, children, key)
     s = t
     while True:
         try:
@@ -307,17 +314,22 @@ def fold(t: Term | Type, table: dict, state=None):
         except KeyError:
             what = "type" if isinstance(t, Type) else "term"
             raise TypeError(f"not a {what}: {s!r}") from None
-        if enter is not None and type(s := enter(state, s)) is Skip:
+        k = None if memo is None or kids is None else key(s)
+        if k is not None and (hit := memo.get(k)):
+            put(hit[1])
+        elif enter is not None and type(s := enter(state, s)) is Skip:
             put(s[0])
         elif kids is not None and (kids := kids(s)):
-            frames.append((s, combine, len(results), iter(kids)))
+            frames.append((s, combine, len(results), iter(kids), k))
         else:
             put(combine(state, s, ()))
         while frames:  # the next child, after combining the finished nodes
             if (s := next(frames[-1][3], None)) is not None:
                 break
-            node, combine, start, _ = frames.pop()
-            results[start:] = [combine(state, node, results[start:])]
+            node, combine, start, _, k = frames.pop()
+            results[start:] = [r := combine(state, node, results[start:])]
+            if k is not None:
+                memo[k] = node, r
         else:
             return results[0]
 
@@ -375,32 +387,18 @@ def subterms(t: Term) -> Iterator[Term]:
             todo.extend(reversed(kids(s)))
 
 
-_FREE_NAMES = {  # a node's free names, from its children's
+_FREE_VARS = walker({  # a node's free names, from its children's
     **dict.fromkeys(_CHILDREN, lambda state, t, kids: frozenset().union(*kids)),
     Var: lambda state, t, kids: frozenset((t.name,)),
     Lam: lambda state, t, kids: kids[0] - {t.var},
-}
-_FREE_VARS = walker(_FREE_NAMES)
-
-
-def _keep_free_vars(memo, t: Term, kids) -> frozenset[str]:
-    memo[id(t)] = t, (names := _FREE_NAMES[type(t)](memo, t, kids))
-    return names
-
-
-_FREE_VARS_KEPT = walker(  # reads each subterm not in the memo
-    dict.fromkeys(_CHILDREN, _keep_free_vars),
-    dict.fromkeys(_CHILDREN, lambda memo, t: Skip((hit[1],)) if (
-        hit := memo.get(id(t))) is not None else t))
+})
 
 
 def free_vars(t: Term, memo: dict | None = None) -> frozenset[str]:
-    """The names free in ``t``.  With ``memo``, a dict from a subterm's id
-    to the subterm and its free names, kept over calls, each subterm met
-    before is not read again."""
-    if memo is None:
-        return fold(t, _FREE_VARS)
-    return fold(t, _FREE_VARS_KEPT, memo)
+    """The names free in ``t``.  With ``memo``, a :func:`fold` memo from a
+    subterm's id to the subterm and its free names, kept over calls, each
+    subterm met before is not read again."""
+    return fold(t, _FREE_VARS, memo=memo)
 
 
 def var_names(roots: Iterable[Term], seen: set[int]) -> Iterator[str]:

@@ -30,11 +30,10 @@ def typechecker(registry: Registry = DEFAULT_REGISTRY):
     A scope is the interned ``Scope`` of the context's entries and then
     the binders entered: entering a binder costs the same at any depth,
     ``ctx + ((x, a),)`` is the scope the binder ``x:a`` opens in ``ctx``,
-    and a call in a scope met before costs the same at any depth too.  Types
-    are kept by scope and subterm identity, so every term given must stay
-    alive while the function is used.  Errors are not kept: each call
-    raises the first error a recursive walk meets."""
-    memo: dict = {}   # (id of a scope, id of a subterm) -> its type
+    and a call in a scope met before costs the same at any depth too.  The
+    :func:`fold` memo keeps each pair's subterm alive, and its type or its
+    error, the first one a recursive walk meets, which each call raises."""
+    memo: dict = {}   # (id of a scope, id of a subterm) -> (it, type or error)
     known: dict = {}  # id -> each scope met that binds no name twice
     arity: dict = {}  # of the primitives met
 
@@ -45,10 +44,11 @@ def typechecker(registry: Registry = DEFAULT_REGISTRY):
                 raise TypecheckError(f"duplicate names in context: {names}")
             known[id(scope)] = scope
         # the names in scope, the registry, the arities, the scopes entered
-        # (innermost last), the memo, the known scopes, and the context
-        # while its names are not yet in the first
-        ty = fold(t, _TYPED, [{}, registry, arity, [scope], memo, known,
-                              scope if scope.depth else None])
+        # (innermost last), the known scopes, and the context while its
+        # names are not yet in the first
+        state = [{}, registry, arity, [scope], known,
+                 scope if scope.depth else None]
+        ty = fold(t, _TYPED, state, memo, lambda s: (id(state[3][-1]), id(s)))
         if type(ty) is _Error:
             raise TypecheckError(*ty)
         return ty
@@ -59,9 +59,9 @@ def _names(state) -> dict:
     """The names in scope, with the context's, which are entered on the
     first lookup: a walk that meets no free name costs the same at any
     depth."""
-    if state[6] is not None:
-        state[0].update(state[6])
-        state[6] = None
+    if state[5] is not None:
+        state[0].update(state[5])
+        state[5] = None
     return state[0]
 
 
@@ -103,20 +103,13 @@ def _app(state, t: App, tys):
     return fn_ty.res
 
 
-def _seen(state, t):
-    ty = state[4].get((id(state[3][-1]), id(t)))
-    return t if ty is None else Skip((ty,))
-
-
 def _enter(state, t: Lam):
-    if type(t := _seen(state, t)) is Skip:
-        return t
     names = _names(state)
     if t.var in names:  # checked before the body, which is not walked
         return Skip(((f"binder {t.var!r} shadows a variable in scope", t),))
     names[t.var] = t.var_type
     scope = state[3][-1].enter(t.var, t.var_type)
-    state[5][id(scope)] = scope  # binds no name twice, as its parent
+    state[4][id(scope)] = scope  # binds no name twice, as its parent
     state[3].append(scope)
     return t
 
@@ -133,23 +126,11 @@ def _project(state, t, tys):
     return _fail(ty, t, "projection of non-product of type {}")
 
 
-def _kept(combine):
-    def keep(state, t, tys):
-        ty = combine(state, t, tys)
-        if type(ty) is not _Error:
-            state[4][id(state[3][-1]), id(t)] = ty
-        return ty
-    return keep
-
-
-# Leaves are cheaper to type than to look up
-_COMBINE = {
-    PrimOp: _prim, App: _app, Lam: _lam, First: _project, Second: _project,
-    Pair: lambda state, t, tys: next(
-        (ty for ty in tys if type(ty) is _Error), None) or PairType(*tys)}
 _TYPED = walker({
     Var: lambda state, t, tys: (_names(state).get(t.name)
                                 or (f"unbound variable {t.name!r}", None)),
     Lit: lambda state, t, tys: REAL,
-    **{cls: _kept(combine) for cls, combine in _COMBINE.items()},
-}, {**dict.fromkeys(_COMBINE, _seen), Lam: _enter})
+    PrimOp: _prim, App: _app, Lam: _lam, First: _project, Second: _project,
+    Pair: lambda state, t, tys: next(
+        (ty for ty in tys if type(ty) is _Error), None) or PairType(*tys),
+}, {Lam: _enter})

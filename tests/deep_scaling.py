@@ -29,6 +29,20 @@ than ``SHADOWED_LIMIT_S`` to parse, if parsing 10,000 nested calls peaks
 above ``PARSE_RSS_MB`` (a span table that stored every nested span would
 hold tokens quadratic in the depth), or if an evaluator on 10,000
 levels takes more than ``EVAL_LIMIT_S`` or peaks above ``EVAL_RSS_MB``.
+
+For the closed self-distance triple of the sum ``1 + ... + 1`` of 1,000,
+3,000 and 10,000 terms, whose distance restates each left argument of
+``add`` (about 4n distinct nodes, n² as a tree), it times exact
+``evaluate`` of the distance, ``check_dlog`` on the triple and
+``derivative_term`` of the distance, and checks the distance's value 0,
+a consistent verdict and the derivative's value 0.  It exits 1 if one of
+them is wrong, or at 10,000 terms takes more than ``SHARED_LIMIT_S`` or
+peaks above ``SHARED_RSS_MB``: walking the tree takes minutes.  It times
+exact ``evaluate`` of the product ``1.1 * ... * 1.1`` of 10,000 factors,
+which shares nothing, and exits 1 if the value is not 1.1 to the
+10,000th or the call grows the peak RSS by more than
+``PRODUCT_GROWTH_MB``: keeping each factor's value, as large as its
+subterm, would add about 40 MB.
 Standard library only.
 """
 
@@ -55,6 +69,11 @@ EVALUATORS = ("evaluate", "diff_evaluate")
 SHAPES = ("sum", "sin")
 EVAL_LIMIT_S = 5.0  # for the largest size: about 0.3 s
 EVAL_RSS_MB = 200.0  # for the largest size: about 35
+SHARED_WALKS = ("evaluate", "check_dlog", "derivative_term")
+SHARED_LIMIT_S = 5.0  # for the largest size: about 0.2-0.6 s
+SHARED_RSS_MB = 200.0  # for the largest size: about 35
+PRODUCT = 10_000
+PRODUCT_GROWTH_MB = 5.0  # about 0; 43 when every value is kept
 
 
 def _peak_rss_mb() -> float:
@@ -178,8 +197,49 @@ def measure_evaluator(evaluator: str, shape: str, n: int) -> dict:
             "peak_rss_mb": _peak_rss_mb()}
 
 
+def measure_shared(walk: str, n: int) -> dict:
+    """Run ``walk`` on the closed self-distance triple of an ``n``-term
+    sum of ones in this interpreter, or with ``product``, exact
+    ``evaluate`` on the product of ``n`` factors 1.1."""
+    from fractions import Fraction
+    sys.path.insert(0, str(ROOT / "src"))
+    from lamdist.eqtheory import check_dlog, self_distance_derivation
+    from lamdist.relations import Consistent
+    from lamdist.semantics import evaluate
+    from lamdist.syntax import derivative_term, parse_term
+
+    if walk == "product":
+        t = parse_term(" * ".join(["1.1"] * n))
+    else:
+        j = self_distance_derivation(parse_term(" + ".join(["1"] * n))
+                                     ).conclusion
+    before = _peak_rss_mb()
+    start = perf_counter()
+    if walk == "product":
+        got = evaluate(t, exact=True)
+    elif walk == "evaluate":
+        got = evaluate(j.dist, exact=True)
+    elif walk == "check_dlog":
+        got = check_dlog(j.ty, j.left, j.dist, j.right)
+    else:
+        got = derivative_term((), j.dist)
+    took = perf_counter() - start
+    peak = _peak_rss_mb()
+    if walk == "product":
+        same = got == Fraction(11, 10) ** n
+    elif walk == "check_dlog":
+        same = isinstance(got, Consistent) and got.established
+    elif walk == "derivative_term":
+        same = evaluate(got, exact=True) == 0
+    else:
+        same = got == 0
+    return {"walk": walk, "terms": n, "same": same, "walk_s": took,
+            "peak_rss_mb": peak, "grown_mb": peak - before}
+
+
 MEASURES = {"check": measure, "lift": measure_lift, "parse": measure_parse,
-            "lift-check": measure_lift_check, "evaluate": measure_evaluator}
+            "lift-check": measure_lift_check, "evaluate": measure_evaluator,
+            "shared": measure_shared}
 
 
 def run(*args: str) -> dict | None:
@@ -271,6 +331,29 @@ def main() -> int:
                 print(f"  {evaluator} on {n} levels of {shape} peaked above "
                       f"{EVAL_RSS_MB:g} MB")
                 failed = True
+    print(f"\n{'shared walk':>16} {'terms':>8} {'walk s':>8} "
+          f"{'peak RSS MB':>12}")
+    for walk, sizes in (*((w, SIZES) for w in SHARED_WALKS),
+                        ("product", (PRODUCT,))):
+        for n in sizes:
+            if (row := run("shared", walk, str(n))) is None:
+                return 1
+            print(f"{walk:>16} {n:>8} {row['walk_s']:>8.3f} "
+                  f"{row['peak_rss_mb']:>12.1f}")
+            if not row["same"]:
+                print(f"  {walk} is wrong on {n} terms")
+                failed = True
+        if walk == "product":
+            if row["grown_mb"] > PRODUCT_GROWTH_MB:
+                print(f"  the product of {n} factors grew the peak RSS by "
+                      f"{row['grown_mb']:.1f} MB, over {PRODUCT_GROWTH_MB:g}")
+                failed = True
+        elif row["walk_s"] > SHARED_LIMIT_S:
+            print(f"  {walk} on {n} terms took over {SHARED_LIMIT_S:g} s")
+            failed = True
+        elif row["peak_rss_mb"] > SHARED_RSS_MB:
+            print(f"  {walk} on {n} terms peaked above {SHARED_RSS_MB:g} MB")
+            failed = True
     return int(failed)
 
 

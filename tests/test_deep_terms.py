@@ -1,6 +1,7 @@
 """Terms ten thousand deep: every term walker runs on the explicit-stack
 fold, and what still recurses raises ``TermTooDeep`` from the library."""
 
+import hashlib
 import math
 import time
 from fractions import Fraction
@@ -15,14 +16,19 @@ from lamdist.eqtheory import (DerivationFormatError, check_derivation,
 from lamdist.eqtheory.judgments import Derivation, DistanceJudgment, derive
 from lamdist.eqtheory.serialize import derivation_to_dict
 from lamdist.prims import Primitive, default_registry, prim_modulus
+from lamdist.relations import (ProbeConfig, ProbeSet, check_delta, check_eta,
+                               check_gamma, check_rho)
+from lamdist.relations.checkers import (estimate_self_distance,
+                                        eta_transitivity_split)
 from lamdist.semantics import diff_evaluate, evaluate
 from lamdist.syntax import (FnType, Lit, REAL, TermTooDeep, derivative_term,
                             parse_file, parse_term, render_term, term_equal,
                             typecheck)
-from lamdist.syntax.terms import (REBUILD, App, Lam, Pair, PrimOp, Var,
-                                  all_var_names, alpha_equal, arrow_depth,
-                                  fold, free_vars, rename_binders, substitute,
-                                  subterms, walker)
+from lamdist.syntax.terms import (REBUILD, App, Lam, Pair, PairType, PrimOp,
+                                  Var, all_var_names, alpha_equal,
+                                  arrow_depth, fold, free_vars,
+                                  rename_binders, substitute, subterms,
+                                  walker)
 
 N = 10_000
 DEEP_SUM = Lam("x", REAL, parse_term(" + ".join(["x"] * N)))
@@ -258,6 +264,53 @@ def test_writing_a_thousand_premise_levels_refuses_deep_json():
     assert depth == 1000 and data["rule"] == "Lit"
     with pytest.raises(DerivationFormatError, match="too deeply to write"):
         derivation_to_json(d)
+
+
+def test_a_six_hundred_binder_derivation_is_refused_before_rendering():
+    """The shape is written first, with no term rendered: writing the
+    whole object worked for 21.7 s and peaked at 556 MB before refusing."""
+    d = self_distance_derivation(binder_chain(600))
+    start = time.perf_counter()
+    with pytest.raises(DerivationFormatError,
+                       match="^derivation nested too deeply to write$"):
+        derivation_to_json(d)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_a_hundred_binder_derivation_writes_the_same_json():
+    """The digest of the text written before the shape was written
+    first."""
+    text = derivation_to_json(self_distance_derivation(binder_chain(100)))
+    assert len(text) == 6_215_775
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c6da6dee7235aa8186755ef3ab91d53e84ef60d9ecc3f0c83b28183f3f8a26ba")
+
+
+def _nested_product(n: int):
+    """A product type ``n`` deep, ``Real * (Real * ...)``, and a value
+    of it related to itself at distance 0."""
+    ty, x, a = REAL, 1.0, 0.0
+    for _ in range(n):
+        ty, x, a = PairType(REAL, ty), (1.0, x), (0.0, a)
+    return ty, x, a
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda ty, x, a, p: check_rho(ty, x, a, x, p), "to check"),
+    (lambda ty, x, a, p: check_eta(ty, x, a, x, p), "to check"),
+    (lambda ty, x, a, p: check_gamma(ty, x, a, x, p), "to check"),
+    (lambda ty, x, a, p: check_delta(ty, x, a, x, p), "to check"),
+    (lambda ty, x, a, p: estimate_self_distance(ty, x, p), "to estimate"),
+    (lambda ty, x, a, p: eta_transitivity_split(ty, a, a), "to split"),
+    (lambda ty, x, a, p: p.triples(ty), "for probes"),
+], ids=["check_rho", "check_eta", "check_gamma", "check_delta",
+        "estimate_self_distance", "eta_transitivity_split", "triples"])
+def test_the_relation_checkers_on_a_product_two_thousand_deep(run, message):
+    """They walk the type by recursion; at 300 deep they return."""
+    probes = ProbeSet(ProbeConfig(count=5))
+    assert run(*_nested_product(300), probes) is not None
+    with pytest.raises(TermTooDeep, match=f"nested too deeply {message}"):
+        run(*_nested_product(2000), probes)
 
 
 def test_a_derivation_over_a_three_hundred_binder_chain_checks():

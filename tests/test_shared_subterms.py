@@ -17,16 +17,23 @@ test that fails without its guard.
 
 import json
 import random
+import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-from lamdist.eqtheory import (check_derivation, derivation_from_json,
-                              self_distance_derivation)
+import pytest
+
+from lamdist.eqtheory import (check_derivation, check_dlog,
+                              derivation_from_json, self_distance_derivation)
 from lamdist.eqtheory.judgments import Derivation, DistanceJudgment
+from lamdist.relations import Consistent
+from lamdist.semantics import evaluate
 from lamdist.syntax import (FnType, Lit, ParseError, REAL, TermTooDeep,
-                            parse_term)
-from lamdist.syntax.terms import App, Lam, PairType, Var, alpha_equal
+                            TypecheckError, derivative_term, parse_term)
+from lamdist.syntax.terms import (App, First, Lam, Pair, PairType, PrimOp,
+                                  Second, Var, alpha_equal, fold, walker)
 from lamdist.syntax.parser import SPAN_DEPTH, parse_shared
 from lamdist.syntax.typecheck import typechecker
 
@@ -196,3 +203,73 @@ def test_the_span_table_keeps_no_span_nested_past_its_depth():
     # the calls in no more than SPAN_DEPTH groups, and the argument of
     # the last of them
     assert len([k for k in spans if isinstance(k, tuple)]) == SPAN_DEPTH + 1
+
+
+def test_the_fold_memo_folds_each_node_once_per_key():
+    """Leaves are never kept, and a node keyed None is folded at each
+    occurrence, though what it shares with its twin is not."""
+    calls = Counter()
+
+    def size(state, s, kids):
+        calls[id(s)] += 1
+        return 1 + sum(kids)
+
+    table = walker(dict.fromkeys(
+        (Var, Lit, PrimOp, App, Lam, Pair, First, Second), size))
+    shared = parse_term("sin(x) + 1")
+    t = Pair(shared, shared)
+    memo = {}
+    assert fold(t, table, memo=memo) == 9
+    assert set(calls.values()) == {1} and len(calls) == 5
+    assert [m[0] for m in memo.values()] == [shared.args[0], shared, t]
+    calls.clear()
+    assert fold(t, table, memo={},
+                key=lambda s: None if s is shared else id(s)) == 9
+    assert calls[id(shared)] == 2 and calls[id(shared.args[0])] == 1
+
+
+def _self_distance_of_sum(n: int):
+    """The closed self-distance triple of ``1 + ... + 1``: its distance
+    restates each left argument of ``add``, about 4n distinct nodes and
+    n² as a tree."""
+    return self_distance_derivation(parse_term(" + ".join(["1"] * n))
+                                    ).conclusion
+
+
+def test_check_dlog_reads_each_shared_subterm_of_a_distance_once():
+    """Exact evaluation keeps the value of each subterm its term reaches
+    twice: the check took 17 s when it walked the tree."""
+    j = _self_distance_of_sum(3000)
+    start = time.perf_counter()
+    verdict = check_dlog(j.ty, j.left, j.dist, j.right)
+    assert time.perf_counter() - start < 3.0
+    assert isinstance(verdict, Consistent) and verdict.established
+
+
+def test_the_derivative_of_a_distance_differentiates_each_subterm_once():
+    """A shared subterm's derivative is one term: 30 s as a tree."""
+    j = _self_distance_of_sum(3000)
+    start = time.perf_counter()
+    d = derivative_term((), j.dist)
+    assert time.perf_counter() - start < 3.0
+    assert evaluate(d, exact=True) == 0
+
+
+def test_a_typing_session_keeps_an_error_for_its_scope_only():
+    """A shared ill-typed subterm met again under one scope raises the
+    same message; under a scope where it is well typed it has its type."""
+    typed = typechecker()
+    fn, real = (("f", FnType(REAL, REAL)),), (("f", REAL),)
+    bad = parse_term("f + 1")
+
+    def message(t):
+        with pytest.raises(TypecheckError) as raised:
+            typed(fn, t)
+        return str(raised.value)
+
+    first = message(Pair(bad, bad))
+    assert first == ("primitive argument has type Real -> Real, expected "
+                     "Real in f + 1")
+    assert message(PrimOp("sin", (bad,))) == message(bad) == first
+    assert typed(real, bad) is REAL
+    assert message(bad) == first
