@@ -21,8 +21,7 @@ from ..relations.probes import ProbeSet, ProbeTriple, library_terms
 from ..semantics.eval import evaluate
 from ..syntax.derivative import derivative_term, partial_type
 from ..syntax.printer import render_term
-from ..syntax.terms import (FnType, PairType, Term, TermTooDeep, Type,
-                            on_overflow)
+from ..syntax.terms import REAL, FnType, Term, Type, componentwise
 from ..syntax.typecheck import typecheck
 from .judgments import DistanceJudgment
 
@@ -73,18 +72,14 @@ def check_dlog(ty: Type, left: Term, dist: Term, right: Term,
             raise TypeError(f"{name} subject is not closed at the claimed type")
     x, a, x2 = (evaluate(term, registry=registry, exact=True)
                 for term in (left, dist, right))
-    with on_overflow(TermTooDeep, "term nested too deeply to evaluate"):
-        return check_rho(ty, x, _uncurried(ty, a), x2,
-                         SyntacticProbes(registry))
+    return check_rho(ty, x, _uncurried(ty, a), x2, SyntacticProbes(registry))
 
 
 def _uncurried(ty: Type, a):
     """A distance value in the checkers' shape: ``a(y, b)`` is ``a y b``."""
-    if isinstance(ty, FnType):
+    if type(ty) is FnType:
         return lambda y, b: _uncurried(ty.res, a(y)(b))
-    if isinstance(ty, PairType):
-        return (_uncurried(ty.left, a[0]), _uncurried(ty.right, a[1]))
-    return a
+    return a if ty is REAL else componentwise(ty, _uncurried, a)
 
 
 def check_dlog_judgment(j: DistanceJudgment,

@@ -47,7 +47,7 @@ from ..syntax.equality import Equality
 from ..syntax.printer import render_term, render_type
 from ..syntax.terms import (App, Context, First, FnType, Lam, Lit, Pair,
                             PairType, PrimOp, REAL, Scope, Second, Term, Type,
-                            Var, alpha_equal, dotted)
+                            Var, alpha_equal, dotted, equal_terms)
 from ..syntax.typecheck import TypecheckError
 
 RULES = ("Lit", "Prim", "Var", "TransReal", "QuasiReflReal", "Abs", "App",
@@ -80,11 +80,35 @@ class DistanceJudgment:
                 f": {render_type(self.ty)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Derivation:
+    """``==`` walks the pairs of nodes left to compare on a list, and
+    compares the subjects of their conclusions with one ``seen`` set of
+    ``equal_terms``, so derivations of any depth compare, each pair of
+    shared subterms once; the hash is the rule's and the conclusion's."""
     rule: str
     conclusion: DistanceJudgment
     premises: tuple["Derivation", ...] = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, Derivation):
+            return NotImplemented
+        todo, seen = [(self, other)], set()
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            j, k = a.conclusion, b.conclusion
+            if (a.rule != b.rule or len(a.premises) != len(b.premises)
+                    or (j.ctx, j.ty) != (k.ctx, k.ty)
+                    or not equal_terms([(j.left, k.left), (j.dist, k.dist),
+                                        (j.right, k.right)], seen)):
+                return False
+            todo.extend(zip(a.premises, b.premises))
+        return True
+
+    def __hash__(self):
+        return hash((self.rule, self.conclusion))
 
 
 # --- the rules --------------------------------------------------------------

@@ -42,6 +42,7 @@ derivative-grade self-distances, which genuinely falsify more triples.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
@@ -49,8 +50,9 @@ from typing import Optional, Union
 from ..semantics.diff import (Diff, diff_evaluate, residual_diff, tensor_diff,
                               top_diff)
 from ..semantics.eval import Value, evaluate
-from ..syntax.terms import (FnType, PairType, RealType, Term, TermTooDeep,
-                            Type, arrow_depth, on_overflow)
+from ..syntax.terms import (REAL, FnType, PairType, RealType, Term,
+                            TermTooDeep, Type, arrow_depth, componentwise,
+                            on_overflow)
 from ..syntax.typecheck import typecheck
 from .probes import (ProbeSet, ProbeTriple, empirical_self_diff,
                      lipschitz_self_diff)
@@ -141,26 +143,31 @@ class _Walk:
         """Walk ``ty``, handing arrows to the family clause ``arrow``.
         ``given`` is the caller's (decomposition, backing term) of ``x``;
         at a product only the decomposition splits into components.  A
-        product walks every component: the first ``Falsified`` wins, else
-        the first note."""
-        if isinstance(ty, RealType):
+        product's components are walked on a list in the order of
+        ``terms.componentwise``, up to the first ``Falsified``; else the
+        first note wins."""
+        if ty is REAL:
             return self.compare("base", abs(x - x2), a, path)
-        if isinstance(ty, PairType):
-            split = given[0]
-            first = self.member(arrow, ty.left, x[0], a[0], x2[0],
-                                (path, "fst", None),
-                                (_proj_split(split, 0), None))
-            if isinstance(first, Falsified):
-                return first
-            second = self.member(arrow, ty.right, x[1], a[1], x2[1],
-                                 (path, "snd", None),
-                                 (_proj_split(split, 1), None))
-            if isinstance(second, Falsified):
-                return second
-            return first or second
-        if isinstance(ty, FnType):
-            return arrow(self, ty, x, a, x2, path, given)
-        raise TypeError(f"not a type: {ty!r}")
+        note, todo = None, [(ty, x, a, x2, path, given)]
+        while todo:
+            ty, x, a, x2, path, given = todo.pop()
+            if type(ty) is PairType:
+                split = given[0]
+                for i, at, step in ((1, ty.right, "snd"), (0, ty.left, "fst")):
+                    todo.append((at, x[i], a[i], x2[i], (path, step, None), (
+                        None if split is None else (split[0][i], split[1][i]),
+                        None)))
+                continue
+            if ty is REAL:
+                result = self.compare("base", abs(x - x2), a, path)
+            elif type(ty) is FnType:
+                result = arrow(self, ty, x, a, x2, path, given)
+            else:
+                raise TypeError(f"not a type: {ty!r}")
+            if isinstance(result, Falsified):
+                return result
+            note = note or result
+        return note
 
     def once(self, make, *args):
         """``make(self, *args)``, made once per walk: ``made`` keys it on
@@ -171,6 +178,7 @@ class _Walk:
         return self.made[key][1]
 
     def verdict(self, arrow, ty, x, a, x2, given=(None, None)) -> Verdict:
+        # the arrow clauses still recurse through result types
         with on_overflow(TermTooDeep, "value nested too deeply to check"):
             result = self.member(arrow, ty, x, a, x2, None, given)
         if isinstance(result, Falsified):
@@ -308,15 +316,14 @@ def _eta_split(walk, ty: FnType, x, a, x2, a1, a2, path):
 
 def _diff_leq_at(ty: Type, d1: Diff, d2: Diff, probes: ProbeSet) -> bool:
     """d1 numerically below d2, compared at probes under arrows."""
-    if isinstance(ty, RealType):
+    if ty is REAL:
         return d1 <= d2
-    if isinstance(ty, PairType):
-        return (_diff_leq_at(ty.left, d1[0], d2[0], probes)
-                and _diff_leq_at(ty.right, d1[1], d2[1], probes))
-    # an arrow: ``tensor_diff`` has refused anything else
-    return all(_diff_leq_at(ty.res, d1(p.left, p.diff), d2(p.left, p.diff),
-                            probes)
-               for p in probes.triples(ty.arg, "eta"))
+    if type(ty) is FnType:
+        return all(_diff_leq_at(ty.res, d1(p.left, p.diff),
+                                d2(p.left, p.diff), probes)
+                   for p in probes.triples(ty.arg, "eta"))
+    return componentwise(ty, lambda at, *ds: _diff_leq_at(at, *ds, probes),
+                         d1, d2, pair=operator.and_)
 
 
 # --- the right observational family ------------------------------------------
@@ -423,18 +430,9 @@ def eta_transitivity_split(ty: Type, a: Diff, b: Diff,
     element must come from the difference *leaving* it, as the checker
     demonstrates on concrete function triples.)
     """
-    if isinstance(ty, RealType):
+    if ty is REAL:
         return (0.0, a + b)
-    if isinstance(ty, PairType):
-        with on_overflow(TermTooDeep, "type nested too deeply to split"):
-            l = eta_transitivity_split(ty.left, a[0], b[0],
-                                       _proj_split(a_split, 0),
-                                       _proj_split(b_split, 0))
-            r = eta_transitivity_split(ty.right, a[1], b[1],
-                                       _proj_split(a_split, 1),
-                                       _proj_split(b_split, 1))
-        return ((l[0], r[0]), (l[1], r[1]))
-    if isinstance(ty, FnType):
+    if type(ty) is FnType:
         if a_split is None or b_split is None:
             raise ValueError("arrow-type transitivity split needs the "
                              "decompositions of both differences")
@@ -451,13 +449,13 @@ def eta_transitivity_split(ty: Type, a: Diff, b: Diff,
         c1 = lambda w, d: tensor_diff(res, b1(w, d), k(w, d))  # noqa: E731
         c2 = lambda w, d: tensor_diff(res, a1(w, d), l(w, d))  # noqa: E731
         return (c1, c2)
-    raise TypeError(f"not a type: {ty!r}")
-
-
-def _proj_split(split, idx):
-    if split is None:
-        return None
-    return (split[0][idx], split[1][idx])
+    # componentwise, each split passed as its two parts
+    return componentwise(
+        ty, lambda at, a, b, a1, a2, b1, b2: eta_transitivity_split(
+            at, a, b, None if a1 is None else (a1, a2),
+            None if b1 is None else (b1, b2)),
+        a, b, *(a_split or (None, None)), *(b_split or (None, None)),
+        pair=lambda l, r: tuple(zip(l, r)))
 
 
 # --- self-distance estimation -------------------------------------------------
@@ -491,22 +489,16 @@ def estimate_self_distance(ty: Type, x: Value, probes: ProbeSet, *,
     """
     if family not in ("rho", "eta"):
         raise ValueError(f"unknown probe family {family!r}")
-    if isinstance(ty, RealType):
-        return SelfDistanceEstimate(ty, (("exact", 0.0),), 0)
-    if isinstance(ty, PairType):
-        with on_overflow(TermTooDeep, "type nested too deeply to estimate"):
-            left = estimate_self_distance(ty.left, x[0], probes,
-                                          family=family)
-            right = estimate_self_distance(ty.right, x[1], probes,
-                                           family=family)
-        combined = tuple((f"({pl},{pr})", (dl, dr))
-                         for (pl, dl) in left.candidates
-                         for (pr, dr) in right.candidates)
-        return SelfDistanceEstimate(ty, combined, left.probes + right.probes)
-    if isinstance(ty, FnType):
-        return SelfDistanceEstimate(
-            ty, *_Walk(probes).once(_self_diffs, ty, x, term, family, True))
-    raise TypeError(f"not a type: {ty!r}")
+
+    def leaf(at, x):  # the candidates and the comparisons they took
+        if at is REAL:
+            return (("exact", 0.0),), 0
+        return _Walk(probes).once(_self_diffs, at, x,
+                                  term if at is ty else None, family, True)
+    return SelfDistanceEstimate(ty, *componentwise(
+        ty, leaf, x, pair=lambda l, r: (  # each pair of l's and r's
+            tuple((f"({pl},{pr})", (dl, dr)) for pl, dl in l[0]
+                  for pr, dr in r[0]), l[1] + r[1])))
 
 
 def _self_diffs(walk, ty: FnType, x, term, family, tight):

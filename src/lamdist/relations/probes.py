@@ -23,9 +23,9 @@ from ..semantics.diff import Diff, diff_evaluate, top_diff
 from ..semantics.eval import Value, evaluate
 from ..syntax.parser import parse_term
 from ..syntax.printer import render_term, render_type
-from ..syntax.terms import (FnType, Lam, Lit, Pair, PairType, REAL, RealType,
-                            Term, TermTooDeep, Type, Var, arrow_depth,
-                            fresh_name, on_overflow)
+from ..syntax.terms import (FnType, Lam, Lit, Pair, REAL, RealType, Term,
+                            Type, Var, arrow_depth, componentwise,
+                            fresh_name)
 
 MAX_PROBE_DEPTH = 2
 # every Real probe is built in memory at once, so the count has a bound
@@ -123,34 +123,16 @@ class ProbeSet:
             raise ValueError(f"unknown probe family {family!r}")
         # one list for both families at Real, so the checkers' memos
         # recognise its probes across families
-        key = (ty, "rho" if isinstance(ty, RealType) else family)
+        key = (ty, "rho" if ty is REAL else family)
         if key not in self._cache:
-            with on_overflow(TermTooDeep, "type nested too deeply for probes"):
-                self._cache[key] = self._build(ty, family)
+            self._cache[key] = (
+                self._real_triples() if ty is REAL
+                else self._fn_triples(ty, family) if type(ty) is FnType
+                else componentwise(ty, lambda at: self.triples(at, family),
+                                   pair=_paired))
         return self._cache[key]
 
     # -- construction -------------------------------------------------------
-
-    def _build(self, ty: Type, family: str) -> list[ProbeTriple]:
-        if isinstance(ty, RealType):
-            return self._real_triples()
-        if isinstance(ty, PairType):
-            lefts = self.triples(ty.left, family)
-            rights = self.triples(ty.right, family)
-            out = []
-            for i in range(min(len(lefts), len(rights))):
-                l, r = lefts[i], rights[i]
-                decomp = None
-                if l.decomposition and r.decomposition:
-                    decomp = ((l.decomposition[0], r.decomposition[0]),
-                              (l.decomposition[1], r.decomposition[1]))
-                out.append(ProbeTriple(
-                    (l.left, r.left), (l.diff, r.diff), (l.right, r.right),
-                    label=f"({l.label},{r.label})", decomposition=decomp))
-            return out
-        if isinstance(ty, FnType):
-            return self._fn_triples(ty, family)
-        raise TypeError(f"not a type: {ty!r}")
 
     def _real_triples(self) -> list[ProbeTriple]:
         cfg = self.config
@@ -223,6 +205,16 @@ class ProbeSet:
         return out[:FN_PROBES]
 
 
+def _paired(lefts, rights) -> list[ProbeTriple]:
+    """A product's probes: the i-th of each component's, paired, with
+    their decompositions where both have one."""
+    return [ProbeTriple((l.left, r.left), (l.diff, r.diff), (l.right, r.right),
+                        label=f"({l.label},{r.label})", decomposition=(
+                            l.decomposition and r.decomposition
+                            and tuple(zip(l.decomposition, r.decomposition))))
+            for l, r in zip(lefts, rights)]
+
+
 def _cross_diff(f, g, df, dg) -> Diff:
     """Valid difference for (f, ., g): vertical gap plus the larger
     self-drift dominates both membership clauses."""
@@ -268,15 +260,12 @@ _FN_REAL_SOURCES = (
 def canonical_term(ty: Type, avoid: frozenset[str] = frozenset()) -> Term:
     """A closed inhabitant of any type: zeros, pairs of zeros, constant
     functions."""
-    if isinstance(ty, RealType):
-        return Lit(0)
-    if isinstance(ty, PairType):
-        return Pair(canonical_term(ty.left, avoid),
-                    canonical_term(ty.right, avoid))
-    if isinstance(ty, FnType):
+    if type(ty) is FnType:
         var = fresh_name("u", avoid)
         return Lam(var, ty.arg, canonical_term(ty.res, avoid | {var}))
-    raise TypeError(f"not a type: {ty!r}")
+    if ty is REAL:
+        return Lit(0)
+    return componentwise(ty, lambda at: canonical_term(at, avoid), pair=Pair)
 
 
 def library_terms(ty: FnType, registry: Registry = DEFAULT_REGISTRY) -> list[Term]:

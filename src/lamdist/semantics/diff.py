@@ -49,8 +49,8 @@ from typing import Callable, Mapping, Union
 
 from ..prims import (_RADIUS_MODULI, _SCALAR_MODULI, DEFAULT_REGISTRY,
                      Registry, box_modulus)
-from ..syntax.terms import (FnType, Lam, Pair, PairType, RealType, Term,
-                            TermTooDeep, Type, on_overflow)
+from ..syntax.terms import (REAL, FnType, Lam, Pair, Term, TermTooDeep, Type,
+                            componentwise, on_overflow)
 from .eval import (REGION, Const, Literal, Mode, Position, Region, Value,
                    ValueMode, emit, tuple_source)
 
@@ -216,21 +216,18 @@ class DualMode(Mode):
 
 # --- pointwise structure on differences -------------------------------------
 
-def _lift(ty: Type, op: Callable[..., float]) -> Callable[..., Diff]:
-    """``op`` on ``Real`` differences, lifted to ``ty``: componentwise at
-    products, pointwise in (value, bound) at arrows.  The type is walked
-    once, when the lift is built."""
-    if isinstance(ty, RealType):
-        return op
-    if isinstance(ty, PairType):
-        left, right = _lift(ty.left, op), _lift(ty.right, op)
-        return lambda *ds: (left(*[d[0] for d in ds]),
-                            right(*[d[1] for d in ds]))
-    if isinstance(ty, FnType):
-        res = _lift(ty.res, op)
-        return lambda *ds: lambda value, bound: res(
-            *[d(value, bound) for d in ds])
-    raise TypeError(f"not a type: {ty!r}")
+def _pointwise(ty: Type, op: Callable[..., float], *ds: Diff) -> Diff:
+    """``op`` on ``Real`` differences, applied to ``ds`` at ``ty``:
+    componentwise at products, and at arrows pointwise in (value, bound),
+    the result type walked when the function is called."""
+    if ty is REAL:
+        return op(*ds)
+    if type(ty) is FnType:
+        if ty.res is REAL:  # the checkers' hot case: no call per value
+            return lambda value, bound: op(*[d(value, bound) for d in ds])
+        return lambda value, bound: _pointwise(
+            ty.res, op, *[d(value, bound) for d in ds])
+    return componentwise(ty, lambda at, *ds: _pointwise(at, op, *ds), *ds)
 
 
 def _residual(a: float, b: float) -> float:
@@ -242,14 +239,14 @@ def _residual(a: float, b: float) -> float:
 def top_diff(ty: Type) -> Diff:
     """The largest difference: zero bound everywhere (only constant
     functions are this close to themselves)."""
-    return _lift(ty, lambda: 0.0)()
+    return _pointwise(ty, lambda: 0.0)
 
 
 def tensor_diff(ty: Type, a: Diff, b: Diff) -> Diff:
     """Pointwise monoid operation (addition at the base)."""
-    return _lift(ty, operator.add)(a, b)
+    return _pointwise(ty, operator.add, a, b)
 
 
 def residual_diff(ty: Type, a: Diff, b: Diff) -> Diff:
     """Pointwise residual (truncated subtraction at the base)."""
-    return _lift(ty, _residual)(a, b)
+    return _pointwise(ty, _residual, a, b)

@@ -118,20 +118,30 @@ _TYPE_CHILDREN = {RealType: None, FnType: attrgetter("arg", "res"),
 # --- terms ----------------------------------------------------------------
 
 class _Node:
-    """The base of the term classes.  ``repr`` runs on :func:`fold`, so a
-    term of any depth prints, in the dataclasses' format."""
+    """The base of the term classes.  ``repr`` and ``hash`` run on
+    :func:`fold` and ``==`` on a list of the pairs left to compare, so a
+    term of any depth prints, in the dataclasses' format, hashes and
+    compares."""
     __slots__ = ()
 
     def __repr__(self):
         return fold(self, _TERM_REPR)
 
+    def __hash__(self):
+        return fold(self, _TERM_HASH, memo={})
 
-@dataclass(frozen=True, slots=True, repr=False)
+    def __eq__(self, other):
+        if not isinstance(other, _Node):
+            return NotImplemented
+        return equal_terms([(self, other)], set())
+
+
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class Lit(_Node):
     value: Fraction
 
@@ -140,37 +150,37 @@ class Lit(_Node):
             object.__setattr__(self, "value", Fraction(self.value))
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class PrimOp(_Node):
     name: str
     args: tuple["Term", ...]
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class App(_Node):
     fn: "Term"
     arg: "Term"
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class Lam(_Node):
     var: str
     var_type: Type
     body: "Term"
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class Pair(_Node):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class First(_Node):
     pair: "Term"
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class Second(_Node):
     pair: "Term"
 
@@ -264,6 +274,12 @@ _CHILDREN = {Var: None, Lit: None, PrimOp: attrgetter("args"),
              Pair: attrgetter("left", "right"), First: lambda t: (t.pair,),
              Second: lambda t: (t.pair,)}
 
+# The fields of a node of each class that are not its children
+_DATA = {Var: attrgetter("name"), Lit: attrgetter("value"),
+         PrimOp: lambda t: (t.name, len(t.args)),
+         Lam: attrgetter("var", "var_type"),
+         **dict.fromkeys((App, Pair, First, Second), lambda t: None)}
+
 REBUILD = {  # hooks that rebuild each node around new children
     **dict.fromkeys((Var, Lit), lambda state, t, kids: t),
     **dict.fromkeys((App, Pair, First, Second),
@@ -346,19 +362,24 @@ _ARROW_DEPTH = type_walker({
 })
 
 
-class _ReprTable(dict):
-    """A fold table that prints a child of no term class, such as a
-    misplaced type or number, by its own ``repr``."""
+class _OpenTable(dict):
+    """A fold table that takes a child of no term class, such as a
+    misplaced type or number, to ``other(child)``: its own ``repr`` or
+    ``hash``."""
+
+    def __init__(self, other, table):
+        super().__init__(table)
+        self.other = other
 
     def __missing__(self, cls):
-        return None, None, lambda state, s, kids: repr(s)
+        return None, None, lambda state, s, kids: self.other(s)
 
 
 def _repr_args(kids) -> str:  # a tuple's repr, from its items' reprs
     return f"({kids[0]},)" if len(kids) == 1 else f"({', '.join(kids)})"
 
 
-_TERM_REPR = _ReprTable(walker({
+_TERM_REPR = _OpenTable(repr, walker({
     Var: lambda state, t, kids: f"Var(name={t.name!r})",
     Lit: lambda state, t, kids: f"Lit(value={t.value!r})",
     PrimOp: lambda state, t, kids:
@@ -370,6 +391,9 @@ _TERM_REPR = _ReprTable(walker({
     First: lambda state, t, kids: f"First(pair={kids[0]})",
     Second: lambda state, t, kids: f"Second(pair={kids[0]})",
 }))
+_TERM_HASH = _OpenTable(hash, walker(dict.fromkeys(
+    _CHILDREN, lambda state, t, kids: hash((type(t), _DATA[type(t)](t),
+                                            *kids)))))
 
 
 def arrow_depth(ty: Type) -> int:
@@ -377,7 +401,58 @@ def arrow_depth(ty: Type) -> int:
     return fold(ty, _ARROW_DEPTH)
 
 
+def componentwise(ty: Type, leaf, *values, pair=None):
+    """``leaf(at, *parts)`` at each position ``at`` of ``ty`` that is no
+    product, each of ``values`` projected there (``v[0]``, ``v[1]``; None
+    stays None), and at each product its two results joined by
+    ``pair(left, right)``, or into a 2-tuple.  Runs on :func:`fold`.
+    Distances, differences and self-distances are componentwise at
+    products, said once here for ``semantics.diff``, ``eqtheory.dlog``
+    and the walkers of ``relations/``, save ``_Walk.member``: that walks
+    products on its own list, as it stops at the first ``Falsified``."""
+    if type(ty) is not PairType:
+        if not isinstance(ty, Type):
+            raise TypeError(f"not a type: {ty!r}")
+        return leaf(ty, *values)
+
+    def below(position):  # (type, *values), as in ``synthesis._lift``
+        ty, *vs = position
+        if type(ty) is PairType:
+            return tuple((at, *[None if v is None else v[i] for v in vs])
+                         for i, at in enumerate((ty.left, ty.right)))
+
+    def join(state, position, kids):
+        return (leaf(*position) if not kids else tuple(kids) if pair is None
+                else pair(*kids))
+    return fold((ty, *values), {tuple: (None, below, join)})
+
+
 # --- traversals -------------------------------------------------------------
+
+def equal_terms(todo: list, seen: set) -> bool:
+    """Whether the two terms of each pair on ``todo`` are equal, walked on
+    that list.  ``seen`` holds the id pairs of the inner nodes met, and a
+    pair met again is not walked again: it is equal, or its first meeting
+    ends the walk with False.  So a caller that compares many terms which
+    share subterms, as ``Derivation`` does, shares one ``seen`` while they
+    live, and compares each pair once."""
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b):
+            return False
+        if (data := _DATA.get(type(a))) is None:  # no term: a misplaced
+            if a != b:                            # type or number
+                return False
+        elif data(a) != data(b):
+            return False
+        elif ((kids := _CHILDREN[type(a)]) is not None
+              and (key := (id(a), id(b))) not in seen):
+            seen.add(key)
+            todo.extend(zip(kids(a), kids(b)))
+    return True
+
 
 def subterms(t: Term) -> Iterator[Term]:
     todo = [t]

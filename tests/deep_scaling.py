@@ -43,6 +43,17 @@ which shares nothing, and exits 1 if the value is not 1.1 to the
 10,000th or the call grows the peak RSS by more than
 ``PRODUCT_GROWTH_MB``: keeping each factor's value, as large as its
 subterm, would add about 40 MB.
+
+For products ``Real * (Real * ...)`` 1,000, 3,000 and 10,000 deep it
+times ``check_rho``, ``estimate_self_distance``,
+``eta_transitivity_split`` and ``tensor_diff`` on a value of the type
+related to itself at distance 0, ``ProbeSet.triples`` at the type, and
+``check_dlog`` on the pair term ``(1, (1, ...))`` against itself at its
+derivative, and checks each result leaf by leaf.  It exits 1 if one is
+wrong, or at 10,000 takes more than ``PAIR_LIMIT_S`` or peaks above
+``PAIR_RSS_MB``; ``triples`` has the bounds ``TRIPLES_LIMIT_S`` and
+``TRIPLES_RSS_MB``, as each product probe's label restates its
+components' labels, so the labels grow with the depth.
 Standard library only.
 """
 
@@ -74,6 +85,13 @@ SHARED_LIMIT_S = 5.0  # for the largest size: about 0.2-0.6 s
 SHARED_RSS_MB = 200.0  # for the largest size: about 35
 PRODUCT = 10_000
 PRODUCT_GROWTH_MB = 5.0  # about 0; 43 when every value is kept
+PAIR_CALLS = ("check_rho", "estimate_self_distance",
+              "eta_transitivity_split", "tensor_diff", "triples",
+              "check_dlog")
+PAIR_LIMIT_S = 5.0  # for the largest size: about 0.05-0.5 s
+PAIR_RSS_MB = 200.0  # for the largest size: about 25-35
+TRIPLES_LIMIT_S = 30.0  # for the largest size: about 4 s, quadratic
+TRIPLES_RSS_MB = 400.0  # for the largest size: about 90
 
 
 def _peak_rss_mb() -> float:
@@ -237,9 +255,72 @@ def measure_shared(walk: str, n: int) -> dict:
             "peak_rss_mb": peak, "grown_mb": peak - before}
 
 
+def _leaves(value, n: int) -> list:
+    """The ``n + 1`` leaves of a value of a product ``n`` deep."""
+    out = []
+    for _ in range(n):
+        out.append(value[0])
+        value = value[1]
+    return out + [value]
+
+
+def measure_pair(call: str, n: int) -> dict:
+    """Run ``call`` at the product ``Real * (Real * ...)`` ``n`` deep in
+    this interpreter, and check its result leaf by leaf."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from lamdist.eqtheory import check_dlog
+    from lamdist.relations import (Consistent, ProbeConfig, ProbeSet,
+                                   check_rho)
+    from lamdist.relations.checkers import (estimate_self_distance,
+                                            eta_transitivity_split)
+    from lamdist.semantics.diff import tensor_diff
+    from lamdist.syntax import REAL, derivative_term, parse_term
+    from lamdist.syntax.terms import PairType
+
+    ty, x, a = REAL, 1.0, 0.0
+    for _ in range(n):
+        ty, x, a = PairType(REAL, ty), (1.0, x), (0.0, a)
+    probes = ProbeSet(ProbeConfig(count=5))
+    if call == "check_dlog":
+        t = parse_term("(1, " * n + "1" + ")" * n)
+        dt = derivative_term((), t)
+    start = perf_counter()
+    if call == "check_rho":
+        got = check_rho(ty, x, a, x, probes)
+    elif call == "estimate_self_distance":
+        got = estimate_self_distance(ty, x, probes)
+    elif call == "eta_transitivity_split":
+        got = eta_transitivity_split(ty, a, x)
+    elif call == "tensor_diff":
+        got = tensor_diff(ty, a, x)
+    elif call == "triples":
+        got = probes.triples(ty)
+    else:
+        got = check_dlog(ty, t, dt, t)
+    took = perf_counter() - start
+    ones = [1.0] * (n + 1)
+    if call in ("check_rho", "check_dlog"):
+        same = got == Consistent(probes=n + 1)
+    elif call == "estimate_self_distance":
+        (_, zeros), = got.candidates
+        same = _leaves(zeros, n) == [0.0] * (n + 1)
+    elif call == "eta_transitivity_split":
+        same = (_leaves(got[0], n) == [0.0] * (n + 1)
+                and _leaves(got[1], n) == ones)
+    elif call == "tensor_diff":
+        same = _leaves(got, n) == ones
+    else:
+        reals = probes.triples(REAL)
+        same = len(got) == len(reals) and all(
+            _leaves(p.left, n) == [r.left] * (n + 1)
+            for p, r in zip(got, reals))
+    return {"call": call, "depth": n, "same": same, "call_s": took,
+            "peak_rss_mb": _peak_rss_mb()}
+
+
 MEASURES = {"check": measure, "lift": measure_lift, "parse": measure_parse,
             "lift-check": measure_lift_check, "evaluate": measure_evaluator,
-            "shared": measure_shared}
+            "shared": measure_shared, "pair": measure_pair}
 
 
 def run(*args: str) -> dict | None:
@@ -353,6 +434,27 @@ def main() -> int:
             failed = True
         elif row["peak_rss_mb"] > SHARED_RSS_MB:
             print(f"  {walk} on {n} terms peaked above {SHARED_RSS_MB:g} MB")
+            failed = True
+    print(f"\n{'product call':>24} {'depth':>8} {'call s':>8} "
+          f"{'peak RSS MB':>12}")
+    for call in PAIR_CALLS:
+        for n in SIZES:
+            if (row := run("pair", call, str(n))) is None:
+                return 1
+            print(f"{call:>24} {n:>8} {row['call_s']:>8.3f} "
+                  f"{row['peak_rss_mb']:>12.1f}")
+            if not row["same"]:
+                print(f"  {call} is wrong on a product {n} deep")
+                failed = True
+        limit_s, rss_mb = ((TRIPLES_LIMIT_S, TRIPLES_RSS_MB)
+                           if call == "triples"
+                           else (PAIR_LIMIT_S, PAIR_RSS_MB))
+        if row["call_s"] > limit_s:
+            print(f"  {call} on a product {n} deep took over {limit_s:g} s")
+            failed = True
+        if row["peak_rss_mb"] > rss_mb:
+            print(f"  {call} on a product {n} deep peaked above "
+                  f"{rss_mb:g} MB")
             failed = True
     return int(failed)
 

@@ -16,11 +16,13 @@ from lamdist.eqtheory import (DerivationFormatError, check_derivation,
 from lamdist.eqtheory.judgments import Derivation, DistanceJudgment, derive
 from lamdist.eqtheory.serialize import derivation_to_dict
 from lamdist.prims import Primitive, default_registry, prim_modulus
-from lamdist.relations import (ProbeConfig, ProbeSet, check_delta, check_eta,
-                               check_gamma, check_rho)
+from lamdist.relations import (Consistent, ProbeConfig, ProbeSet, check_delta,
+                               check_eta, check_gamma, check_rho)
 from lamdist.relations.checkers import (estimate_self_distance,
                                         eta_transitivity_split)
+from lamdist.relations.probes import canonical_term, library_terms
 from lamdist.semantics import diff_evaluate, evaluate
+from lamdist.semantics.diff import residual_diff, tensor_diff, top_diff
 from lamdist.syntax import (FnType, Lit, REAL, TermTooDeep, derivative_term,
                             parse_file, parse_term, render_term, term_equal,
                             typecheck)
@@ -215,6 +217,25 @@ def test_types_ten_thousand_deep_compare_and_hash():
     assert time.perf_counter() - start < 0.1
 
 
+@pytest.mark.parametrize("t", [DEEP_SUM, SIN_TOWER, BINDER_CHAIN],
+                         ids=["sum", "sin-tower", "binder-chain"])
+def test_terms_ten_thousand_deep_compare_and_hash(t):
+    """``==`` walks pairs on a list and ``hash`` runs on the fold."""
+    copy = parse_term(render_term(t))
+    assert copy == t and hash(copy) == hash(t) and copy is not t
+    changed = fold(copy, walker({**REBUILD, Var: lambda state, v, kids:
+                                 Var(v.name + "1")}))
+    assert changed != t and t != changed and t != render_term(t)
+
+
+def test_derivations_over_three_thousand_binders_compare_and_hash():
+    d, again = (self_distance_derivation(binder_chain(3000))
+                for _ in range(2))
+    assert d == again and hash(d) == hash(again) and d is not again
+    assert d != self_distance_derivation(binder_chain(2999))
+    assert d != d.conclusion
+
+
 def test_arrow_depth_and_repr_of_three_thousand_nested_types():
     ty = typecheck((), binder_chain(3000))
     assert repr(ty) == "(Real -> " * 3000 + "Real" + ")" * 3000
@@ -239,9 +260,14 @@ def test_repr_of_a_three_thousand_binder_chain():
 
 
 def test_repr_prints_a_child_of_no_term_class_by_its_own_repr():
-    """As the dataclasses did: a misplaced type or number still prints."""
+    """As the dataclasses did: a misplaced type or number still prints,
+    compares and hashes."""
     assert repr(App(REAL, Pair(Lit(1), 5))) == \
         "App(fn=Real, arg=Pair(left=Lit(value=Fraction(1, 1)), right=5))"
+    assert App(REAL, Pair(Lit(1), 5)) == App(REAL, Pair(Lit(1), 5))
+    assert App(REAL, Pair(Lit(1), 5)) != App(REAL, Pair(Lit(1), 6))
+    assert hash(App(REAL, Pair(Lit(1), 5))) == hash(App(REAL,
+                                                        Pair(Lit(1), 5)))
 
 
 def test_normal_forms_of_three_hundred_summands_compare():
@@ -295,22 +321,55 @@ def _nested_product(n: int):
     return ty, x, a
 
 
-@pytest.mark.parametrize("run, message", [
-    (lambda ty, x, a, p: check_rho(ty, x, a, x, p), "to check"),
-    (lambda ty, x, a, p: check_eta(ty, x, a, x, p), "to check"),
-    (lambda ty, x, a, p: check_gamma(ty, x, a, x, p), "to check"),
-    (lambda ty, x, a, p: check_delta(ty, x, a, x, p), "to check"),
-    (lambda ty, x, a, p: estimate_self_distance(ty, x, p), "to estimate"),
-    (lambda ty, x, a, p: eta_transitivity_split(ty, a, a), "to split"),
-    (lambda ty, x, a, p: p.triples(ty), "for probes"),
+@pytest.mark.parametrize("run", [
+    lambda ty, x, a, p: check_rho(ty, x, a, x, p),
+    lambda ty, x, a, p: check_eta(ty, x, a, x, p),
+    lambda ty, x, a, p: check_gamma(ty, x, a, x, p),
+    lambda ty, x, a, p: check_delta(ty, x, a, x, p),
+    lambda ty, x, a, p: estimate_self_distance(ty, x, p),
+    lambda ty, x, a, p: eta_transitivity_split(ty, a, a),
+    lambda ty, x, a, p: p.triples(ty),
 ], ids=["check_rho", "check_eta", "check_gamma", "check_delta",
         "estimate_self_distance", "eta_transitivity_split", "triples"])
-def test_the_relation_checkers_on_a_product_two_thousand_deep(run, message):
-    """They walk the type by recursion; at 300 deep they return."""
-    probes = ProbeSet(ProbeConfig(count=5))
-    assert run(*_nested_product(300), probes) is not None
-    with pytest.raises(TermTooDeep, match=f"nested too deeply {message}"):
-        run(*_nested_product(2000), probes)
+def test_checkers_return_on_a_product_ten_thousand_deep(run):
+    """Products are walked on ``componentwise``'s fold, or on
+    ``_Walk.member``'s list."""
+    assert run(*_nested_product(N), ProbeSet(ProbeConfig(count=5))) \
+        is not None
+
+
+def _leaves(value, n: int):
+    """The ``n + 1`` leaves of a value of ``_nested_product(n)``'s type."""
+    out = []
+    for _ in range(n):
+        out.append(value[0])
+        value = value[1]
+    return out + [value]
+
+
+@pytest.mark.parametrize("run, want", [
+    (lambda ty, x, a: top_diff(ty), 0.0),
+    (lambda ty, x, a: tensor_diff(ty, a, x), 1.0),
+    (lambda ty, x, a: residual_diff(ty, a, x), 1.0),
+], ids=["top_diff", "tensor_diff", "residual_diff"])
+def test_the_pointwise_operations_at_a_product_ten_thousand_deep(run, want):
+    assert _leaves(run(*_nested_product(N)), N) == [want] * (N + 1)
+
+
+def test_probe_terms_at_a_product_ten_thousand_deep():
+    ty = _nested_product(N)[0]
+    assert canonical_term(ty) == parse_term("(0, " * N + "0" + ")" * N)
+    canonical, = library_terms(FnType(REAL, ty))
+    assert canonical == Lam("u", REAL, canonical_term(ty))
+
+
+def test_check_dlog_on_a_pair_ten_thousand_deep():
+    """The pair term against itself at its derivative, which is the
+    literal pair of zeros: one exact comparison per leaf."""
+    t = parse_term("(1, " * N + "1" + ")" * N)
+    ty = typecheck((), t)
+    assert check_dlog(ty, t, derivative_term((), t), t) == \
+        Consistent(probes=N + 1)
 
 
 def test_a_derivation_over_a_three_hundred_binder_chain_checks():

@@ -30,24 +30,29 @@ def test_the_sources_parse_as_python_3_10():
 WALKERS = [path for layer in ("syntax", "semantics", "eqtheory", "relations")
            for path in sorted((SRC / layer).glob("*.py"))]
 RECURSIVE = {
-    "diff.py:_lift": "a type walker: lifts an operation along the "
-                     "difference type, once per lift",
+    "diff.py:_pointwise": "products on componentwise; recurses only at "
+                          "arrows, one level per arrow, lazily in the "
+                          "closure it returns",
     "serialize.py:_from_dict": "walks the derivation's depth, which json "
                                "bounds; deeper is a DerivationFormatError",
-    "dlog.py:_uncurried": "a type walker: uncurries a distance value along "
-                          "its type",
+    "dlog.py:_uncurried": "products on componentwise; recurses only at "
+                          "arrows, one level per arrow, lazily in the "
+                          "closure it returns",
     "corpus.py:random_real_derivation": "builds a random derivation to a "
                                         "depth its caller chooses",
-    "checkers.py:_Walk.member": "a type walker: walks product components, "
-                                "and result types through the arrow clauses",
-    "checkers.py:_diff_leq_at": "a type walker: compares two differences "
-                                "along their type",
-    "checkers.py:eta_transitivity_split": "a type walker: splits a "
-                                          "distance along its type",
-    "checkers.py:estimate_self_distance": "a type walker: estimates each "
-                                          "component of a product",
-    "probes.py:canonical_term": "a type walker: builds a probe term along "
-                                "the type",
+    "checkers.py:_diff_leq_at": "products on componentwise; recurses only "
+                                "at arrows, one level per arrow, into the "
+                                "result type at each probe",
+    "checkers.py:eta_transitivity_split": "products on componentwise; "
+                                          "recurses only at arrows, one "
+                                          "level per arrow, lazily in the "
+                                          "closures it returns",
+    "probes.py:ProbeSet.triples": "products on componentwise; recurses one "
+                                  "level, to the cached lists of a "
+                                  "product's components",
+    "probes.py:canonical_term": "products on componentwise; recurses only "
+                                "at arrows, one level per arrow, into the "
+                                "result type",
 }
 
 
