@@ -18,11 +18,11 @@ UTF-8, a name the file does not define, out-of-range flags (among them a
 ``--range`` whose bounds or width HI - LO are not finite, and a probe
 count above ``MAX_PROBES``), a standard output closed before the report
 is written, and input nested too deeply for a walk that still recurses:
-compiling or running a term for ``diff``, evaluating closures applied
-within closures to compare the sides of a ``Conv`` node, and inlining
-under binders renamed within renamed binders (``TermTooDeep``, or
-Python's recursion limit).  Parsing, typing, derivatives, printing
-terms and types, and judging take terms of any depth.  With
+compiling or running a term for ``diff``, and evaluating closures
+applied within closures to compare the sides of a ``Conv`` node
+(``TermTooDeep``, or Python's recursion limit).  Parsing, inlining,
+typing, derivatives, printing terms and types, and judging take terms of
+any depth.  With
 ``--format json`` and a fixed ``--seed``, output is byte-identical across
 runs.
 

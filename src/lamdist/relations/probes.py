@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..prims import DEFAULT_REGISTRY, Registry
@@ -84,12 +84,29 @@ class ProbeConfig:
                              "finite number >= 0")
 
 
+class _Label:
+    """A probe's label: as given, or at a product's ``i``-th probe
+    ``(l,r)`` from its components' ``i``-th probes, rendered when read, so
+    a deep product's probes build no label unread."""
+
+    def __get__(self, probe, cls=None) -> str:
+        label = "" if probe is None else vars(probe)["label"]
+        if type(label) is str:
+            return label
+        ty, leaves, i = label
+        return componentwise(ty, lambda at: leaves[at][i].label,
+                             pair=lambda left, right: f"({left},{right})")
+
+    def __set__(self, probe, label):
+        vars(probe)["label"] = label
+
+
 @dataclass(frozen=True)
 class ProbeTriple:
     left: Value
     diff: Diff
     right: Value
-    label: str = ""
+    label: str = _Label()
     left_term: Optional[Term] = None
     right_term: Optional[Term] = None
     decomposition: Optional[tuple[Diff, Diff]] = None
@@ -125,11 +142,13 @@ class ProbeSet:
         # recognise its probes across families
         key = (ty, "rho" if ty is REAL else family)
         if key not in self._cache:
+            leaves = {}  # a product's probes at its positions of no product
             self._cache[key] = (
                 self._real_triples() if ty is REAL
                 else self._fn_triples(ty, family) if type(ty) is FnType
-                else componentwise(ty, lambda at: self.triples(at, family),
-                                   pair=_paired))
+                else [replace(p, label=(ty, leaves, i)) for i, p in enumerate(
+                    componentwise(ty, lambda at: leaves.setdefault(
+                        at, self.triples(at, family)), pair=_paired))])
         return self._cache[key]
 
     # -- construction -------------------------------------------------------
@@ -207,9 +226,9 @@ class ProbeSet:
 
 def _paired(lefts, rights) -> list[ProbeTriple]:
     """A product's probes: the i-th of each component's, paired, with
-    their decompositions where both have one."""
+    their decompositions where both have one; ``triples`` labels them."""
     return [ProbeTriple((l.left, r.left), (l.diff, r.diff), (l.right, r.right),
-                        label=f"({l.label},{r.label})", decomposition=(
+                        decomposition=(
                             l.decomposition and r.decomposition
                             and tuple(zip(l.decomposition, r.decomposition))))
             for l, r in zip(lefts, rights)]

@@ -74,9 +74,9 @@ def diff_evaluate(t: Term, env: Mapping[str, Value] | None = None,
 def _compile_dual(t: Term, free: Mapping[str, Value],
                   dfree: Mapping[str, Diff], registry: Registry) -> DualCode:
     """The code computing ``t``'s (value, difference) pair from the empty
-    environments, without its value; the value code of every lambda
-    whose value is used is compiled alongside."""
-    values = ValueMode(free, every=False)
+    environments, without its value; the value code of every position
+    is compiled alongside, for the lambdas whose values are used."""
+    values = ValueMode(free)
     return emit(t, registry, [values, DualMode(free, dfree, values)])[1]
 
 

@@ -96,10 +96,9 @@ class Position:
     """One occurrence of a subterm: its class, its children's positions
     and what compiling it needs (a variable's name and slot, a literal's
     float, a primitive, a binder's slot).  ``want`` is set where the
-    difference pass needs the value too; ``valued`` where that pass needs
-    the value code (at a wanted lambda and under it); ``region`` is the
-    root of the region whose code computes it, if any."""
-    __slots__ = ("cls", "info", "kids", "parent", "want", "valued", "region")
+    difference pass needs the value too; ``region`` is the root of the
+    region whose code computes it, if any."""
+    __slots__ = ("cls", "info", "kids", "parent", "want", "region")
 
     def __init__(self, cls, info, kids):
         self.cls, self.info, self.kids = cls, info, kids
@@ -160,29 +159,25 @@ _LAYOUT = walker({
 
 def emit(t: Term, registry: Registry, modes: list[Mode]) -> list[Callable]:
     """Compile ``t`` in each of ``modes``; the code of the whole term in
-    each, or None from a mode that compiles only part of it.
-    Compile-time errors (an unknown primitive, a wrong arity, a literal
-    beyond the float range) are raised in the order a recursive walk
-    meets them."""
+    each.  Compile-time errors (an unknown primitive, a wrong arity, a
+    literal beyond the float range) are raised in the order a recursive
+    walk meets them."""
     layout = _Layout(registry)
     root = fold(t, _LAYOUT, layout)
-    root.want = root.valued = False
+    root.want = False
     root.region = root if root.cls in REGION else None
     for pos in reversed(layout.order):  # parents before their children
         cls = pos.cls
-        pos.valued = pos.valued or cls is Lam and pos.want
         inner = cls in REGION
         for i, kid in enumerate(pos.kids):
             kid.want = (cls is PrimOp or cls is App and i == 1
                         or cls is not Lam and pos.want)
-            kid.valued = pos.valued
             kid.region = (pos.region if inner
                           else kid if kid.cls in REGION else None)
     for pos in layout.order:
         for mode in modes:
-            if mode.every or pos.valued:
-                mode.place(pos)
-    return [mode.codes.get(root) for mode in modes]
+            mode.place(pos)
+    return [mode.codes[root] for mode in modes]
 
 
 # --- regions as straight-line source ----------------------------------------
@@ -375,10 +370,8 @@ def tuple_source(items: list[str]) -> str:
 class Mode:
     """One evaluator's code for every position: ``codes`` for the roots
     of regions and for the nodes between them, ``ops`` for what each node
-    in a region leaves to its parent.  ``every`` is unset where only the
-    positions that need a value code are compiled.  Subclasses give the
-    node templates."""
-    every = True
+    in a region leaves to its parent.  Subclasses give the node
+    templates."""
 
     def __init__(self, free: Mapping[str, Value]):
         self.free = free
@@ -452,10 +445,6 @@ class Mode:
 
 class ValueMode(Mode):
     """The value of every position."""
-
-    def __init__(self, free: Mapping[str, Value], every: bool = True):
-        super().__init__(free)
-        self.every = every
 
     @staticmethod
     def params(param: bool) -> str:

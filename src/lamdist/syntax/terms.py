@@ -317,9 +317,10 @@ def fold(t: Term | Type, table: dict, state=None, memo: dict | None = None,
     ``memo``, a non-leaf node whose ``key(node)`` is not None is folded
     once per key: ``memo[key]``, read before the ``pre`` hook, keeps the
     node alive and its result.  Typing keys on (scope, subterm), exact
-    evaluation on the subterms it reaches twice, ``derivative_term`` and
-    ``free_vars`` on the subterm; ``render_term``, ``repr`` and memo-less
-    ``free_vars`` keep nothing, as their results grow with their tree."""
+    evaluation on the subterms it reaches twice, ``derivative_term``,
+    ``free_vars`` and ``substitute``'s body names on the subterm;
+    ``render_term``, ``repr`` and memo-less ``free_vars`` keep nothing, as
+    their results grow with their tree."""
     results = []
     put = results.append
     frames = []  # (node, alg hook, where its results start, children, key)
@@ -511,61 +512,86 @@ def substitute(t: Term, mapping: Mapping[str, Term]) -> Term:
     """Simultaneous capture-avoiding substitution."""
     # names that must not be captured by any binder we pass under
     danger = frozenset().union(*(free_vars(v) for v in mapping.values()))
-    # renamed binders nested in renamed binders recurse
-    with on_overflow(TermTooDeep, "binders renamed too deeply to substitute"):
-        # with the binders entered, innermost last, and each one's count
-        return fold(t, _SUBSTITUTE, (dict(mapping), danger, [], {}))
+    roots, memo = {_root(name) for name in danger}, {}
 
-
-def _enter_substitution(state, lam: Lam):
-    mapping, danger, entered, shadowed = state
-    inner = [k for k in mapping if k != lam.var and not shadowed.get(k)]
-    if not inner:
-        return Skip((lam,))
-    entered.append(lam.var)
-    shadowed[lam.var] = shadowed.get(lam.var, 0) + 1
-    if lam.var not in danger:
-        return lam
-    body = lam.body  # renamed first, by a nested walk
-    var = fresh_name(lam.var, danger | free_vars(body) | set(inner)
-                     | all_var_names(body))
-    return Lam(var, lam.var_type, fold(body, _SUBSTITUTE, (
-        {lam.var: Var(var)}, danger, [], {})))
-
-
-def _leave_substitution(state, lam: Lam, kids) -> Lam:
-    state[3][state[2].pop()] -= 1
-    return Lam(lam.var, lam.var_type, *kids)
-
-
-_SUBSTITUTE = walker({
-    **REBUILD, Lam: _leave_substitution,
-    Var: lambda state, v, kids: (v if state[3].get(v.name)
-                                 else state[0].get(v.name, v)),
-}, {Lam: _enter_substitution})
+    def pick(walk: _Walk, lam: Lam):
+        if len(walk.mapping) == (lam.var in walk.mapping):
+            return Skip((lam,))  # nothing below is replaced
+        if lam.var not in danger:
+            return lam.var
+        # the innermost renamed binder's old name, else the live keys
+        inner = walk.renamed_around(lam.var)
+        inner = walk.mapping.keys() - {lam.var} if inner is None else {inner}
+        return fresh_name(lam.var, danger.union(
+            inner, fold(lam.body, _ROOTED_NAMES, roots, memo)))
+    return fold(t, _RENAMING, _Walk(mapping, pick))
 
 
 def rename_binders(t: Term, scope: Iterable[str], pick) -> Term:
     """``t`` with each binder renamed to ``pick(var, body, scope)``, where
     ``scope`` holds the given names and the enclosing binders, as renamed.
     ``pick`` returns ``var`` to keep it, and never a name in ``scope``."""
-    return fold(t, _RENAME, (set(scope), pick))
+    return fold(t, _RENAMING, _Walk({}, lambda walk, lam: pick(
+        lam.var, lam.body, walk.scope), scope))
 
 
-def _enter_renaming(state, lam: Lam) -> Lam:
-    scope, pick = state
-    scope.add(var := pick(lam.var, lam.body, scope))
-    if var == lam.var:
-        return lam
-    return Lam(var, lam.var_type, substitute(lam.body, {lam.var: Var(var)}))
+class _Walk:
+    """The state of the one capture-avoiding walk: ``pick(walk, lam)``
+    names each binder or skips it; ``mapping`` takes each free name to its
+    replacement, and a renamed binder's old name to its new ``Var``;
+    ``scope`` holds the given names and the enclosing binders', renamed;
+    ``left`` what each enclosing binder hid; ``renamed`` the enclosing
+    renamed binders, each as its old name and the nearest other one."""
+
+    def __init__(self, mapping: Mapping[str, Term], pick, scope=()):
+        self.pick, self.mapping, self.scope = pick, dict(mapping), set(scope)
+        self.left, self.renamed = [], []
+
+    def renamed_around(self, var: str) -> str | None:
+        """The innermost renamed binder's old name that is not ``var``."""
+        near, far = self.renamed[-1] if self.renamed else (None, None)
+        return near if near != var else far
+
+    def enter(self, lam: Lam):
+        if type(var := self.pick(self, lam)) is Skip:
+            return var
+        self.scope.add(var)
+        self.left.append((lam.var, self.mapping.pop(lam.var, None)))
+        if var == lam.var:
+            return lam
+        self.renamed.append((lam.var, self.renamed_around(lam.var)))
+        self.mapping[lam.var] = Var(var)
+        return Lam(var, lam.var_type, lam.body)
+
+    def leave(self, lam: Lam, kids) -> Lam:
+        old, hidden = self.left.pop()
+        self.scope.discard(lam.var)
+        self.mapping.pop(old, None)
+        if lam.var != old:
+            self.renamed.pop()
+        if hidden is not None:
+            self.mapping[old] = hidden
+        return Lam(lam.var, lam.var_type, *kids)
 
 
-def _leave_renaming(state, lam: Lam, kids) -> Lam:
-    state[0].discard(lam.var)
-    return Lam(lam.var, lam.var_type, *kids)
+_RENAMING = walker({**REBUILD, Lam: _Walk.leave, Var: lambda walk, v, kids:
+                    walk.mapping.get(v.name, v)}, {Lam: _Walk.enter})
 
 
-_RENAME = walker({**REBUILD, Lam: _leave_renaming}, {Lam: _enter_renaming})
+def _root(name: str) -> str:
+    """The root ``name`` shares with each name ``fresh_names`` draws."""
+    return name.rstrip("'").rstrip("0123456789")
+
+
+def _rooted_names(roots, t, kids) -> frozenset[str]:
+    """The names bound or used in ``t`` whose roots are in ``roots``: the
+    others cannot change a name drawn from one of these roots."""
+    name = t.name if type(t) is Var else t.var if type(t) is Lam else None
+    keep = name is not None and _root(name) in roots
+    return frozenset().union(*kids, (name,) if keep else ())
+
+
+_ROOTED_NAMES = walker(dict.fromkeys(_CHILDREN, _rooted_names))
 
 
 def alpha_equal(t: Term, s: Term) -> bool:

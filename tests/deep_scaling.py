@@ -51,9 +51,18 @@ related to itself at distance 0, ``ProbeSet.triples`` at the type, and
 ``check_dlog`` on the pair term ``(1, (1, ...))`` against itself at its
 derivative, and checks each result leaf by leaf.  It exits 1 if one is
 wrong, or at 10,000 takes more than ``PAIR_LIMIT_S`` or peaks above
-``PAIR_RSS_MB``; ``triples`` has the bounds ``TRIPLES_LIMIT_S`` and
-``TRIPLES_RSS_MB``, as each product probe's label restates its
-components' labels, so the labels grow with the depth.
+``PAIR_RSS_MB``; ``triples`` keeps these bounds too, as a product
+probe's label is rendered from its components' only when read.
+
+For 1,000, 3,000 and 10,000 binders it times the capture-avoiding walk:
+``substitute`` of ``x`` by ``(y, w)`` under binders alternately named
+``y`` and ``w``, each one renamed; ``rename_binders`` renaming every
+binder of the chain ``\\x0:Real. ... \\x{n-1}:Real. x0``; and
+``parse_term`` of ``(\\x0:Real. ... \\x{n-1}:Real. x0) (x0 + ... +
+x{n-1})``, whose binders shadow the argument's free names.  It exits 1
+if a result is wrong or at 10,000 binders takes more than
+``BINDER_LIMIT_S``: a walk started within the walk of each renamed
+binder takes minutes.
 Standard library only.
 """
 
@@ -88,10 +97,10 @@ PRODUCT_GROWTH_MB = 5.0  # about 0; 43 when every value is kept
 PAIR_CALLS = ("check_rho", "estimate_self_distance",
               "eta_transitivity_split", "tensor_diff", "triples",
               "check_dlog")
-PAIR_LIMIT_S = 5.0  # for the largest size: about 0.05-0.5 s
-PAIR_RSS_MB = 200.0  # for the largest size: about 25-35
-TRIPLES_LIMIT_S = 30.0  # for the largest size: about 4 s, quadratic
-TRIPLES_RSS_MB = 400.0  # for the largest size: about 90
+PAIR_LIMIT_S = 5.0  # for the largest size: about 0.05-0.5 s, 2 for triples
+PAIR_RSS_MB = 200.0  # for the largest size: about 25-35, 90 for triples
+BINDER_CALLS = ("substitute", "rename_binders", "parse_term")
+BINDER_LIMIT_S = 2.0  # for the largest size: about 0.05-0.25 s
 
 
 def _peak_rss_mb() -> float:
@@ -318,9 +327,48 @@ def measure_pair(call: str, n: int) -> dict:
             "peak_rss_mb": _peak_rss_mb()}
 
 
+def measure_binders(call: str, n: int) -> dict:
+    """Run ``call`` on ``n`` binders in this interpreter, and check that
+    its result binds and leaves free the names it should."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from lamdist.syntax import parse_term
+    from lamdist.syntax.terms import (REAL, Lam, Pair, Var, all_var_names,
+                                      alpha_equal, free_vars, rename_binders,
+                                      substitute)
+
+    xs = [f"x{i}" for i in range(n)]
+    if call == "substitute":
+        t = Var("x")
+        for i in range(n):
+            t = Lam("yw"[i % 2], REAL, t)
+    elif call == "rename_binders":
+        t = _chain(n)
+    else:
+        text = ("(" + "".join(f"\\{x}:Real. " for x in xs) + "x0) ("
+                + " + ".join(xs) + ")")
+    start = perf_counter()
+    if call == "substitute":
+        got = substitute(t, {"x": Pair(Var("y"), Var("w"))})
+    elif call == "rename_binders":
+        got = rename_binders(t, (), lambda var, body, scope: var + "r")
+    else:
+        got = parse_term(text)
+    took = perf_counter() - start
+    if call == "substitute":
+        same = free_vars(got) == {"y", "w"}
+    elif call == "rename_binders":
+        same = (alpha_equal(got, t)
+                and all_var_names(got) == {x + "r" for x in xs})
+    else:
+        same = free_vars(got) == set(xs) and len(all_var_names(got)) == 2 * n
+    return {"call": call, "binders": n, "same": same, "call_s": took,
+            "peak_rss_mb": _peak_rss_mb()}
+
+
 MEASURES = {"check": measure, "lift": measure_lift, "parse": measure_parse,
             "lift-check": measure_lift_check, "evaluate": measure_evaluator,
-            "shared": measure_shared, "pair": measure_pair}
+            "shared": measure_shared, "pair": measure_pair,
+            "binders": measure_binders}
 
 
 def run(*args: str) -> dict | None:
@@ -446,15 +494,27 @@ def main() -> int:
             if not row["same"]:
                 print(f"  {call} is wrong on a product {n} deep")
                 failed = True
-        limit_s, rss_mb = ((TRIPLES_LIMIT_S, TRIPLES_RSS_MB)
-                           if call == "triples"
-                           else (PAIR_LIMIT_S, PAIR_RSS_MB))
-        if row["call_s"] > limit_s:
-            print(f"  {call} on a product {n} deep took over {limit_s:g} s")
+        if row["call_s"] > PAIR_LIMIT_S:
+            print(f"  {call} on a product {n} deep took over "
+                  f"{PAIR_LIMIT_S:g} s")
             failed = True
-        if row["peak_rss_mb"] > rss_mb:
+        if row["peak_rss_mb"] > PAIR_RSS_MB:
             print(f"  {call} on a product {n} deep peaked above "
-                  f"{rss_mb:g} MB")
+                  f"{PAIR_RSS_MB:g} MB")
+            failed = True
+    print(f"\n{'binder call':>16} {'binders':>8} {'call s':>8} "
+          f"{'peak RSS MB':>12}")
+    for call in BINDER_CALLS:
+        for n in SIZES:
+            if (row := run("binders", call, str(n))) is None:
+                return 1
+            print(f"{call:>16} {n:>8} {row['call_s']:>8.3f} "
+                  f"{row['peak_rss_mb']:>12.1f}")
+            if not row["same"]:
+                print(f"  {call} is wrong on {n} binders")
+                failed = True
+        if row["call_s"] > BINDER_LIMIT_S:
+            print(f"  {call} on {n} binders took over {BINDER_LIMIT_S:g} s")
             failed = True
     return int(failed)
 

@@ -193,14 +193,14 @@ def test_a_recursion_error_raised_within_a_comparison_is_term_too_deep():
         term_equal((), parse_term("deep(1)", registry), Lit(0), registry)
 
 
-def test_renaming_binders_within_renamed_binders_raises_term_too_deep():
+def test_substitution_renames_ten_thousand_capturing_binders_apart():
     """Every binder captures a name of the substituted term, so each one
-    is renamed by a walk nested in the walk renaming the one above it."""
+    is renamed, within the renamed one above it, in the one walk."""
     t = Var("x")
-    for i in range(1000):  # each walk reads the rest: keep it short
+    for i in range(N):
         t = Lam("yw"[i % 2], REAL, t)
-    with pytest.raises(TermTooDeep, match="binders renamed too deeply"):
-        substitute(t, {"x": Pair(Var("y"), Var("w"))})
+    assert free_vars(substitute(t, {"x": Pair(Var("y"), Var("w"))})) \
+        == {"y", "w"}
 
 
 def test_types_ten_thousand_deep_compare_and_hash():

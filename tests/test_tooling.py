@@ -127,6 +127,38 @@ def _calls(tree: ast.AST, scope: str = ""):
         yield from _calls(node, inner)
 
 
+# The functions that open ``terms.on_overflow``, turning a RecursionError
+# into a typed error, and what still recurses inside each
+OVERFLOW = {
+    "eval.py:evaluate": "compiled closures applied within closures",
+    "diff.py:diff_evaluate": "compiled closures applied within closures",
+    "checkers.py:_Walk.verdict": "the arrow clauses recurse through result "
+                                 "types",
+    "equality.py:Equality.equal": "evaluating applies a closure within the "
+                                  "one applying it",
+    "serialize.py:derivation_to_json": "json writes nested objects by "
+                                       "recursion",
+    "serialize.py:derivation_from_dict": "_from_dict walks the premises' "
+                                         "depth",
+    "serialize.py:derivation_from_json": "json reads nested arrays by "
+                                         "recursion",
+}
+
+
+def test_each_overflow_guard_is_allowlisted():
+    """An ``on_overflow`` context that no longer catches anything is
+    deleted, and a new one names what recurses inside it."""
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found |= {f"{path.name}:{scope}" for scope, call in _calls(tree)
+                  if isinstance(call.func, ast.Name)
+                  and call.func.id == "on_overflow"}
+    assert found == set(OVERFLOW), (
+        f"new guards: {sorted(found - set(OVERFLOW))}; "
+        f"allowlisted but gone: {sorted(set(OVERFLOW) - found)}")
+
+
 def test_the_cli_opens_input_in_one_place():
     """Every input file is read by ``cli._read``, which turns an unreadable
     or undecodable file into exit 2.  ``os.open`` is left out: ``main``
